@@ -18,7 +18,7 @@ from .errors import (CapabilityError, ContractionError, ConvergenceError,
                      DomainError, DomainExitError, InfeasibleBudgetError,
                      NoDecayError, NumericError, PreconditionError, SchemaError,
                      SlowfastError, UnderdeterminedError)
-from .harness import ScenarioSpec, fit_exponential, run_scenario
+from .harness import ScenarioSpec, run_scenario
 from .integrate import (IntegratorConfig, OrbitPath, ProcessHandle,
                         bounded_solution, flow, process_A0, process_Ah,
                         process_apply, process_matrix, process_Z, slow_ivp,
@@ -27,7 +27,7 @@ from .manifold import (ContractionReport, LPConfig, d2h_solve, dh_map, dh_solve,
                        eqv_residual, fd_derivative_error, invariance_residual,
                        lp_map, lp_solve, reduced_flow)
 from .reduction import (ReductionResult, StraightenedSystem, attraction_rate_fit,
-                        decompose_orbit, dp_point, q_along_orbit,
+                        decompose_orbit, dp_point, fit_exponential, q_along_orbit,
                         semiconjugacy_residual, straighten)
 from .systems import EXAMPLES, ExampleSystem, get_example
 

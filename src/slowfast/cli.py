@@ -24,7 +24,9 @@ from .errors import (ContractionError, ConvergenceError,
                      SlowfastError)
 from .harness import ScenarioSpec, build_scenario_system, run_scenario, scenario_configs
 from .manifold import d2h_solve, dh_solve, lp_solve
-from .reduction import decompose_orbit, q_along_orbit, straighten
+from .integrate import flow
+from .reduction import (decompose_orbit, q_along_orbit, semiconjugacy_residual,
+                        straighten)
 from .systems import EXAMPLES
 
 log = logging.getLogger("slowfast")
@@ -97,8 +99,6 @@ def _spec_from_args(args):
         data["seed"] = args.seed
     if getattr(args, "out", None) is not None:
         data["out"] = args.out
-    if getattr(args, "jobs", None) is not None:
-        data["jobs"] = args.jobs
     ov = _parse_overrides(getattr(args, "override", None))
     if ov:
         data["overrides"] = ov
@@ -192,13 +192,11 @@ def cmd_reduce(args):
     res = q_along_orbit(ssys, xi, eta, scert, cfg_int)
     out = spec.out or f"reduction_{spec.system}"
     payload = res.to_dict()
-    from .reduction import semiconjugacy_residual
     payload["semiconjugacy_residual"] = semiconjugacy_residual(
         ssys, res, t_max=5.0, cfg_int=cfg_int, cert=scert, n_checks=5)
     _atomic_write(out + ".json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     t_max = min(10.0, max(2.0, res.horizon)) if res.horizon > 0 else 5.0
     outer, layer = decompose_orbit(sysm, ssys.h, res, t_max, cfg_int)
-    from .integrate import flow
     x0 = np.asarray(ssys.h(eta), dtype=float) + xi
     orbit = flow(sysm, x0, eta, (0.0, t_max), cfg_int, check_domain=False)
     header = (["t"]
@@ -236,7 +234,6 @@ def _add_common(p, with_point=False):
     p.add_argument("--dt", type=float)
     p.add_argument("--horizon", type=float)
     p.add_argument("--derivative", type=int, choices=(0, 1, 2))
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--override", action="append", metavar="KEY=VALUE",

@@ -90,6 +90,8 @@ class GridDomain:
             pts = np.full(lo.shape, pts[0])
         if not (lo.shape == hi.shape == pts.shape) or lo.ndim != 1 or lo.size < 1:
             raise ValueError("lower/upper/points_per_axis must be matching vectors")
+        if not np.all(np.isfinite(lo) & np.isfinite(hi)):
+            raise ValueError("box bounds must be finite")
         if not np.all(lo < hi):
             raise ValueError("need lower < upper componentwise")
         if not np.all(pts >= 2):
@@ -191,13 +193,9 @@ class GridFunction:
         self.value_norm = value_norm
 
     @classmethod
-    def from_callable(cls, domain, fn, value_norm=None, vectorized=True):
-        nodes = domain.node_coords()
-        if vectorized:
-            vals = np.asarray(fn(nodes), dtype=float)
-        else:
-            vals = np.stack([np.asarray(fn(nodes[i]), dtype=float)
-                             for i in range(nodes.shape[0])])
+    def from_callable(cls, domain, fn, value_norm=None):
+        """Sample fn, which takes the (N, n) array of all nodes, on the grid."""
+        vals = np.asarray(fn(domain.node_coords()), dtype=float)
         vals = vals.reshape(domain.shape + vals.shape[1:])
         return cls(domain, vals, value_norm=value_norm)
 
@@ -399,17 +397,18 @@ def eval_R0(sys: FastSlowSystem, x, y):
     return sys.R0(np.asarray(x, dtype=float), yv)
 
 
-# -- finite-difference consistency checks ----------------------------------
+# -- finite differences ----------------------------------------------------------
 
-def _fd_jacobian(fn, u, h=1e-6):
+def _central_diff(fn, u, h=1e-6):
+    """Central differences of fn in each coordinate of u's last axis, stacked
+    on a new last axis.  Leading axes of u are a batch."""
     u = np.asarray(u, dtype=float)
-    f0 = np.asarray(fn(u), dtype=float)
     cols = []
-    for i in range(u.size):
+    for i in range(u.shape[-1]):
         du = np.zeros_like(u)
-        du[i] = h
+        du[..., i] = h
         cols.append((np.asarray(fn(u + du)) - np.asarray(fn(u - du))) / (2 * h))
-    return np.stack(cols, axis=-1), f0
+    return np.stack(cols, axis=-1)
 
 
 def check_derivatives(sys: FastSlowSystem, n_points=100, seed=0, tol=1e-5, x_radius=1.0):
@@ -428,14 +427,14 @@ def check_derivatives(sys: FastSlowSystem, n_points=100, seed=0, tol=1e-5, x_rad
 
     for x, y in zip(xs, ys):
         joint = lambda u: sys.eval_F(u[: sys.m], u[sys.m:])
-        fd, _ = _fd_jacobian(joint, np.concatenate([x, y]))
-        a0fd, _ = _fd_jacobian(lambda u: sys.eval_F(u, y), np.zeros(sys.m))
+        fd = _central_diff(joint, np.concatenate([x, y]))
+        a0fd = _central_diff(lambda u: sys.eval_F(u, y), np.zeros(sys.m))
         worst = max(worst, rel(a0fd, sys.eval_A0(y)))
         if sys.DF is not None:
             worst = max(worst, rel(fd, sys.eval_DF(x, y)))
         if sys.Dg is not None:
-            gfd, _ = _fd_jacobian(lambda u: sys.eval_g(u[: sys.m], u[sys.m:]),
-                                  np.concatenate([x, y]))
+            gfd = _central_diff(lambda u: sys.eval_g(u[: sys.m], u[sys.m:]),
+                                np.concatenate([x, y]))
             worst = max(worst, rel(gfd, sys.eval_Dg(x, y)))
     return worst
 
@@ -587,7 +586,7 @@ def localize(sys: FastSlowSystem, h0, radius, bump: CutoffSpec = CutoffSpec(),
             raise PreconditionError(
                 f"h0 is not a critical sheet: max |F(h0(y),y)| = {np.max(res):.3e} > {tol:g}")
         if dh0 is None:
-            dh0 = _fd_slow_derivative(h0f, sys.m, sys.n)
+            dh0 = lambda y: _central_diff(h0f, y)
     dh0f = as_slow_function(dh0)
     radius = float(radius)
     if radius <= 0:
@@ -608,8 +607,10 @@ def localize(sys: FastSlowSystem, h0, radius, bump: CutoffSpec = CutoffSpec(),
 
     def A(y):
         h = H(y)
-        dxF = sys.DxF(h, y) if sys.DF is not None else _fd_dx(sys.eval_F, h, y, m)
-        dxg = sys.Dxg(h, y) if sys.Dg is not None else _fd_dx(sys.eval_g, h, y, m)
+        dxF = (sys.DxF(h, y) if sys.DF is not None
+               else _central_diff(lambda x: sys.eval_F(x, y), h))
+        dxg = (sys.Dxg(h, y) if sys.Dg is not None
+               else _central_diff(lambda x: sys.eval_g(x, y), h))
         return dxF - np.einsum("...ij,...jk->...ik", DH(y), dxg)
 
     def chi_of(xt):
@@ -653,25 +654,3 @@ def _grid_derivative(h0: GridFunction) -> GridFunction:
     # stack as (..., m, n)
     d = np.stack(parts, axis=-1)
     return GridFunction(dom, d)
-
-
-def _fd_slow_derivative(h0f, m, n, h=1e-6):
-    def d(y):
-        y = np.asarray(y, dtype=float)
-        cols = []
-        for a in range(n):
-            dy = np.zeros_like(y)
-            dy[..., a] = h
-            cols.append((np.asarray(h0f(y + dy)) - np.asarray(h0f(y - dy))) / (2 * h))
-        return np.stack(cols, axis=-1)
-    return d
-
-
-def _fd_dx(fn, x, y, m, h=1e-6):
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(m):
-        dx = np.zeros_like(x)
-        dx[..., i] = h
-        cols.append((fn(x + dx, y) - fn(x - dx, y)) / (2 * h))
-    return np.stack(cols, axis=-1)

@@ -16,13 +16,13 @@ import numpy as np
 from .certify import (assemble_certificate, spectral_gap_check,
                       straightened_constants)
 from .core import FastSlowSystem, GridFunction
-from .errors import (CapabilityError, SchemaError, SlowfastError,
-                     UnderdeterminedError)
+from .errors import CapabilityError, SchemaError, SlowfastError
 from .integrate import IntegratorConfig
 from .manifold import (LPConfig, dh_solve, eqv_residual, fd_derivative_error,
-                       invariance_residual, lp_solve, d2h_solve)
+                       invariance_residual, lp_map, lp_solve, d2h_solve)
+from .reduction import fit_exponential  # noqa: F401  (re-exported)
 from .reduction import q_along_orbit, semiconjugacy_residual, straighten
-from .systems import EXAMPLES, get_example, nf1_profile_interp
+from .systems import EXAMPLES, build_nf1, get_example, nf1_profile_interp
 
 KNOWN_CHECKS = ("hypotheses", "manifold", "analytic_h", "eqv_residual",
                 "invariance", "derivative_fd", "contraction", "norm_bound",
@@ -53,7 +53,6 @@ _SCHEMA = {
     "overrides": (dict, type(None)),
     "seed": int,
     "out": (str, type(None)),
-    "jobs": int,
     "reduction_points": (list, type(None)),
 }
 
@@ -74,7 +73,6 @@ class ScenarioSpec:
     overrides: Optional[dict] = None
     seed: int = 0
     out: Optional[str] = None
-    jobs: int = 1
     reduction_points: Optional[list] = None
 
     @classmethod
@@ -141,40 +139,6 @@ def scenario_configs(spec: ScenarioSpec, sys: FastSlowSystem, cert=None):
         cfg_int = IntegratorConfig()
     cfg_lp = LPConfig(grid=sys.domain, horizon=spec.horizon)
     return cfg_int, cfg_lp
-
-
-# -- exponential fitting -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExpFit:
-    rate: float
-    prefactor: float
-    r2: float
-    n_used: int
-
-
-def fit_exponential(samples, noise_floor=1e-12) -> ExpFit:
-    """Least-squares fit of value ~ prefactor * exp(-rate * t) on log-values.
-
-    Uses only samples strictly above the noise floor; needs at least five.
-    """
-    ts, vs = [], []
-    for t, v in samples:
-        if v > noise_floor:
-            ts.append(float(t))
-            vs.append(float(v))
-    if len(ts) < 5:
-        raise UnderdeterminedError(
-            f"only {len(ts)} samples above the noise floor {noise_floor:g}")
-    t = np.asarray(ts)
-    logv = np.log(np.asarray(vs))
-    slope, intercept = np.polyfit(t, logv, 1)
-    pred = slope * t + intercept
-    ss_res = float(np.sum((logv - pred) ** 2))
-    ss_tot = float(np.sum((logv - np.mean(logv)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return ExpFit(rate=-float(slope), prefactor=float(np.exp(intercept)),
-                  r2=r2, n_used=len(ts))
 
 
 # -- scenario checks ----------------------------------------------------------------
@@ -320,17 +284,8 @@ def _stage_reduction(spec, state):
         points = [[x.tolist(), e.tolist()] for x, e in zip(xis, etas)]
     bound = scert.K * scert.N1 / max(scert.mu - scert.K * scert.N1, 1e-300)
 
-    def query(point):
-        xi, eta = point
-        return q_along_orbit(ssys, np.atleast_1d(xi), np.atleast_1d(eta), scert,
-                             state["cfg_int"])
-
-    if spec.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            queried = list(pool.map(query, points))
-    else:
-        queried = [query(p) for p in points]
+    queried = [q_along_orbit(ssys, np.atleast_1d(xi), np.atleast_1d(eta), scert,
+                             state["cfg_int"]) for xi, eta in points]
     results = [r.to_dict() for r in queried]
     worst_ratio = max((r.E_ratio for r in queried), default=0.0)
     state["reduction_results"] = results
@@ -396,7 +351,6 @@ def _chk_derivative_fd(spec, state):
 
 def _chk_contraction(spec, state):
     sys, cert = state["sys"], state["cert"]
-    from .manifold import lp_map
     rng = np.random.default_rng(spec.seed + 1)
     grid = state["cfg_lp"].grid
     radius = state["cfg_lp"].resolved_radius(cert)
@@ -450,11 +404,10 @@ def _chk_spectral_gap(spec, state):
         mu_req = 1.0
         min_margin = 0.0
     else:
-        from .manifold import lp_solve as _lp
         sys0 = ex.build(eps=0.0, **{k: v for k, v in state["build_kw"].items()
                                     if k != "eps"})
         cfg_lp = LPConfig(grid=sys0.domain)
-        h0, _ = _lp(sys0, state["cert"], cfg_lp, state["cfg_int"])
+        h0, _ = lp_solve(sys0, state["cert"], cfg_lp, state["cfg_int"])
         mu_req = 0.5
         min_margin = 0.5 - 1e-9
     res = spectral_gap_check(sys, h0, mu_req)
@@ -488,8 +441,6 @@ def _chk_grid_convergence(spec, state):
 
 
 def nf1_convergence_order(spec, state, levels=3):
-    from .systems import build_nf1
-
     ex, kw = spec.resolved()
     eps = kw["eps"]
     m0 = kw.get("m", 64)

@@ -15,22 +15,19 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import FastSlowSystem, GridFunction, as_slow_function
-from .errors import (CapabilityError, ContractionError, DomainExitError,
-                     PreconditionError)
+from .errors import (CapabilityError, ContractionError, ConvergenceError,
+                     DomainExitError, NumericError, PreconditionError)
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float = 0.01
-    method: str = "rk4"
     richardson_check: bool = False
     max_steps: int = 5_000_000
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.method != "rk4":
-            raise ValueError("only the rk4 method is implemented")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
 
@@ -46,45 +43,52 @@ class IntegratorConfig:
         return n
 
 
-def rk4_path(field, u0, t0, t1, n_steps):
-    """Integrate u' = field(t, u) from t0 to t1, returning all samples.
+def _rk4(field, u0, t0, t1, n_steps, observe=None):
+    """The RK4 loop behind every integrator: u' = field(t, u) from t0 to t1.
 
     u0 may have any shape; the field must return the same shape.  t1 < t0
-    integrates backward.  Returns (times (S+1,), states (S+1,) + u0.shape).
+    integrates backward.  `observe(k, t_k, u_k)` runs after step k = 1..n.
+    The end state is checked once: a non-finite entry raises NumericError.
+    Returns (t1 as reached, final state).
     """
     u = np.array(u0, dtype=float)
     h = (t1 - t0) / n_steps
-    times = t0 + h * np.arange(n_steps + 1)
-    out = np.empty((n_steps + 1,) + u.shape)
-    out[0] = u
     t = t0
-    for k in range(n_steps):
+    for k in range(1, n_steps + 1):
         k1 = field(t, u)
         k2 = field(t + h / 2, u + (h / 2) * k1)
         k3 = field(t + h / 2, u + (h / 2) * k2)
         k4 = field(t + h, u + h * k3)
         u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = times[k + 1]
-        out[k + 1] = u
+        t = t0 + k * h
+        if observe is not None:
+            observe(k, t, u)
+    if not np.isfinite(u).all():
+        row = int(np.argwhere(~np.isfinite(u))[0, 0]) if u.ndim > 1 else 0
+        raise NumericError(f"RK4 state is not finite after integrating from t = {t0:g} "
+                           f"to {t1:g} (first bad batch row {row})")
+    return t, u
+
+
+def rk4_path(field, u0, t0, t1, n_steps):
+    """Integrate u' = field(t, u) from t0 to t1, returning all samples.
+
+    Returns (times (S+1,), states (S+1,) + u0.shape).
+    """
+    times = t0 + (t1 - t0) / n_steps * np.arange(n_steps + 1)
+    out = np.empty((n_steps + 1,) + np.shape(u0))
+    out[0] = u0
+
+    def keep(k, t, u):
+        out[k] = u
+
+    _rk4(field, u0, t0, t1, n_steps, keep)
     return times, out
 
 
-def rk4_final(field, u0, t0, t1, n_steps, watcher=None):
-    """Streaming RK4; keeps only the current state.  Optional per-step watcher
-    callback (t_new, u_new) -> bool may stop the integration early."""
-    u = np.array(u0, dtype=float)
-    h = (t1 - t0) / n_steps
-    t = t0
-    for k in range(n_steps):
-        k1 = field(t, u)
-        k2 = field(t + h / 2, u + (h / 2) * k1)
-        k3 = field(t + h / 2, u + (h / 2) * k2)
-        k4 = field(t + h, u + h * k3)
-        u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t0 + (k + 1) * h
-        if watcher is not None and watcher(t, u):
-            break
-    return t, u
+def rk4_final(field, u0, t0, t1, n_steps):
+    """Streaming RK4; keeps only the current state.  Returns (t1, final state)."""
+    return _rk4(field, u0, t0, t1, n_steps)
 
 
 @dataclass
@@ -409,20 +413,12 @@ def bounded_solution(sys: FastSlowSystem, sigma, eta, horizon=None,
         raise ValueError("horizon must be positive")
     sig = as_slow_function(sigma)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-
-    def slow_field(t, y):
-        return sys.eval_g(np.asarray(sig(y), dtype=float), y)
-
+    slow_field, joint, lift = _graph_fields(sys, sig)
     n_b = cfg.steps_for(T)
     _, y_T = rk4_final(slow_field, eta, 0.0, -T, n_b)
 
     if method == "forward":
-        def joint(t, u):
-            x, y = u[..., : sys.m], u[..., sys.m:]
-            return np.concatenate([sys.eval_F(x, y), slow_field(t, y)], axis=-1)
-
-        x_T = np.asarray(sig(y_T), dtype=float)
-        times, states = rk4_path(joint, np.concatenate([x_T, y_T]), -T, 0.0, n_b)
+        times, states = rk4_path(joint, lift(y_T), -T, 0.0, n_b)
         return OrbitPath(times, states[:, : sys.m], states[:, sys.m:],
                          meta={"dt": cfg.dt, "horizon": T, "method": "forward"})
     if method == "picard":
@@ -430,12 +426,27 @@ def bounded_solution(sys: FastSlowSystem, sigma, eta, horizon=None,
     raise ValueError(f"unknown method {method!r}")
 
 
+def _graph_fields(sys, sig):
+    """The slow drift on the graph of sig, the coupled (fast, slow) field, and
+    the lift y -> (sig(y), y) that starts the coupled field on the graph."""
+    def slow_field(t, y):
+        return sys.eval_g(np.asarray(sig(y), dtype=float), y)
+
+    def joint(t, u):
+        x, y = u[..., : sys.m], u[..., sys.m:]
+        return np.concatenate([sys.eval_F(x, y), slow_field(t, y)], axis=-1)
+
+    def lift(y):
+        return np.concatenate([np.asarray(sig(y), dtype=float), y], axis=-1)
+
+    return slow_field, joint, lift
+
+
 def _picard_bounded(sys, sig, y_T, T, cfg, tol, max_sweeps=200):
     from scipy.interpolate import CubicSpline
 
     n_b = cfg.steps_for(T)
-    times, ys = rk4_path(lambda t, y: sys.eval_g(np.asarray(sig(y), dtype=float), y),
-                         y_T, -T, 0.0, n_b)
+    times, ys = rk4_path(_graph_fields(sys, sig)[0], y_T, -T, 0.0, n_b)
     y_spline = CubicSpline(times, ys, axis=0)
     phi = np.zeros((len(times), sys.m))
     for sweep in range(max_sweeps):
@@ -449,9 +460,22 @@ def _picard_bounded(sys, sig, y_T, T, cfg, tol, max_sweeps=200):
         change = float(np.max(np.abs(out - phi)))
         phi = out
         if change <= tol:
-            break
-    return OrbitPath(times, phi, ys, meta={"dt": cfg.dt, "horizon": T,
-                                           "method": "picard", "sweeps": sweep + 1})
+            return OrbitPath(times, phi, ys, meta={"dt": cfg.dt, "horizon": T,
+                                                   "method": "picard", "sweeps": sweep + 1})
+    raise ConvergenceError(f"Picard iteration did not reach {tol:g} in {max_sweeps} "
+                           f"sweeps (last change {change:.3e})")
+
+
+def two_pass(back_field, fwd_field, u0, lift, T, cfg: IntegratorConfig):
+    """The bounded-solution kernel behind every Lyapunov-Perron map.
+
+    Integrates `back_field` from u0 backward over [0, -T] (the slow path and
+    anything carried along it), then `fwd_field` forward over [-T, 0] from
+    lift(backward end state); returns the forward end state.
+    """
+    n_steps = cfg.steps_for(T)
+    _, u_T = rk4_final(back_field, u0, 0.0, -T, n_steps)
+    return rk4_final(fwd_field, lift(u_T), -T, 0.0, n_steps)[1]
 
 
 def bounded_solution_batch(sys: FastSlowSystem, sigma, etas, horizon,
@@ -460,20 +484,7 @@ def bounded_solution_batch(sys: FastSlowSystem, sigma, etas, horizon,
 
     Internal workhorse for grid sweeps; returns (B, m).
     """
-    sig = as_slow_function(sigma)
-    etas = np.asarray(etas, dtype=float)
-    T = float(horizon)
-
-    def slow_field(t, y):
-        return sys.eval_g(np.asarray(sig(y), dtype=float), y)
-
-    n_b = cfg.steps_for(T)
-    _, y_T = rk4_final(slow_field, etas, 0.0, -T, n_b)
-
-    def joint(t, u):
-        x, y = u[..., : sys.m], u[..., sys.m:]
-        return np.concatenate([sys.eval_F(x, y), slow_field(t, y)], axis=-1)
-
-    x_T = np.asarray(sig(y_T), dtype=float)
-    _, u0 = rk4_final(joint, np.concatenate([x_T, y_T], axis=-1), -T, 0.0, n_b)
+    slow_field, joint, lift = _graph_fields(sys, as_slow_function(sigma))
+    u0 = two_pass(slow_field, joint, np.asarray(etas, dtype=float), lift,
+                  float(horizon), cfg)
     return u0[..., : sys.m]

@@ -18,11 +18,13 @@ from typing import Optional
 import numpy as np
 
 from .certify import ConstantsCertificate
-from .core import FastSlowSystem, GridDomain, GridFunction, as_slow_function
+from .core import (FastSlowSystem, GridDomain, GridFunction, _central_diff,
+                   as_slow_function)
 from .errors import (CapabilityError, ContractionError, ConvergenceError,
                      InfeasibleBudgetError, PreconditionError)
-from .integrate import (IntegratorConfig, OrbitPath, flow, rk4_final, rk4_path,
-                        truncation_horizon)
+from .integrate import (IntegratorConfig, OrbitPath, _graph_fields,
+                        bounded_solution_batch, flow, rk4_path, truncation_horizon,
+                        two_pass)
 
 
 @dataclass
@@ -39,8 +41,8 @@ class LPConfig:
     initial: str = "zero"                    # or "newton"
 
     def __post_init__(self):
-        if self.tol_fixed_point <= 0:
-            raise ValueError("tol_fixed_point must be positive")
+        if not (math.isfinite(self.tol_fixed_point) and self.tol_fixed_point > 0):
+            raise ValueError("tol_fixed_point must be positive and finite")
         if self.initial not in ("zero", "newton"):
             raise ValueError("initial must be 'zero' or 'newton'")
 
@@ -85,8 +87,6 @@ def _ball_check(sigma: GridFunction, radius, safety):
 
 def _lp_apply(sys, sigma, T, cfg_int):
     """One application of the manifold map: bounded-solution values at all nodes."""
-    from .integrate import bounded_solution_batch
-
     etas = sigma.domain.node_coords()
     vals = bounded_solution_batch(sys, sigma, etas, T, cfg_int)
     return sigma.with_values(vals.reshape(sigma.domain.shape + (sys.m,)))
@@ -115,10 +115,8 @@ def _newton_sheet(sys, grid, iters=50, tol=1e-12):
         if np.max(np.abs(fval)) < tol:
             break
         for i in range(nodes.shape[0]):
-            J = sys.DxF(x[i], nodes[i]) if sys.DF is not None else None
-            if J is None:
-                from .core import _fd_dx
-                J = _fd_dx(sys.eval_F, x[i], nodes[i], sys.m)
+            J = (sys.DxF(x[i], nodes[i]) if sys.DF is not None
+                 else _central_diff(lambda v: sys.eval_F(v, nodes[i]), x[i]))
             x[i] = x[i] - np.linalg.solve(J, fval[i])
     return GridFunction(grid, x.reshape(grid.shape + (sys.m,)),
                         value_norm=None if sys.norm_kind == "euclidean" else sys.norm_x)
@@ -185,11 +183,7 @@ def eqv_residual(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificat
     etas = cfg.grid.node_coords()
     m, n = sys.m, sys.n
 
-    def slow_field(t, y):
-        return sys.eval_g(np.asarray(hf(y), dtype=float), y)
-
-    n_steps = cfg_int.steps_for(T)
-    _, y_T = rk4_final(slow_field, etas, 0.0, -T, n_steps)
+    slow_field = _graph_fields(sys, hf)[0]
 
     def joint(t, u):
         y, v = u[..., :n], u[..., n:]
@@ -199,8 +193,9 @@ def eqv_residual(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificat
         dv = np.einsum("...ij,...j->...i", A, v) + r0
         return np.concatenate([slow_field(t, y), dv], axis=-1)
 
-    u0 = np.concatenate([y_T, np.zeros((etas.shape[0], m))], axis=-1)
-    _, uf = rk4_final(joint, u0, -T, 0.0, n_steps)
+    uf = two_pass(slow_field, joint, etas,
+                  lambda y_T: np.concatenate([y_T, np.zeros((etas.shape[0], m))], axis=-1),
+                  T, cfg_int)
     vals = np.asarray(hf(etas), dtype=float)
     resid = sys.norm_x(vals - uf[..., n:])
     return float(np.max(resid))
@@ -255,41 +250,30 @@ def _dh_apply(sys, h, w_field, T, cfg_int):
     etas = grid.node_coords()
     B, m, n = etas.shape[0], sys.m, sys.n
 
-    def unpack_b(u):
-        return u[..., :n], u[..., n:].reshape(u.shape[:-1] + (n, n))
+    def field(with_v):
+        def fld(t, u):
+            y = u[..., :n]
+            z = u[..., n:n + n * n].reshape(u.shape[:-1] + (n, n))
+            hy = np.asarray(hf(y), dtype=float)
+            Dg = sys.eval_Dg(hy, y)
+            Wy = np.asarray(wf(y), dtype=float)
+            gen = np.einsum("...ij,...jk->...ik", Dg[..., :, :m], Wy) + Dg[..., :, m:]
+            dz = np.einsum("...ij,...jk->...ik", gen, z)
+            parts = [sys.eval_g(hy, y), dz.reshape(u.shape[:-1] + (n * n,))]
+            if with_v:
+                v = u[..., n + n * n:].reshape(u.shape[:-1] + (m, n))
+                DFh = sys.eval_DF(hy, y)
+                dv = (np.einsum("...ij,...jk->...ik", DFh[..., :, :m], v)
+                      + np.einsum("...ij,...jk->...ik", DFh[..., :, m:], z))
+                parts.append(dv.reshape(u.shape[:-1] + (m * n,)))
+            return np.concatenate(parts, axis=-1)
 
-    def back_field(t, u):
-        y, z = unpack_b(u)
-        hy = np.asarray(hf(y), dtype=float)
-        Dg = sys.eval_Dg(hy, y)
-        Wy = np.asarray(wf(y), dtype=float)
-        gen = np.einsum("...ij,...jk->...ik", Dg[..., :, :m], Wy) + Dg[..., :, m:]
-        dz = np.einsum("...ij,...jk->...ik", gen, z)
-        return np.concatenate([sys.eval_g(hy, y), dz.reshape(u.shape[:-1] + (n * n,))],
-                              axis=-1)
+        return fld
 
-    z0 = np.broadcast_to(np.eye(n).ravel(), (B, n * n))
-    u0 = np.concatenate([etas, z0], axis=-1)
-    n_steps = cfg_int.steps_for(T)
-    _, u_T = rk4_final(back_field, u0, 0.0, -T, n_steps)
-
-    def fwd_field(t, u):
-        y, z = unpack_b(u[..., : n + n * n])
-        v = u[..., n + n * n:].reshape(u.shape[:-1] + (m, n))
-        hy = np.asarray(hf(y), dtype=float)
-        Dg = sys.eval_Dg(hy, y)
-        Wy = np.asarray(wf(y), dtype=float)
-        gen = np.einsum("...ij,...jk->...ik", Dg[..., :, :m], Wy) + Dg[..., :, m:]
-        dz = np.einsum("...ij,...jk->...ik", gen, z)
-        DFh = sys.eval_DF(hy, y)
-        dv = (np.einsum("...ij,...jk->...ik", DFh[..., :, :m], v)
-              + np.einsum("...ij,...jk->...ik", DFh[..., :, m:], z))
-        return np.concatenate([sys.eval_g(hy, y),
-                               dz.reshape(u.shape[:-1] + (n * n,)),
-                               dv.reshape(u.shape[:-1] + (m * n,))], axis=-1)
-
-    u0f = np.concatenate([u_T, np.zeros((B, m * n))], axis=-1)
-    _, uf = rk4_final(fwd_field, u0f, -T, 0.0, n_steps)
+    u0 = np.concatenate([etas, np.broadcast_to(np.eye(n).ravel(), (B, n * n))], axis=-1)
+    uf = two_pass(field(False), field(True), u0,
+                  lambda u_T: np.concatenate([u_T, np.zeros((B, m * n))], axis=-1),
+                  T, cfg_int)
     vals = uf[..., n + n * n:].reshape(grid.shape + (m, n))
     return GridFunction(grid, vals)
 
@@ -446,13 +430,12 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
     report = ContractionReport()
     report.diagnostics["horizon"] = T
     W2 = GridFunction.zeros(grid, (m, n, n))
-    n_steps = cfg_int.steps_for(T)
-    z1_0 = np.broadcast_to(np.eye(n).ravel(), (B, sz1))
+    u0 = np.concatenate([etas, np.broadcast_to(np.eye(n).ravel(), (B, sz1)),
+                         np.zeros((B, sz2))], axis=-1)
     for _ in range(cfg.max_iters):
-        u0 = np.concatenate([etas, z1_0, np.zeros((B, sz2))], axis=-1)
-        _, u_T = rk4_final(make_field(W2, with_v=False), u0, 0.0, -T, n_steps)
-        u0f = np.concatenate([u_T, np.zeros((B, sv))], axis=-1)
-        _, uf = rk4_final(make_field(W2, with_v=True), u0f, -T, 0.0, n_steps)
+        uf = two_pass(make_field(W2, with_v=False), make_field(W2, with_v=True), u0,
+                      lambda u_T: np.concatenate([u_T, np.zeros((B, sv))], axis=-1),
+                      T, cfg_int)
         new = GridFunction(grid, uf[..., n + sz1 + sz2:].reshape(grid.shape + (m, n, n)))
         resid = float(np.max(np.abs(new.values - W2.values)))
         report.residuals.append(resid)

@@ -20,7 +20,7 @@ from .core import FastSlowSystem, GridFunction, as_slow_function
 from .errors import (CapabilityError, ContractionError, ConvergenceError,
                      InfeasibleBudgetError, PreconditionError,
                      UnderdeterminedError)
-from .integrate import IntegratorConfig, OrbitPath, flow, rk4_path
+from .integrate import IntegratorConfig, OrbitPath, _full_field, flow, rk4_path
 from .manifold import ContractionReport
 
 
@@ -166,6 +166,39 @@ def forward_horizon(cert, xi_norm, tol):
     return math.log(cert.K * xi_norm / target) / mu_p
 
 
+def _reduction_rate(cert):
+    """mu' of a certificate that satisfies the reduction budget K N1 < mu'."""
+    mu_p = _mu_prime(cert)
+    if not cert.reduction_ok or cert.K * cert.N1 >= mu_p:
+        raise ContractionError("reduction budget K N1 < mu' violated")
+    return mu_p
+
+
+def _defect_sweep(sys_t, times, xts, ys, report, tol_q, max_sweeps):
+    """Iterate the defect functional to its fixed point q on sampled orbits.
+
+    xts, ys have shape (S, ..., m) and (S, ..., n) over the S sample times;
+    the axes between are a batch of orbits sharing the time grid.  Appends
+    the sweep residuals (max over the batch) to `report`; returns q.
+    """
+    dts = np.diff(times).reshape((-1,) + (1,) * (ys.ndim - 1))
+    g_orbit = sys_t.eval_g(xts, ys)
+    zeros = np.zeros_like(xts)
+    q = np.zeros_like(ys)
+    for _ in range(max_sweeps):
+        integrand = sys_t.eval_g(zeros, ys - q) - g_orbit
+        seg = 0.5 * (integrand[1:] + integrand[:-1]) * dts
+        new = np.concatenate([np.cumsum(seg[::-1], axis=0)[::-1],
+                              np.zeros((1,) + ys.shape[1:])], axis=0)
+        resid = float(np.max(np.linalg.norm(new - q, axis=-1)))
+        report.residuals.append(resid)
+        q = new
+        if resid <= tol_q:
+            report.converged = True
+            return q
+    raise ConvergenceError("defect iteration did not converge", report=report)
+
+
 def q_along_orbit(ssys: StraightenedSystem, xi, eta, cert: ConstantsCertificate,
                   cfg_int: IntegratorConfig = IntegratorConfig(),
                   tol_q=1e-10, max_sweeps=80) -> ReductionResult:
@@ -180,9 +213,7 @@ def q_along_orbit(ssys: StraightenedSystem, xi, eta, cert: ConstantsCertificate,
     decay rate and its N1 the straightened slow Lipschitz constant.
     """
     sys_t = ssys.system
-    mu_p = _mu_prime(cert)
-    if not cert.reduction_ok or cert.K * cert.N1 >= mu_p:
-        raise ContractionError("reduction budget K N1 < mu' violated")
+    mu_p = _reduction_rate(cert)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     T = forward_horizon(cert, float(sys_t.norm_x(xi)), tol_q)
@@ -196,31 +227,13 @@ def q_along_orbit(ssys: StraightenedSystem, xi, eta, cert: ConstantsCertificate,
                                E_ratio=0.0, report=report, xi=xi, eta=eta, horizon=0.0)
 
     orbit = flow(sys_t, xi, eta, (0.0, T), cfg_int, check_domain=False)
-    times, xts, ys = orbit.times, orbit.fast, orbit.slow
-    dts = np.diff(times)
-    g_orbit = sys_t.eval_g(xts, ys)
-    zeros = np.zeros_like(xts)
-
-    q = np.zeros_like(ys)
-    for _ in range(max_sweeps):
-        integrand = sys_t.eval_g(zeros, ys - q) - g_orbit
-        seg = 0.5 * (integrand[1:] + integrand[:-1]) * dts[:, None]
-        new = np.concatenate([np.cumsum(seg[::-1], axis=0)[::-1],
-                              np.zeros((1, sys_t.n))], axis=0)
-        resid = float(np.max(np.linalg.norm(new - q, axis=-1)))
-        report.residuals.append(resid)
-        q = new
-        if resid <= tol_q:
-            report.converged = True
-            break
-    if not report.converged:
-        raise ConvergenceError("defect iteration did not converge", report=report)
-
+    q = _defect_sweep(sys_t, orbit.times, orbit.fast, orbit.slow, report, tol_q,
+                      max_sweeps)
     Q = q[0].copy()
     P = eta - Q
     xin = float(sys_t.norm_x(xi))
     e_ratio = float(np.linalg.norm(Q)) / xin if xin > 0 else 0.0
-    qp = OrbitPath(times, xts, q, meta={"dt": cfg_int.dt, "horizon": T})
+    qp = OrbitPath(orbit.times, orbit.fast, q, meta={"dt": cfg_int.dt, "horizon": T})
     return ReductionResult(P=P, Q=Q, q_path=qp, E_ratio=e_ratio, report=report,
                            xi=xi, eta=eta, horizon=T, orbit=orbit)
 
@@ -230,44 +243,20 @@ def e_norm_sweep(ssys: StraightenedSystem, xis, etas, cert: ConstantsCertificate
                  max_sweeps=80):
     """Defect queries for a whole batch of (xi, eta) pairs at once.
 
-    Integrates all orbits jointly (one vectorized solve over the longest
-    needed horizon), then runs the defect sweeps vectorized across queries.
-    Returns (P (B, n), Q (B, n), E_ratio (B,)).  Same functional iteration as
-    q_along_orbit, batched; per-query horizons are inherited from the worst
-    query.
+    Integrates all orbits jointly over the longest needed horizon, then runs
+    the defect sweep of q_along_orbit on the whole batch.  Returns
+    (P (B, n), Q (B, n), E_ratio (B,)).
     """
     sys_t = ssys.system
-    mu_p = _mu_prime(cert)
-    if not cert.reduction_ok or cert.K * cert.N1 >= mu_p:
-        raise ContractionError("reduction budget K N1 < mu' violated")
+    _reduction_rate(cert)
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
-    B = xis.shape[0]
     xi_norms = sys_t.norm_x(xis)
     T = max(forward_horizon(cert, float(np.max(xi_norms)), tol_q), 2 * cfg_int.dt)
-
-    def fld(t, u):
-        x, y = u[..., : sys_t.m], u[..., sys_t.m:]
-        return np.concatenate([sys_t.eval_F(x, y), sys_t.eval_g(x, y)], axis=-1)
-
-    n_steps = cfg_int.steps_for(T)
-    times, states = rk4_path(fld, np.concatenate([xis, etas], axis=-1), 0.0, T, n_steps)
-    xts, ys = states[..., : sys_t.m], states[..., sys_t.m:]
-    dts = np.diff(times)[:, None, None]
-    g_orbit = sys_t.eval_g(xts, ys)
-    zeros = np.zeros_like(xts)
-    q = np.zeros_like(ys)
-    for _ in range(max_sweeps):
-        integrand = sys_t.eval_g(zeros, ys - q) - g_orbit
-        seg = 0.5 * (integrand[1:] + integrand[:-1]) * dts
-        new = np.concatenate([np.cumsum(seg[::-1], axis=0)[::-1],
-                              np.zeros((1, B, sys_t.n))], axis=0)
-        resid = float(np.max(np.linalg.norm(new - q, axis=-1)))
-        q = new
-        if resid <= tol_q:
-            break
-    else:
-        raise ConvergenceError("batched defect iteration did not converge")
+    times, states = rk4_path(_full_field(sys_t), np.concatenate([xis, etas], axis=-1),
+                             0.0, T, cfg_int.steps_for(T))
+    q = _defect_sweep(sys_t, times, states[..., : sys_t.m], states[..., sys_t.m:],
+                      ContractionReport(), tol_q, max_sweeps)
     Q = q[0]
     P = etas - Q
     ratios = np.where(xi_norms > 0, np.linalg.norm(Q, axis=-1) / np.maximum(xi_norms, 1e-300), 0.0)
@@ -307,6 +296,38 @@ def semiconjugacy_residual(ssys: StraightenedSystem, result: ReductionResult,
     return worst
 
 
+@dataclass(frozen=True)
+class ExpFit:
+    rate: float
+    prefactor: float
+    r2: float
+    n_used: int
+
+
+def fit_exponential(samples, noise_floor=1e-12) -> ExpFit:
+    """Least-squares fit of value ~ prefactor * exp(-rate * t) on log-values.
+
+    Uses only samples strictly above the noise floor; needs at least five.
+    """
+    ts, vs = [], []
+    for t, v in samples:
+        if v > noise_floor:
+            ts.append(float(t))
+            vs.append(float(v))
+    if len(ts) < 5:
+        raise UnderdeterminedError(
+            f"only {len(ts)} samples above the noise floor {noise_floor:g}")
+    t = np.asarray(ts)
+    logv = np.log(np.asarray(vs))
+    slope, intercept = np.polyfit(t, logv, 1)
+    pred = slope * t + intercept
+    ss_res = float(np.sum((logv - pred) ** 2))
+    ss_tot = float(np.sum((logv - np.mean(logv)) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return ExpFit(rate=-float(slope), prefactor=float(np.exp(intercept)),
+                  r2=r2, n_used=len(ts))
+
+
 @dataclass
 class RateFit:
     rate: float
@@ -333,8 +354,6 @@ def attraction_rate_fit(ssys: StraightenedSystem, result: ReductionResult,
     fits the slow-component gap alone and compares its prefactor against the
     certified bound K^2 N1 / (mu' - K N1) |xi|.
     """
-    from .harness import fit_exponential
-
     if not result.report.converged:
         raise PreconditionError("rate fit needs a converged result")
     orbit = flow(ssys.system, result.xi, result.eta, (0.0, float(t_max)), cfg_int,

@@ -22,7 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CutoffSpec, FastSlowSystem, GridDomain, localize
+from .core import (CutoffSpec, FastSlowSystem, GridDomain, _smooth_step,
+                   _smooth_step_prime, localize)
 
 
 def _box(lo, hi, points):
@@ -160,8 +161,6 @@ def build_coupled(eps=0.02, domain=(-1.0, 1.0), points=81):
     which every global estimate is stated.  Used to make contraction and
     defect-norm measurements non-trivial.
     """
-    from .core import _smooth_step, _smooth_step_prime
-
     dom = _box(domain[0], domain[1], points)
     e = float(eps)
     lo, hi = float(domain[0]), float(domain[1])

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from slowfast.certify import ConstantsCertificate
 from slowfast.core import FastSlowSystem, GridDomain
-from slowfast.errors import DomainExitError, PreconditionError
-from slowfast.integrate import (IntegratorConfig, OrbitPath, bounded_solution,
-                                flow, process_A0, process_apply, process_matrix,
-                                slow_ivp, truncation_horizon, variational_flow)
+from slowfast.errors import (ConvergenceError, DomainExitError, NumericError,
+                             PreconditionError)
+from slowfast.integrate import (IntegratorConfig, OrbitPath, _picard_bounded,
+                                bounded_solution, flow, process_A0, process_apply,
+                                process_matrix, rk4_final, rk4_path, slow_ivp,
+                                truncation_horizon, variational_flow)
+from slowfast.manifold import LPConfig
 from slowfast.systems import build_l1, build_l2, build_q1
 
 CFG = IntegratorConfig(dt=0.01)
@@ -25,6 +28,41 @@ def const_system(c=0.3):
         g=lambda x, y: np.full_like(y, c),
         A0=lambda y: np.zeros(y.shape[:-1] + (1, 1)),
         domain=GridDomain([-10.0], [10.0], [3]), vectorized=True)
+
+
+class TestRK4:
+    @staticmethod
+    def field(t, u):
+        return -u + np.sin(t) * u * u
+
+    @pytest.mark.parametrize("t0, t1, n", [(0.5, 2.0, 37), (2.0, -1.0, 50)],
+                             ids=["forward", "backward"])
+    def test_path_end_is_final_state(self, t0, t1, n):
+        u0 = np.array([[0.3, -0.2], [0.1, 0.5]])
+        times, path = rk4_path(self.field, u0, t0, t1, n)
+        t_end, u_end = rk4_final(self.field, u0, t0, t1, n)
+        assert np.array_equal(path[0], u0)
+        assert np.array_equal(path[-1], u_end)
+        h = (t1 - t0) / n
+        assert np.array_equal(times, np.array([t0 + h * k for k in range(n + 1)]))
+        assert t_end == times[-1]
+
+    def test_nonfinite_state_raises(self):
+        with pytest.raises(NumericError, match="first bad batch row 1"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                rk4_final(lambda t, u: u * u, np.array([[0.1], [50.0], [60.0]]),
+                          0.0, 1.0, 100)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: IntegratorConfig(dt=float("nan")),
+    lambda: IntegratorConfig(dt=float("inf")),
+    lambda: LPConfig(grid=GridDomain([0.0], [1.0], [5]), tol_fixed_point=float("nan")),
+    lambda: GridDomain([0.0], [float("inf")], [5]),
+], ids=["dt-nan", "dt-inf", "tol-nan", "bound-inf"])
+def test_nonfinite_config_rejected(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 class TestFlow:
@@ -266,6 +304,12 @@ class TestBoundedSolution:
         pc = bounded_solution(sys, lambda y: np.zeros_like(y), [0.4], cfg=CFG,
                               cert=L1_CERT, method="picard")
         assert abs(fw.fast[-1, 0] - pc.fast[-1, 0]) < 1e-7
+
+    def test_picard_raises_when_sweeps_run_out(self):
+        sys = build_q1(eps=0.1)
+        with pytest.raises(ConvergenceError):
+            _picard_bounded(sys, lambda y: np.zeros_like(y), np.array([0.4]), 2.0, CFG,
+                            tol=1e-300, max_sweeps=1)
 
     def test_contraction_violation_rejected(self):
         from slowfast.errors import ContractionError

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from slowfast.certify import ConstantsCertificate
-from slowfast.core import GridFunction
-from slowfast.errors import ContractionError, PreconditionError
+from slowfast.core import FastSlowSystem, GridDomain, GridFunction
+from slowfast.errors import ContractionError, NumericError, PreconditionError
 from slowfast.integrate import IntegratorConfig
 from slowfast.manifold import (LPConfig, d2h_solve, dh_map, dh_solve,
                                eqv_residual, fd_derivative_error,
@@ -109,6 +109,26 @@ class TestLpSolve:
     def test_sup_norm_within_ball(self, q1_solved):
         sys, cert, cfg, h, rep = q1_solved
         assert h.sup_norm() <= cert.K * cert.M0 / cert.mu + cert.delta + 1e-9
+
+
+    def test_blow_up_fails_fast(self, monkeypatch):
+        """x' = -x + 5x^3 + y leaves every ball from x = 0 when y is near 1: the
+        first sweep's forward pass overflows and must stop the solve."""
+        import slowfast.manifold as manifold
+        sys = FastSlowSystem(
+            m=1, n=1, F=lambda x, y: -x + 5 * x ** 3 + y,
+            g=lambda x, y: np.zeros_like(y),
+            A0=lambda y: np.full(y.shape[:-1] + (1, 1), -1.0),
+            domain=GridDomain([0.0], [1.0], [11]), vectorized=True)
+        cert = ConstantsCertificate(K=1.0, mu=1.0, M0=0.1, M1x=0.1, M1y=0.1,
+                                    N0=0.0, N1=0.0, delta=0.5, rho=0.6)
+        sweeps = []
+        batch = manifold.bounded_solution_batch
+        monkeypatch.setattr(manifold, "bounded_solution_batch",
+                            lambda *a: sweeps.append(1) or batch(*a))
+        with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+            lp_solve(sys, cert, LPConfig(grid=sys.domain, horizon=5, ball_radius=10), CFG)
+        assert len(sweeps) == 1
 
 
 class TestMeasuredContraction:

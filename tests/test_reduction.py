@@ -166,6 +166,10 @@ class TestQAlongOrbit:
         for i in range(2):
             single = q_along_orbit(ssys, xis[i], etas[i], scert, CFG, tol_q=1e-11)
             assert np.allclose(P[i], single.P, atol=1e-5)
+            # a one-query batch runs the same arithmetic as the single query
+            P1, _, _ = e_norm_sweep(ssys, xis[i:i + 1], etas[i:i + 1], scert, CFG,
+                                    tol_q=1e-11)
+            assert np.array_equal(P1[0], single.P)
 
 
 class TestENormBound:
