@@ -178,8 +178,9 @@ class GridFunction:
     `values` has shape grid_shape + value_shape; value_shape may be (m,) for a
     manifold parameterization, (m, n) for a derivative field, (m, n, n) for a
     second-derivative field.  Evaluation at a grid node returns the stored
-    value exactly.  Evaluation outside the box uses constant (clamped)
+    value to round-off.  Evaluation outside the box uses constant (clamped)
     extension, which preserves both the sup norm and the Lipschitz estimate.
+    The interpolation set-up (bounds, strides, cell corners) is done at construction.
     """
 
     def __init__(self, domain: GridDomain, values, value_norm=None):
@@ -191,6 +192,13 @@ class GridFunction:
         self.value_shape = values.shape[domain.n:]
         self._flat = values.reshape((domain.node_count,) + self.value_shape)
         self.value_norm = value_norm
+        self._lower, self._upper, self._spacing = domain.lower, domain.upper, domain.spacing
+        self._top = np.asarray(domain.shape) - 2                       # last cell's lower index
+        self._strides = np.cumprod((domain.shape + (1,))[::-1])[::-1][1:]  # ravel strides
+        corners = (np.arange(2 ** domain.n)[:, None] >> np.arange(domain.n)) & 1  # 1: upper side
+        self._upper_side = corners[:, None, :].astype(bool)            # (2^n, 1, n)
+        self._offsets = (corners @ self._strides)[:, None]             # (2^n, 1) flat offsets
+        self._pad = (1,) * len(self.value_shape)             # weights broadcast over values
 
     @classmethod
     def from_callable(cls, domain, fn, value_norm=None):
@@ -211,23 +219,21 @@ class GridFunction:
 
     def __call__(self, y):
         """Multilinear interpolation at y of shape (..., n); clamped outside."""
-        dom = self.domain
         y = np.asarray(y, dtype=float)
-        lead = y.shape[:-1]
-        yf = y.reshape(-1, dom.n)
-        t = (dom.clamp(yf) - dom.lower) / dom.spacing          # in [0, P-1]
-        i0 = np.minimum(np.floor(t).astype(int), np.asarray(dom.shape) - 2)
-        i0 = np.maximum(i0, 0)
+        yf = y.reshape(-1, len(self._strides))
+        t = (np.minimum(np.maximum(yf, self._lower), self._upper) - self._lower) / self._spacing
+        # t >= 0, so truncation is floor; the max(., 0) keeps a NaN row (cast to
+        # INT_MIN) a valid index, so NaN reaches the output instead of an IndexError
+        i0 = np.maximum(np.minimum(t.astype(np.intp), self._top), 0)
         frac = t - i0
-        strides = np.cumprod((dom.shape + (1,))[::-1])[::-1][1:]  # ravel strides
-        base = i0 @ strides
-        out = np.zeros((yf.shape[0],) + self.value_shape)
-        for corner in range(2 ** dom.n):
-            offs = np.array([(corner >> a) & 1 for a in range(dom.n)])
-            w = np.prod(np.where(offs, frac, 1.0 - frac), axis=-1)
-            idx = base + offs @ strides
-            out += w.reshape((-1,) + (1,) * len(self.value_shape)) * self._flat[idx]
-        return out.reshape(lead + self.value_shape)
+        w = np.multiply.reduce(np.where(self._upper_side, frac, 1.0 - frac), axis=-1)
+        gathered = self._flat.take(i0 @ self._strides + self._offsets, axis=0)
+        terms = w.reshape(w.shape + self._pad) * gathered               # (2^n, B, ...)
+        # from +0.0, corner by corner: a sum of -0.0 terms stays +0.0 in reports
+        out = np.zeros(terms.shape[1:])
+        for term in terms:
+            out += term
+        return out.reshape(y.shape[:-1] + self.value_shape)
 
     def node_norms(self):
         if self.value_norm is not None:
@@ -516,7 +522,7 @@ class CutoffSpec:
         t = (r - self.inner) / (self.outer - self.inner)
         return _smooth_step(1.0 - t)
 
-    def dchi(self, r, h=1e-6):
+    def dchi(self, r):
         # analytic derivative of the exp-type transition; FD-free
         r = np.asarray(r, dtype=float)
         t = (1.0 - (r - self.inner) / (self.outer - self.inner))
@@ -581,7 +587,7 @@ def localize(sys: FastSlowSystem, h0, radius, bump: CutoffSpec = CutoffSpec(),
             dh0 = _grid_derivative(h0)
     else:
         nodes = sys.domain.node_coords()
-        res = sys.norm_x(sys.eval_F(_call_on(h0f, nodes, sys.m), nodes))
+        res = sys.norm_x(sys.eval_F(_call_on(h0f, nodes), nodes))
         if np.max(res) > tol:
             raise PreconditionError(
                 f"h0 is not a critical sheet: max |F(h0(y),y)| = {np.max(res):.3e} > {tol:g}")
@@ -595,10 +601,10 @@ def localize(sys: FastSlowSystem, h0, radius, bump: CutoffSpec = CutoffSpec(),
     m, n = sys.m, sys.n
 
     def H(y):
-        return _call_on(h0f, y, m)
+        return _call_on(h0f, y)
 
     def DH(y):
-        return _call_on(dh0f, y, m * n, shape=(m, n))
+        return _call_on(dh0f, y, shape=(m, n))
 
     def shifted_F(xt, y):
         x = xt + H(y)
@@ -635,7 +641,7 @@ def localize(sys: FastSlowSystem, h0, radius, bump: CutoffSpec = CutoffSpec(),
                           meta=meta)
 
 
-def _call_on(fn, y, flat_size, shape=None):
+def _call_on(fn, y, shape=None):
     out = np.asarray(fn(y), dtype=float)
     if shape is not None:
         y = np.asarray(y)

@@ -16,7 +16,7 @@ import numpy as np
 from .certify import (assemble_certificate, spectral_gap_check,
                       straightened_constants)
 from .core import FastSlowSystem, GridFunction
-from .errors import CapabilityError, SchemaError, SlowfastError
+from .errors import CapabilityError, SchemaError
 from .integrate import IntegratorConfig
 from .manifold import (LPConfig, dh_solve, eqv_residual, fd_derivative_error,
                        invariance_residual, lp_map, lp_solve, d2h_solve)
@@ -195,20 +195,25 @@ def run_scenario(spec: ScenarioSpec) -> dict:
                                      "metrics": _jsonable(metrics)})
             if name == "certify":
                 report["certificate"] = report["stages"][-1]["metrics"]["certificate"]
-        except SlowfastError as exc:
-            report["stages"].append({"name": name, "status": "error",
-                                     "metrics": {"error": f"{type(exc).__name__}: {exc}"}})
+        except Exception as exc:
+            report["stages"].append(_error_entry(name, exc))
             failed = True
 
     for c in checks:
         try:
             report["checks"].append(_CHECKS[c](spec, state))
-        except (SlowfastError, KeyError) as exc:
-            # KeyError: a prerequisite stage failed and left no artifact behind
-            report["checks"].append({"name": c, "status": "error",
-                                     "metrics": {"error": f"{type(exc).__name__}: {exc}"}})
+        except Exception as exc:   # e.g. KeyError: a failed stage left no artifact
+            report["checks"].append(_error_entry(c, exc))
     report["passed"] = all(c["status"] == "pass" for c in report["checks"]) and not failed
     return report
+
+
+def _error_entry(name, exc):
+    """Any exception becomes a typed entry, so the report survives; traceback to the log."""
+    import logging   # here, not at the top: a run that fails nowhere never loads it
+    logging.getLogger(__name__).debug("%s failed", name, exc_info=exc)
+    return {"name": name, "status": "error",
+            "metrics": {"error": f"{type(exc).__name__}: {exc}"}}
 
 
 def _stage_certify(spec, state):
@@ -318,10 +323,12 @@ def _chk_analytic_h(spec, state):
     ex, sys, h = state["example"], state["sys"], state.get("h")
     if ex.analytic_h is None or h is None:
         return _check("analytic_h", False, reason="no oracle or no manifold")
+    if sys.m != 1:
+        return {"name": "analytic_h", "status": "skipped",
+                "metrics": {"reason": "scalar oracle, m > 1"}}
     nodes = sys.domain.node_coords()
     exact = np.asarray(ex.analytic_h(nodes[..., 0], state["eps"]), dtype=float)
-    got = h(nodes)[..., 0] if sys.m == 1 else None
-    err = float(np.max(np.abs(exact - got)))
+    err = float(np.max(np.abs(exact - h(nodes)[..., 0])))
     return _check("analytic_h", err <= ex.h_tol, sup_error=err, tol=ex.h_tol)
 
 

@@ -39,10 +39,10 @@ def build_l1(eps=0.1, domain=(-0.5, 0.5), points=101):
         return -x + y
 
     def g(x, y):
-        return np.broadcast_to(float(eps), y.shape).copy()
+        return np.full(y.shape, float(eps))
 
     def A0(y):
-        return np.broadcast_to(-np.eye(1), y.shape[:-1] + (1, 1)).copy()
+        return np.full(y.shape[:-1] + (1, 1), -1.0)
 
     def DF(x, y):
         out = np.empty(x.shape[:-1] + (1, 2))
@@ -76,10 +76,10 @@ def build_q1(eps=0.1, domain=(-1.0, 1.0), points=101):
         return -x + y * y
 
     def g(x, y):
-        return np.broadcast_to(float(eps), y.shape).copy()
+        return np.full(y.shape, float(eps))
 
     def A0(y):
-        return np.broadcast_to(-np.eye(1), y.shape[:-1] + (1, 1)).copy()
+        return np.full(y.shape[:-1] + (1, 1), -1.0)
 
     def DF(x, y):
         out = np.empty(x.shape[:-1] + (1, 2))
@@ -125,7 +125,7 @@ def build_l2(eps=0.1, domain=(-1.0, 1.0), points=41):
         return float(eps) * x
 
     def A0(y):
-        return np.broadcast_to(-np.eye(1), y.shape[:-1] + (1, 1)).copy()
+        return np.full(y.shape[:-1] + (1, 1), -1.0)
 
     def DF(x, y):
         out = np.zeros(x.shape[:-1] + (1, 2))
@@ -189,7 +189,7 @@ def build_coupled(eps=0.02, domain=(-1.0, 1.0), points=81):
         return (e * base_g(x, y) * beta(y[..., 0]))[..., None]
 
     def A0(y):
-        return np.broadcast_to(-np.eye(1), y.shape[:-1] + (1, 1)).copy()
+        return np.full(y.shape[:-1] + (1, 1), -1.0)
 
     def DF(x, y):
         t = np.tanh(x[..., 0])
@@ -262,7 +262,7 @@ def build_vdp_raw(eps=0.005, domain=(-2.0, 0.0), points=81):
         return e * x
 
     def A0(y):
-        return np.broadcast_to(np.eye(1), y.shape[:-1] + (1, 1)).copy()
+        return np.full(y.shape[:-1] + (1, 1), 1.0)
 
     def DF(x, y):
         out = np.empty(x.shape[:-1] + (1, 2))
@@ -342,7 +342,7 @@ def build_nf1(eps=0.01, m=64, domain=(0.5, 1.5), points=41, gain=_NF1_GAIN):
         return -u + y[..., 0:1] * dxi * np.einsum("ij,...j->...i", W, s)
 
     def g(u, y):
-        return np.broadcast_to(float(eps), y.shape).copy()
+        return np.full(y.shape, float(eps))
 
     diag = np.arange(m)
 

@@ -74,6 +74,29 @@ class TestSlowState:
             SlowState([1.5], dom)
 
 
+def _loop_interp(gf, y):
+    """Reference multilinear interpolation: all set-up per call, one pass per
+    cell corner.  GridFunction.__call__ must match it byte for byte."""
+    dom = gf.domain
+    y = np.asarray(y, dtype=float)
+    lead = y.shape[:-1]
+    yf = y.reshape(-1, dom.n)
+    t = (dom.clamp(yf) - dom.lower) / dom.spacing
+    i0 = np.minimum(np.floor(t).astype(int), np.asarray(dom.shape) - 2)
+    i0 = np.maximum(i0, 0)
+    frac = t - i0
+    strides = np.cumprod((dom.shape + (1,))[::-1])[::-1][1:]
+    base = i0 @ strides
+    flat = gf.values.reshape((dom.node_count,) + gf.value_shape)
+    out = np.zeros((yf.shape[0],) + gf.value_shape)
+    for corner in range(2 ** dom.n):
+        offs = np.array([(corner >> a) & 1 for a in range(dom.n)])
+        w = np.prod(np.where(offs, frac, 1.0 - frac), axis=-1)
+        idx = base + offs @ strides
+        out += w.reshape((-1,) + (1,) * len(gf.value_shape)) * flat[idx]
+    return out.reshape(lead + gf.value_shape)
+
+
 class TestGridFunction:
     def test_exact_on_nodes(self):
         dom = GridDomain([0.0, 0.0], [1.0, 2.0], [4, 5])
@@ -107,6 +130,36 @@ class TestGridFunction:
         dom = GridDomain([0.0], [1.0], [11])
         gf = GridFunction.from_callable(dom, lambda y: 3.0 * y)
         assert gf.lipschitz_estimate() == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("value_shape", [(), (2,), (2, "n"), (2, "n", "n")])
+    def test_matches_loop_reference_bytes(self, n, value_shape):
+        rng = np.random.default_rng(n)
+        dom = GridDomain(np.linspace(-1.0, 0.0, n), np.linspace(0.5, 2.0, n),
+                         [5, 4, 3][:n])
+        vshape = tuple(n if d == "n" else d for d in value_shape)
+        vals = rng.standard_normal(dom.shape + vshape)
+        flat = vals.reshape(-1)
+        flat[::3] = -0.0     # signed zeros, so -0.0 terms meet in the sums
+        flat[1::7] = 0.0
+        gf = GridFunction(dom, vals)
+        box = np.stack([dom.lower - 0.5, dom.upper + 0.5])     # reaches outside
+        inputs = [rng.uniform(box[0], box[1], size=(n,)),
+                  rng.uniform(box[0], box[1], size=(7, n)),
+                  rng.uniform(box[0], box[1], size=(3, 4, n)),
+                  dom.node_coords(),
+                  np.array([dom.lower - 3.0, dom.upper + 3.0, np.full(n, -0.0)])]
+        for y in inputs:
+            got, want = gf(y), _loop_interp(gf, y)
+            assert got.shape == want.shape == y.shape[:-1] + vshape
+            assert got.tobytes() == want.tobytes()
+
+    def test_nan_input_gives_nan(self):
+        dom = GridDomain([0.0, 0.0], [1.0, 2.0], [4, 5])
+        gf = GridFunction.from_callable(dom, lambda y: y)
+        with np.errstate(invalid="ignore"):
+            out = gf(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+        assert np.all(np.isnan(out[0])) and np.all(np.isfinite(out[1]))
 
     def test_clamped_extension_preserves_bounds(self):
         dom = GridDomain([0.0], [1.0], [11])

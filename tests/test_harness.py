@@ -1,11 +1,14 @@
 """Scenario runner, exponential fitting, report determinism."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from slowfast.errors import SchemaError, UnderdeterminedError
+from slowfast import harness
+from slowfast.core import GridDomain
 from slowfast.harness import ScenarioSpec, fit_exponential, run_scenario
 
 
@@ -85,6 +88,34 @@ class TestRunScenario:
             "budget" in stages["slow_manifold"]["metrics"]["error"]
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["hypotheses"]["status"] == "fail"
+
+    def test_any_exception_reported_not_thrown(self, monkeypatch):
+        def boom(spec, state):
+            raise TypeError("unsupported operand")
+        monkeypatch.setattr(harness, "_stage_derivative", boom)
+        monkeypatch.setitem(harness._CHECKS, "manifold", boom)
+        spec = ScenarioSpec.from_dict({
+            "system": "L1", "dt": 0.02, "grid": 21, "derivative": 1,
+            "checks": ["hypotheses", "manifold"]})
+        report = run_scenario(spec)
+        assert not report["passed"]
+        stages = {s["name"]: s for s in report["stages"]}
+        assert stages["slow_manifold"]["status"] == "ok"
+        assert stages["derivative"]["status"] == "error"
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["hypotheses"]["status"] == "pass"
+        assert by_name["manifold"]["status"] == "error"
+        for entry in (stages["derivative"], by_name["manifold"]):
+            assert entry["metrics"]["error"] == "TypeError: unsupported operand"
+        json.dumps(report)
+
+    def test_analytic_h_skipped_for_vector_fast_state(self):
+        dom = GridDomain([0.0], [1.0], [5])
+        state = {"example": SimpleNamespace(analytic_h=lambda y, eps: y, h_tol=1.0),
+                 "sys": SimpleNamespace(m=2, domain=dom), "eps": 0.1,
+                 "h": lambda y: np.zeros(y.shape[:-1] + (2,))}
+        entry = harness._CHECKS["analytic_h"](None, state)
+        assert entry["name"] == "analytic_h" and entry["status"] == "skipped"
 
     def test_nf1_scenario(self):
         spec = ScenarioSpec.from_dict({
