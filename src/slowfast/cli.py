@@ -2,7 +2,9 @@
 
 Subcommands: certify, slow-manifold, reduce, run.  Exit codes are a stable
 contract: 0 success, 1 usage/schema error, 2 certificate infeasible,
-3 non-convergence, 4 numeric failure.  All files are written atomically
+3 non-convergence, 4 numeric failure.  `run` always writes its report; when a
+stage or check raised, it exits with the code of the first error's class, as
+if that error had escaped.  All files are written atomically
 (temp file + rename); CSV uses '.' decimals, comma separators, a header row,
 and 17 significant digits.
 """
@@ -10,6 +12,7 @@ and 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import builtins
 import json
 import logging
 import os
@@ -18,6 +21,7 @@ import tempfile
 
 import numpy as np
 
+from . import errors
 from .certify import assemble_certificate, spectral_gap_check, straightened_constants
 from .errors import (ContractionError, ConvergenceError,
                      InfeasibleBudgetError, NoDecayError, SchemaError,
@@ -36,6 +40,30 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_NUMERIC = 4
+
+# exception class -> exit code and stderr label; the first matching row wins
+EXIT_CODES = (
+    (SchemaError, EXIT_USAGE, "error"),
+    ((InfeasibleBudgetError, ContractionError, NoDecayError), EXIT_INFEASIBLE, "infeasible"),
+    (ConvergenceError, EXIT_NO_CONVERGENCE, "did not converge"),
+    ((SlowfastError, ValueError, np.linalg.LinAlgError), EXIT_NUMERIC, "numeric failure"),
+)
+
+
+def _exit_row(exc_type):
+    for types, code, label in EXIT_CODES:
+        if isinstance(exc_type, type) and issubclass(exc_type, types):
+            return code, label
+    return None
+
+
+def _class_named(name):
+    """The exception class a report's error entry names, or None."""
+    for space in (errors, builtins, np.linalg):
+        cls = getattr(space, name, None)
+        if isinstance(cls, type) and issubclass(cls, BaseException):
+            return cls
+    return None
 
 
 def _atomic_write(path, text):
@@ -221,7 +249,12 @@ def cmd_run(args):
         print(text)
     for c in report["checks"]:
         print(f"check {c['name']}: {c['status']}")
-    return EXIT_OK if report["passed"] else EXIT_NO_CONVERGENCE
+    if report["passed"]:
+        return EXIT_OK
+    failed = [e["metrics"]["error"] for e in report["stages"] + report["checks"]
+              if e["status"] == "error"]
+    row = _exit_row(_class_named(failed[0].split(":", 1)[0])) if failed else None
+    return row[0] if row else EXIT_NO_CONVERGENCE
 
 
 def _add_common(p, with_point=False):
@@ -273,18 +306,14 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_USAGE
-    except (InfeasibleBudgetError, ContractionError, NoDecayError) as exc:
-        print(f"infeasible: {exc}", file=_sys.stderr)
-        return EXIT_INFEASIBLE
-    except ConvergenceError as exc:
-        print(f"did not converge: {exc}", file=_sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (SlowfastError, ValueError, np.linalg.LinAlgError) as exc:
-        print(f"numeric failure: {type(exc).__name__}: {exc}", file=_sys.stderr)
-        return EXIT_NUMERIC
+    except Exception as exc:
+        row = _exit_row(type(exc))
+        if row is None:
+            raise
+        code, label = row
+        detail = f"{type(exc).__name__}: {exc}" if code == EXIT_NUMERIC else exc
+        print(f"{label}: {detail}", file=_sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

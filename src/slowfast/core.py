@@ -133,9 +133,6 @@ class GridDomain:
         slack = rtol * np.maximum(1.0, np.abs(self.upper - self.lower))
         return np.all((y >= self.lower - slack) & (y <= self.upper + slack), axis=-1)
 
-    def clamp(self, y):
-        return np.clip(np.asarray(y, dtype=float), self.lower, self.upper)
-
     def refine(self, factor=2):
         """Same box, every grid cell split `factor` times per axis."""
         new_pts = (self.points_per_axis - 1) * int(factor) + 1
@@ -345,6 +342,10 @@ class FastSlowSystem:
 
     def eval_g(self, x, y):
         return self._batched(self.g, (x, y), (self.n,))
+
+    def eval_Fg(self, x, y):
+        """The joint field (F, g) at one point, shape (..., m+n)."""
+        return np.concatenate([self.eval_F(x, y), self.eval_g(x, y)], axis=-1)
 
     def eval_A0(self, y):
         return self._batched(self.A0, (y,), (self.m, self.m))

@@ -169,7 +169,9 @@ def run_scenario(spec: ScenarioSpec) -> dict:
     """Execute certify -> lp_solve -> dh_solve [-> d2h_solve] -> straighten ->
     reduction queries -> residual checks; stage errors land in the report.
     """
-    report = {"scenario": spec.to_dict(), "seed": spec.seed, "certificate": None,
+    # where the report is written is not part of the record: same scenario, same bytes
+    scenario = {k: v for k, v in spec.to_dict().items() if k != "out"}
+    report = {"scenario": scenario, "seed": spec.seed, "certificate": None,
               "stages": [], "checks": [], "artifacts": []}
     ex, kw = spec.resolved()
     checks = list(spec.checks) if spec.checks is not None else list(

@@ -145,8 +145,7 @@ def _full_field(sys):
     m = sys.m
 
     def field(t, u):
-        x, y = u[..., :m], u[..., m:]
-        return np.concatenate([sys.eval_F(x, y), sys.eval_g(x, y)], axis=-1)
+        return sys.eval_Fg(u[..., :m], u[..., m:])
 
     return field
 
@@ -344,7 +343,7 @@ def variational_flow(sys: FastSlowSystem, base: OrbitPath, order, cfg: Integrato
             z, U = u[:d], u[d:].reshape(d, d)
             J = jac(z[:m], z[m:])
             return np.concatenate([
-                np.concatenate([sys.eval_F(z[:m], z[m:]), sys.eval_g(z[:m], z[m:])]),
+                sys.eval_Fg(z[:m], z[m:]),
                 (J @ U).ravel()])
         w0 = np.concatenate([u0, np.eye(d).ravel()])
     else:
@@ -356,7 +355,7 @@ def variational_flow(sys: FastSlowSystem, base: OrbitPath, order, cfg: Integrato
             H = hess(z[:m], z[m:])
             dV = np.einsum("ic,cab->iab", J, V) + np.einsum("icd,ca,db->iab", H, U, U)
             return np.concatenate([
-                np.concatenate([sys.eval_F(z[:m], z[m:]), sys.eval_g(z[:m], z[m:])]),
+                sys.eval_Fg(z[:m], z[m:]),
                 (J @ U).ravel(), dV.ravel()])
         w0 = np.concatenate([u0, np.eye(d).ravel(), np.zeros(d * d * d)])
 

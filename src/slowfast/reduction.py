@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,12 +25,26 @@ from .manifold import ContractionReport
 
 
 @dataclass
+class _StraightenedField(FastSlowSystem):
+    """A straightened FastSlowSystem whose joint field (Ft, gt) shares its work:
+    one h(y), one Dh(y) and one base g per evaluation instead of two of each."""
+
+    Fg: Optional[Callable] = None
+
+    def eval_Fg(self, x, y):
+        if self.vectorized:   # what _batched would do, minus its per-call overhead
+            return self.Fg(x, np.asarray(y, dtype=float))
+        return self._batched(self.Fg, (x, y), (self.m + self.n,))
+
+
+@dataclass
 class StraightenedSystem:
     """The system in graph coordinates xt = x - h(y).
 
     Exposes Ft(xt, y) = F(xt + h(y), y) - Dh(y) g(xt + h(y), y) and
     gt(xt, y) = g(xt + h(y), y); the manifold sits at {xt = 0}.  `system` is a
-    full FastSlowSystem usable by every integrator.  Derivatives are available
+    full FastSlowSystem usable by every integrator; its joint field eval_Fg
+    evaluates h, Dh and g once per call.  Derivatives are available
     when the base system has them and h was given smoothly (callables with a
     second derivative, or an exact second-derivative field).
     """
@@ -78,6 +92,13 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> Straightene
         xt = np.asarray(xt, dtype=float)
         return sys.eval_g(xt + H(y), y)
 
+    def Fgt(xt, y):
+        # the arithmetic of Ft and gt, in their order, with x and g shared
+        x = np.asarray(xt, dtype=float) + H(y)
+        gv = sys.eval_g(x, y)
+        return np.concatenate([sys.eval_F(x, y) - np.einsum("...ij,...j->...i", DH(y), gv),
+                               gv], axis=-1)
+
     def A0t(y):
         h0 = H(y)
         dxF = sys.DxF(h0, y)
@@ -112,11 +133,11 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> Straightene
                                   dyg + np.einsum("...ij,...jk->...ik", dxg, Dh)))
                 return np.concatenate([dx, dy], axis=-1)
 
-    inner = FastSlowSystem(m=m, n=n, F=Ft, g=gt, A0=A0t, domain=sys.domain,
-                           DF=DFt, Dg=Dgt, boundary_flag=sys.boundary_flag,
-                           norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
-                           vectorized=sys.vectorized,
-                           meta={**sys.meta, "straightened": True})
+    inner = _StraightenedField(m=m, n=n, F=Ft, g=gt, A0=A0t, domain=sys.domain,
+                               DF=DFt, Dg=Dgt, boundary_flag=sys.boundary_flag,
+                               norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
+                               vectorized=sys.vectorized,
+                               meta={**sys.meta, "straightened": True}, Fg=Fgt)
     return StraightenedSystem(base=sys, h=hf, dh=dhf, d2h=d2hf, system=inner)
 
 
@@ -426,8 +447,8 @@ def dp_point(ssys: StraightenedSystem, xi, eta, result: ReductionResult,
     def fld(t, u):
         xt, y, q, U, Y, G = unpack(u)
         p = y - q
-        Fv = sys_t.eval_F(xt, y)
-        gv = sys_t.eval_g(xt, y)
+        Fg = sys_t.eval_Fg(xt, y)
+        gv = Fg[m:]
         g0p = sys_t.eval_g(zeros_m, p)
         DF = sys_t.eval_DF(xt, y)
         Dg = sys_t.eval_Dg(xt, y)
@@ -436,7 +457,7 @@ def dp_point(ssys: StraightenedSystem, xi, eta, result: ReductionResult,
         dU = J @ U
         dY = -Y @ Az
         integrand = Y @ (Az @ U[m:, :] - Dg @ U)
-        return np.concatenate([Fv, gv, gv - g0p, dU.ravel(), dY.ravel(),
+        return np.concatenate([Fg, gv - g0p, dU.ravel(), dY.ravel(),
                                integrand.ravel()])
 
     u0 = np.concatenate([xi, eta, result.Q, np.eye(d).ravel(), np.eye(n).ravel(),

@@ -3,9 +3,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slowfast.cli import main, write_csv
+from slowfast import cli, errors, harness
+from slowfast.cli import EXIT_NO_CONVERGENCE, main, write_csv
+from slowfast.errors import (ConvergenceError, InfeasibleBudgetError,
+                             NumericError)
 
 
 def run_cli(*argv):
@@ -112,14 +118,85 @@ class TestRunCommand:
         assert report["passed"]
 
     def test_failing_check_nonzero_exit(self, tmp_path):
+        # N1=10 breaks the existence budget: the slow_manifold stage raises
+        # ContractionError, so the run exits 2, as `certify` does for it
         code = run_cli("run", "--system", "L1", "--dt", "0.02", "--grid", "21",
                        "--override", "N1=10")
-        assert code == 3
+        assert code == 2
+
+    def test_report_bytes_do_not_depend_on_out(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({
+            "system": "L1", "dt": 0.02, "grid": 21,
+            "checks": ["hypotheses", "manifold", "analytic_h"]}))
+        paths = [tmp_path / "a.json", tmp_path / "elsewhere" / "b.json"]
+        for out in paths:
+            assert run_cli("run", "--system", "L1", "--scenario", str(scen),
+                           "--out", str(out)) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert "out" not in json.loads(paths[0].read_text())["scenario"]
 
     def test_unknown_scenario_key_exit_1(self, tmp_path):
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps({"system": "L1", "wat": True}))
         assert run_cli("run", "--system", "L1", "--scenario", str(scen)) == 1
+
+
+def _raising(cls, message="injected"):
+    def fn(*args):
+        raise cls(message)
+    return fn
+
+
+def _quiet(spec, state):
+    return {}
+
+
+SMALL_RUN = ("run", "--system", "L1", "--dt", "0.02", "--grid", "21")
+
+
+class TestRunExitCodes:
+    """`run` writes its report, then exits as the first error would have."""
+
+    @pytest.mark.parametrize("cls, code", [(NumericError, 4), (InfeasibleBudgetError, 2),
+                                           (ConvergenceError, 3), (ValueError, 4)])
+    def test_stage_error_class_sets_exit(self, monkeypatch, tmp_path, cls, code):
+        monkeypatch.setattr(harness, "_stage_certify", _raising(cls))
+        out = tmp_path / "report.json"
+        assert run_cli(*SMALL_RUN, "--out", str(out)) == code
+        report = json.loads(out.read_text())
+        assert report["stages"][0] == {"name": "certify", "status": "error",
+                                       "metrics": {"error": f"{cls.__name__}: injected"}}
+
+    def test_failing_check_without_error_exits_3(self, monkeypatch, capsys):
+        for stage in ("_stage_certify", "_stage_manifold", "_stage_derivative"):
+            monkeypatch.setattr(harness, stage, _quiet)
+        monkeypatch.setitem(harness._CHECKS, "hypotheses",
+                            lambda spec, state: harness._check("hypotheses", False))
+        monkeypatch.setitem(harness._DEFAULT_CHECKS, "L1", ["hypotheses"])
+        assert run_cli(*SMALL_RUN) == 3
+        assert "check hypotheses: fail" in capsys.readouterr().out
+
+
+ERROR_CLASSES = sorted(
+    [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+    + [ValueError, np.linalg.LinAlgError, KeyError, RuntimeError], key=lambda c: c.__name__)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cls=st.sampled_from(ERROR_CLASSES), message=st.text(max_size=12))
+def test_run_exit_matches_the_escaped_error(cls, message):
+    """A stage error gives `run` the exit code `main` gives the same error
+    escaping a command; a class with no code of its own keeps exit 3."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_stage_certify", _raising(cls, message))
+        mp.setattr(cli, "cmd_certify", _raising(cls, message))
+        run_code = run_cli(*SMALL_RUN)
+        try:
+            escaped = run_cli("certify", "--system", "L1")
+        except cls:
+            escaped = EXIT_NO_CONVERGENCE
+    assert run_code == escaped
 
 
 class TestAtomicWrite:

@@ -81,7 +81,7 @@ def _loop_interp(gf, y):
     y = np.asarray(y, dtype=float)
     lead = y.shape[:-1]
     yf = y.reshape(-1, dom.n)
-    t = (dom.clamp(yf) - dom.lower) / dom.spacing
+    t = (np.clip(np.asarray(yf, float), dom.lower, dom.upper) - dom.lower) / dom.spacing
     i0 = np.minimum(np.floor(t).astype(int), np.asarray(dom.shape) - 2)
     i0 = np.maximum(i0, 0)
     frac = t - i0

@@ -1,11 +1,14 @@
 """Straightening, the defect fixed point, semiconjugacy, rates, derivatives,
 matched-asymptotics decomposition."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from slowfast.certify import ConstantsCertificate, straightened_constants
-from slowfast.core import FastSlowSystem, GridDomain
+from slowfast.core import FastSlowSystem, GridDomain, GridFunction
 from slowfast.errors import (CapabilityError, ContractionError,
                              PreconditionError)
 from slowfast.integrate import IntegratorConfig, flow
@@ -13,7 +16,7 @@ from slowfast.manifold import ContractionReport
 from slowfast.reduction import (attraction_rate_fit, decompose_orbit, dp_point,
                                 e_norm_sweep, q_along_orbit,
                                 semiconjugacy_residual, straighten)
-from slowfast.systems import l1_h, l2_P, q1_dh, q1_h
+from slowfast.systems import build_q1, l1_h, l2_P, q1_dh, q1_h
 
 CFG = IntegratorConfig(dt=0.01)
 CFG5 = IntegratorConfig(dt=0.005)
@@ -103,6 +106,44 @@ class TestStraighten:
         direct = ssys.system.eval_F(xt, y)
         composed = sys.eval_F(xt + h(y), y) - dh(y)[..., 0] * sys.eval_g(xt + h(y), y)
         assert np.allclose(direct, composed, atol=1e-12)
+
+    @pytest.mark.parametrize("grid_h", [False, True], ids=["oracle_h", "grid_h"])
+    @pytest.mark.parametrize("lead", [(), (7,)], ids=["point", "batch"])
+    def test_fused_field_bytes(self, grid_h, lead):
+        sys = build_q1(0.1)
+        h = lambda y: q1_h(y[..., 0], 0.1)[..., None]
+        dh = lambda y: q1_dh(y[..., 0], 0.1)[..., None, None]
+        if grid_h:
+            h = GridFunction.from_callable(sys.domain, h)
+            dh = GridFunction.from_callable(sys.domain, dh)
+        st = straighten(sys, h, dh).system
+        rng = np.random.default_rng(5)
+        xt = rng.uniform(-0.5, 0.5, lead + (sys.m,))
+        y = rng.uniform(-1.0, 1.0, lead + (sys.n,))
+        fused = st.eval_Fg(xt, y)
+        split = np.concatenate([st.eval_F(xt, y), st.eval_g(xt, y)], axis=-1)
+        assert fused.shape == split.shape == lead + (sys.m + sys.n,)
+        assert fused.tobytes() == split.tobytes()
+
+    def test_fused_field_calls_h_and_g_once(self):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        q1 = build_q1(0.1)
+        sys = dataclasses.replace(q1, F=counted("F", q1.F), g=counted("g", q1.g))
+        st = straighten(sys, counted("h", lambda y: q1_h(y[..., 0], 0.1)[..., None]),
+                        counted("Dh", lambda y: q1_dh(y[..., 0], 0.1)[..., None, None])).system
+        xt, y = np.full((4, 1), 0.2), np.linspace(-1.0, 1.0, 4)[:, None]
+        st.eval_Fg(xt, y)
+        assert calls == {"F": 1, "g": 1, "h": 1, "Dh": 1}
+        calls.clear()
+        np.concatenate([st.eval_F(xt, y), st.eval_g(xt, y)], axis=-1)
+        assert calls == {"F": 1, "g": 2, "h": 2, "Dh": 1}
 
     def test_dg_bound(self, coupled_straight, coupled):
         ssys, _ = coupled_straight
