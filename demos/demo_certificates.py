@@ -25,7 +25,7 @@ def frozen_matrix_system(A):
         m=A.shape[0], n=1, F=lambda x, y: x @ A.T,
         g=lambda x, y: np.zeros_like(y),
         A0=lambda y: np.broadcast_to(A, y.shape[:-1] + A.shape).copy(),
-        domain=GridDomain([-1.0], [1.0], [2]), vectorized=True)
+        domain=GridDomain([-1.0], [1.0], [2]))
 
 
 print("== exact semigroup ==")

@@ -11,21 +11,19 @@ from .certify import (ConstantsCertificate, assemble_certificate, delta_budget,
                       estimate_lipschitz, estimate_process_bound,
                       frozen_coefficient_window, rho_budget, slow_drift_budget,
                       spectral_gap_check, straightened_constants)
-from .core import (CutoffSpec, FastSlowSystem, FastState, GridDomain,
-                   GridFunction, SlowState, augment_epsilon, check_derivatives,
-                   eval_R0, localize)
+from .core import (CutoffSpec, FastSlowSystem, GridDomain, GridFunction,
+                   check_derivatives, localize)
 from .errors import (CapabilityError, ContractionError, ConvergenceError,
                      DomainError, DomainExitError, InfeasibleBudgetError,
                      NoDecayError, NumericError, PreconditionError, SchemaError,
                      SlowfastError, UnderdeterminedError)
 from .harness import ScenarioSpec, run_scenario
 from .integrate import (IntegratorConfig, OrbitPath, ProcessHandle,
-                        bounded_solution, flow, process_A0, process_Ah,
-                        process_apply, process_matrix, process_Z, slow_ivp,
-                        variational_flow)
-from .manifold import (ContractionReport, LPConfig, d2h_solve, dh_map, dh_solve,
+                        bounded_solution, flow, process_A0, process_apply,
+                        process_Z, variational_flow)
+from .manifold import (ContractionReport, LPConfig, d2h_solve, dh_solve,
                        eqv_residual, fd_derivative_error, invariance_residual,
-                       lp_map, lp_solve, reduced_flow)
+                       lp_map, lp_solve)
 from .reduction import (ReductionResult, StraightenedSystem, attraction_rate_fit,
                         decompose_orbit, dp_point, fit_exponential, q_along_orbit,
                         semiconjugacy_residual, straighten)

@@ -21,7 +21,7 @@ from .errors import (CapabilityError, InfeasibleBudgetError, NoDecayError,
                      NumericError, PreconditionError)
 from .integrate import IntegratorConfig, _rk4
 
-_FIELDS = ("K", "mu", "M0", "M1x", "M1y", "N0", "N1", "delta", "rho")
+CERTIFICATE_FIELDS = ("K", "mu", "M0", "M1x", "M1y", "N0", "N1", "delta", "rho")
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,13 @@ class ConstantsCertificate:
 
     @property
     def existence_ok(self):
-        gap = self.mu - self.K * self.M1x - self.N1 * (self.delta + 1.0)
+        gap = self.contraction_rate() - self.N1 * (self.delta + 1.0)
         return (self.H_ok and gap > 0.0
                 and self._lt(self.K * self.M1y, self.delta * gap))
 
     @property
     def smooth_ok(self):
-        gap = self.mu - self.K * self.M1x - self.N1 * (self.rho + 1.0)
+        gap = self.contraction_rate() - self.N1 * (self.rho + 1.0)
         return (self.H_ok and gap > 0.0
                 and self._lt(self.K * self.M1y, self.rho * gap))
 
@@ -70,16 +70,17 @@ class ConstantsCertificate:
         return self.K * self.M0 / self.mu + self.delta
 
     def contraction_rate(self):
+        """mu' = mu - K M1x, the decay rate of the straightened fast component."""
         return self.mu - self.K * self.M1x
 
     def lp_ratio(self):
         """Contraction factor of the manifold map on the delta-ball."""
-        gap = self.mu - self.K * self.M1x - self.N1 * (self.delta + 1.0)
+        gap = self.contraction_rate() - self.N1 * (self.delta + 1.0)
         return self.K * self.M1y / ((self.delta + 1.0) * gap)
 
     def dh_ratio(self):
         """Contraction factor of the derivative map at weight rho."""
-        gap = self.mu - self.K * self.M1x - self.N1 * (self.rho + 1.0)
+        gap = self.contraction_rate() - self.N1 * (self.rho + 1.0)
         return self.K * self.M1y / (self.rho * gap)
 
     def hypothesis_table(self):
@@ -92,7 +93,7 @@ class ConstantsCertificate:
             ("H1 process decay (K, mu)", status(self.K >= 1.0 and self.mu > 0, ("K", "mu"))),
             ("H2 contraction K*M1x < mu", status(self.H_ok, ("K", "mu", "M1x"))),
             ("H3 timescale N1 < mu - K*M1x",
-             status(self._lt(self.N1, self.mu - self.K * self.M1x), ("K", "mu", "M1x", "N1"))),
+             status(self._lt(self.N1, self.contraction_rate()), ("K", "mu", "M1x", "N1"))),
             ("existence (delta budget)", status(self.existence_ok,
                                                 ("K", "mu", "M1x", "M1y", "N1", "delta"))),
             ("smoothness (rho budget)", status(self.smooth_ok,
@@ -102,7 +103,7 @@ class ConstantsCertificate:
         ]
 
     def to_json(self):
-        data = {f: getattr(self, f) for f in _FIELDS}
+        data = {f: getattr(self, f) for f in CERTIFICATE_FIELDS}
         data["provenance"] = dict(self.provenance)
         data["margin"] = self.margin
         data["hypotheses"] = {name: st for name, st in self.hypothesis_table()}
@@ -110,7 +111,7 @@ class ConstantsCertificate:
 
     @classmethod
     def from_dict(cls, data):
-        kw = {f: float(data.get(f, float("nan"))) for f in _FIELDS}
+        kw = {f: float(data.get(f, float("nan"))) for f in CERTIFICATE_FIELDS}
         return cls(provenance=dict(data.get("provenance", {})),
                    margin=float(data.get("margin", 0.01)), **kw)
 
@@ -139,13 +140,6 @@ class DriverSet:
         """Values of all paths at scalar time t, shape (B, n)."""
         return self.center + np.sum(self.amp * np.sin(self.om * t + self.ph), axis=1)
 
-    def __getitem__(self, i):
-        def path(t, i=i):
-            t = np.asarray(t, dtype=float)
-            vals = self.amp[i] * np.sin(np.multiply.outer(t, self.om[i]) + self.ph[i])
-            return self.center[i] + np.sum(vals, axis=-2)
-        return path
-
     def shifted(self, shifts):
         reps = len(shifts)
         return DriverSet(np.repeat(self.center, reps, axis=0),
@@ -156,12 +150,13 @@ class DriverSet:
                              -1, *self.ph.shape[1:]))
 
 
-def band_limited_drivers(domain, N0, count, seed=0, modes=3, include_frozen=True):
+def band_limited_drivers(domain, N0, count, seed=0):
     """Random smooth paths in the box with |psi'| <= N0, plus frozen worst cases.
 
-    Fourier sums with amplitudes scaled to respect both the speed cap and the
-    box; frozen paths sit at the box corners and center.
+    Fourier sums of three modes with amplitudes scaled to respect both the
+    speed cap and the box; frozen paths sit at the box corners and center.
     """
+    modes = 3
     rng = np.random.default_rng(seed)
     lo, hi = domain.lower, domain.upper
     center, halfw = (lo + hi) / 2.0, (hi - lo) / 2.0
@@ -178,12 +173,11 @@ def band_limited_drivers(domain, N0, count, seed=0, modes=3, include_frozen=True
         amps.append(amp * s)
         oms.append(om)
         phs.append(ph)
-    if include_frozen:
-        for c in (lo, hi, center):
-            centers.append(c)
-            amps.append(np.zeros((modes, domain.n)))
-            oms.append(np.ones((modes, domain.n)))
-            phs.append(np.zeros((modes, domain.n)))
+    for c in (lo, hi, center):
+        centers.append(c)
+        amps.append(np.zeros((modes, domain.n)))
+        oms.append(np.ones((modes, domain.n)))
+        phs.append(np.zeros((modes, domain.n)))
     return DriverSet(np.stack(centers), np.stack(amps), np.stack(oms), np.stack(phs))
 
 
@@ -266,12 +260,13 @@ def _op_norm(sys, M):
 # -- (H2)/(H3): Lipschitz and sup constants -----------------------------------
 
 def estimate_lipschitz(sys: FastSlowSystem, n_samples=2000, x_radius=2.0,
-                       seed=0, pair_scale=1e-4, overrides=None):
+                       seed=0, overrides=None):
     """Sampled sup / difference-quotient estimates of (M0, M1x, M1y, N1, N0).
 
     Lower bounds on the true constants (sampling never overshoots a sup).
     `overrides` entries replace sampled values and are marked as supplied.
     """
+    pair_scale = 1e-4                    # length of the small offsets
     if n_samples < 1000:
         raise PreconditionError("sampling budget must be at least 10^3")
     rng = np.random.default_rng(seed)
@@ -335,7 +330,7 @@ def delta_budget(cert: ConstantsCertificate):
     Degenerate M1y = 0 returns a machine-floor delta; then any
     N1 < (mu - K M1x)/2 suffices.
     """
-    gap = cert.mu - cert.K * cert.M1x
+    gap = cert.contraction_rate()
     if gap <= 0:
         raise InfeasibleBudgetError("K*M1x >= mu: no contraction budget exists")
     delta = 2.0 * cert.K * cert.M1y / gap
@@ -350,7 +345,7 @@ def rho_budget(cert: ConstantsCertificate, tol=1e-10):
     """Smallest rho > delta with N1 (rho+1) < mu - K M1x and
     K M1y / (mu - K M1x - N1 (rho+1)) < rho, by bisection on the feasible edge.
     """
-    gap = cert.mu - cert.K * cert.M1x
+    gap = cert.contraction_rate()
     if gap <= 0:
         raise InfeasibleBudgetError("K*M1x >= mu")
     delta = cert.delta if np.isfinite(cert.delta) else 0.0
@@ -455,7 +450,7 @@ def spectral_gap_check(sys: FastSlowSystem, h0, mu_req) -> SpectralGapResult:
 def straightened_constants(cert: ConstantsCertificate, dh_sup):
     """(S1)/(S2) constants of the straightened system from the original bundle:
     mu' = mu - K M1x, N1' = (1 + ||Dh||) N1."""
-    mu_p = cert.mu - cert.K * cert.M1x
+    mu_p = cert.contraction_rate()
     if mu_p <= 0:
         raise InfeasibleBudgetError("K*M1x >= mu: straightened system has no decay")
     n1_p = (1.0 + float(dh_sup)) * cert.N1
@@ -466,10 +461,10 @@ def straightened_constants(cert: ConstantsCertificate, dh_sup):
 
 def assemble_certificate(sys: FastSlowSystem, cfg: IntegratorConfig = IntegratorConfig(),
                          seed=0, n_samples=2000, x_radius=2.0, t_max=10.0,
-                         n_drivers=4, overrides=None, margin=0.01,
-                         process_dt=0.02) -> ConstantsCertificate:
+                         n_drivers=4, overrides=None) -> ConstantsCertificate:
     """Full estimation pipeline: Lipschitz bundle first (its N0 caps the driver
-    speed), then (K, mu) from sampled drivers, then the delta and rho budgets."""
+    speed), then (K, mu) from sampled drivers, integrated at a step of at
+    least 0.02, then the delta and rho budgets."""
     overrides = dict(overrides or {})
     prov = {}
     lip_over = {k: v for k, v in overrides.items() if k in ("M0", "M1x", "M1y", "N0", "N1")}
@@ -482,10 +477,10 @@ def assemble_certificate(sys: FastSlowSystem, cfg: IntegratorConfig = Integrator
     else:
         drivers = band_limited_drivers(sys.domain, max(values["N0"], 1e-6),
                                        n_drivers, seed=seed)
-        cfg_p = IntegratorConfig(dt=max(cfg.dt, process_dt), max_steps=cfg.max_steps)
-        K, mu = estimate_process_bound(sys, drivers, t_max, cfg_p)
+        K, mu = estimate_process_bound(sys, drivers, t_max,
+                                       IntegratorConfig(dt=max(cfg.dt, 0.02)))
         prov.update(K="sampled", mu="sampled")
-    cert = ConstantsCertificate(K=K, mu=mu, margin=margin, provenance=prov, **values)
+    cert = ConstantsCertificate(K=K, mu=mu, provenance=prov, **values)
     if "delta" in overrides:
         cert = replace(cert, delta=float(overrides["delta"]))
         prov["delta"] = "supplied"

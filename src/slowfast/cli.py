@@ -33,8 +33,6 @@ from .reduction import (decompose_orbit, q_along_orbit, semiconjugacy_residual,
                         straighten)
 from .systems import EXAMPLES
 
-log = logging.getLogger("slowfast")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
@@ -107,8 +105,13 @@ def _parse_overrides(pairs):
 def _spec_from_args(args):
     data = {"system": args.system}
     if getattr(args, "scenario", None):
-        with open(args.scenario) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.scenario) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:      # unreadable, or not JSON
+            raise SchemaError(f"cannot read scenario {args.scenario}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise SchemaError(f"scenario {args.scenario} is not a JSON object")
         if args.system:
             data["system"] = args.system
     if getattr(args, "eps", None) is not None:

@@ -1,4 +1,5 @@
-"""Domain types for fast-slow systems: states, grids, grid functions, systems.
+"""Domain types for fast-slow systems: norms, grids, grid functions, systems,
+cutoff localization.
 
 A fast-slow system here is the autonomous pair
 
@@ -17,14 +18,15 @@ concurrent sweeps over grids or parameter sets need no locking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, PreconditionError
+from .errors import CapabilityError, PreconditionError
 
 NORM_KINDS = ("euclidean", "sup", "weighted-quadrature")
+BALL_SAFETY = 1.1      # factor on the Lipschitz estimate, a lower bound, in the ball norm
 
 
 def vector_norm(v, kind="euclidean", weights=None):
@@ -40,38 +42,6 @@ def vector_norm(v, kind="euclidean", weights=None):
         w = np.asarray(weights, dtype=float)
         return np.sqrt(np.sum(w * v * v, axis=-1))
     raise ValueError(f"unknown norm kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class FastState:
-    """A point of the fast space together with the norm it is measured in."""
-
-    coords: np.ndarray
-    norm_kind: str = "euclidean"
-    weights: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        coords = np.atleast_1d(np.asarray(self.coords, dtype=float))
-        if coords.ndim != 1:
-            raise ValueError("FastState coords must be a vector")
-        if self.norm_kind not in NORM_KINDS:
-            raise ValueError(f"unknown norm kind {self.norm_kind!r}")
-        if self.norm_kind == "weighted-quadrature":
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != coords.shape or np.any(w <= 0):
-                raise ValueError("quadrature weights must be positive, one per coord")
-            object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dim(self):
-        return self.coords.shape[0]
-
-    def norm(self):
-        return float(vector_norm(self.coords, self.norm_kind, self.weights))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.coords, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -133,33 +103,8 @@ class GridDomain:
         slack = rtol * np.maximum(1.0, np.abs(self.upper - self.lower))
         return np.all((y >= self.lower - slack) & (y <= self.upper + slack), axis=-1)
 
-    def refine(self, factor=2):
-        """Same box, every grid cell split `factor` times per axis."""
-        new_pts = (self.points_per_axis - 1) * int(factor) + 1
-        return GridDomain(self.lower, self.upper, new_pts)
-
     def sample(self, rng, size):
         return rng.uniform(self.lower, self.upper, size=(size, self.n))
-
-
-@dataclass(frozen=True)
-class SlowState:
-    """A point of the slow box.  Out-of-domain coordinates are an error, never clamped."""
-
-    coords: np.ndarray
-    domain: GridDomain
-
-    def __post_init__(self):
-        coords = np.atleast_1d(np.asarray(self.coords, dtype=float))
-        if coords.shape != (self.domain.n,):
-            raise ValueError("SlowState dimension does not match its domain")
-        if not self.domain.contains(coords):
-            raise DomainError(f"slow state {coords} outside box "
-                              f"[{self.domain.lower}, {self.domain.upper}]")
-        object.__setattr__(self, "coords", coords)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.coords, dtype=dtype)
 
 
 def _flat_norm(values):
@@ -211,9 +156,6 @@ class GridFunction:
     def with_values(self, values):
         return GridFunction(self.domain, values, value_norm=self.value_norm)
 
-    def copy(self):
-        return self.with_values(self.values.copy())
-
     def __call__(self, y):
         """Multilinear interpolation at y of shape (..., n); clamped outside."""
         y = np.asarray(y, dtype=float)
@@ -259,9 +201,9 @@ class GridFunction:
                 best = max(best, float(np.max(norms)) / dom.spacing[a])
         return best
 
-    def ball_norm(self, safety=1.1):
-        """sup norm plus safety * Lipschitz estimate; used for ball membership."""
-        return self.sup_norm() + safety * self.lipschitz_estimate()
+    def ball_norm(self):
+        """sup norm plus BALL_SAFETY * Lipschitz estimate; used for ball membership."""
+        return self.sup_norm() + BALL_SAFETY * self.lipschitz_estimate()
 
 
 def as_slow_function(sigma):
@@ -277,9 +219,11 @@ def as_slow_function(sigma):
 class FastSlowSystem:
     """The pair (F, g) with its linearization A0 and optional derivatives.
 
-    Callables take plain arrays.  With ``vectorized=True`` they must accept
-    stacked inputs x: (..., m), y: (..., n) broadcasting over leading axes;
-    otherwise the system wraps them in a loop.  Derivative conventions:
+    Callables take plain arrays and must broadcast over leading axes: given
+    stacked inputs x: (..., m), y: (..., n) they return stacked values.  The
+    constructor still accepts ``vectorized=True``, which changes nothing;
+    per-point callables (``vectorized=False``) are rejected.  Derivative
+    conventions:
 
       DF(x, y)  -> (m, m+n)      Jacobian w.r.t. the joint variable (x, y)
       Dg(x, y)  -> (n, m+n)
@@ -300,10 +244,13 @@ class FastSlowSystem:
     boundary_flag: bool = False
     norm_kind: str = "euclidean"
     quad_weights: Optional[np.ndarray] = None
-    vectorized: bool = False
     meta: dict = field(default_factory=dict)
+    vectorized: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, vectorized):
+        if not vectorized:
+            raise ValueError("per-point callables are not supported: "
+                             "F, g, A0 and derivatives must broadcast over leading axes")
         if self.n < 1:
             raise ValueError("systems with no slow variables (n = 0) are not supported")
         if self.m < 1:
@@ -324,31 +271,23 @@ class FastSlowSystem:
         """Product norm on X x R^n: max of the component norms."""
         return np.maximum(self.norm_x(vx), self.norm_y(vy))
 
-    # -- batched call wrappers ---------------------------------------------
-    def _batched(self, fn, args, out_shape):
-        arrs = [np.asarray(a, dtype=float) for a in args]
-        if self.vectorized or all(a.ndim == 1 for a in arrs):
-            return np.asarray(fn(*arrs), dtype=float)
-        lead = np.broadcast_shapes(*[a.shape[:-1] for a in arrs])
-        arrs = [np.broadcast_to(a, lead + a.shape[-1:]).reshape((-1, a.shape[-1]))
-                for a in arrs]
-        out = np.empty((arrs[0].shape[0],) + out_shape)
-        for i in range(arrs[0].shape[0]):
-            out[i] = fn(*[a[i] for a in arrs])
-        return out.reshape(lead + out_shape)
+    # -- evaluation ---------------------------------------------------------
+    @staticmethod
+    def _call(fn, *args):
+        return np.asarray(fn(*[np.asarray(a, dtype=float) for a in args]), dtype=float)
 
     def eval_F(self, x, y):
-        return self._batched(self.F, (x, y), (self.m,))
+        return self._call(self.F, x, y)
 
     def eval_g(self, x, y):
-        return self._batched(self.g, (x, y), (self.n,))
+        return self._call(self.g, x, y)
 
     def eval_Fg(self, x, y):
         """The joint field (F, g) at one point, shape (..., m+n)."""
         return np.concatenate([self.eval_F(x, y), self.eval_g(x, y)], axis=-1)
 
     def eval_A0(self, y):
-        return self._batched(self.A0, (y,), (self.m, self.m))
+        return self._call(self.A0, y)
 
     def _need(self, name):
         fn = getattr(self, name)
@@ -357,24 +296,19 @@ class FastSlowSystem:
         return fn
 
     def eval_DF(self, x, y):
-        return self._batched(self._need("DF"), (x, y), (self.m, self.m + self.n))
+        return self._call(self._need("DF"), x, y)
 
     def eval_Dg(self, x, y):
-        return self._batched(self._need("Dg"), (x, y), (self.n, self.m + self.n))
+        return self._call(self._need("Dg"), x, y)
 
     def eval_D2F(self, x, y):
-        d = self.m + self.n
-        return self._batched(self._need("D2F"), (x, y), (self.m, d, d))
+        return self._call(self._need("D2F"), x, y)
 
     def eval_D2g(self, x, y):
-        d = self.m + self.n
-        return self._batched(self._need("D2g"), (x, y), (self.n, d, d))
+        return self._call(self._need("D2g"), x, y)
 
     def DxF(self, x, y):
         return self.eval_DF(x, y)[..., :, : self.m]
-
-    def DyF(self, x, y):
-        return self.eval_DF(x, y)[..., :, self.m:]
 
     def Dxg(self, x, y):
         return self.eval_Dg(x, y)[..., :, : self.m]
@@ -394,14 +328,6 @@ class FastSlowSystem:
         x = np.asarray(x, dtype=float)
         ax = np.einsum("...ij,...j->...i", self.eval_A0(y), x)
         return self.eval_F(x, y) - ax
-
-
-def eval_R0(sys: FastSlowSystem, x, y):
-    """R0(x, y) with the slow argument checked against the box."""
-    yv = np.asarray(y, dtype=float)
-    if not np.all(sys.domain.contains(yv)):
-        raise DomainError("eval_R0: slow argument outside the box")
-    return sys.R0(np.asarray(x, dtype=float), yv)
 
 
 # -- finite differences ----------------------------------------------------------
@@ -444,65 +370,6 @@ def check_derivatives(sys: FastSlowSystem, n_points=100, seed=0, tol=1e-5, x_rad
                                 np.concatenate([x, y]))
             worst = max(worst, rel(gfd, sys.eval_Dg(x, y)))
     return worst
-
-
-# -- epsilon augmentation ---------------------------------------------------
-
-def augment_epsilon(sys: FastSlowSystem, eps_range, family=None) -> FastSlowSystem:
-    """Append epsilon as a frozen slow variable: y~ = (y, eps), d/dt y~_{n+1} = 0.
-
-    The epsilon-dependence must come from somewhere: pass ``family`` (a
-    callable eps -> FastSlowSystem with the same dimensions) or store it in
-    ``sys.meta['family']``.  The returned system evaluates the family member
-    at the epsilon carried in the last slow coordinate.
-    """
-    lo, hi = float(eps_range[0]), float(eps_range[1])
-    if not hi > lo:
-        raise ValueError("empty eps_range")
-    family = family or sys.meta.get("family")
-    if family is None:
-        raise CapabilityError("augment_epsilon needs an eps family "
-                              "(argument or sys.meta['family'])")
-    m, n = sys.m, sys.n
-    dom = GridDomain(np.append(sys.domain.lower, lo),
-                     np.append(sys.domain.upper, hi),
-                     np.append(sys.domain.points_per_axis, 2))
-
-    def split(yt):
-        return yt[..., :n], yt[..., n]
-
-    def F(x, yt):
-        y, eps = split(yt)
-        return _family_apply(family, eps, lambda s, xx, yy: s.eval_F(xx, yy), x, y, (m,))
-
-    def g(x, yt):
-        y, eps = split(yt)
-        gy = _family_apply(family, eps, lambda s, xx, yy: s.eval_g(xx, yy), x, y, (n,))
-        return np.concatenate([gy, np.zeros(gy.shape[:-1] + (1,))], axis=-1)
-
-    def A0(yt):
-        y, eps = split(yt)
-        return _family_apply(family, eps, lambda s, xx, yy: s.eval_A0(yy), None, y, (m, m))
-
-    return FastSlowSystem(m=m, n=n + 1, F=F, g=g, A0=A0, domain=dom,
-                          boundary_flag=sys.boundary_flag, norm_kind=sys.norm_kind,
-                          quad_weights=sys.quad_weights, vectorized=True,
-                          meta={"augmented_from": sys.meta, "eps_range": (lo, hi)})
-
-
-def _family_apply(family, eps, op, x, y, out_shape):
-    eps = np.asarray(eps, dtype=float)
-    if eps.ndim == 0:
-        s = family(float(eps))
-        return op(s, x if x is not None else None, y)
-    flat_eps = eps.ravel()
-    xb = None if x is None else np.broadcast_to(x, eps.shape + x.shape[-1:]).reshape(len(flat_eps), -1)
-    yb = np.broadcast_to(y, eps.shape + y.shape[-1:]).reshape(len(flat_eps), -1)
-    out = np.empty((len(flat_eps),) + out_shape)
-    for i, e in enumerate(flat_eps):
-        s = family(float(e))
-        out[i] = op(s, None if xb is None else xb[i], yb[i])
-    return out.reshape(eps.shape + out_shape)
 
 
 # -- cutoff localization ------------------------------------------------------
@@ -638,8 +505,7 @@ def localize(sys: FastSlowSystem, h0, radius, bump: CutoffSpec = CutoffSpec(),
     meta.update(localized_from=sys, h0=h0f, radius=radius, bump=bump)
     return FastSlowSystem(m=m, n=n, F=F_loc, g=g_loc, A0=A, domain=sys.domain,
                           boundary_flag=sys.boundary_flag, norm_kind=sys.norm_kind,
-                          quad_weights=sys.quad_weights, vectorized=sys.vectorized,
-                          meta=meta)
+                          quad_weights=sys.quad_weights, meta=meta)
 
 
 def _call_on(fn, y, shape=None):

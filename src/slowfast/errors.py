@@ -35,7 +35,7 @@ class PreconditionError(SlowfastError):
 
 
 class CapabilityError(SlowfastError):
-    """The system lacks a callable (derivatives, family) the operation needs."""
+    """The system lacks a callable (a derivative) the operation needs."""
 
 
 class InfeasibleBudgetError(SlowfastError):
@@ -51,7 +51,7 @@ class NoDecayError(SlowfastError):
 
 
 class ConvergenceError(SlowfastError):
-    """A fixed-point iteration failed to meet tolerance within max_iters."""
+    """A fixed-point iteration failed to meet tolerance within its sweeps."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

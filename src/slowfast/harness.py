@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .certify import (assemble_certificate, spectral_gap_check,
-                      straightened_constants)
+from .certify import (CERTIFICATE_FIELDS, assemble_certificate,
+                      spectral_gap_check, straightened_constants)
 from .core import FastSlowSystem, GridFunction
 from .errors import CapabilityError, SchemaError
 from .integrate import IntegratorConfig
@@ -40,20 +40,51 @@ _DEFAULT_CHECKS = {
             "eqv_residual", "norm_bound"],
 }
 
+
+def _number(v):
+    """A finite int or float; a bool is not a number here."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:                # an int beyond the float range
+        return False
+
+
+def _numbers(v):
+    return _number(v) or (isinstance(v, list) and len(v) > 0 and all(map(_number, v)))
+
+
+def _count(lo):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+def _positive(v):
+    return _number(v) and v > 0
+
+
+# scenario key -> (test of its value, what the test wants); None also passes
+# where the field's default is None
 _SCHEMA = {
-    "system": str,
-    "eps": (float, int, list),
-    "domain": (list, type(None)),
-    "grid": (int, list, type(None)),
-    "m": (int, type(None)),
-    "dt": (float, int, type(None)),
-    "horizon": (float, int, type(None)),
-    "derivative": int,
-    "checks": (list, type(None)),
-    "overrides": (dict, type(None)),
-    "seed": int,
-    "out": (str, type(None)),
-    "reduction_points": (list, type(None)),
+    "system": (lambda v: isinstance(v, str) and v in EXAMPLES, f"one of {sorted(EXAMPLES)}"),
+    "eps": (_numbers, "a finite number or a non-empty list of them"),
+    "domain": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v))
+               and v[0] < v[1], "[lo, hi] with finite lo < hi"),
+    "grid": (_count(2), "an integer >= 2"),
+    "m": (_count(1), "an integer >= 1"),
+    "dt": (_positive, "a finite number > 0"),
+    "horizon": (_positive, "a finite number > 0"),
+    "derivative": (lambda v: _count(0)(v) and v <= 2, "0, 1 or 2"),
+    "checks": (lambda v: isinstance(v, list) and all(c in KNOWN_CHECKS for c in v),
+               f"a list of checks from {KNOWN_CHECKS}"),
+    "overrides": (lambda v: isinstance(v, dict) and ("K" in v) == ("mu" in v)
+                  and all(k in CERTIFICATE_FIELDS and _number(x) for k, x in v.items()),
+                  f"a map from {CERTIFICATE_FIELDS} to finite numbers, K with mu"),
+    "seed": (_count(0), "an integer >= 0"),
+    "out": (lambda v: isinstance(v, str), "a path"),
+    "reduction_points": (lambda v: isinstance(v, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_numbers, p)) for p in v),
+        "a list of [xi, eta] pairs of finite numbers or number lists"),
 }
 
 
@@ -64,7 +95,7 @@ class ScenarioSpec:
     system: str
     eps: float = None
     domain: Optional[list] = None
-    grid: Optional[object] = None
+    grid: Optional[int] = None
     m: Optional[int] = None
     dt: Optional[float] = None
     horizon: Optional[float] = None
@@ -79,20 +110,14 @@ class ScenarioSpec:
     def from_dict(cls, data):
         unknown = set(data) - set(_SCHEMA)
         if unknown:
-            raise SchemaError(f"unknown scenario keys: {sorted(unknown)}")
+            raise SchemaError(f"unknown scenario keys: {sorted(unknown, key=str)}")
         if "system" not in data:
             raise SchemaError("scenario needs a 'system'")
-        for key, types in _SCHEMA.items():
-            if key in data and data[key] is not None and not isinstance(data[key], types):
-                raise SchemaError(f"scenario key {key!r} has wrong type "
-                                  f"{type(data[key]).__name__}")
-        if data["system"] not in EXAMPLES:
-            raise SchemaError(f"unknown system {data['system']!r}")
-        if data.get("derivative", 1) not in (0, 1, 2):
-            raise SchemaError("derivative must be 0, 1 or 2")
-        for c in data.get("checks") or []:
-            if c not in KNOWN_CHECKS:
-                raise SchemaError(f"unknown check {c!r}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        for key, value in data.items():
+            test, want = _SCHEMA[key]
+            if not ((value is None and defaults[key] is None) or test(value)):
+                raise SchemaError(f"scenario key {key!r} must be {want}, not {value!r}")
         return cls(**data)
 
     def to_dict(self):
@@ -400,7 +425,7 @@ def _chk_norm_bound(spec, state):
     sys0 = ex.build(eps=0.0, **{k: v for k, v in state["build_kw"].items() if k != "eps"})
     cfg_lp = LPConfig(grid=sys0.domain, horizon=state["cfg_lp"].horizon)
     h0, _ = lp_solve(sys0, state["cert"], cfg_lp, state["cfg_int"])
-    bound = cert.K * cert.M0 / cert.mu + cert.K * cert.M1y / (cert.mu - cert.K * cert.M1x)
+    bound = cert.K * cert.M0 / cert.mu + cert.K * cert.M1y / cert.contraction_rate()
     sup = h0.sup_norm()
     return _check("norm_bound", sup <= bound * 0.99, sup_norm=sup, bound=bound)
 

@@ -1,6 +1,6 @@
-"""Fixed-step RK4 time integration: full flows, slow subsystem flows,
-linear processes (two-parameter semigroups), variational flows, and the
-bounded solution that underlies the slow-manifold fixed point.
+"""Fixed-step RK4 time integration: full flows, linear processes
+(two-parameter semigroups), variational flows, and the bounded solution that
+underlies the slow-manifold fixed point.
 
 Only the classic 4th-order Runge-Kutta scheme is provided; reproducibility
 of certified numbers matters more than adaptivity here.
@@ -14,32 +14,31 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FastSlowSystem, GridFunction, as_slow_function
+from .core import FastSlowSystem, as_slow_function
 from .errors import (CapabilityError, ContractionError, ConvergenceError,
                      DomainExitError, NumericError, PreconditionError)
+
+
+MAX_STEPS = 5_000_000       # steps of one pass; a longer pass is a ValueError
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float = 0.01
-    richardson_check: bool = False
-    max_steps: int = 5_000_000
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
 
     @staticmethod
-    def default_for(mu, N1, diameter, cap=0.01):
-        """Default step: min(cap, 0.1 / (mu + N1 * diameter))."""
-        return IntegratorConfig(dt=min(cap, 0.1 / (mu + N1 * diameter + 1e-300)))
+    def default_for(mu, N1, diameter):
+        """Default step: min(0.01, 0.1 / (mu + N1 * diameter))."""
+        return IntegratorConfig(dt=min(0.01, 0.1 / (mu + N1 * diameter + 1e-300)))
 
     def steps_for(self, span):
         n = max(1, int(math.ceil(abs(span) / self.dt - 1e-12)))
-        if n > self.max_steps:
-            raise ValueError(f"horizon {span} needs {n} steps > max_steps {self.max_steps}")
+        if n > MAX_STEPS:
+            raise ValueError(f"horizon {span} needs {n} steps > {MAX_STEPS}")
         return n
 
 
@@ -96,7 +95,7 @@ class OrbitPath:
     """A time-sampled trajectory with fast and slow tracks.
 
     `meta` records integrator step size, truncation horizon, and any flags
-    (domain exit, Richardson ratio).
+    (domain exit).
     """
 
     times: np.ndarray
@@ -116,21 +115,6 @@ class OrbitPath:
 
     def __len__(self):
         return self.times.shape[0]
-
-    def _track(self, component):
-        if component == "fast":
-            return self.fast
-        if component == "slow":
-            return self.slow
-        if component == "joint":
-            return np.concatenate([self.fast, self.slow], axis=-1)
-        raise ValueError(component)
-
-    def weighted_norm(self, gamma, component="fast", norm=None):
-        """max over samples of e^{gamma |t|} |value(t)|."""
-        vals = self._track(component)
-        norms = np.linalg.norm(vals, axis=-1) if norm is None else norm(vals)
-        return float(np.max(np.exp(gamma * np.abs(self.times)) * norms))
 
     def at(self, t):
         """Linear interpolation of both tracks at time t."""
@@ -156,9 +140,7 @@ def flow(sys: FastSlowSystem, x0, y0, t_span, cfg: IntegratorConfig,
 
     If the slow state leaves the box (only possible when boundary_flag is
     false), raises DomainExitError carrying the exit time and partial path,
-    or truncates there with a meta flag when stop_on_exit is set.  With
-    cfg.richardson_check, a half-step re-integration is run and the endpoint
-    Richardson ratio (~16 for a 4th-order method) stored in meta.
+    or truncates there with a meta flag when stop_on_exit is set.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -184,14 +166,6 @@ def flow(sys: FastSlowSystem, x0, y0, t_span, cfg: IntegratorConfig,
             return partial
         raise DomainExitError(f"slow state left the box at t = {t_exit:g}",
                               exit_time=t_exit, path=partial)
-
-    if cfg.richardson_check:
-        _, fine = rk4_path(_full_field(sys), np.concatenate([x0, y0]), t0, t1, 2 * n)
-        _, coarse2 = rk4_path(_full_field(sys), np.concatenate([x0, y0]), t0, t1,
-                              max(1, n // 2))
-        err_c = np.max(np.abs(coarse2[-1] - fine[-1]))
-        err_f = np.max(np.abs(states[-1] - fine[-1]))
-        path.meta["richardson_ratio"] = float(err_c / err_f) if err_f > 0 else float("inf")
     return path
 
 
@@ -202,60 +176,25 @@ def _package(sys, times, states, cfg, horizon):
                      meta={"dt": cfg.dt, "horizon": horizon})
 
 
-def slow_ivp(sys: FastSlowSystem, sigma, eta, t_span, cfg: IntegratorConfig) -> OrbitPath:
-    """Solution psi(.; eta, sigma) of y' = g(sigma(y), y), y(0) = eta.
-
-    Integrable forward and backward; the fast track carries sigma(psi(t)).
-    sigma may be a GridFunction (clamped-extension interpolation) or callable.
-    """
-    sig = as_slow_function(sigma)
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    t0, t1 = float(t_span[0]), float(t_span[1])
-
-    def field(t, y):
-        return sys.eval_g(np.asarray(sig(y), dtype=float), y)
-
-    n = cfg.steps_for(t1 - t0)
-    times, ys = rk4_path(field, eta, t0, t1, n)
-    order = np.argsort(times)
-    times, ys = times[order], ys[order]
-    fast = np.asarray(sig(ys), dtype=float)
-    return OrbitPath(times, fast, ys, meta={"dt": cfg.dt, "horizon": t1 - t0})
-
-
 # -- linear processes (two-parameter semigroups) ------------------------------
 
 @dataclass
 class ProcessHandle:
     """Solution operator T(t, s) of a non-autonomous linear ODE v' = A(t) v.
 
-    `matrix` maps t to the generator A(t).  Dissipative generators (frozen
-    fast linearization A0, linearization along the manifold Ah) are
-    forward-only; the slow-projection generator Z is reversible.
+    `matrix` maps t to the generator A(t).  The dissipative generator (the
+    frozen fast linearization A0) is forward-only; the slow-projection
+    generator Z is reversible.
     """
 
     matrix: Callable
-    dim: int
     reversible: bool = False
-    label: str = ""
 
 
 def process_A0(sys: FastSlowSystem, driver) -> ProcessHandle:
     """Process of v' = A0(psi(t)) v for a slow driver path psi (callable t -> y)."""
     drv = _as_driver(driver)
-    return ProcessHandle(matrix=lambda t: sys.eval_A0(drv(t)), dim=sys.m, label="A0")
-
-
-def process_Ah(sys: FastSlowSystem, h, driver) -> ProcessHandle:
-    """Process of the fast linearization along the manifold, D_x F(h(psi), psi)."""
-    drv = _as_driver(driver)
-    hf = as_slow_function(h)
-
-    def mat(t):
-        y = drv(t)
-        return sys.DxF(np.asarray(hf(y), dtype=float), y)
-
-    return ProcessHandle(matrix=mat, dim=sys.m, label="Ah")
+    return ProcessHandle(matrix=lambda t: sys.eval_A0(drv(t)))
 
 
 def process_Z(sys: FastSlowSystem, p_driver) -> ProcessHandle:
@@ -266,15 +205,13 @@ def process_Z(sys: FastSlowSystem, p_driver) -> ProcessHandle:
     def mat(t):
         return sys.Dyg(zeros, drv(t))
 
-    return ProcessHandle(matrix=mat, dim=sys.n, reversible=True, label="Z")
+    return ProcessHandle(matrix=mat, reversible=True)
 
 
 def _as_driver(driver):
     if callable(driver):
         return driver
-    if isinstance(driver, OrbitPath):
-        return lambda t: driver.at(t)[1]
-    raise TypeError("driver must be a callable t -> y or an OrbitPath")
+    raise TypeError("driver must be a callable t -> y")
 
 
 def process_apply(handle: ProcessHandle, t, s, xi, cfg: IntegratorConfig):
@@ -291,13 +228,6 @@ def process_apply(handle: ProcessHandle, t, s, xi, cfg: IntegratorConfig):
     return out
 
 
-def process_matrix(handle: ProcessHandle, t, s, cfg: IntegratorConfig):
-    """Materialize T(t, s) as a dense matrix.  Guarded to small dimensions."""
-    if handle.dim > 64:
-        raise CapabilityError("full-operator mode is limited to dim <= 64")
-    return process_apply(handle, t, s, np.eye(handle.dim), cfg)
-
-
 # -- variational flows --------------------------------------------------------
 
 @dataclass
@@ -308,9 +238,6 @@ class VariationalFlow:
     states: np.ndarray          # (S, m+n) re-integrated base orbit
     first: np.ndarray           # (S, m+n, m+n)
     second: Optional[np.ndarray] = None   # (S, m+n, m+n, m+n)
-
-    def split_first(self, m):
-        return self.first[:, :m, :], self.first[:, m:, :]
 
 
 def variational_flow(sys: FastSlowSystem, base: OrbitPath, order, cfg: IntegratorConfig) -> VariationalFlow:
@@ -369,36 +296,31 @@ def variational_flow(sys: FastSlowSystem, base: OrbitPath, order, cfg: Integrato
 
 # -- bounded solution ---------------------------------------------------------
 
-def truncation_horizon(cert, tol, rate=None, amplitude=None):
+def truncation_horizon(cert, tol):
     """Backward horizon T with K * amplitude * e^{-rate T} <= tol.
 
-    Default rate is the straightened contraction rate mu - K*M1x and the
-    default amplitude the ball diameter 2*(K M0/mu + delta).
+    The rate is the straightened contraction rate mu - K*M1x and the
+    amplitude the ball diameter 2*(K M0/mu + delta).
     """
-    rate = rate if rate is not None else cert.mu - cert.K * cert.M1x
+    rate = cert.contraction_rate()
     if rate <= 0:
         raise ContractionError("no positive contraction rate: K*M1x >= mu")
-    if amplitude is None:
-        delta = cert.delta if np.isfinite(cert.delta) else 0.0
-        amplitude = 2.0 * (cert.K * cert.M0 / cert.mu + delta)
-    amplitude = max(amplitude, 10 * tol)
+    delta = cert.delta if np.isfinite(cert.delta) else 0.0
+    amplitude = max(2.0 * (cert.K * cert.M0 / cert.mu + delta), 10 * tol)
     return math.log(cert.K * amplitude / tol) / rate
 
 
 def bounded_solution(sys: FastSlowSystem, sigma, eta, horizon=None,
                      cfg: IntegratorConfig = IntegratorConfig(), cert=None,
-                     tol=1e-9, method="forward") -> OrbitPath:
+                     tol=1e-9) -> OrbitPath:
     """The unique bounded solution phi of x' = F(x, psi(t; eta, sigma)) on [-T, 0].
 
-    Default route: integrate psi backward to -T, then the joint system
+    Integrates psi backward to -T, then the joint system
     (x' = F(x,y), y' = g(sigma(y), y)) forward from (sigma(psi(-T)), psi(-T)).
     The attracting contraction at rate mu - K*M1x makes the startup error at
     most K e^{-(mu - K M1x) T} * 2(K M0/mu + delta) by the decay estimate, so
-    T from the truncation rule pins phi(0) to `tol`.
-
-    method="picard" instead iterates the variation-of-constants map on the
-    same time grid (each sweep one inhomogeneous linear solve); it exists to
-    cross-validate the forward route and is not the default.
+    T from the truncation rule pins phi(0) to `tol`.  `_picard_bounded`
+    computes the same solution another way, as a cross-check.
     """
     if cert is not None:
         if cert.K * cert.M1x >= cert.mu:
@@ -415,14 +337,9 @@ def bounded_solution(sys: FastSlowSystem, sigma, eta, horizon=None,
     slow_field, joint, lift = _graph_fields(sys, sig)
     n_b = cfg.steps_for(T)
     _, y_T = rk4_final(slow_field, eta, 0.0, -T, n_b)
-
-    if method == "forward":
-        times, states = rk4_path(joint, lift(y_T), -T, 0.0, n_b)
-        return OrbitPath(times, states[:, : sys.m], states[:, sys.m:],
-                         meta={"dt": cfg.dt, "horizon": T, "method": "forward"})
-    if method == "picard":
-        return _picard_bounded(sys, sig, y_T, T, cfg, tol)
-    raise ValueError(f"unknown method {method!r}")
+    times, states = rk4_path(joint, lift(y_T), -T, 0.0, n_b)
+    return OrbitPath(times, states[:, : sys.m], states[:, sys.m:],
+                     meta={"dt": cfg.dt, "horizon": T})
 
 
 def _graph_fields(sys, sig):
@@ -441,11 +358,16 @@ def _graph_fields(sys, sig):
     return slow_field, joint, lift
 
 
-def _picard_bounded(sys, sig, y_T, T, cfg, tol, max_sweeps=200):
+def _picard_bounded(sys, sig, eta, T, cfg, tol, max_sweeps=200):
+    """The bounded solution of `bounded_solution` on the same slow path and time
+    grid, by Picard iteration of the variation-of-constants map (each sweep one
+    inhomogeneous linear solve) from phi = 0."""
     from scipy.interpolate import CubicSpline
 
+    slow_field = _graph_fields(sys, sig)[0]
     n_b = cfg.steps_for(T)
-    times, ys = rk4_path(_graph_fields(sys, sig)[0], y_T, -T, 0.0, n_b)
+    _, y_T = rk4_final(slow_field, np.atleast_1d(np.asarray(eta, dtype=float)), 0.0, -T, n_b)
+    times, ys = rk4_path(slow_field, y_T, -T, 0.0, n_b)
     y_spline = CubicSpline(times, ys, axis=0)
     phi = np.zeros((len(times), sys.m))
     for sweep in range(max_sweeps):
@@ -460,7 +382,7 @@ def _picard_bounded(sys, sig, y_T, T, cfg, tol, max_sweeps=200):
         phi = out
         if change <= tol:
             return OrbitPath(times, phi, ys, meta={"dt": cfg.dt, "horizon": T,
-                                                   "method": "picard", "sweeps": sweep + 1})
+                                                   "sweeps": sweep + 1})
     raise ConvergenceError(f"Picard iteration did not reach {tol:g} in {max_sweeps} "
                            f"sweeps (last change {change:.3e})")
 

@@ -1,6 +1,6 @@
 """Slow-manifold computation: the contraction map sigma -> phi(0; ., sigma) on a
 ball of Lipschitz grid functions, its fixed point h, the first- and
-second-derivative fixed points, residual diagnostics, and the reduced flow.
+second-derivative fixed points, and residual diagnostics.
 
 Every node evaluation is a two-pass solve: the slow path is integrated
 backward to the truncation horizon, then the coupled (fast, slow[, variational])
@@ -18,13 +18,13 @@ from typing import Optional
 import numpy as np
 
 from .certify import ConstantsCertificate
-from .core import (FastSlowSystem, GridDomain, GridFunction, _central_diff,
-                   as_slow_function)
+from .core import FastSlowSystem, GridDomain, GridFunction, as_slow_function
 from .errors import (CapabilityError, ContractionError, ConvergenceError,
                      InfeasibleBudgetError, PreconditionError)
 from .integrate import (IntegratorConfig, OrbitPath, _graph_fields,
-                        bounded_solution_batch, flow, rk4_path, truncation_horizon,
-                        two_pass)
+                        bounded_solution_batch, flow, truncation_horizon, two_pass)
+
+MAX_SWEEPS = 60        # sweeps of each fixed-point solve before ConvergenceError
 
 
 @dataclass
@@ -33,18 +33,13 @@ class LPConfig:
 
     grid: GridDomain
     horizon: Optional[float] = None          # None: truncation rule from the certificate
-    max_iters: int = 60
     tol_fixed_point: float = 1e-9
     tol_bounded: float = 1e-10               # startup tolerance for the bounded solution
     ball_radius: Optional[float] = None      # None: K M0/mu + delta from the certificate
-    ball_safety: float = 1.1                 # safety factor on the Lipschitz estimate
-    initial: str = "zero"                    # or "newton"
 
     def __post_init__(self):
         if not (math.isfinite(self.tol_fixed_point) and self.tol_fixed_point > 0):
             raise ValueError("tol_fixed_point must be positive and finite")
-        if self.initial not in ("zero", "newton"):
-            raise ValueError("initial must be 'zero' or 'newton'")
 
     def resolved_horizon(self, cert):
         if self.horizon is not None:
@@ -81,8 +76,8 @@ class ContractionReport:
 
 # -- the manifold map ----------------------------------------------------------
 
-def _ball_check(sigma: GridFunction, radius, safety):
-    return sigma.ball_norm(safety=safety) <= radius * (1.0 + 1e-12)
+def _ball_check(sigma: GridFunction, radius):
+    return sigma.ball_norm() <= radius * (1.0 + 1e-12)
 
 
 def _lp_apply(sys, sigma, T, cfg_int):
@@ -101,29 +96,13 @@ def lp_map(sys: FastSlowSystem, sigma: GridFunction, cert: ConstantsCertificate,
     """
     if not cert.existence_ok:
         raise ContractionError("certificate does not satisfy the existence budget")
-    if not _ball_check(sigma, cfg.resolved_radius(cert), cfg.ball_safety):
+    if not _ball_check(sigma, cfg.resolved_radius(cert)):
         raise PreconditionError("sigma lies outside the certified ball")
     return _lp_apply(sys, sigma, cfg.resolved_horizon(cert), cfg_int)
 
 
-def _newton_sheet(sys, grid, iters=50, tol=1e-12):
-    """Per-node Newton solve of F(x, y) = 0 (fast-equilibrium branch from x = 0)."""
-    nodes = grid.node_coords()
-    x = np.zeros((nodes.shape[0], sys.m))
-    for _ in range(iters):
-        fval = sys.eval_F(x, nodes)
-        if np.max(np.abs(fval)) < tol:
-            break
-        for i in range(nodes.shape[0]):
-            J = (sys.DxF(x[i], nodes[i]) if sys.DF is not None
-                 else _central_diff(lambda v: sys.eval_F(v, nodes[i]), x[i]))
-            x[i] = x[i] - np.linalg.solve(J, fval[i])
-    return GridFunction(grid, x.reshape(grid.shape + (sys.m,)),
-                        value_norm=None if sys.norm_kind == "euclidean" else sys.norm_x)
-
-
 def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate, cfg: LPConfig,
-             cfg_int: IntegratorConfig = IntegratorConfig(), sigma0=None):
+             cfg_int: IntegratorConfig = IntegratorConfig()):
     """Iterate the manifold map to its fixed point h.
 
     Returns (h, report).  The report's theoretical ratio is the certified
@@ -133,22 +112,16 @@ def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate, cfg: LPConfig,
     if not cert.existence_ok:
         raise ContractionError("certificate does not satisfy the existence budget")
     value_norm = None if sys.norm_kind == "euclidean" else sys.norm_x
-    if sigma0 is None:
-        if cfg.initial == "newton":
-            sigma = _newton_sheet(sys, cfg.grid)
-        else:
-            sigma = GridFunction.zeros(cfg.grid, (sys.m,), value_norm=value_norm)
-    else:
-        sigma = sigma0
+    sigma = GridFunction.zeros(cfg.grid, (sys.m,), value_norm=value_norm)
     radius = cfg.resolved_radius(cert)
-    if not _ball_check(sigma, radius, cfg.ball_safety):
+    if not _ball_check(sigma, radius):
         raise PreconditionError("initial iterate lies outside the certified ball")
     T = cfg.resolved_horizon(cert)
     report = ContractionReport(theoretical_ratio=cert.lp_ratio())
     report.diagnostics["horizon"] = T
     report.diagnostics["ball_radius"] = radius
     norm = sys.norm_x
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_SWEEPS):
         new = _lp_apply(sys, sigma, T, cfg_int)
         resid = float(np.max(norm(new.values - sigma.values)))
         report.residuals.append(resid)
@@ -156,12 +129,12 @@ def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate, cfg: LPConfig,
         if resid <= cfg.tol_fixed_point:
             report.converged = True
             break
-    report.diagnostics["in_ball"] = bool(_ball_check(sigma, radius, cfg.ball_safety))
+    report.diagnostics["in_ball"] = bool(_ball_check(sigma, radius))
     report.diagnostics["sup_norm"] = sigma.sup_norm()
     if not report.converged:
         raise ConvergenceError(
             f"manifold iteration did not reach {cfg.tol_fixed_point:g} "
-            f"in {cfg.max_iters} sweeps (last residual {report.residuals[-1]:.3e})",
+            f"in {MAX_SWEEPS} sweeps (last residual {report.residuals[-1]:.3e})",
             report=report)
     return sigma, report
 
@@ -228,7 +201,7 @@ def invariance_residual(sys: FastSlowSystem, h, eta, t_max,
 # -- first derivative -------------------------------------------------------------
 
 def _dh_horizon(cert, tol):
-    rate = cert.mu - cert.K * cert.M1x - cert.N1 * (cert.rho + 1.0)
+    rate = cert.contraction_rate() - cert.N1 * (cert.rho + 1.0)
     if rate <= 0:
         raise InfeasibleBudgetError("derivative budget N1(rho+1) >= mu - K*M1x")
     tol = max(tol, 1e-10)
@@ -278,17 +251,6 @@ def _dh_apply(sys, h, w_field, T, cfg_int):
     return GridFunction(grid, vals)
 
 
-def dh_map(sys: FastSlowSystem, h: GridFunction, w_field: GridFunction,
-           cert: ConstantsCertificate, cfg: LPConfig,
-           cfg_int: IntegratorConfig = IntegratorConfig(), tol=1e-10) -> GridFunction:
-    """One sweep of the derivative fixed-point map on an operator field."""
-    if not sys.has_derivatives(1):
-        raise CapabilityError("dh_map needs DF and Dg")
-    if not cert.smooth_ok:
-        raise ContractionError("certificate does not satisfy the smoothness budget")
-    return _dh_apply(sys, h, w_field, _dh_horizon(cert, tol), cfg_int)
-
-
 def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
              cfg: LPConfig, cfg_int: IntegratorConfig = IntegratorConfig()):
     """Fixed point of the derivative map; returns (Dh field, report).
@@ -308,7 +270,7 @@ def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
     T = _dh_horizon(cert, cfg.tol_bounded)
     report = ContractionReport(theoretical_ratio=cert.dh_ratio())
     report.diagnostics["horizon"] = T
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_SWEEPS):
         new = _dh_apply(sys, h, w, T, cfg_int)
         resid = float(np.max(np.abs(new.values - w.values)))
         report.residuals.append(resid)
@@ -318,7 +280,7 @@ def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
             break
     if not report.converged:
         raise ConvergenceError("derivative iteration did not converge", report=report)
-    bound = cert.K * cert.M1y / (cert.mu - cert.K * cert.M1x - cert.N1 * (cert.rho + 1))
+    bound = cert.K * cert.M1y / (cert.contraction_rate() - cert.N1 * (cert.rho + 1))
     report.diagnostics["sup_bound"] = bound
     report.diagnostics["sup_norm"] = w.sup_norm()
     report.diagnostics["sup_bound_applicable"] = bool(sys.boundary_flag)
@@ -348,7 +310,7 @@ def fd_derivative_error(h: GridFunction, dh: GridFunction):
 # -- second derivative -------------------------------------------------------------
 
 def _d2h_budget_ok(cert):
-    gap = cert.mu - cert.K * cert.M1x
+    gap = cert.contraction_rate()
     if not 2.0 * cert.N1 < gap:
         return False
     g2 = gap - 2.0 * cert.N1 * (cert.rho + 1.0)
@@ -376,7 +338,7 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
     hf, dhf = as_slow_function(h), as_slow_function(dh)
     etas = grid.node_coords()
     B = etas.shape[0]
-    rate = cert.mu - cert.K * cert.M1x - 2.0 * cert.N1 * (cert.rho + 1.0)
+    rate = cert.contraction_rate() - 2.0 * cert.N1 * (cert.rho + 1.0)
     T = math.log(max(cert.K * max(cert.M1y, 1e-6) / (rate * cfg.tol_bounded), 10.0)) / rate
 
     sz1, sz2, sv = n * n, n * n * n, m * n * n
@@ -432,7 +394,7 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
     W2 = GridFunction.zeros(grid, (m, n, n))
     u0 = np.concatenate([etas, np.broadcast_to(np.eye(n).ravel(), (B, sz1)),
                          np.zeros((B, sz2))], axis=-1)
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_SWEEPS):
         uf = two_pass(make_field(W2, with_v=False), make_field(W2, with_v=True), u0,
                       lambda u_T: np.concatenate([u_T, np.zeros((B, sv))], axis=-1),
                       T, cfg_int)
@@ -447,47 +409,3 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
         raise ConvergenceError("second-derivative iteration did not converge",
                                report=report)
     return W2, report
-
-
-# -- reduced flow -------------------------------------------------------------------
-
-def reduced_flow(sys: FastSlowSystem, h0, eta, t_span,
-                 cfg_int: IntegratorConfig = IntegratorConfig(),
-                 slow_field=None, slow_time=True) -> OrbitPath:
-    """Flow of the reduced (critical-manifold) system, lifted to the sheet.
-
-    Integrates y' = g(h0(y), y) in the slow time when the system carries an
-    `eps` in its meta (the stored g includes the eps factor, so dividing it
-    out rescales time); otherwise in the native time.  The fast track is the
-    lift x(t) = h0(y(t)).
-    """
-    h0f = as_slow_function(h0)
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    eps = sys.meta.get("eps")
-    scale = 1.0 / eps if (slow_time and eps) else 1.0
-
-    if slow_field is None:
-        def slow_field(x, y):
-            return sys.eval_g(x, y) * scale
-
-    def fieldt(t, y):
-        return slow_field(np.asarray(h0f(y), dtype=float), y)
-
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    n = cfg_int.steps_for(t1 - t0)
-    times, ys = rk4_path(fieldt, eta, t0, t1, n)
-    order = np.argsort(times)
-    times, ys = times[order], ys[order]
-    exit_flag = None
-    inside = sys.domain.contains(ys)
-    if not np.all(inside):
-        idx = int(np.argmin(inside))
-        exit_flag = float(times[idx])
-        times, ys = times[: idx + 1], ys[: idx + 1]
-        if len(times) < 2:
-            raise PreconditionError("reduced flow exits the box immediately")
-    fast = np.asarray(h0f(ys), dtype=float)
-    meta = {"dt": cfg_int.dt, "horizon": t1 - t0, "slow_time": bool(slow_time and eps)}
-    if exit_flag is not None:
-        meta["domain_exit"] = exit_flag
-    return OrbitPath(times, fast, ys, meta=meta)

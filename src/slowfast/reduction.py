@@ -32,9 +32,7 @@ class _StraightenedField(FastSlowSystem):
     Fg: Optional[Callable] = None
 
     def eval_Fg(self, x, y):
-        if self.vectorized:   # what _batched would do, minus its per-call overhead
-            return self.Fg(x, np.asarray(y, dtype=float))
-        return self._batched(self.Fg, (x, y), (self.m + self.n,))
+        return self.Fg(x, np.asarray(y, dtype=float))
 
 
 @dataclass
@@ -54,12 +52,6 @@ class StraightenedSystem:
     dh: object
     d2h: Optional[object] = None
     system: FastSlowSystem = None
-
-    def to_original(self, xt, y):
-        return np.asarray(xt, dtype=float) + np.asarray(self.h(y), dtype=float), y
-
-    def from_original(self, x, y):
-        return np.asarray(x, dtype=float) - np.asarray(self.h(y), dtype=float), y
 
 
 def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> StraightenedSystem:
@@ -136,7 +128,6 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> Straightene
     inner = _StraightenedField(m=m, n=n, F=Ft, g=gt, A0=A0t, domain=sys.domain,
                                DF=DFt, Dg=Dgt, boundary_flag=sys.boundary_flag,
                                norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
-                               vectorized=sys.vectorized,
                                meta={**sys.meta, "straightened": True}, Fg=Fgt)
     return StraightenedSystem(base=sys, h=hf, dh=dhf, d2h=d2hf, system=inner)
 
@@ -167,14 +158,9 @@ class ReductionResult:
         }
 
 
-def _mu_prime(cert):
-    """Decay rate of the straightened fast component."""
-    return cert.mu - cert.K * cert.M1x
-
-
 def forward_horizon(cert, xi_norm, tol):
     """Smallest T with K e^{-mu' T} |xi| below the defect tolerance budget."""
-    mu_p = _mu_prime(cert)
+    mu_p = cert.contraction_rate()
     if mu_p <= 0:
         raise ContractionError("straightened decay rate is not positive")
     e_bound = cert.K * cert.N1 / max(mu_p - cert.K * cert.N1, 1e-300)
@@ -189,7 +175,7 @@ def forward_horizon(cert, xi_norm, tol):
 
 def _reduction_rate(cert):
     """mu' of a certificate that satisfies the reduction budget K N1 < mu'."""
-    mu_p = _mu_prime(cert)
+    mu_p = cert.contraction_rate()
     if not cert.reduction_ok or cert.K * cert.N1 >= mu_p:
         raise ContractionError("reduction budget K N1 < mu' violated")
     return mu_p
@@ -393,7 +379,7 @@ def attraction_rate_fit(ssys: StraightenedSystem, result: ReductionResult,
         sfit = fit_exponential(list(zip(orbit.times, slow_gap)), noise_floor)
         out.slow_prefactor = sfit.prefactor
         if cert is not None:
-            mu_p = _mu_prime(cert)
+            mu_p = cert.contraction_rate()
             out.slow_prefactor_bound = (cert.K ** 2 * cert.N1
                                         / max(mu_p - cert.K * cert.N1, 1e-300)
                                         * float(sys_t.norm_x(result.xi)))
@@ -415,7 +401,7 @@ def dp_point(ssys: StraightenedSystem, xi, eta, result: ReductionResult,
     if not sys_t.has_derivatives(1):
         raise CapabilityError("dp_point needs derivatives of the straightened system "
                               "(smooth h with a second derivative)")
-    mu_p = _mu_prime(cert)
+    mu_p = cert.contraction_rate()
     if 2.0 * cert.N1 >= mu_p:
         raise InfeasibleBudgetError("derivative budget 2 N1 < mu' violated")
     m, n = sys_t.m, sys_t.n

@@ -9,15 +9,14 @@ Five named systems are registered:
   NF1      quadrature-discretized integro-differential fast field with one
            slowly drifting gain parameter, sup norm over nodes
 
-All callables broadcast over leading axes (vectorized systems).  Each system
-stores `eps` and an `eps -> system` family in its meta so epsilon augmentation
-and continuation sweeps can rebuild members.
+All callables broadcast over leading axes.  Each system stores `eps` in its
+meta.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,9 +57,8 @@ def build_l1(eps=0.1, domain=(-0.5, 0.5), points=101):
 
     D2g = D2F
     return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          D2F=D2F, D2g=D2g, vectorized=True,
-                          meta={"name": "L1", "eps": float(eps),
-                                "family": lambda e: build_l1(e, domain, points)})
+                          D2F=D2F, D2g=D2g,
+                          meta={"name": "L1", "eps": float(eps)})
 
 
 def l1_h(y, eps):
@@ -99,9 +97,8 @@ def build_q1(eps=0.1, domain=(-1.0, 1.0), points=101):
         return np.zeros(x.shape[:-1] + (1, 2, 2))
 
     return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          D2F=D2F, D2g=D2g, vectorized=True,
-                          meta={"name": "Q1", "eps": float(eps),
-                                "family": lambda e: build_q1(e, domain, points)})
+                          D2F=D2F, D2g=D2g,
+                          meta={"name": "Q1", "eps": float(eps)})
 
 
 def q1_h(y, eps):
@@ -141,9 +138,8 @@ def build_l2(eps=0.1, domain=(-1.0, 1.0), points=41):
         return np.zeros(x.shape[:-1] + (1, 2, 2))
 
     return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          D2F=D2, D2g=D2, vectorized=True,
-                          meta={"name": "L2", "eps": float(eps),
-                                "family": lambda e: build_l2(e, domain, points)})
+                          D2F=D2, D2g=D2,
+                          meta={"name": "L2", "eps": float(eps)})
 
 
 def l2_P(xi, eta, eps):
@@ -215,9 +211,8 @@ def build_coupled(eps=0.02, domain=(-1.0, 1.0), points=81):
         return out
 
     return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          D2F=D2F, D2g=None, boundary_flag=True, vectorized=True,
-                          meta={"name": "coupled", "eps": e,
-                                "family": lambda x: build_coupled(x, domain, points)})
+                          D2F=D2F, D2g=None, boundary_flag=True,
+                          meta={"name": "coupled", "eps": e})
 
 
 # -- VDP-cut ----------------------------------------------------------------------
@@ -276,17 +271,14 @@ def build_vdp_raw(eps=0.005, domain=(-2.0, 0.0), points=81):
         return out
 
     return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          vectorized=True,
-                          meta={"name": "VDP-raw", "eps": e,
-                                "family": lambda x: build_vdp_raw(x, domain, points)})
+                          meta={"name": "VDP-raw", "eps": e})
 
 
 def build_vdp_cut(eps=0.005, domain=(-2.0, 0.0), points=81, radius=0.1):
     """The outer-branch system shifted to the origin and cut off at `radius`."""
     raw = build_vdp_raw(eps, domain, points)
     loc = localize(raw, _vdp_h0, radius, CutoffSpec(), dh0=_vdp_dh0, tol=1e-10)
-    loc.meta.update(name="VDP-cut", eps=float(eps), h0=_vdp_h0, dh0=_vdp_dh0,
-                    family=lambda e: build_vdp_cut(e, domain, points, radius))
+    loc.meta.update(name="VDP-cut", eps=float(eps), h0=_vdp_h0, dh0=_vdp_dh0)
     return loc
 
 
@@ -364,10 +356,9 @@ def build_nf1(eps=0.01, m=64, domain=(0.5, 1.5), points=41, gain=_NF1_GAIN):
         return np.zeros(u.shape[:-1] + (1, m + 1))
 
     return FastSlowSystem(m=m, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          norm_kind="sup", vectorized=True,
+                          norm_kind="sup",
                           meta={"name": "NF1", "eps": float(eps), "m": m,
-                                "nodes": xi, "gain": gain,
-                                "family": lambda e: build_nf1(e, m, domain, points, gain)})
+                                "nodes": xi, "gain": gain})
 
 
 def nf1_profile_interp(values, nodes, probes):
@@ -400,7 +391,6 @@ class ExampleSystem:
     analytic_P: Optional[Callable] = None      # (xi, eta, eps) -> slow point
     sampling_radius: float = 2.0
     h_tol: float = 1e-5                        # oracle agreement tolerance
-    notes: str = ""
 
 
 # analytic oracles take the scalar slow track (any shape) and return the same
@@ -411,26 +401,24 @@ EXAMPLES = {
         analytic_h=l1_h,
         analytic_dh=lambda y, e: np.ones_like(np.asarray(y, dtype=float)),
         analytic_d2h=lambda y, e: np.zeros_like(np.asarray(y, dtype=float)),
-        h_tol=1e-6, notes="linear fast pull toward the slow variable"),
+        h_tol=1e-6),
     "Q1": ExampleSystem(
         id="Q1", build=build_q1, default_eps=0.1,
         analytic_h=q1_h, analytic_dh=q1_dh,
         analytic_d2h=lambda y, e: np.full_like(np.asarray(y, dtype=float), 2.0),
-        h_tol=1e-5, notes="quadratic slow forcing"),
+        h_tol=1e-5),
     "L2": ExampleSystem(
         id="L2", build=build_l2, default_eps=0.1,
         analytic_h=lambda y, e: np.zeros_like(np.asarray(y, dtype=float)),
         analytic_dh=lambda y, e: np.zeros_like(np.asarray(y, dtype=float)),
         analytic_P=l2_P,
-        h_tol=1e-8, notes="pure fast decay driving a slow integrator"),
+        h_tol=1e-8),
     "VDP-cut": ExampleSystem(
         id="VDP-cut", build=build_vdp_cut, default_eps=0.005,
-        sampling_radius=0.1, h_tol=1e-4,
-        notes="cubic nullcline outer branch, shifted and cut off"),
+        sampling_radius=0.1, h_tol=1e-4),
     "NF1": ExampleSystem(
         id="NF1", build=build_nf1, default_eps=0.01,
-        sampling_radius=0.5, h_tol=1e-4,
-        notes="discretized integro-differential fast field, sup norm"),
+        sampling_radius=0.5, h_tol=1e-4),
 }
 
 

@@ -28,7 +28,7 @@ def matrix_system(A_of_nu, m, lo=-1.0, hi=1.0):
 
     return FastSlowSystem(m=m, n=1, F=F, g=lambda x, y: np.zeros_like(y),
                           A0=lambda y: A_of_nu(y[..., 0]),
-                          domain=GridDomain([lo], [hi], [3]), vectorized=True)
+                          domain=GridDomain([lo], [hi], [3]))
 
 
 def jordan(nu):

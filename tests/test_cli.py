@@ -141,6 +141,15 @@ class TestRunCommand:
         scen.write_text(json.dumps({"system": "L1", "wat": True}))
         assert run_cli("run", "--system", "L1", "--scenario", str(scen)) == 1
 
+    @pytest.mark.parametrize("text", ['{"system": "L1", "eps": []}', "[1, 2]", "{bad", None],
+                             ids=["empty-eps", "list", "not-json", "missing"])
+    def test_malformed_scenario_exit_1(self, tmp_path, capsys, text):
+        scen = tmp_path / "scen.json"
+        if text is not None:
+            scen.write_text(text)
+        assert run_cli("run", "--scenario", str(scen)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 def _raising(cls, message="injected"):
     def fn(*args):

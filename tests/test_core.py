@@ -1,15 +1,13 @@
-"""Core domain types: norms, grids, grid functions, systems, augmentation,
-localization."""
+"""Core domain types: norms, grids, grid functions, systems, localization."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowfast.core import (CutoffSpec, FastSlowSystem, FastState, GridDomain,
-                           GridFunction, SlowState, augment_epsilon,
-                           check_derivatives, eval_R0, localize, vector_norm)
-from slowfast.errors import (CapabilityError, DomainError, PreconditionError)
+from slowfast.core import (CutoffSpec, FastSlowSystem, GridDomain, GridFunction,
+                           check_derivatives, localize, vector_norm)
+from slowfast.errors import PreconditionError
 from slowfast.integrate import IntegratorConfig, flow
 from slowfast.systems import (build_coupled, build_l1, build_nf1, build_q1,
                               build_vdp_cut, build_vdp_raw, _vdp_h0, _vdp_dh0)
@@ -18,16 +16,18 @@ finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
 class TestFastState:
+    """Norms of fast-space states, through `vector_norm`."""
+
     def test_norm_kinds(self):
         v = [3.0, -4.0]
-        assert FastState(v).norm() == pytest.approx(5.0)
-        assert FastState(v, "sup").norm() == pytest.approx(4.0)
-        s = FastState(v, "weighted-quadrature", weights=[0.5, 0.5])
-        assert s.norm() == pytest.approx(np.sqrt(12.5))
+        assert vector_norm(v) == pytest.approx(5.0)
+        assert vector_norm(v, "sup") == pytest.approx(4.0)
+        s = vector_norm(v, "weighted-quadrature", weights=[0.5, 0.5])
+        assert s == pytest.approx(np.sqrt(12.5))
 
     def test_norm_positive_definite(self):
-        assert FastState([0.0, 0.0]).norm() == 0.0
-        assert FastState([1e-8, 0.0]).norm() > 0.0
+        assert vector_norm([0.0, 0.0]) == 0.0
+        assert vector_norm([1e-8, 0.0]) > 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(finite, min_size=3, max_size=3),
@@ -41,7 +41,7 @@ class TestFastState:
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
-            FastState([1.0], norm_kind="taxicab")
+            vector_norm([1.0], "taxicab")
 
 
 class TestGridDomain:
@@ -59,19 +59,6 @@ class TestGridDomain:
         assert nodes.shape == (15, 2)
         assert np.all(dom.contains(nodes))
 
-    def test_refine_keeps_nodes(self):
-        dom = GridDomain([0.0], [1.0], [5])
-        fine = dom.refine()
-        assert fine.shape == (9,)
-        assert set(np.round(dom.axes()[0], 12)) <= set(np.round(fine.axes()[0], 12))
-
-
-class TestSlowState:
-    def test_out_of_domain_is_error_not_clamp(self):
-        dom = GridDomain([0.0], [1.0], [5])
-        SlowState([0.5], dom)
-        with pytest.raises(DomainError):
-            SlowState([1.5], dom)
 
 
 def _loop_interp(gf, y):
@@ -171,23 +158,18 @@ class TestGridFunction:
 class TestEvalR0:
     def test_l1_r0_is_y(self):
         sys = build_l1(eps=0.1)
-        assert eval_R0(sys, [3.0], [0.5])[0] == pytest.approx(0.5)
+        assert sys.R0([3.0], [0.5])[0] == pytest.approx(0.5)
 
     def test_q1_r0_independent_of_x(self):
         sys = build_q1(eps=0.1)
         for x in (0.0, 2.0, -3.0):
-            assert eval_R0(sys, [x], [1.0])[0] == pytest.approx(1.0)
+            assert sys.R0([x], [1.0])[0] == pytest.approx(1.0)
 
     def test_nf1_r0_at_zero_equals_f(self):
         sys = build_nf1(m=16, points=5)
         y = np.array([1.0])
         z = np.zeros(16)
-        assert np.allclose(eval_R0(sys, z, y), sys.eval_F(z, y), atol=1e-14)
-
-    def test_domain_checked(self):
-        sys = build_l1()
-        with pytest.raises(DomainError):
-            eval_R0(sys, [0.0], [2.0])
+        assert np.allclose(sys.R0(z, y), sys.eval_F(z, y), atol=1e-14)
 
 
 class TestDerivativeConsistency:
@@ -202,33 +184,6 @@ class TestDerivativeConsistency:
     def test_vdp_cut_a0_consistent(self):
         sys = build_vdp_cut(eps=0.005)
         assert check_derivatives(sys, n_points=30, x_radius=0.04) <= 1e-5
-
-
-class TestAugmentEpsilon:
-    def test_dimensions_and_zero_drift(self):
-        aug = augment_epsilon(build_l1(eps=0.1), (0.0, 0.2))
-        assert aug.n == 2
-        g = aug.eval_g(np.array([0.3]), np.array([0.0, 0.15]))
-        assert g[1] == 0.0
-        # the eps slot controls the drift of the original slow variable
-        assert g[0] == pytest.approx(0.15)
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            augment_epsilon(build_l1(), (0.2, 0.2))
-
-    def test_flow_preserves_eps(self):
-        aug = augment_epsilon(build_l1(eps=0.1), (0.0, 0.2))
-        path = flow(aug, [0.2], [0.0, 0.07], (0.0, 10.0),
-                    IntegratorConfig(dt=0.01), check_domain=False)
-        assert np.max(np.abs(path.slow[:, 1] - 0.07)) < 1e-14
-
-    def test_needs_family(self):
-        sys = build_l1()
-        bare = FastSlowSystem(m=1, n=1, F=sys.F, g=sys.g, A0=sys.A0,
-                              domain=sys.domain, vectorized=True)
-        with pytest.raises(CapabilityError):
-            augment_epsilon(bare, (0.0, 0.1))
 
 
 class TestCutoff:
@@ -316,24 +271,11 @@ def test_n_zero_rejected():
                        A0=lambda y: -np.eye(1), domain=GridDomain([0.0], [1.0], [2]))
 
 
-def test_non_vectorized_callables_are_wrapped():
-    # plain per-point callables must behave identically to vectorized ones
-    vec = build_q1(eps=0.1)
-    plain = FastSlowSystem(
-        m=1, n=1,
-        F=lambda x, y: np.array([-x[0] + y[0] ** 2]),
-        g=lambda x, y: np.array([0.1]),
-        A0=lambda y: np.array([[-1.0]]),
-        DF=lambda x, y: np.array([[-1.0, 2.0 * y[0]]]),
-        Dg=lambda x, y: np.zeros((1, 2)),
-        domain=vec.domain, vectorized=False)
-    rng = np.random.default_rng(0)
-    xs = rng.uniform(-1, 1, (7, 1))
-    ys = vec.domain.sample(rng, 7)
-    assert np.allclose(plain.eval_F(xs, ys), vec.eval_F(xs, ys))
-    assert np.allclose(plain.eval_A0(ys), vec.eval_A0(ys))
-    assert np.allclose(plain.eval_DF(xs, ys), vec.eval_DF(xs, ys))
-    assert np.allclose(plain.R0(xs, ys), vec.R0(xs, ys))
+def test_per_point_callables_rejected():
+    sys = build_q1()
+    with pytest.raises(ValueError, match="broadcast"):
+        FastSlowSystem(m=1, n=1, F=sys.F, g=sys.g, A0=sys.A0, domain=sys.domain,
+                       vectorized=False)
 
 
 def test_boundary_flag_drift_vanishes_on_boundary():

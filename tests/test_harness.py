@@ -5,11 +5,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowfast.errors import SchemaError, UnderdeterminedError
 from slowfast import harness
 from slowfast.core import GridDomain
-from slowfast.harness import ScenarioSpec, fit_exponential, run_scenario
+from slowfast.harness import KNOWN_CHECKS, ScenarioSpec, fit_exponential, run_scenario
+from slowfast.systems import EXAMPLES
 
 
 class TestFitExponential:
@@ -63,6 +66,41 @@ class TestScenarioSpec:
     def test_roundtrip(self):
         spec = ScenarioSpec.from_dict({"system": "L1", "eps": 0.1, "seed": 3})
         assert spec.to_dict()["system"] == "L1"
+
+    @pytest.mark.parametrize("doc", [
+        {"eps": []}, {"eps": ["a"]}, {"eps": True}, {"eps": float("nan")},
+        pytest.param({"eps": 2 ** 1100}, id="eps-beyond-float-range"),
+        {"domain": [0.5]}, {"domain": [1.0, 0.0]}, {"domain": [0.0, float("inf")]},
+        {"grid": [3, "x"]}, {"grid": 1}, {"grid": True}, {"m": 0},
+        {"dt": 0.0}, {"dt": float("nan")}, {"horizon": -1.0},
+        {"seed": -1}, {"seed": None}, {"derivative": True},
+        {"overrides": {"K": "x"}}, {"overrides": {"K": 2.0}}, {"overrides": {"Q": 1.0}},
+        {"overrides": {"N1": float("inf")}},
+        {"reduction_points": [[0.1]]}, {"reduction_points": [[0.1, "a"]]},
+    ], ids=lambda doc: json.dumps(doc, separators=(",", ":")))
+    def test_bad_value_rejected(self, doc):
+        with pytest.raises(SchemaError):
+            ScenarioSpec.from_dict({"system": "L1", **doc})
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+           | st.sampled_from(sorted(EXAMPLES) + list(KNOWN_CHECKS) + ["K", "mu"]))
+_VALUES = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                       | st.dictionaries(st.sampled_from(["K", "mu", "N1", "Q"]), inner,
+                                         max_size=3), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=st.sampled_from(sorted(EXAMPLES) + ["L9"]),
+       doc=st.dictionaries(st.sampled_from(sorted(harness._SCHEMA) + ["bogus"]), _VALUES,
+                           max_size=5))
+def test_fuzzed_scenario_resolves_or_raises_schema_error(system, doc):
+    """A scenario document either gives a spec that resolves, or a SchemaError."""
+    try:
+        spec = ScenarioSpec.from_dict({"system": system, **doc})
+    except SchemaError:
+        return
+    spec.resolved()
 
 
 class TestRunScenario:
@@ -127,10 +165,18 @@ class TestRunScenario:
         assert by_name["invariance"]["metrics"]["residual"] <= 1e-4
         assert by_name["spectral_gap"]["metrics"]["margin"] >= 0.5 - 1e-9
 
-    def test_determinism_byte_identical(self):
-        spec = ScenarioSpec.from_dict({
-            "system": "L1", "dt": 0.02, "grid": 21, "seed": 42,
-            "checks": ["hypotheses", "manifold"]})
+    @pytest.mark.parametrize("doc", [
+        {"system": "L1", "dt": 0.02, "grid": 21, "checks": ["hypotheses", "manifold"]},
+        {"system": "Q1", "dt": 0.05, "grid": 21, "derivative": 2},
+        {"system": "L2", "grid": 21},
+        {"system": "VDP-cut", "dt": 0.05, "grid": 21},
+        {"system": "NF1", "m": 8, "grid": 11, "dt": 0.05, "derivative": 0,
+         "checks": ["hypotheses", "spectral_gap", "manifold", "invariance",
+                    "eqv_residual"]},
+    ], ids=lambda doc: doc["system"])
+    def test_determinism_byte_identical(self, doc):
+        spec = ScenarioSpec.from_dict({**doc, "seed": 42})
         a = json.dumps(run_scenario(spec), sort_keys=True)
         b = json.dumps(run_scenario(spec), sort_keys=True)
         assert a == b
+        assert json.loads(a)["passed"]

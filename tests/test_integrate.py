@@ -3,17 +3,15 @@ bounded solutions."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from slowfast.certify import ConstantsCertificate
 from slowfast.core import FastSlowSystem, GridDomain
 from slowfast.errors import (ConvergenceError, DomainExitError, NumericError,
                              PreconditionError)
-from slowfast.integrate import (IntegratorConfig, OrbitPath, _picard_bounded,
-                                bounded_solution, flow, process_A0, process_apply,
-                                process_matrix, rk4_final, rk4_path, slow_ivp,
-                                truncation_horizon, variational_flow)
+from slowfast.integrate import (IntegratorConfig, OrbitPath, _full_field,
+                                _graph_fields, _picard_bounded, bounded_solution,
+                                flow, process_A0, process_apply, rk4_final,
+                                rk4_path, truncation_horizon, variational_flow)
 from slowfast.manifold import LPConfig
 from slowfast.systems import build_l1, build_l2, build_q1
 
@@ -27,7 +25,7 @@ def const_system(c=0.3):
         m=1, n=1, F=lambda x, y: np.zeros_like(x),
         g=lambda x, y: np.full_like(y, c),
         A0=lambda y: np.zeros(y.shape[:-1] + (1, 1)),
-        domain=GridDomain([-10.0], [10.0], [3]), vectorized=True)
+        domain=GridDomain([-10.0], [10.0], [3]))
 
 
 class TestRK4:
@@ -83,10 +81,13 @@ class TestFlow:
         assert p.slow[-1, 0] == pytest.approx(1.6, abs=1e-12)
 
     def test_richardson_ratio_fourth_order(self):
+        # endpoint errors against 2n steps, at n/2 and at n steps: ~16 for RK4
         sys = build_q1(eps=0.1)
-        p = flow(sys, [0.5], [0.0], (0.0, 1.0),
-                 IntegratorConfig(dt=0.02, richardson_check=True))
-        assert 8.0 <= p.meta["richardson_ratio"] <= 40.0
+        u0, n = np.array([0.5, 0.0]), IntegratorConfig(dt=0.02).steps_for(1.0)
+        coarse, mid, fine = (rk4_final(_full_field(sys), u0, 0.0, 1.0, k)[1]
+                             for k in (n // 2, n, 2 * n))
+        ratio = np.max(np.abs(coarse - fine)) / np.max(np.abs(mid - fine))
+        assert 8.0 <= ratio <= 40.0
 
     def test_domain_exit_raises_with_time(self):
         sys = build_l1(eps=0.1)        # y' = 0.1, exits y=0.5 at t=3 from 0.2
@@ -107,34 +108,33 @@ class TestOrbitPath:
         with pytest.raises(ValueError):
             OrbitPath(np.array([0.0, 0.0, 1.0]), np.zeros((3, 1)), np.zeros((3, 1)))
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.floats(min_value=-2, max_value=2), st.floats(min_value=0, max_value=1))
-    def test_weighted_norm_monotone_in_gamma(self, gamma, bump):
-        path = OrbitPath(np.linspace(-1, 1, 21),
-                         np.ones((21, 1)) * (1 + bump), np.zeros((21, 1)))
-        g2 = gamma + 0.5
-        assert path.weighted_norm(gamma) <= path.weighted_norm(g2) + 1e-12
+
+def slow_path(sys, sigma, eta, t1):
+    """psi(t; eta, sigma) on [0, t1]: the slow drift y' = g(sigma(y), y) that the
+    manifold map integrates backward (t1 < 0) from each node."""
+    return rk4_path(_graph_fields(sys, sigma)[0], np.array(eta, dtype=float), 0.0, t1,
+                    CFG.steps_for(t1))
 
 
 class TestSlowIVP:
     def test_g_zero_constant(self):
         sys = build_l1(eps=0.0)
-        p = slow_ivp(sys, lambda y: np.zeros_like(y), [0.3], (0.0, 4.0), CFG)
-        assert np.max(np.abs(p.slow - 0.3)) < 1e-14
+        _, ys = slow_path(sys, lambda y: np.zeros_like(y), [0.3], 4.0)
+        assert np.max(np.abs(ys - 0.3)) < 1e-14
 
     def test_l1_backward_closed_form(self):
         sys = build_l1(eps=0.1)
-        p = slow_ivp(sys, lambda y: np.zeros_like(y), [0.5], (0.0, -5.0), CFG)
-        assert p.slow[0, 0] == pytest.approx(0.0, abs=1e-12)
+        _, ys = slow_path(sys, lambda y: np.zeros_like(y), [0.5], -5.0)
+        assert ys[-1, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_gronwall_separation_bound(self, coupled):
         sys, cert = coupled
         sigma = lambda y: 0.3 * np.sin(2 * y)
         L = 0.6
-        p1 = slow_ivp(sys, sigma, [0.1], (0.0, 8.0), CFG)
-        p2 = slow_ivp(sys, sigma, [0.15], (0.0, 8.0), CFG)
-        gap = np.abs(p1.slow - p2.slow)[:, 0]
-        bound = 0.05 * np.exp(cert.N1 * (L + 1.0) * np.abs(p1.times))
+        times, ys1 = slow_path(sys, sigma, [0.1], 8.0)
+        _, ys2 = slow_path(sys, sigma, [0.15], 8.0)
+        gap = np.abs(ys1 - ys2)[:, 0]
+        bound = 0.05 * np.exp(cert.N1 * (L + 1.0) * np.abs(times))
         assert np.all(gap <= bound * (1 + 1e-6))
 
 
@@ -157,7 +157,7 @@ class TestProcess:
             m=1, n=1, F=lambda x, y: -(1 + y) * x,
             g=lambda x, y: np.full_like(y, 0.1),
             A0=lambda y: -(1.0 + y)[..., None],
-            domain=GridDomain([-1.0], [9.0], [2]), vectorized=True)
+            domain=GridDomain([-1.0], [9.0], [2]))
         h = process_A0(sys, lambda t: np.array([0.1 * t]))
         got = process_apply(h, 2.0, 0.0, [1.0], FINE)[0]
         assert got == pytest.approx(0.110803, abs=1e-6)
@@ -167,7 +167,7 @@ class TestProcess:
             m=1, n=1, F=lambda x, y: -(1 + y) * x,
             g=lambda x, y: np.full_like(y, 0.1),
             A0=lambda y: -(1.0 + y)[..., None],
-            domain=GridDomain([-1.0], [9.0], [2]), vectorized=True)
+            domain=GridDomain([-1.0], [9.0], [2]))
         h = process_A0(sys, lambda t: np.array([0.1 * np.sin(t)]))
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -182,14 +182,6 @@ class TestProcess:
         with pytest.raises(PreconditionError):
             process_apply(h, 0.0, 1.0, [1.0], CFG)
 
-    def test_manifold_linearization_generator(self):
-        from slowfast.integrate import process_Ah
-        sys = build_q1(eps=0.1)
-        h = process_Ah(sys, lambda y: y ** 2, lambda t: np.array([0.1 * t]))
-        # D_x F is -1 everywhere for this system
-        assert process_apply(h, 1.0, 0.0, [1.0], FINE)[0] == pytest.approx(
-            np.exp(-1.0), abs=1e-9)
-
     def test_reversible_slow_generator(self):
         from slowfast.integrate import process_Z
         sys = FastSlowSystem(
@@ -199,20 +191,12 @@ class TestProcess:
                                       0.2 * np.cos(y[..., 0])], axis=-1)[..., None, :],
             DF=lambda x, y: np.stack([-np.ones_like(x[..., 0]),
                                       np.zeros_like(y[..., 0])], axis=-1)[..., None, :],
-            domain=GridDomain([-2.0], [2.0], [3]), vectorized=True)
+            domain=GridDomain([-2.0], [2.0], [3]))
         z = process_Z(sys, lambda t: np.array([0.3 + 0.05 * t]))
         assert z.reversible
         back = process_apply(z, 0.0, 1.5, [1.0], FINE)        # backward is legal
         fwd = process_apply(z, 1.5, 0.0, back, FINE)
         assert fwd[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_process_matrix_linear_in_xi(self):
-        sys = build_l2()
-        h = process_A0(sys, lambda t: np.array([0.0]))
-        M = process_matrix(h, 1.5, 0.0, FINE)
-        xi = np.array([0.7])
-        direct = process_apply(h, 1.5, 0.0, xi, FINE)
-        assert np.allclose(M @ xi, direct, atol=1e-12)
 
 
 class TestVariationalFlow:
@@ -249,7 +233,7 @@ class TestVariationalFlow:
     def test_missing_derivatives_raise(self):
         sys = build_l1()
         bare = FastSlowSystem(m=1, n=1, F=sys.F, g=sys.g, A0=sys.A0,
-                              domain=sys.domain, vectorized=True)
+                              domain=sys.domain)
         base = flow(bare, [0.0], [0.0], (0.0, 1.0), CFG)
         from slowfast.errors import CapabilityError
         with pytest.raises(CapabilityError):
@@ -301,8 +285,8 @@ class TestBoundedSolution:
         sys = build_q1(eps=0.1)
         fw = bounded_solution(sys, lambda y: np.zeros_like(y), [0.4], cfg=CFG,
                               cert=L1_CERT)
-        pc = bounded_solution(sys, lambda y: np.zeros_like(y), [0.4], cfg=CFG,
-                              cert=L1_CERT, method="picard")
+        pc = _picard_bounded(sys, lambda y: np.zeros_like(y), [0.4],
+                             truncation_horizon(L1_CERT, 1e-9), CFG, 1e-9)
         assert abs(fw.fast[-1, 0] - pc.fast[-1, 0]) < 1e-7
 
     def test_picard_raises_when_sweeps_run_out(self):

@@ -1,4 +1,4 @@
-"""The manifold fixed point, its derivatives, residual diagnostics, reduced flow."""
+"""The manifold fixed point, its derivatives, residual diagnostics."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,10 @@ from slowfast.certify import ConstantsCertificate
 from slowfast.core import FastSlowSystem, GridDomain, GridFunction
 from slowfast.errors import ContractionError, NumericError, PreconditionError
 from slowfast.integrate import IntegratorConfig
-from slowfast.manifold import (LPConfig, d2h_solve, dh_map, dh_solve,
-                               eqv_residual, fd_derivative_error,
-                               invariance_residual, lp_map, lp_solve,
-                               reduced_flow)
-from slowfast.systems import build_l1, build_q1, l1_h, q1_dh, q1_h, _vdp_h0
+from slowfast.manifold import (LPConfig, _dh_apply, _dh_horizon, d2h_solve,
+                               dh_solve, eqv_residual, fd_derivative_error,
+                               invariance_residual, lp_map, lp_solve)
+from slowfast.systems import build_l1, build_q1, l1_h, q1_dh, q1_h
 
 CFG = IntegratorConfig(dt=0.01)
 
@@ -87,14 +86,6 @@ class TestLpSolve:
         # Newton oracle: root of -x + y^2 is y^2 itself
         assert np.max(np.abs(h(nodes)[:, 0] - nodes[:, 0] ** 2)) <= 1e-8
 
-    def test_newton_initialization(self):
-        sys = build_q1(eps=0.0)
-        cert = ConstantsCertificate(K=1, mu=1, M0=1.0, M1x=0.0, M1y=2.0,
-                                    N0=0.0, N1=0.0, delta=4.0, rho=4.0)
-        h, rep = lp_solve(sys, cert, LPConfig(grid=sys.domain, initial="newton"), CFG)
-        nodes = sys.domain.node_coords()
-        assert np.max(np.abs(h(nodes)[:, 0] - nodes[:, 0] ** 2)) <= 1e-8
-
     def test_fixed_point_residual_property(self, l1_solved):
         sys, cert, cfg, h, rep = l1_solved
         again = lp_map(sys, h, cert, cfg, CFG)
@@ -119,7 +110,7 @@ class TestLpSolve:
             m=1, n=1, F=lambda x, y: -x + 5 * x ** 3 + y,
             g=lambda x, y: np.zeros_like(y),
             A0=lambda y: np.full(y.shape[:-1] + (1, 1), -1.0),
-            domain=GridDomain([0.0], [1.0], [11]), vectorized=True)
+            domain=GridDomain([0.0], [1.0], [11]))
         cert = ConstantsCertificate(K=1.0, mu=1.0, M0=0.1, M1x=0.1, M1y=0.1,
                                     N0=0.0, N1=0.0, delta=0.5, rho=0.6)
         sweeps = []
@@ -204,7 +195,7 @@ class TestDh:
     def test_dh_map_fixed_point_l1(self, l1_solved):
         sys, cert, cfg, h, _ = l1_solved
         exact = GridFunction(sys.domain, np.ones(sys.domain.shape + (1, 1)))
-        out = dh_map(sys, h, exact, cert, cfg, CFG)
+        out = _dh_apply(sys, h, exact, _dh_horizon(cert, 1e-10), CFG)
         assert np.max(np.abs(out.values - 1.0)) <= 1e-8
 
     def test_dh_solve_l1(self, l1_solved):
@@ -298,32 +289,3 @@ class TestUniquenessSurrogate:
         for eta in (-0.7, 0.0, 0.6):
             bs = bounded_solution(sys, h, [eta], cfg=CFG, cert=cert)
             assert abs(bs.fast[-1, 0] - q1_h(eta, 0.1)) <= 1e-7
-
-
-class TestReducedFlow:
-    def test_constant_reduced_drift(self):
-        sys = build_l1(eps=0.1)
-        p = reduced_flow(sys, lambda y: y.copy(), [0.0], (0.0, 0.4), CFG)
-        # after time rescale the reduced drift is 1
-        assert p.slow[-1, 0] == pytest.approx(0.4, abs=1e-12)
-        assert np.allclose(p.fast, p.slow)
-
-    def test_lift_on_sheet(self):
-        sys = build_q1(eps=0.05)
-        p = reduced_flow(sys, lambda y: y ** 2, [0.1], (0.0, 2.0), CFG)
-        assert np.allclose(p.fast[:, 0], p.slow[:, 0] ** 2)
-
-    def test_full_orbit_shadows_reduced(self):
-        # VDP branch: reduced drift y' = h0(y); full system at eps=0.01 run to
-        # t = tau/eps must match within O(eps)
-        eps = 0.01
-        from slowfast.systems import build_vdp_raw
-        raw = build_vdp_raw(eps=eps)
-        eta = np.array([-1.8])
-        red = reduced_flow(raw, _vdp_h0, eta, (0.0, 0.8), IntegratorConfig(dt=0.002))
-        from slowfast.integrate import flow
-        full = flow(raw, _vdp_h0(eta), eta, (0.0, 0.8 / eps),
-                    IntegratorConfig(dt=0.01), check_domain=False)
-        y_full = full.slow[-1, 0]
-        y_red = red.slow[-1, 0]
-        assert abs(y_full - y_red) <= 0.05

@@ -56,8 +56,7 @@ def tc2_system(eps=0.1):
         out[..., 0, 1] = eps * (0.3 + 0.4 * t) * np.cos(y[..., 0])
         return out
 
-    return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          vectorized=True)
+    return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg)
 
 
 def tc2_straight(eps=0.1):
