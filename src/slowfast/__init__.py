@@ -23,7 +23,7 @@ from .integrate import (IntegratorConfig, OrbitPath, ProcessHandle,
                         process_Z, variational_flow)
 from .manifold import (ContractionReport, LPConfig, d2h_solve, dh_solve,
                        eqv_residual, fd_derivative_error, invariance_residual,
-                       lp_map, lp_solve)
+                       lp_map, lp_map_batch, lp_solve)
 from .reduction import (ReductionResult, StraightenedSystem, attraction_rate_fit,
                         decompose_orbit, dp_point, fit_exponential, q_along_orbit,
                         semiconjugacy_residual, straighten)

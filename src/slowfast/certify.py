@@ -464,14 +464,24 @@ def assemble_certificate(sys: FastSlowSystem, cfg: IntegratorConfig = Integrator
                          n_drivers=4, overrides=None) -> ConstantsCertificate:
     """Full estimation pipeline: Lipschitz bundle first (its N0 caps the driver
     speed), then (K, mu) from sampled drivers, integrated at a step of at
-    least 0.02, then the delta and rho budgets."""
+    least 0.02, then the delta and rho budgets.
+
+    `overrides` maps certificate fields to supplied values; K and mu come as
+    a pair.  An unknown key or a lone K or mu is a ValueError.
+    """
     overrides = dict(overrides or {})
+    unknown = sorted(set(overrides) - set(CERTIFICATE_FIELDS), key=str)
+    if unknown:
+        raise ValueError(f"unknown certificate overrides {unknown}; "
+                         f"known fields are {CERTIFICATE_FIELDS}")
+    if ("K" in overrides) != ("mu" in overrides):
+        raise ValueError("override K and mu together: the process bound is one pair")
     prov = {}
     lip_over = {k: v for k, v in overrides.items() if k in ("M0", "M1x", "M1y", "N0", "N1")}
     values, lip_prov = estimate_lipschitz(sys, n_samples=n_samples, x_radius=x_radius,
                                           seed=seed, overrides=lip_over)
     prov.update(lip_prov)
-    if "K" in overrides and "mu" in overrides:
+    if "K" in overrides:
         K, mu = float(overrides.pop("K")), float(overrides.pop("mu"))
         prov.update(K="supplied", mu="supplied")
     else:

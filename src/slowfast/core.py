@@ -18,7 +18,8 @@ concurrent sweeps over grids or parameter sets need no locking.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+import copy
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -206,6 +207,44 @@ class GridFunction:
         return self.sup_norm() + BALL_SAFETY * self.lipschitz_estimate()
 
 
+class GridStack:
+    """K grid functions on one grid, read blockwise: at y of shape (K, ..., n),
+    block k is interpolated in the k-th function.
+
+    One call is one gather: the node values of the K functions are
+    concatenated row-wise, and each point's cell rows are offset into its
+    own block.  The call is GridFunction's own, on a copy of the first
+    function that holds the stacked rows and, per corner and point, the
+    offsets; so block k equals the k-th function called on y[k], bit for bit.
+    """
+
+    def __init__(self, fns):
+        head = fns[0]
+        for f in fns[1:]:
+            if f.value_shape != head.value_shape or not (
+                    np.array_equal(f._lower, head._lower) and np.array_equal(f._upper, head._upper)
+                    and f.domain.shape == head.domain.shape):
+                raise ValueError("stacked grid functions need one grid and one value shape")
+        self._head = head
+        self._flat = np.concatenate([f._flat for f in fns])
+        self._starts = np.arange(len(fns)) * head.domain.node_count   # first row of each block
+        self._readers = {}                   # points per block -> stacked copy of head
+
+    def __call__(self, y):
+        y = np.asarray(y, dtype=float)
+        K = len(self._starts)
+        if y.shape[0] != K:
+            raise ValueError(f"leading axis {y.shape[0]} of y does not match {K} functions")
+        per_block = y.size // (K * y.shape[-1])
+        reader = self._readers.get(per_block)
+        if reader is None:
+            reader = copy.copy(self._head)
+            reader._flat = self._flat
+            reader._offsets = self._head._offsets + np.repeat(self._starts, per_block)
+            self._readers[per_block] = reader
+        return reader(y)
+
+
 def as_slow_function(sigma):
     """Coerce a GridFunction or plain callable into a callable y -> value."""
     if isinstance(sigma, GridFunction):
@@ -220,10 +259,8 @@ class FastSlowSystem:
     """The pair (F, g) with its linearization A0 and optional derivatives.
 
     Callables take plain arrays and must broadcast over leading axes: given
-    stacked inputs x: (..., m), y: (..., n) they return stacked values.  The
-    constructor still accepts ``vectorized=True``, which changes nothing;
-    per-point callables (``vectorized=False``) are rejected.  Derivative
-    conventions:
+    stacked inputs x: (..., m), y: (..., n) they return stacked values.
+    Derivative conventions:
 
       DF(x, y)  -> (m, m+n)      Jacobian w.r.t. the joint variable (x, y)
       Dg(x, y)  -> (n, m+n)
@@ -245,12 +282,8 @@ class FastSlowSystem:
     norm_kind: str = "euclidean"
     quad_weights: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
-    vectorized: InitVar[bool] = True
 
-    def __post_init__(self, vectorized):
-        if not vectorized:
-            raise ValueError("per-point callables are not supported: "
-                             "F, g, A0 and derivatives must broadcast over leading axes")
+    def __post_init__(self):
         if self.n < 1:
             raise ValueError("systems with no slow variables (n = 0) are not supported")
         if self.m < 1:

@@ -19,7 +19,7 @@ from .core import FastSlowSystem, GridFunction
 from .errors import CapabilityError, SchemaError
 from .integrate import IntegratorConfig
 from .manifold import (LPConfig, dh_solve, eqv_residual, fd_derivative_error,
-                       invariance_residual, lp_map, lp_solve, d2h_solve)
+                       invariance_residual, lp_map_batch, lp_solve, d2h_solve)
 from .reduction import fit_exponential  # noqa: F401  (re-exported)
 from .reduction import q_along_orbit, semiconjugacy_residual, straighten
 from .systems import EXAMPLES, build_nf1, get_example, nf1_profile_interp
@@ -388,16 +388,19 @@ def _chk_contraction(spec, state):
     rng = np.random.default_rng(spec.seed + 1)
     grid = state["cfg_lp"].grid
     radius = state["cfg_lp"].resolved_radius(cert)
-    worst = 0.0
     pairs = 5 if spec.system != "L1" else 3
+    sigmas, gaps = [], []
     for _ in range(pairs):
         s1 = _random_ball_sigma(sys, grid, radius, rng)
         s2 = _random_ball_sigma(sys, grid, radius, rng)
         d = float(np.max(sys.norm_x(s2.values - s1.values)))
-        if d == 0:
-            continue
-        l1 = lp_map(sys, s1, cert, state["cfg_lp"], state["cfg_int"])
-        l2 = lp_map(sys, s2, cert, state["cfg_lp"], state["cfg_int"])
+        if d != 0:
+            sigmas += [s1, s2]
+            gaps.append(d)
+    # every sigma of every pair in one batched two-pass
+    images = lp_map_batch(sys, sigmas, cert, state["cfg_lp"], state["cfg_int"])
+    worst = 0.0
+    for d, l1, l2 in zip(gaps, images[0::2], images[1::2]):
         worst = max(worst, float(np.max(sys.norm_x(l2.values - l1.values))) / d)
     bound = cert.lp_ratio() * 1.05 + 1e-6
     return _check("contraction", worst <= bound, measured=worst, bound=bound)
@@ -419,12 +422,22 @@ def _random_ball_sigma(sys, grid, radius, rng, modes=3):
     return gf.with_values(gf.values * scale)
 
 
+def _eps0_manifold(state, horizon):
+    """The eps = 0 manifold at `horizon` (None: the certificate's), solved once
+    per scenario and horizon and kept in the stage state."""
+    solved = state.setdefault("h0", {})
+    if horizon not in solved:
+        sys0 = state["example"].build(eps=0.0, **{k: v for k, v in state["build_kw"].items()
+                                                  if k != "eps"})
+        cfg_lp = LPConfig(grid=sys0.domain, horizon=horizon)
+        solved[horizon] = lp_solve(sys0, state["cert"], cfg_lp, state["cfg_int"])[0]
+    return solved[horizon]
+
+
 def _chk_norm_bound(spec, state):
     """Theorem-level sup bound on the eps = 0 manifold with >= 1% slack."""
-    ex, cert = state["example"], state["cert"]
-    sys0 = ex.build(eps=0.0, **{k: v for k, v in state["build_kw"].items() if k != "eps"})
-    cfg_lp = LPConfig(grid=sys0.domain, horizon=state["cfg_lp"].horizon)
-    h0, _ = lp_solve(sys0, state["cert"], cfg_lp, state["cfg_int"])
+    cert = state["cert"]
+    h0 = _eps0_manifold(state, state["cfg_lp"].horizon)
     bound = cert.K * cert.M0 / cert.mu + cert.K * cert.M1y / cert.contraction_rate()
     sup = h0.sup_norm()
     return _check("norm_bound", sup <= bound * 0.99, sup_norm=sup, bound=bound)
@@ -432,16 +445,12 @@ def _chk_norm_bound(spec, state):
 
 def _chk_spectral_gap(spec, state):
     sys = state["sys"]
-    ex = state["example"]
     if spec.system == "VDP-cut":
         h0 = lambda y: np.zeros(np.asarray(y).shape[:-1] + (sys.m,))
         mu_req = 1.0
         min_margin = 0.0
     else:
-        sys0 = ex.build(eps=0.0, **{k: v for k, v in state["build_kw"].items()
-                                    if k != "eps"})
-        cfg_lp = LPConfig(grid=sys0.domain)
-        h0, _ = lp_solve(sys0, state["cert"], cfg_lp, state["cfg_int"])
+        h0 = _eps0_manifold(state, None)
         mu_req = 0.5
         min_margin = 0.5 - 1e-9
     res = spectral_gap_check(sys, h0, mu_req)

@@ -63,7 +63,9 @@ def _rk4(field, u0, t0, t1, n_steps, observe=None):
         if observe is not None:
             observe(k, t, u)
     if not np.isfinite(u).all():
-        row = int(np.argwhere(~np.isfinite(u))[0, 0]) if u.ndim > 1 else 0
+        # the leading index of the first bad entry: a row, or (block, row) of a stack
+        where = tuple(int(i) for i in np.argwhere(~np.isfinite(u))[0, :-1]) or (0,)
+        row = where[0] if len(where) == 1 else where
         raise NumericError(f"RK4 state is not finite after integrating from t = {t0:g} "
                            f"to {t1:g} (first bad batch row {row})")
     return t, u

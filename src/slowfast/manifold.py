@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .certify import ConstantsCertificate
-from .core import FastSlowSystem, GridDomain, GridFunction, as_slow_function
+from .core import FastSlowSystem, GridDomain, GridFunction, GridStack, as_slow_function
 from .errors import (CapabilityError, ContractionError, ConvergenceError,
                      InfeasibleBudgetError, PreconditionError)
 from .integrate import (IntegratorConfig, OrbitPath, _graph_fields,
@@ -80,11 +80,32 @@ def _ball_check(sigma: GridFunction, radius):
     return sigma.ball_norm() <= radius * (1.0 + 1e-12)
 
 
-def _lp_apply(sys, sigma, T, cfg_int):
-    """One application of the manifold map: bounded-solution values at all nodes."""
-    etas = sigma.domain.node_coords()
-    vals = bounded_solution_batch(sys, sigma, etas, T, cfg_int)
-    return sigma.with_values(vals.reshape(sigma.domain.shape + (sys.m,)))
+def _lp_apply(sys, sigmas, T, cfg_int):
+    """One application of the manifold map to each of K candidates on one grid.
+
+    The K node sets run as one (K, N, n) batch through one two-pass; row
+    block k reads sigma_k through a GridStack.  Returns the K images.
+    """
+    grid = sigmas[0].domain
+    etas = np.broadcast_to(grid.node_coords(), (len(sigmas), grid.node_count, grid.n))
+    vals = bounded_solution_batch(sys, GridStack(sigmas), etas, T, cfg_int)
+    return [s.with_values(v.reshape(grid.shape + (sys.m,))) for s, v in zip(sigmas, vals)]
+
+
+def lp_map_batch(sys: FastSlowSystem, sigmas, cert: ConstantsCertificate, cfg: LPConfig,
+                 cfg_int: IntegratorConfig = IntegratorConfig()):
+    """`lp_map` of each candidate in the list `sigmas` (all on one grid), in one
+    batched two-pass; returns the list of images, each equal bit for bit to
+    its own `lp_map`.  Every candidate must lie in the certified ball.
+    """
+    if not cert.existence_ok:
+        raise ContractionError("certificate does not satisfy the existence budget")
+    sigmas = list(sigmas)
+    radius = cfg.resolved_radius(cert)
+    for sigma in sigmas:
+        if not _ball_check(sigma, radius):
+            raise PreconditionError("sigma lies outside the certified ball")
+    return _lp_apply(sys, sigmas, cfg.resolved_horizon(cert), cfg_int) if sigmas else []
 
 
 def lp_map(sys: FastSlowSystem, sigma: GridFunction, cert: ConstantsCertificate,
@@ -94,11 +115,7 @@ def lp_map(sys: FastSlowSystem, sigma: GridFunction, cert: ConstantsCertificate,
     Requires sigma in the certified ball (sup norm plus safety-factored
     Lipschitz estimate) and a feasible existence budget.
     """
-    if not cert.existence_ok:
-        raise ContractionError("certificate does not satisfy the existence budget")
-    if not _ball_check(sigma, cfg.resolved_radius(cert)):
-        raise PreconditionError("sigma lies outside the certified ball")
-    return _lp_apply(sys, sigma, cfg.resolved_horizon(cert), cfg_int)
+    return lp_map_batch(sys, [sigma], cert, cfg, cfg_int)[0]
 
 
 def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate, cfg: LPConfig,
@@ -122,7 +139,7 @@ def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate, cfg: LPConfig,
     report.diagnostics["ball_radius"] = radius
     norm = sys.norm_x
     for _ in range(MAX_SWEEPS):
-        new = _lp_apply(sys, sigma, T, cfg_int)
+        new = _lp_apply(sys, [sigma], T, cfg_int)[0]
         resid = float(np.max(norm(new.values - sigma.values)))
         report.residuals.append(resid)
         sigma = new
@@ -160,11 +177,11 @@ def eqv_residual(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificat
 
     def joint(t, u):
         y, v = u[..., :n], u[..., n:]
-        hy = np.asarray(hf(y), dtype=float)
+        hy = np.asarray(hf(y), dtype=float)          # once: the slow drift reads it too
         A = sys.eval_A0(y)
         r0 = sys.eval_F(hy, y) - np.einsum("...ij,...j->...i", A, hy)
         dv = np.einsum("...ij,...j->...i", A, v) + r0
-        return np.concatenate([slow_field(t, y), dv], axis=-1)
+        return np.concatenate([sys.eval_g(hy, y), dv], axis=-1)
 
     uf = two_pass(slow_field, joint, etas,
                   lambda y_T: np.concatenate([y_T, np.zeros((etas.shape[0], m))], axis=-1),
@@ -209,6 +226,26 @@ def _dh_horizon(cert, tol):
     return math.log(amp / tol) / rate
 
 
+def _joint_reader(*fns):
+    """One interpolation for several grid functions on one grid.
+
+    Their node values sit side by side on one flattened value axis of a
+    single GridFunction; the returned reader maps y to the list of their
+    values at y, each in its own value shape (equal to calling each).
+    """
+    grid = fns[0].domain
+    joint = GridFunction(grid, np.concatenate(
+        [f.values.reshape(grid.shape + (-1,)) for f in fns], axis=-1))
+    cuts = np.cumsum([0] + [math.prod(f.value_shape) for f in fns]).tolist()
+    parts = [(a, b, f.value_shape) for a, b, f in zip(cuts, cuts[1:], fns)]
+
+    def read(y):
+        out = joint(y)
+        return [out[..., a:b].reshape(out.shape[:-1] + shape) for a, b, shape in parts]
+
+    return read
+
+
 def _dh_apply(sys, h, w_field, T, cfg_int):
     """One application of the derivative map on the whole grid.
 
@@ -216,10 +253,10 @@ def _dh_apply(sys, h, w_field, T, cfg_int):
     the variational flow of the slow subsystem constrained to the graph of the
     candidate field W.  Forward pass re-integrates (psi, z) and accumulates
     v' = D_x F(h,psi) v + D_y F(h,psi) z from v(-T) = 0; the node update is v(0).
+    h and W are grid functions on one grid, read by one interpolation per stage.
     """
-    hf = as_slow_function(h)
-    wf = as_slow_function(w_field)
-    grid = h.domain if isinstance(h, GridFunction) else w_field.domain
+    read = _joint_reader(h, w_field)
+    grid = h.domain
     etas = grid.node_coords()
     B, m, n = etas.shape[0], sys.m, sys.n
 
@@ -227,9 +264,8 @@ def _dh_apply(sys, h, w_field, T, cfg_int):
         def fld(t, u):
             y = u[..., :n]
             z = u[..., n:n + n * n].reshape(u.shape[:-1] + (n, n))
-            hy = np.asarray(hf(y), dtype=float)
+            hy, Wy = read(y)
             Dg = sys.eval_Dg(hy, y)
-            Wy = np.asarray(wf(y), dtype=float)
             gen = np.einsum("...ij,...jk->...ik", Dg[..., :, :m], Wy) + Dg[..., :, m:]
             dz = np.einsum("...ij,...jk->...ik", gen, z)
             parts = [sys.eval_g(hy, y), dz.reshape(u.shape[:-1] + (n * n,))]
@@ -335,7 +371,6 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
                                     "(needs 2 N1 < mu - K M1x and the k=2 inequality)")
     grid = h.domain
     m, n = sys.m, sys.n
-    hf, dhf = as_slow_function(h), as_slow_function(dh)
     etas = grid.node_coords()
     B = etas.shape[0]
     rate = cert.contraction_rate() - 2.0 * cert.N1 * (cert.rho + 1.0)
@@ -343,9 +378,7 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
 
     sz1, sz2, sv = n * n, n * n * n, m * n * n
 
-    def terms(y, z1, z2, W2y):
-        hy = np.asarray(hf(y), dtype=float)
-        Dhy = np.asarray(dhf(y), dtype=float)
+    def terms(y, z1, z2, hy, Dhy, W2y):
         w1 = np.einsum("...ij,...ja->...ia", Dhy, z1)
         V1 = np.concatenate([w1, z1], axis=-2)                    # (..., m+n, n)
         Dg = sys.eval_Dg(hy, y)
@@ -358,7 +391,7 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
                         z1)
         dz2 = (np.einsum("...ic,...cab->...iab", Dg[..., :, :m], w2)
                + np.einsum("...ij,...jab->...iab", Dg[..., :, m:], z2) + Sy)
-        return hy, Dhy, w1, V1, dz1, dz2
+        return V1, dz1, dz2
 
     def unpack(u, with_v):
         y = u[..., :n]
@@ -369,13 +402,11 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
             v = u[..., n + sz1 + sz2:].reshape(u.shape[:-1] + (m, n, n))
         return y, z1, z2, v
 
-    def make_field(W2, with_v):
-        w2f = as_slow_function(W2)
-
+    def make_field(read, with_v):
         def fld(t, u):
             y, z1, z2, v = unpack(u, with_v)
-            W2y = np.asarray(w2f(y), dtype=float)
-            hy, Dhy, w1, V1, dz1, dz2 = terms(y, z1, z2, W2y)
+            hy, Dhy, W2y = read(y)
+            V1, dz1, dz2 = terms(y, z1, z2, hy, Dhy, W2y)
             parts = [sys.eval_g(hy, y), dz1.reshape(u.shape[:-1] + (sz1,)),
                      dz2.reshape(u.shape[:-1] + (sz2,))]
             if with_v:
@@ -395,7 +426,8 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
     u0 = np.concatenate([etas, np.broadcast_to(np.eye(n).ravel(), (B, sz1)),
                          np.zeros((B, sz2))], axis=-1)
     for _ in range(MAX_SWEEPS):
-        uf = two_pass(make_field(W2, with_v=False), make_field(W2, with_v=True), u0,
+        read = _joint_reader(h, dh, W2)        # h, Dh and W2: one interpolation per stage
+        uf = two_pass(make_field(read, with_v=False), make_field(read, with_v=True), u0,
                       lambda u_T: np.concatenate([u_T, np.zeros((B, sv))], axis=-1),
                       T, cfg_int)
         new = GridFunction(grid, uf[..., n + sz1 + sz2:].reshape(grid.shape + (m, n, n)))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from slowfast.certify import (ConstantsCertificate, band_limited_drivers,
+from slowfast.certify import (ConstantsCertificate, assemble_certificate, band_limited_drivers,
                               delta_budget, estimate_lipschitz,
                               estimate_process_bound, frozen_coefficient_window,
                               frozen_drivers, rho_budget, slow_drift_budget,
@@ -120,6 +120,19 @@ class TestLipschitz:
         vals, prov = estimate_lipschitz(build_l1(), n_samples=1000,
                                         overrides={"N1": 0.5})
         assert vals["N1"] == 0.5 and prov["N1"] == "supplied"
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"K": 2.0}, "together"), ({"mu": 0.5}, "together"),
+        ({"N1": 0.1, "Q": 1.0}, "unknown")], ids=["lone-K", "lone-mu", "unknown-key"])
+    def test_assemble_rejects_bad_overrides(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            assemble_certificate(build_l1(), IntegratorConfig(dt=0.05), overrides=overrides)
+
+    def test_assemble_uses_the_k_mu_pair(self):
+        cert = assemble_certificate(build_l1(), IntegratorConfig(dt=0.05),
+                                    overrides={"K": 1.5, "mu": 0.75})
+        assert (cert.K, cert.mu) == (1.5, 0.75)
+        assert cert.provenance["K"] == cert.provenance["mu"] == "supplied"
 
     def test_monotone_in_budget(self):
         sys = build_q1(eps=0.1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowfast.core import (CutoffSpec, FastSlowSystem, GridDomain, GridFunction,
-                           check_derivatives, localize, vector_norm)
+                           GridStack, check_derivatives, localize, vector_norm)
 from slowfast.errors import PreconditionError
 from slowfast.integrate import IntegratorConfig, flow
 from slowfast.systems import (build_coupled, build_l1, build_nf1, build_q1,
@@ -148,6 +148,30 @@ class TestGridFunction:
             out = gf(np.array([[np.nan, 0.5], [0.5, 0.5]]))
         assert np.all(np.isnan(out[0])) and np.all(np.isfinite(out[1]))
 
+    @pytest.mark.parametrize("n, value_shape", [(1, ()), (1, (3,)), (2, (2, 2)), (3, (1,))])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_stack_block_equals_its_function_bytes(self, n, value_shape, k):
+        rng = np.random.default_rng(10 * n + k)
+        dom = GridDomain(np.full(n, -1.0), np.full(n, 1.5), [6, 4, 3][:n])
+        fns = [GridFunction(dom, rng.standard_normal(dom.shape + value_shape))
+               for _ in range(k)]
+        for lead in [(9,), (2, 5)]:
+            y = rng.uniform(-1.5, 2.0, size=(k,) + lead + (n,))  # some points outside
+            got = GridStack(fns)(y)
+            assert got.shape == (k,) + lead + value_shape
+            for j, f in enumerate(fns):
+                assert got[j].tobytes() == f(y[j]).tobytes()
+
+    def test_stack_needs_one_grid_and_one_leading_block_per_function(self):
+        dom = GridDomain([0.0], [1.0], [5])
+        a, b = GridFunction.zeros(dom, (1,)), GridFunction.zeros(GridDomain([0.0], [2.0], [5]), (1,))
+        with pytest.raises(ValueError, match="one grid"):
+            GridStack([a, b])
+        with pytest.raises(ValueError, match="one grid"):
+            GridStack([a, GridFunction.zeros(dom, (2,))])
+        with pytest.raises(ValueError, match="leading axis"):
+            GridStack([a, a])(np.zeros((3, 4, 1)))
+
     def test_clamped_extension_preserves_bounds(self):
         dom = GridDomain([0.0], [1.0], [11])
         gf = GridFunction.from_callable(dom, lambda y: y * y)
@@ -272,8 +296,9 @@ def test_n_zero_rejected():
 
 
 def test_per_point_callables_rejected():
+    # there is no per-point mode to ask for: callables must broadcast
     sys = build_q1()
-    with pytest.raises(ValueError, match="broadcast"):
+    with pytest.raises(TypeError, match="vectorized"):
         FastSlowSystem(m=1, n=1, F=sys.F, g=sys.g, A0=sys.A0, domain=sys.domain,
                        vectorized=False)
 

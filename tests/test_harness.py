@@ -165,6 +165,43 @@ class TestRunScenario:
         assert by_name["invariance"]["metrics"]["residual"] <= 1e-4
         assert by_name["spectral_gap"]["metrics"]["margin"] >= 0.5 - 1e-9
 
+    @pytest.mark.parametrize("horizon, solves", [(None, 2), (6.0, 3)])
+    def test_eps0_manifold_solved_once(self, monkeypatch, horizon, solves):
+        """norm_bound and spectral_gap share the eps = 0 manifold when they
+        solve it with the same horizon (a set horizon reaches norm_bound only)."""
+        calls = []
+        solve = harness.lp_solve
+        monkeypatch.setattr(harness, "lp_solve", lambda *a: calls.append(a) or solve(*a))
+        spec = ScenarioSpec.from_dict({
+            "system": "NF1", "m": 8, "grid": 11, "dt": 0.05, "derivative": 0,
+            "horizon": horizon, "checks": ["spectral_gap", "norm_bound"]})
+        report = run_scenario(spec)
+        assert len(calls) == solves                   # the stage's solve, then eps = 0
+        assert [c["status"] for c in report["checks"]] == ["pass", "pass"]
+
+    def test_contraction_check_one_batch_equals_serial_pairs(self, monkeypatch):
+        from slowfast.manifold import lp_map
+        spec = ScenarioSpec.from_dict({"system": "Q1", "dt": 0.1, "seed": 3})
+        state = {"example": spec.resolved()[0]}
+        harness._stage_certify(spec, state)
+        batches = []
+        batch = harness.lp_map_batch
+        monkeypatch.setattr(harness, "lp_map_batch",
+                            lambda sys, sigmas, *a: batches.append(len(sigmas))
+                            or batch(sys, sigmas, *a))
+        entry = harness._CHECKS["contraction"](spec, state)
+        assert batches == [10]
+        sys, cert, cfg, cfg_int = (state[k] for k in ("sys", "cert", "cfg_lp", "cfg_int"))
+        rng = np.random.default_rng(spec.seed + 1)
+        worst = 0.0
+        for _ in range(5):
+            s1, s2 = (harness._random_ball_sigma(sys, cfg.grid, cfg.resolved_radius(cert), rng)
+                      for _ in range(2))
+            d = float(np.max(sys.norm_x(s2.values - s1.values)))
+            images = [lp_map(sys, s, cert, cfg, cfg_int).values for s in (s1, s2)]
+            worst = max(worst, float(np.max(sys.norm_x(images[1] - images[0]))) / d)
+        assert entry["metrics"]["measured"] == worst
+
     @pytest.mark.parametrize("doc", [
         {"system": "L1", "dt": 0.02, "grid": 21, "checks": ["hypotheses", "manifold"]},
         {"system": "Q1", "dt": 0.05, "grid": 21, "derivative": 2},

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from slowfast.certify import ConstantsCertificate
+from slowfast.certify import ConstantsCertificate, assemble_certificate
 from slowfast.core import FastSlowSystem, GridDomain, GridFunction
 from slowfast.errors import ContractionError, NumericError, PreconditionError
 from slowfast.integrate import IntegratorConfig
-from slowfast.manifold import (LPConfig, _dh_apply, _dh_horizon, d2h_solve,
-                               dh_solve, eqv_residual, fd_derivative_error,
-                               invariance_residual, lp_map, lp_solve)
-from slowfast.systems import build_l1, build_q1, l1_h, q1_dh, q1_h
+from slowfast.harness import _random_ball_sigma
+from slowfast.manifold import (LPConfig, _dh_apply, _dh_horizon, _joint_reader,
+                               _lp_apply, d2h_solve, dh_solve, eqv_residual,
+                               fd_derivative_error, invariance_residual, lp_map,
+                               lp_map_batch, lp_solve)
+from slowfast.systems import build_l1, build_nf1, build_q1, l1_h, q1_dh, q1_h
 
 CFG = IntegratorConfig(dt=0.01)
 
@@ -59,6 +61,127 @@ class TestLpMap:
         cfg = LPConfig(grid=sys.domain)
         with pytest.raises(ContractionError):
             lp_map(sys, GridFunction.zeros(sys.domain, (1,)), bad, cfg, CFG)
+
+
+@pytest.fixture(scope="module")
+def nf1_small():
+    sys = build_nf1(eps=0.01, m=8, points=11)
+    return sys, assemble_certificate(sys, CFG, seed=0, x_radius=0.5)
+
+
+def _ball_sigmas(sys, cert, k, seed):
+    rng = np.random.default_rng(seed)
+    radius = LPConfig(grid=sys.domain).resolved_radius(cert)
+    return [_random_ball_sigma(sys, sys.domain, radius, rng) for _ in range(k)]
+
+
+class Counter:
+    """Counts the calls of a wrapped function."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def count_calls(monkeypatch, owner, name):
+    counter = Counter(getattr(owner, name))
+    monkeypatch.setattr(owner, name, lambda *a: counter(*a))
+    return counter
+
+
+class TestLpMapBatch:
+    @pytest.mark.parametrize("system, k", [("q1", 6), ("coupled", 4), ("nf1_small", 3),
+                                           ("q1", 1)])
+    def test_batch_equals_single_maps_bytes(self, system, k, request):
+        sys, cert = request.getfixturevalue(system)
+        cfg = LPConfig(grid=sys.domain)
+        cfg_int = IntegratorConfig(dt=0.05)
+        sigmas = _ball_sigmas(sys, cert, k, seed=k)
+        batch = lp_map_batch(sys, sigmas, cert, cfg, cfg_int)
+        assert len(batch) == k
+        for sigma, got in zip(sigmas, batch):
+            want = lp_map(sys, sigma, cert, cfg, cfg_int)
+            assert got.values.shape == want.values.shape == sigma.values.shape
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.value_norm is sigma.value_norm
+
+    def test_ball_checked_per_sigma(self, q1):
+        sys, cert = q1
+        sigmas = _ball_sigmas(sys, cert, 3, seed=0)
+        sigmas[2] = sigmas[2].with_values(sigmas[2].values * 100)
+        with pytest.raises(PreconditionError, match="outside the certified ball"):
+            lp_map_batch(sys, sigmas, cert, LPConfig(grid=sys.domain), CFG)
+        assert lp_map_batch(sys, [], cert, LPConfig(grid=sys.domain), CFG) == []
+
+    def test_interpolations_do_not_scale_with_sigmas(self, q1, monkeypatch):
+        """One interpolation per RK4 stage (plus the lift), whatever K is."""
+        sys, cert = q1
+        cfg_int = IntegratorConfig(dt=0.1)
+        T = 2.0
+        interp = count_calls(monkeypatch, GridFunction, "__call__")
+        counts = []
+        for k in (1, 2, 10):
+            interp.calls = 0
+            _lp_apply(sys, _ball_sigmas(sys, cert, k, seed=k), T, cfg_int)
+            counts.append(interp.calls)
+        steps = cfg_int.steps_for(T)
+        assert counts == [8 * steps + 1] * 3
+
+    def test_nan_in_one_sigma_named_by_block_and_row(self):
+        """A NaN at node 5 of the third candidate reaches rows 4 and 5 of its
+        block (row 4 interpolates node 5 with weight 0, and 0 * NaN is NaN);
+        the error names the first of them as (block, row)."""
+        sys = FastSlowSystem(m=1, n=1, F=lambda x, y: -x, g=lambda x, y: np.zeros_like(y),
+                             A0=lambda y: np.full(y.shape[:-1] + (1, 1), -1.0),
+                             domain=GridDomain([0.0], [1.0], [11]))
+        sigmas = [GridFunction.zeros(sys.domain, (1,)) for _ in range(4)]
+        bad = np.zeros((11, 1))
+        bad[5] = np.nan
+        sigmas[2] = sigmas[2].with_values(bad)
+        with pytest.raises(NumericError, match=r"first bad batch row \(2, 4\)"):
+            with np.errstate(invalid="ignore"):
+                _lp_apply(sys, sigmas, 1.0, CFG)
+
+
+class TestOneInterpolationPerStage:
+    """One grid interpolation per field evaluation in the derivative maps and
+    in the invariance residual: each field evaluation calls g once."""
+
+    def test_dh_apply(self, q1_solved, monkeypatch):
+        sys, cert, cfg, h, _ = q1_solved
+        interp = count_calls(monkeypatch, GridFunction, "__call__")
+        g = count_calls(monkeypatch, FastSlowSystem, "eval_g")
+        w = GridFunction.zeros(sys.domain, (1, 1))
+        _dh_apply(sys, h, w, 2.0, IntegratorConfig(dt=0.1))
+        assert g.calls == 8 * 20 and interp.calls == g.calls
+
+    def test_d2h_field(self, q1_solved, q1_dh_solved, monkeypatch):
+        sys, cert, cfg, h, _ = q1_solved
+        dh, _ = q1_dh_solved
+        interp = count_calls(monkeypatch, GridFunction, "__call__")
+        g = count_calls(monkeypatch, FastSlowSystem, "eval_g")
+        d2h_solve(sys, h, dh, cert, cfg, IntegratorConfig(dt=0.1))
+        assert g.calls > 0 and interp.calls == g.calls
+
+    def test_eqv_residual(self, q1_solved, monkeypatch):
+        sys, cert, cfg, h, _ = q1_solved
+        interp = count_calls(monkeypatch, GridFunction, "__call__")
+        g = count_calls(monkeypatch, FastSlowSystem, "eval_g")
+        eqv_residual(sys, h, cert, LPConfig(grid=sys.domain, horizon=2.0),
+                     IntegratorConfig(dt=0.1))
+        assert g.calls == 8 * 20 and interp.calls == g.calls + 1   # + the node read
+
+    def test_joint_reader_equals_each_function_bytes(self, q1_solved, q1_dh_solved):
+        sys, _, _, h, _ = q1_solved
+        dh, _ = q1_dh_solved
+        w2 = GridFunction(sys.domain, np.random.default_rng(0).standard_normal(
+            sys.domain.shape + (1, 1, 1)))
+        y = np.random.default_rng(1).uniform(-1.2, 1.2, size=(3, 7, 1))
+        for got, f in zip(_joint_reader(h, dh, w2)(y), (h, dh, w2)):
+            assert got.shape == f(y).shape and got.tobytes() == f(y).tobytes()
 
 
 class TestLpSolve:
