@@ -405,6 +405,57 @@ def check_derivatives(sys: FastSlowSystem, n_points=100, seed=0, tol=1e-5, x_rad
     return worst
 
 
+# -- graph coordinates --------------------------------------------------------
+
+@dataclass
+class _FusedSystem(FastSlowSystem):
+    """A FastSlowSystem with a fused joint field Fg(x, y) = (F, g) that shares
+    the work the two fields have in common; F and g stay the separate fields."""
+
+    Fg: Optional[Callable] = None
+
+    def eval_Fg(self, x, y):
+        return self.Fg(x, np.asarray(y, dtype=float))
+
+
+def _graph_transform(sys: FastSlowSystem, h, dh):
+    """The field of `sys` in the graph coordinate xt = x - h(y), the change of
+    variables of Fenichel theory (Jones, "Geometric singular perturbation
+    theory", LNM 1609, 1995):
+
+        Ft(xt, y) = F(xt + h(y), y) - Dh(y) g(xt + h(y), y),
+        A(y)      = D_x F(h(y), y) - Dh(y) D_x g(h(y), y),
+
+    A being the fast linearization of Ft at xt = 0, with central differences
+    in x where the base supplies no DF (Dg).
+
+    Returns (H, DH, shifted, lin): H(y) and DH(y) evaluate h and Dh;
+    shifted(xt, y, hy, dhy) gives the pair (Ft, g(xt + h(y), y)) and
+    lin(y, hy, dhy) gives A(y), both from the h(y) and Dh(y) the caller
+    passes, so a caller that needs several of them at one y evaluates h and
+    Dh once.
+    """
+    def H(y):
+        return np.asarray(h(y), dtype=float)
+
+    def DH(y):
+        return np.asarray(dh(y), dtype=float)
+
+    def shifted(xt, y, hy, dhy):
+        x = xt + hy
+        gv = sys.eval_g(x, y)
+        return sys.eval_F(x, y) - np.einsum("...ij,...j->...i", dhy, gv), gv
+
+    def lin(y, hy, dhy):
+        dxF = (sys.DxF(hy, y) if sys.DF is not None
+               else _central_diff(lambda x: sys.eval_F(x, y), hy))
+        dxg = (sys.Dxg(hy, y) if sys.Dg is not None
+               else _central_diff(lambda x: sys.eval_g(x, y), hy))
+        return dxF - np.einsum("...ij,...jk->...ik", dhy, dxg)
+
+    return H, DH, shifted, lin
+
+
 # -- cutoff localization ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -474,89 +525,44 @@ def localize(sys: FastSlowSystem, h0, radius, bump: CutoffSpec = CutoffSpec(),
     the remainder sup M0 is finite.
 
     h0 (and optionally dh0) may be a GridFunction or a smooth callable;
-    without dh0, the derivative of a callable h0 comes from central
-    differences and of a GridFunction from node differences.
+    without dh0, the derivative of h0 comes from central differences.  The
+    shift is the graph-coordinate transform that `straighten` uses, and one
+    evaluation of the localized field (F, g or both) computes h0 and Dh0 once.
     """
-    h0f = as_slow_function(h0)
-    if isinstance(h0, GridFunction):
-        nodes = h0.domain.node_coords()
-        res = sys.norm_x(sys.eval_F(h0(nodes), nodes))
-        if np.max(res) > tol:
-            raise PreconditionError(
-                f"h0 is not a critical sheet: max |F(h0(y),y)| = {np.max(res):.3e} > {tol:g}")
-        if dh0 is None:
-            dh0 = _grid_derivative(h0)
-    else:
-        nodes = sys.domain.node_coords()
-        res = sys.norm_x(sys.eval_F(_call_on(h0f, nodes), nodes))
-        if np.max(res) > tol:
-            raise PreconditionError(
-                f"h0 is not a critical sheet: max |F(h0(y),y)| = {np.max(res):.3e} > {tol:g}")
-        if dh0 is None:
-            dh0 = lambda y: _central_diff(h0f, y)
-    dh0f = as_slow_function(dh0)
+    if dh0 is None:
+        dh0 = lambda y: _central_diff(h0, y)
+    H, DH, shifted, lin = _graph_transform(sys, as_slow_function(h0), as_slow_function(dh0))
+    nodes = sys.domain.node_coords()
+    res = np.max(sys.norm_x(sys.eval_F(H(nodes), nodes)))
+    if res > tol:
+        raise PreconditionError(
+            f"h0 is not a critical sheet: max |F(h0(y),y)| = {res:.3e} > {tol:g}")
     radius = float(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
 
-    m, n = sys.m, sys.n
-
-    def H(y):
-        return _call_on(h0f, y)
-
-    def DH(y):
-        return _call_on(dh0f, y, shape=(m, n))
-
-    def shifted_F(xt, y):
-        x = xt + H(y)
-        gval = sys.eval_g(x, y)
-        return sys.eval_F(x, y) - np.einsum("...ij,...j->...i", DH(y), gval)
-
-    def A(y):
-        h = H(y)
-        dxF = (sys.DxF(h, y) if sys.DF is not None
-               else _central_diff(lambda x: sys.eval_F(x, y), h))
-        dxg = (sys.Dxg(h, y) if sys.Dg is not None
-               else _central_diff(lambda x: sys.eval_g(x, y), h))
-        return dxF - np.einsum("...ij,...jk->...ik", DH(y), dxg)
-
     def chi_of(xt):
-        return bump.chi(sys.norm_x(xt) / radius)
+        return bump.chi(sys.norm_x(xt) / radius)[..., None]
+
+    def F_cut(xt, y, hy, dhy):
+        # the localized F and the cutoff factor at xt
+        c = chi_of(xt)
+        lin_xt = np.einsum("...ij,...j->...i", lin(y, hy, dhy), xt)
+        return lin_xt + c * (shifted(xt, y, hy, dhy)[0] - lin_xt), c
 
     def F_loc(xt, y):
-        xt = np.asarray(xt, dtype=float)
-        Ay = A(y)
-        lin = np.einsum("...ij,...j->...i", Ay, xt)
-        R = shifted_F(xt, y) - lin
-        return lin + chi_of(xt)[..., None] * R
+        return F_cut(xt, y, H(y), DH(y))[0]
 
     def g_loc(xt, y):
+        return sys.eval_g(chi_of(xt) * xt + H(y), y)
+
+    def Fg_loc(xt, y):
         xt = np.asarray(xt, dtype=float)
-        return sys.eval_g(chi_of(xt)[..., None] * xt + H(y), y)
+        hy = H(y)
+        F, c = F_cut(xt, y, hy, DH(y))
+        return np.concatenate([F, sys.eval_g(c * xt + hy, y)], axis=-1)
 
-    meta = dict(sys.meta)
-    meta.update(localized_from=sys, h0=h0f, radius=radius, bump=bump)
-    return FastSlowSystem(m=m, n=n, F=F_loc, g=g_loc, A0=A, domain=sys.domain,
-                          boundary_flag=sys.boundary_flag, norm_kind=sys.norm_kind,
-                          quad_weights=sys.quad_weights, meta=meta)
-
-
-def _call_on(fn, y, shape=None):
-    out = np.asarray(fn(y), dtype=float)
-    if shape is not None:
-        y = np.asarray(y)
-        want = y.shape[:-1] + shape
-        return out.reshape(want)
-    return out
-
-
-def _grid_derivative(h0: GridFunction) -> GridFunction:
-    """Central-difference derivative field of a grid function (one-sided at edges)."""
-    dom = h0.domain
-    vals = h0.values
-    parts = []
-    for a in range(dom.n):
-        parts.append(np.gradient(vals, dom.spacing[a], axis=a))
-    # stack as (..., m, n)
-    d = np.stack(parts, axis=-1)
-    return GridFunction(dom, d)
+    return _FusedSystem(m=sys.m, n=sys.n, F=F_loc, g=g_loc, A0=lambda y: lin(y, H(y), DH(y)),
+                        domain=sys.domain, boundary_flag=sys.boundary_flag,
+                        norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
+                        meta=dict(sys.meta), Fg=Fg_loc)

@@ -74,6 +74,24 @@ class ContractionReport:
         return float(np.median(r[1:][good] / r[:-1][good]))
 
 
+def _sweep(apply, sigma, report, tol, norm=np.abs):
+    """Jacobi sweeps sigma <- apply(sigma), at most MAX_SWEEPS of them.
+
+    Each sweep appends its residual, the max over nodes of the norm of the
+    change, to `report`; the sweeps stop once it is <= tol, which marks the
+    report converged.  Returns the last iterate.
+    """
+    for _ in range(MAX_SWEEPS):
+        new = apply(sigma)
+        resid = float(np.max(norm(new.values - sigma.values)))
+        report.residuals.append(resid)
+        sigma = new
+        if resid <= tol:
+            report.converged = True
+            break
+    return sigma
+
+
 # -- the manifold map ----------------------------------------------------------
 
 def _ball_check(sigma: GridFunction, radius):
@@ -137,15 +155,8 @@ def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate, cfg: LPConfig,
     report = ContractionReport(theoretical_ratio=cert.lp_ratio())
     report.diagnostics["horizon"] = T
     report.diagnostics["ball_radius"] = radius
-    norm = sys.norm_x
-    for _ in range(MAX_SWEEPS):
-        new = _lp_apply(sys, [sigma], T, cfg_int)[0]
-        resid = float(np.max(norm(new.values - sigma.values)))
-        report.residuals.append(resid)
-        sigma = new
-        if resid <= cfg.tol_fixed_point:
-            report.converged = True
-            break
+    sigma = _sweep(lambda s: _lp_apply(sys, [s], T, cfg_int)[0], sigma, report,
+                   cfg.tol_fixed_point, sys.norm_x)
     report.diagnostics["in_ball"] = bool(_ball_check(sigma, radius))
     report.diagnostics["sup_norm"] = sigma.sup_norm()
     if not report.converged:
@@ -301,19 +312,11 @@ def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
         raise CapabilityError("dh_solve needs DF and Dg")
     if not cert.smooth_ok:
         raise ContractionError("certificate does not satisfy the smoothness budget")
-    grid = h.domain
-    w = GridFunction.zeros(grid, (sys.m, sys.n))
     T = _dh_horizon(cert, cfg.tol_bounded)
     report = ContractionReport(theoretical_ratio=cert.dh_ratio())
     report.diagnostics["horizon"] = T
-    for _ in range(MAX_SWEEPS):
-        new = _dh_apply(sys, h, w, T, cfg_int)
-        resid = float(np.max(np.abs(new.values - w.values)))
-        report.residuals.append(resid)
-        w = new
-        if resid <= cfg.tol_fixed_point:
-            report.converged = True
-            break
+    w = _sweep(lambda w: _dh_apply(sys, h, w, T, cfg_int),
+               GridFunction.zeros(h.domain, (sys.m, sys.n)), report, cfg.tol_fixed_point)
     if not report.converged:
         raise ConvergenceError("derivative iteration did not converge", report=report)
     bound = cert.K * cert.M1y / (cert.contraction_rate() - cert.N1 * (cert.rho + 1))
@@ -422,21 +425,17 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
 
     report = ContractionReport()
     report.diagnostics["horizon"] = T
-    W2 = GridFunction.zeros(grid, (m, n, n))
     u0 = np.concatenate([etas, np.broadcast_to(np.eye(n).ravel(), (B, sz1)),
                          np.zeros((B, sz2))], axis=-1)
-    for _ in range(MAX_SWEEPS):
+
+    def apply(W2):
         read = _joint_reader(h, dh, W2)        # h, Dh and W2: one interpolation per stage
         uf = two_pass(make_field(read, with_v=False), make_field(read, with_v=True), u0,
                       lambda u_T: np.concatenate([u_T, np.zeros((B, sv))], axis=-1),
                       T, cfg_int)
-        new = GridFunction(grid, uf[..., n + sz1 + sz2:].reshape(grid.shape + (m, n, n)))
-        resid = float(np.max(np.abs(new.values - W2.values)))
-        report.residuals.append(resid)
-        W2 = new
-        if resid <= cfg.tol_fixed_point:
-            report.converged = True
-            break
+        return GridFunction(grid, uf[..., n + sz1 + sz2:].reshape(grid.shape + (m, n, n)))
+
+    W2 = _sweep(apply, GridFunction.zeros(grid, (m, n, n)), report, cfg.tol_fixed_point)
     if not report.converged:
         raise ConvergenceError("second-derivative iteration did not converge",
                                report=report)

@@ -10,29 +10,18 @@ point, so each query iterates a functional on that orbit's own time grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .certify import ConstantsCertificate
-from .core import FastSlowSystem, GridFunction, as_slow_function
+from .core import FastSlowSystem, _FusedSystem, _graph_transform, as_slow_function
 from .errors import (CapabilityError, ContractionError, ConvergenceError,
                      InfeasibleBudgetError, PreconditionError,
                      UnderdeterminedError)
 from .integrate import IntegratorConfig, OrbitPath, _full_field, flow, rk4_path
 from .manifold import ContractionReport
-
-
-@dataclass
-class _StraightenedField(FastSlowSystem):
-    """A straightened FastSlowSystem whose joint field (Ft, gt) shares its work:
-    one h(y), one Dh(y) and one base g per evaluation instead of two of each."""
-
-    Fg: Optional[Callable] = None
-
-    def eval_Fg(self, x, y):
-        return self.Fg(x, np.asarray(y, dtype=float))
 
 
 @dataclass
@@ -47,11 +36,9 @@ class StraightenedSystem:
     second derivative, or an exact second-derivative field).
     """
 
-    base: FastSlowSystem
     h: object
     dh: object
-    d2h: Optional[object] = None
-    system: FastSlowSystem = None
+    system: FastSlowSystem
 
 
 def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> StraightenedSystem:
@@ -61,75 +48,55 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> Straightene
     When a report is attached it must be converged.  Derivative callables of
     the straightened field need the second derivative of h; without it the
     straightened system carries no DF and derivative-consuming operations
-    will raise.
+    will raise.  The transform is the one `core.localize` shifts by.
     """
     if report is not None and not report.converged:
         raise PreconditionError("straighten requires a converged manifold report")
     hf, dhf = as_slow_function(h), as_slow_function(dh)
-    d2hf = as_slow_function(d2h) if d2h is not None else None
-    m, n = sys.m, sys.n
-
-    def H(y):
-        return np.asarray(hf(y), dtype=float)
-
-    def DH(y):
-        return np.asarray(dhf(y), dtype=float)
+    H, DH, shifted, lin = _graph_transform(sys, hf, dhf)
+    m = sys.m
 
     def Ft(xt, y):
-        xt = np.asarray(xt, dtype=float)
-        x = xt + H(y)
-        return sys.eval_F(x, y) - np.einsum("...ij,...j->...i", DH(y), sys.eval_g(x, y))
+        return shifted(xt, y, H(y), DH(y))[0]
 
     def gt(xt, y):
-        xt = np.asarray(xt, dtype=float)
         return sys.eval_g(xt + H(y), y)
 
     def Fgt(xt, y):
-        # the arithmetic of Ft and gt, in their order, with x and g shared
-        x = np.asarray(xt, dtype=float) + H(y)
-        gv = sys.eval_g(x, y)
-        return np.concatenate([sys.eval_F(x, y) - np.einsum("...ij,...j->...i", DH(y), gv),
-                               gv], axis=-1)
-
-    def A0t(y):
-        h0 = H(y)
-        dxF = sys.DxF(h0, y)
-        dxg = sys.Dxg(h0, y)
-        return dxF - np.einsum("...ij,...jk->...ik", DH(y), dxg)
+        return np.concatenate(shifted(np.asarray(xt, dtype=float), y, H(y), DH(y)), axis=-1)
 
     DFt = Dgt = None
     if sys.has_derivatives(1):
-        def Dgt(xt, y):
-            xt = np.asarray(xt, dtype=float)
-            x = xt + H(y)
+        def slow_blocks(x, y, dhy):
+            # the slow rows of the straightened Jacobian: D_x g, D_y g + D_x g Dh
             Dg = sys.eval_Dg(x, y)
-            dxg, dyg = Dg[..., :, :m], Dg[..., :, m:]
-            dy = dyg + np.einsum("...ij,...jk->...ik", dxg, DH(y))
-            return np.concatenate([dxg, dy], axis=-1)
+            dxg = Dg[..., :, :m]
+            return dxg, Dg[..., :, m:] + np.einsum("...ij,...jk->...ik", dxg, dhy)
 
-        if d2hf is not None:
+        def Dgt(xt, y):
+            return np.concatenate(slow_blocks(xt + H(y), y, DH(y)), axis=-1)
+
+        if d2h is not None:
+            d2hf = as_slow_function(d2h)
+
             def DFt(xt, y):
-                xt = np.asarray(xt, dtype=float)
                 x = xt + H(y)
                 Dh = DH(y)
-                D2h = np.asarray(d2hf(y), dtype=float)
                 DF = sys.eval_DF(x, y)
-                Dg = sys.eval_Dg(x, y)
-                gv = sys.eval_g(x, y)
                 dxF, dyF = DF[..., :, :m], DF[..., :, m:]
-                dxg, dyg = Dg[..., :, :m], Dg[..., :, m:]
+                dxg, dyt = slow_blocks(x, y, Dh)
                 dx = dxF - np.einsum("...ij,...jk->...ik", Dh, dxg)
                 dy = (dyF + np.einsum("...ij,...jk->...ik", dxF, Dh)
-                      - np.einsum("...iab,...b->...ia", D2h, gv)
-                      - np.einsum("...ij,...jk->...ik", Dh,
-                                  dyg + np.einsum("...ij,...jk->...ik", dxg, Dh)))
+                      - np.einsum("...iab,...b->...ia", np.asarray(d2hf(y), dtype=float),
+                                  sys.eval_g(x, y))
+                      - np.einsum("...ij,...jk->...ik", Dh, dyt))
                 return np.concatenate([dx, dy], axis=-1)
 
-    inner = _StraightenedField(m=m, n=n, F=Ft, g=gt, A0=A0t, domain=sys.domain,
-                               DF=DFt, Dg=Dgt, boundary_flag=sys.boundary_flag,
-                               norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
-                               meta={**sys.meta, "straightened": True}, Fg=Fgt)
-    return StraightenedSystem(base=sys, h=hf, dh=dhf, d2h=d2hf, system=inner)
+    inner = _FusedSystem(m=m, n=sys.n, F=Ft, g=gt, A0=lambda y: lin(y, H(y), DH(y)),
+                         domain=sys.domain, DF=DFt, Dg=Dgt, boundary_flag=sys.boundary_flag,
+                         norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
+                         meta=dict(sys.meta), Fg=Fgt)
+    return StraightenedSystem(h=hf, dh=dhf, system=inner)
 
 
 @dataclass

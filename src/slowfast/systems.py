@@ -278,7 +278,7 @@ def build_vdp_cut(eps=0.005, domain=(-2.0, 0.0), points=81, radius=0.1):
     """The outer-branch system shifted to the origin and cut off at `radius`."""
     raw = build_vdp_raw(eps, domain, points)
     loc = localize(raw, _vdp_h0, radius, CutoffSpec(), dh0=_vdp_dh0, tol=1e-10)
-    loc.meta.update(name="VDP-cut", eps=float(eps), h0=_vdp_h0, dh0=_vdp_dh0)
+    loc.meta.update(name="VDP-cut", eps=float(eps))
     return loc
 
 

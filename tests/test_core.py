@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slowfast import systems
 from slowfast.core import (CutoffSpec, FastSlowSystem, GridDomain, GridFunction,
                            GridStack, check_derivatives, localize, vector_norm)
 from slowfast.errors import PreconditionError
@@ -228,6 +229,66 @@ class TestCutoff:
         assert np.max(np.abs(fd - spec.dchi(r))) < 1e-5
 
 
+def _reference_localize(sys, h0, radius, bump, dh0):
+    """localize as it was written before the shared graph-coordinate transform:
+    separate closures that each evaluate h0 and Dh0.  The localized system must
+    match it byte for byte."""
+    m, n = sys.m, sys.n
+
+    def H(y):
+        return np.asarray(h0(y), dtype=float)
+
+    def DH(y):
+        y = np.asarray(y)
+        return np.asarray(dh0(y), dtype=float).reshape(y.shape[:-1] + (m, n))
+
+    def _cd(fn, u, h=1e-6):
+        cols = []
+        for i in range(u.shape[-1]):
+            du = np.zeros_like(u)
+            du[..., i] = h
+            cols.append((np.asarray(fn(u + du)) - np.asarray(fn(u - du))) / (2 * h))
+        return np.stack(cols, axis=-1)
+
+    def shifted_F(xt, y):
+        x = xt + H(y)
+        gval = sys.eval_g(x, y)
+        return sys.eval_F(x, y) - np.einsum("...ij,...j->...i", DH(y), gval)
+
+    def A(y):
+        h = H(y)
+        dxF = (sys.DxF(h, y) if sys.DF is not None
+               else _cd(lambda x: sys.eval_F(x, y), h))
+        dxg = (sys.Dxg(h, y) if sys.Dg is not None
+               else _cd(lambda x: sys.eval_g(x, y), h))
+        return dxF - np.einsum("...ij,...jk->...ik", DH(y), dxg)
+
+    def chi_of(xt):
+        return bump.chi(sys.norm_x(xt) / radius)
+
+    def F_loc(xt, y):
+        xt = np.asarray(xt, dtype=float)
+        lin = np.einsum("...ij,...j->...i", A(y), xt)
+        R = shifted_F(xt, y) - lin
+        return lin + chi_of(xt)[..., None] * R
+
+    def g_loc(xt, y):
+        xt = np.asarray(xt, dtype=float)
+        return sys.eval_g(chi_of(xt)[..., None] * xt + H(y), y)
+
+    return FastSlowSystem(m=m, n=n, F=F_loc, g=g_loc, A0=A, domain=sys.domain,
+                          boundary_flag=sys.boundary_flag, norm_kind=sys.norm_kind,
+                          quad_weights=sys.quad_weights)
+
+
+def _zero_h(y):
+    return np.zeros(np.asarray(y).shape[:-1] + (1,))
+
+
+def _zero_dh(y):
+    return np.zeros(np.asarray(y).shape[:-1] + (1, 1))
+
+
 class TestLocalize:
     def test_critical_point_preserved_when_g_zero(self):
         raw = build_vdp_raw(eps=0.0)
@@ -281,6 +342,53 @@ class TestLocalize:
         p1 = flow(loc1, [0.03], [-1.0], (0.0, 4.0), cfg, check_domain=False)
         p2 = flow(loc2, [0.03], [-1.0], (0.0, 4.0), cfg, check_domain=False)
         assert np.max(np.abs(p1.fast - p2.fast)) < 1e-9
+
+    @pytest.mark.parametrize("no_df_base", [False, True], ids=["raw_base", "localized_base"])
+    @pytest.mark.parametrize("lead", [(), (9,)], ids=["point", "batch"])
+    def test_fields_match_reference_bytes(self, no_df_base, lead):
+        # |xt| inside the inner radius (0.05), between the radii and beyond 0.1
+        raw = build_vdp_raw(eps=0.005)
+        args = (0.1, CutoffSpec())
+        base = localize(raw, _vdp_h0, *args, dh0=_vdp_dh0, tol=1e-10)
+        ref = _reference_localize(raw, _vdp_h0, *args, _vdp_dh0)
+        if no_df_base:
+            # the localized base has no DF/Dg: A falls back to central differences
+            base, ref = (localize(base, _zero_h, 0.08, CutoffSpec(), dh0=_zero_dh, tol=0.1),
+                         _reference_localize(ref, _zero_h, 0.08, CutoffSpec(), _zero_dh))
+        rng = np.random.default_rng(3)
+        y = rng.uniform(-2.0, 0.0, lead + (1,))
+        for r in (0.02, 0.07, 0.3):
+            xt = r * rng.choice([-1.0, 1.0], lead + (1,))
+            pairs = [(base.eval_F(xt, y), ref.eval_F(xt, y)),
+                     (base.eval_g(xt, y), ref.eval_g(xt, y)),
+                     (base.eval_Fg(xt, y), ref.eval_Fg(xt, y)),
+                     (base.eval_A0(y), ref.eval_A0(y))]
+            for got, want in pairs:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_newton_solves_per_evaluation(self, monkeypatch):
+        # h0 and Dh0 of VDP-cut each run one vdp_branch Newton solve
+        calls = []
+        branch = systems.vdp_branch
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return branch(*args, **kwargs)
+
+        monkeypatch.setattr(systems, "vdp_branch", counted)
+        loc = build_vdp_cut()
+        xt, y = np.full((5, 1), 0.03), np.linspace(-1.8, -0.2, 5)[:, None]
+        counts = {}
+        for name, call in (("eval_Fg", lambda: loc.eval_Fg(xt, y)),
+                           ("eval_F", lambda: loc.eval_F(xt, y)),
+                           ("eval_g", lambda: loc.eval_g(xt, y)),
+                           ("eval_A0", lambda: loc.eval_A0(y))):
+            calls.clear()
+            call()
+            counts[name] = len(calls)
+        assert counts["eval_Fg"] <= 2 and counts["eval_F"] <= 2
+        assert counts["eval_g"] == 1 and counts["eval_A0"] == 2
 
     def test_bad_sheet_rejected(self):
         raw = build_vdp_raw(eps=0.005)

@@ -16,7 +16,7 @@ from slowfast.manifold import ContractionReport
 from slowfast.reduction import (attraction_rate_fit, decompose_orbit, dp_point,
                                 e_norm_sweep, q_along_orbit,
                                 semiconjugacy_residual, straighten)
-from slowfast.systems import build_q1, l1_h, l2_P, q1_dh, q1_h
+from slowfast.systems import build_coupled, build_q1, l1_h, l2_P, q1_dh, q1_h
 
 CFG = IntegratorConfig(dt=0.01)
 CFG5 = IntegratorConfig(dt=0.005)
@@ -68,6 +68,38 @@ def tc2_straight(eps=0.1):
     cert = ConstantsCertificate(K=1.0, mu=1.0, M0=1.0, M1x=0.0, M1y=0.0,
                                 N0=2 * eps, N1=1.1 * eps, delta=1e-12, rho=0.1)
     return ssys, straightened_constants(cert, 0.0)
+
+
+def _reference_jacobians(sys, h, dh, d2h):
+    """The straightened DF and Dg as written before the shared transform, each
+    evaluating h, Dh and the base Jacobians on its own; straighten must match
+    them byte for byte."""
+    m = sys.m
+
+    def Dgt(xt, y):
+        x = xt + np.asarray(h(y), dtype=float)
+        Dg = sys.eval_Dg(x, y)
+        dxg, dyg = Dg[..., :, :m], Dg[..., :, m:]
+        dy = dyg + np.einsum("...ij,...jk->...ik", dxg, np.asarray(dh(y), dtype=float))
+        return np.concatenate([dxg, dy], axis=-1)
+
+    def DFt(xt, y):
+        x = xt + np.asarray(h(y), dtype=float)
+        Dh = np.asarray(dh(y), dtype=float)
+        D2h = np.asarray(d2h(y), dtype=float)
+        DF = sys.eval_DF(x, y)
+        Dg = sys.eval_Dg(x, y)
+        gv = sys.eval_g(x, y)
+        dxF, dyF = DF[..., :, :m], DF[..., :, m:]
+        dxg, dyg = Dg[..., :, :m], Dg[..., :, m:]
+        dx = dxF - np.einsum("...ij,...jk->...ik", Dh, dxg)
+        dy = (dyF + np.einsum("...ij,...jk->...ik", dxF, Dh)
+              - np.einsum("...iab,...b->...ia", D2h, gv)
+              - np.einsum("...ij,...jk->...ik", Dh,
+                          dyg + np.einsum("...ij,...jk->...ik", dxg, Dh)))
+        return np.concatenate([dx, dy], axis=-1)
+
+    return DFt, Dgt
 
 
 class TestStraighten:
@@ -123,6 +155,30 @@ class TestStraighten:
         split = np.concatenate([st.eval_F(xt, y), st.eval_g(xt, y)], axis=-1)
         assert fused.shape == split.shape == lead + (sys.m + sys.n,)
         assert fused.tobytes() == split.tobytes()
+
+    @pytest.mark.parametrize("name", ["Q1", "coupled"])
+    @pytest.mark.parametrize("lead", [(), (7,)], ids=["point", "batch"])
+    def test_jacobians_match_reference_bytes(self, name, lead):
+        if name == "Q1":
+            sys = build_q1(0.1)
+            h = lambda y: q1_h(y[..., 0], 0.1)[..., None]
+            dh = lambda y: q1_dh(y[..., 0], 0.1)[..., None, None]
+            d2h = lambda y: np.full(y.shape[:-1] + (1, 1, 1), 2.0)
+        else:                             # nonzero D_x g, so every chain-rule term counts
+            sys = build_coupled()
+            h = lambda y: 0.3 * np.sin(y)
+            dh = lambda y: 0.3 * np.cos(y)[..., None]
+            d2h = lambda y: -0.3 * np.sin(y)[..., None, None]
+        st = straighten(sys, h, dh, d2h=d2h).system
+        DFt, Dgt = _reference_jacobians(sys, h, dh, d2h)
+        rng = np.random.default_rng(11)
+        xt = rng.uniform(-0.5, 0.5, lead + (sys.m,))
+        y = rng.uniform(-0.9, 0.9, lead + (sys.n,))
+        d = sys.m + sys.n
+        for got, want, rows in ((st.eval_DF(xt, y), DFt(xt, y), sys.m),
+                                (st.eval_Dg(xt, y), Dgt(xt, y), sys.n)):
+            assert got.shape == want.shape == lead + (rows, d)
+            assert got.tobytes() == want.tobytes()
 
     def test_fused_field_calls_h_and_g_once(self):
         calls = Counter()
