@@ -18,12 +18,12 @@ from .errors import (CapabilityError, ContractionError, ConvergenceError,
                      NoDecayError, NumericError, PreconditionError, SchemaError,
                      SlowfastError, UnderdeterminedError)
 from .harness import ScenarioSpec, run_scenario
-from .integrate import (IntegratorConfig, OrbitPath, ProcessHandle,
-                        bounded_solution, flow, process_A0, process_apply,
-                        process_Z, variational_flow)
-from .manifold import (ContractionReport, LPConfig, d2h_solve, dh_solve,
-                       eqv_residual, fd_derivative_error, invariance_residual,
-                       lp_map, lp_map_batch, lp_solve)
+from .integrate import (ContractionReport, IntegratorConfig, OrbitPath,
+                        ProcessHandle, bounded_solution, flow, process_A0,
+                        process_apply, process_Z, variational_flow)
+from .manifold import (LPConfig, d2h_solve, dh_solve, eqv_residual,
+                       fd_derivative_error, invariance_residual, lp_map,
+                       lp_map_batch, lp_solve)
 from .reduction import (ReductionResult, StraightenedSystem, attraction_rate_fit,
                         decompose_orbit, dp_point, fit_exponential, q_along_orbit,
                         semiconjugacy_residual, straighten)

@@ -205,7 +205,7 @@ def estimate_process_bound(sys: FastSlowSystem, drivers, t_max,
         U = np.broadcast_to(np.eye(m), (B, m, m)).copy()
 
         def norms(U):
-            return np.asarray([_op_norm(sys, U[b]) for b in range(B)])
+            return _op_norm(sys, U)
     else:
         rng = np.random.default_rng(seed)
         U = rng.normal(size=(B, 10, m))
@@ -248,13 +248,13 @@ def frozen_drivers(points):
 
 
 def _op_norm(sys, M):
-    """Operator norm induced by the fast-space norm."""
+    """Operator norms induced by the fast-space norm, of a stack M (..., m, m)."""
     if sys.norm_kind == "sup":
-        return float(np.max(np.sum(np.abs(M), axis=1)))
-    if sys.norm_kind == "euclidean":
-        return float(np.linalg.norm(M, 2))
-    w = np.sqrt(np.asarray(sys.quad_weights, dtype=float))
-    return float(np.linalg.norm((M * w[None, :]) / w[:, None], 2))
+        return np.max(np.sum(np.abs(M), axis=-1), axis=-1)
+    if sys.norm_kind == "weighted-quadrature":
+        w = np.sqrt(np.asarray(sys.quad_weights, dtype=float))
+        M = (M * w) / w[:, None]
+    return np.linalg.norm(M, 2, axis=(-2, -1))
 
 
 # -- (H2)/(H3): Lipschitz and sup constants -----------------------------------

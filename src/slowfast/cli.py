@@ -22,11 +22,11 @@ import tempfile
 import numpy as np
 
 from . import errors
-from .certify import assemble_certificate, spectral_gap_check, straightened_constants
+from .certify import spectral_gap_check, straightened_constants
 from .errors import (ContractionError, ConvergenceError,
                      InfeasibleBudgetError, NoDecayError, SchemaError,
                      SlowfastError)
-from .harness import ScenarioSpec, build_scenario_system, run_scenario, scenario_configs
+from .harness import ScenarioSpec, _stage_certify, run_scenario
 from .manifold import d2h_solve, dh_solve, lp_solve
 from .integrate import flow
 from .reduction import (decompose_orbit, q_along_orbit, semiconjugacy_residual,
@@ -116,20 +116,9 @@ def _spec_from_args(args):
             data["system"] = args.system
     if getattr(args, "eps", None) is not None:
         data["eps"] = args.eps[0] if len(args.eps) == 1 else list(args.eps)
-    if getattr(args, "grid", None) is not None:
-        data["grid"] = args.grid
-    if getattr(args, "m", None) is not None:
-        data["m"] = args.m
-    if getattr(args, "dt", None) is not None:
-        data["dt"] = args.dt
-    if getattr(args, "horizon", None) is not None:
-        data["horizon"] = args.horizon
-    if getattr(args, "derivative", None) is not None:
-        data["derivative"] = args.derivative
-    if getattr(args, "seed", None) is not None:
-        data["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        data["out"] = args.out
+    for key in ("grid", "m", "dt", "horizon", "derivative", "seed", "out"):
+        if getattr(args, key, None) is not None:
+            data[key] = getattr(args, key)
     ov = _parse_overrides(getattr(args, "override", None))
     if ov:
         data["overrides"] = ov
@@ -139,14 +128,10 @@ def _spec_from_args(args):
 
 
 def _prepare(spec):
-    sysm = build_scenario_system(spec)
-    cfg_int, _ = scenario_configs(spec, sysm)
-    ex = EXAMPLES[spec.system]
-    cert = assemble_certificate(sysm, cfg_int, seed=spec.seed,
-                                x_radius=ex.sampling_radius,
-                                overrides=spec.overrides or {})
-    cfg_int, cfg_lp = scenario_configs(spec, sysm, cert)
-    return sysm, cert, cfg_int, cfg_lp
+    """The system, certificate and configs of the scenario's certify stage."""
+    state = {"example": EXAMPLES[spec.system]}
+    _stage_certify(spec, state)
+    return state["sys"], state["cert"], state["cfg_int"], state["cfg_lp"]
 
 
 def _print_hypothesis_table(cert, stream=None):

@@ -22,12 +22,11 @@ from .manifold import (LPConfig, dh_solve, eqv_residual, fd_derivative_error,
                        invariance_residual, lp_map_batch, lp_solve, d2h_solve)
 from .reduction import fit_exponential  # noqa: F401  (re-exported)
 from .reduction import q_along_orbit, semiconjugacy_residual, straighten
-from .systems import EXAMPLES, build_nf1, get_example, nf1_profile_interp
+from .systems import EXAMPLES, get_example
 
 KNOWN_CHECKS = ("hypotheses", "manifold", "analytic_h", "eqv_residual",
                 "invariance", "derivative_fd", "contraction", "norm_bound",
-                "spectral_gap", "reduction", "grid_convergence",
-                "epsilon_continuity")
+                "spectral_gap", "reduction")
 
 _DEFAULT_CHECKS = {
     "L1": ["hypotheses", "manifold", "analytic_h", "eqv_residual",
@@ -133,8 +132,7 @@ class ScenarioSpec:
     def resolved(self):
         """Fill defaults from the example registry; returns (example, kwargs).
 
-        A list-valued eps runs the pipeline at its first entry; sweeps (e.g.
-        the epsilon-continuity check) consume the full list.
+        A list-valued eps runs the pipeline at its first entry.
         """
         ex = get_example(self.system)
         kw = {"eps": self.eps_list()[0]}
@@ -475,62 +473,6 @@ def _chk_reduction(spec, state):
                   semiconjugacy=semi)
 
 
-def _chk_grid_convergence(spec, state):
-    """Self-convergence of the NF1 manifold under joint (m, slow-grid) doubling."""
-    if spec.system != "NF1":
-        return _check("grid_convergence", False, reason="NF1 only")
-    order, errs = nf1_convergence_order(spec, state)
-    return _check("grid_convergence", order >= 1.8, order=order, errors=errs)
-
-
-def nf1_convergence_order(spec, state, levels=3):
-    ex, kw = spec.resolved()
-    eps = kw["eps"]
-    m0 = kw.get("m", 64)
-    g0 = kw.get("points", 41)
-    cfg_int = state.get("cfg_int") or IntegratorConfig()
-    cert = state["cert"]
-    probes_y = np.linspace(0.55, 1.45, 7)[:, None]
-    probes_xi = np.linspace(0.03, 0.97, 17)
-    fields = []
-    for lv in range(levels):
-        m = m0 * 2 ** lv
-        pts = (g0 - 1) * 2 ** lv + 1
-        sys = build_nf1(eps=eps, m=m, points=pts)
-        cfg_lp = LPConfig(grid=sys.domain)
-        h, _ = lp_solve(sys, cert, cfg_lp, cfg_int)
-        prof = nf1_profile_interp(h(probes_y), sys.meta["nodes"], probes_xi)
-        fields.append(prof)
-    e1 = float(np.max(np.abs(fields[0] - fields[1])))
-    e2 = float(np.max(np.abs(fields[1] - fields[2])))
-    order = math.log2(e1 / e2) if e2 > 0 else float("inf")
-    return order, [e1, e2]
-
-
-def _chk_eps_continuity(spec, state):
-    """gap(eps) = sup|h_eps - h_0| should halve (within a window) with eps.
-
-    Uses the scenario's eps list when it has several entries, otherwise the
-    canonical halving sweep eps, eps/2, eps/4.
-    """
-    ex, kw = spec.resolved()
-    base_kw = {k: v for k, v in kw.items() if k != "eps"}
-    cert, cfg_int = state["cert"], state["cfg_int"]
-    sweep = spec.eps_list()
-    if len(sweep) < 3:
-        sweep = [kw["eps"], kw["eps"] / 2, kw["eps"] / 4]
-    sups = []
-    sys0 = ex.build(eps=0.0, **base_kw)
-    h0, _ = lp_solve(sys0, cert, LPConfig(grid=sys0.domain), cfg_int)
-    for e in sweep:
-        sys_e = ex.build(eps=e, **base_kw)
-        he, _ = lp_solve(sys_e, cert, LPConfig(grid=sys_e.domain), cfg_int)
-        sups.append(float(np.max(sys_e.norm_x(he.values - h0.values))))
-    ratios = [sups[i + 1] / sups[i] for i in range(len(sups) - 1)]
-    ok = all(0.35 <= r <= 0.65 for r in ratios)
-    return _check("epsilon_continuity", ok, gaps=sups, ratios=ratios)
-
-
 _CHECKS = {
     "hypotheses": _chk_hypotheses,
     "manifold": _chk_manifold,
@@ -542,6 +484,4 @@ _CHECKS = {
     "norm_bound": _chk_norm_bound,
     "spectral_gap": _chk_spectral_gap,
     "reduction": _chk_reduction,
-    "grid_convergence": _chk_grid_convergence,
-    "epsilon_continuity": _chk_eps_continuity,
 }

@@ -1,6 +1,7 @@
 """Fixed-step RK4 time integration: full flows, linear processes
-(two-parameter semigroups), variational flows, and the bounded solution that
-underlies the slow-manifold fixed point.
+(two-parameter semigroups), variational flows, the bounded solution that
+underlies the slow-manifold fixed point, and the sweep loop that every
+fixed-point iteration runs.
 
 Only the classic 4th-order Runge-Kutta scheme is provided; reproducibility
 of certified numbers matters more than adaptivity here.
@@ -20,6 +21,7 @@ from .errors import (CapabilityError, ContractionError, ConvergenceError,
 
 
 MAX_STEPS = 5_000_000       # steps of one pass; a longer pass is a ValueError
+MAX_SWEEPS = 60             # sweeps of each fixed-point iteration before ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -296,6 +298,50 @@ def variational_flow(sys: FastSlowSystem, base: OrbitPath, order, cfg: Integrato
     return VariationalFlow(times=times, states=states, first=first, second=second)
 
 
+# -- fixed-point sweeps -------------------------------------------------------
+
+@dataclass
+class ContractionReport:
+    """Per-sweep residuals of a fixed-point iteration and the contraction verdict."""
+
+    residuals: list = field(default_factory=list)
+    theoretical_ratio: float = float("nan")
+    converged: bool = False
+    diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def iterations(self):
+        return len(self.residuals)
+
+    @property
+    def measured_ratio(self):
+        r = np.asarray(self.residuals, dtype=float)
+        good = r[:-1] > 0
+        if np.sum(good) == 0:
+            return 0.0
+        return float(np.median(r[1:][good] / r[:-1][good]))
+
+
+def _sweep(what, apply, u, report, tol, norm=np.abs):
+    """The one loop behind every fixed-point iteration: u <- apply(u) on
+    node-value arrays, at most MAX_SWEEPS times.
+
+    Each sweep appends its residual, the max of the norm of the change, to
+    `report`; the sweeps stop once it is <= tol, which marks the report
+    converged, and the last iterate is returned.  Otherwise raises
+    ConvergenceError carrying the report; `what` names the iteration.
+    """
+    for _ in range(MAX_SWEEPS):
+        new = apply(u)
+        report.residuals.append(float(np.max(norm(new - u))))
+        u = new
+        if report.residuals[-1] <= tol:
+            report.converged = True
+            return u
+    raise ConvergenceError(f"{what} iteration did not reach {tol:g} in {MAX_SWEEPS} sweeps "
+                           f"(last residual {report.residuals[-1]:.3e})", report=report)
+
+
 # -- bounded solution ---------------------------------------------------------
 
 def truncation_horizon(cert, tol):
@@ -360,7 +406,7 @@ def _graph_fields(sys, sig):
     return slow_field, joint, lift
 
 
-def _picard_bounded(sys, sig, eta, T, cfg, tol, max_sweeps=200):
+def _picard_bounded(sys, sig, eta, T, cfg, tol):
     """The bounded solution of `bounded_solution` on the same slow path and time
     grid, by Picard iteration of the variation-of-constants map (each sweep one
     inhomogeneous linear solve) from phi = 0."""
@@ -371,22 +417,20 @@ def _picard_bounded(sys, sig, eta, T, cfg, tol, max_sweeps=200):
     _, y_T = rk4_final(slow_field, np.atleast_1d(np.asarray(eta, dtype=float)), 0.0, -T, n_b)
     times, ys = rk4_path(slow_field, y_T, -T, 0.0, n_b)
     y_spline = CubicSpline(times, ys, axis=0)
-    phi = np.zeros((len(times), sys.m))
-    for sweep in range(max_sweeps):
+
+    def apply(phi):
         spline = CubicSpline(times, phi, axis=0)
 
         def lin(t, v):
             y = y_spline(t)
             return sys.eval_A0(y) @ v + sys.R0(spline(t), y)
 
-        _, out = rk4_path(lin, np.zeros(sys.m), -T, 0.0, n_b)
-        change = float(np.max(np.abs(out - phi)))
-        phi = out
-        if change <= tol:
-            return OrbitPath(times, phi, ys, meta={"dt": cfg.dt, "horizon": T,
-                                                   "sweeps": sweep + 1})
-    raise ConvergenceError(f"Picard iteration did not reach {tol:g} in {max_sweeps} "
-                           f"sweeps (last change {change:.3e})")
+        return rk4_path(lin, np.zeros(sys.m), -T, 0.0, n_b)[1]
+
+    report = ContractionReport()
+    phi = _sweep("Picard", apply, np.zeros((len(times), sys.m)), report, tol)
+    return OrbitPath(times, phi, ys, meta={"dt": cfg.dt, "horizon": T,
+                                           "sweeps": report.iterations})
 
 
 def two_pass(back_field, fwd_field, u0, lift, T, cfg: IntegratorConfig):

@@ -12,19 +12,18 @@ Jacobi sweeps: every node reads the previous iterate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .certify import ConstantsCertificate
 from .core import FastSlowSystem, GridDomain, GridFunction, GridStack, as_slow_function
-from .errors import (CapabilityError, ContractionError, ConvergenceError,
-                     InfeasibleBudgetError, PreconditionError)
-from .integrate import (IntegratorConfig, OrbitPath, _graph_fields,
-                        bounded_solution_batch, flow, truncation_horizon, two_pass)
-
-MAX_SWEEPS = 60        # sweeps of each fixed-point solve before ConvergenceError
+from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
+                     PreconditionError)
+from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _graph_fields,
+                        _sweep, bounded_solution_batch, flow, truncation_horizon,
+                        two_pass)
 
 
 @dataclass
@@ -50,46 +49,6 @@ class LPConfig:
         if self.ball_radius is not None:
             return float(self.ball_radius)
         return cert.ball_radius
-
-
-@dataclass
-class ContractionReport:
-    """Per-sweep residuals of a fixed-point iteration and the contraction verdict."""
-
-    residuals: list = field(default_factory=list)
-    theoretical_ratio: float = float("nan")
-    converged: bool = False
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def iterations(self):
-        return len(self.residuals)
-
-    @property
-    def measured_ratio(self):
-        r = np.asarray(self.residuals, dtype=float)
-        good = r[:-1] > 0
-        if np.sum(good) == 0:
-            return 0.0
-        return float(np.median(r[1:][good] / r[:-1][good]))
-
-
-def _sweep(apply, sigma, report, tol, norm=np.abs):
-    """Jacobi sweeps sigma <- apply(sigma), at most MAX_SWEEPS of them.
-
-    Each sweep appends its residual, the max over nodes of the norm of the
-    change, to `report`; the sweeps stop once it is <= tol, which marks the
-    report converged.  Returns the last iterate.
-    """
-    for _ in range(MAX_SWEEPS):
-        new = apply(sigma)
-        resid = float(np.max(norm(new.values - sigma.values)))
-        report.residuals.append(resid)
-        sigma = new
-        if resid <= tol:
-            report.converged = True
-            break
-    return sigma
 
 
 # -- the manifold map ----------------------------------------------------------
@@ -147,24 +106,20 @@ def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate, cfg: LPConfig,
     if not cert.existence_ok:
         raise ContractionError("certificate does not satisfy the existence budget")
     value_norm = None if sys.norm_kind == "euclidean" else sys.norm_x
-    sigma = GridFunction.zeros(cfg.grid, (sys.m,), value_norm=value_norm)
+    zero = GridFunction.zeros(cfg.grid, (sys.m,), value_norm=value_norm)
     radius = cfg.resolved_radius(cert)
-    if not _ball_check(sigma, radius):
+    if not _ball_check(zero, radius):
         raise PreconditionError("initial iterate lies outside the certified ball")
     T = cfg.resolved_horizon(cert)
     report = ContractionReport(theoretical_ratio=cert.lp_ratio())
     report.diagnostics["horizon"] = T
     report.diagnostics["ball_radius"] = radius
-    sigma = _sweep(lambda s: _lp_apply(sys, [s], T, cfg_int)[0], sigma, report,
-                   cfg.tol_fixed_point, sys.norm_x)
-    report.diagnostics["in_ball"] = bool(_ball_check(sigma, radius))
-    report.diagnostics["sup_norm"] = sigma.sup_norm()
-    if not report.converged:
-        raise ConvergenceError(
-            f"manifold iteration did not reach {cfg.tol_fixed_point:g} "
-            f"in {MAX_SWEEPS} sweeps (last residual {report.residuals[-1]:.3e})",
-            report=report)
-    return sigma, report
+    h = zero.with_values(_sweep(
+        "manifold", lambda v: _lp_apply(sys, [zero.with_values(v)], T, cfg_int)[0].values,
+        zero.values, report, cfg.tol_fixed_point, sys.norm_x))
+    report.diagnostics["in_ball"] = bool(_ball_check(h, radius))
+    report.diagnostics["sup_norm"] = h.sup_norm()
+    return h, report
 
 
 # -- residual diagnostics --------------------------------------------------------
@@ -190,9 +145,10 @@ def eqv_residual(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificat
         y, v = u[..., :n], u[..., n:]
         hy = np.asarray(hf(y), dtype=float)          # once: the slow drift reads it too
         A = sys.eval_A0(y)
-        r0 = sys.eval_F(hy, y) - np.einsum("...ij,...j->...i", A, hy)
+        Fg = sys.eval_Fg(hy, y)
+        r0 = Fg[..., :m] - np.einsum("...ij,...j->...i", A, hy)
         dv = np.einsum("...ij,...j->...i", A, v) + r0
-        return np.concatenate([sys.eval_g(hy, y), dv], axis=-1)
+        return np.concatenate([Fg[..., m:], dv], axis=-1)
 
     uf = two_pass(slow_field, joint, etas,
                   lambda y_T: np.concatenate([y_T, np.zeros((etas.shape[0], m))], axis=-1),
@@ -315,10 +271,9 @@ def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
     T = _dh_horizon(cert, cfg.tol_bounded)
     report = ContractionReport(theoretical_ratio=cert.dh_ratio())
     report.diagnostics["horizon"] = T
-    w = _sweep(lambda w: _dh_apply(sys, h, w, T, cfg_int),
-               GridFunction.zeros(h.domain, (sys.m, sys.n)), report, cfg.tol_fixed_point)
-    if not report.converged:
-        raise ConvergenceError("derivative iteration did not converge", report=report)
+    w = GridFunction(h.domain, _sweep(
+        "derivative", lambda v: _dh_apply(sys, h, GridFunction(h.domain, v), T, cfg_int).values,
+        np.zeros(h.domain.shape + (sys.m, sys.n)), report, cfg.tol_fixed_point))
     bound = cert.K * cert.M1y / (cert.contraction_rate() - cert.N1 * (cert.rho + 1))
     report.diagnostics["sup_bound"] = bound
     report.diagnostics["sup_norm"] = w.sup_norm()
@@ -429,14 +384,13 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
                          np.zeros((B, sz2))], axis=-1)
 
     def apply(W2):
-        read = _joint_reader(h, dh, W2)        # h, Dh and W2: one interpolation per stage
+        # h, Dh and W2: one interpolation per stage
+        read = _joint_reader(h, dh, GridFunction(grid, W2))
         uf = two_pass(make_field(read, with_v=False), make_field(read, with_v=True), u0,
                       lambda u_T: np.concatenate([u_T, np.zeros((B, sv))], axis=-1),
                       T, cfg_int)
-        return GridFunction(grid, uf[..., n + sz1 + sz2:].reshape(grid.shape + (m, n, n)))
+        return uf[..., n + sz1 + sz2:].reshape(grid.shape + (m, n, n))
 
-    W2 = _sweep(apply, GridFunction.zeros(grid, (m, n, n)), report, cfg.tol_fixed_point)
-    if not report.converged:
-        raise ConvergenceError("second-derivative iteration did not converge",
-                               report=report)
-    return W2, report
+    W2 = _sweep("second-derivative", apply, np.zeros(grid.shape + (m, n, n)), report,
+                cfg.tol_fixed_point)
+    return GridFunction(grid, W2), report

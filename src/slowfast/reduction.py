@@ -17,11 +17,10 @@ import numpy as np
 
 from .certify import ConstantsCertificate
 from .core import FastSlowSystem, _FusedSystem, _graph_transform, as_slow_function
-from .errors import (CapabilityError, ContractionError, ConvergenceError,
-                     InfeasibleBudgetError, PreconditionError,
-                     UnderdeterminedError)
-from .integrate import IntegratorConfig, OrbitPath, _full_field, flow, rk4_path
-from .manifold import ContractionReport
+from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
+                     PreconditionError, UnderdeterminedError)
+from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _full_field,
+                        _sweep, flow, rk4_path)
 
 
 @dataclass
@@ -148,7 +147,7 @@ def _reduction_rate(cert):
     return mu_p
 
 
-def _defect_sweep(sys_t, times, xts, ys, report, tol_q, max_sweeps):
+def _defect_sweep(sys_t, times, xts, ys, report, tol_q):
     """Iterate the defect functional to its fixed point q on sampled orbits.
 
     xts, ys have shape (S, ..., m) and (S, ..., n) over the S sample times;
@@ -158,24 +157,20 @@ def _defect_sweep(sys_t, times, xts, ys, report, tol_q, max_sweeps):
     dts = np.diff(times).reshape((-1,) + (1,) * (ys.ndim - 1))
     g_orbit = sys_t.eval_g(xts, ys)
     zeros = np.zeros_like(xts)
-    q = np.zeros_like(ys)
-    for _ in range(max_sweeps):
+
+    def apply(q):
         integrand = sys_t.eval_g(zeros, ys - q) - g_orbit
         seg = 0.5 * (integrand[1:] + integrand[:-1]) * dts
-        new = np.concatenate([np.cumsum(seg[::-1], axis=0)[::-1],
-                              np.zeros((1,) + ys.shape[1:])], axis=0)
-        resid = float(np.max(np.linalg.norm(new - q, axis=-1)))
-        report.residuals.append(resid)
-        q = new
-        if resid <= tol_q:
-            report.converged = True
-            return q
-    raise ConvergenceError("defect iteration did not converge", report=report)
+        return np.concatenate([np.cumsum(seg[::-1], axis=0)[::-1],
+                               np.zeros((1,) + ys.shape[1:])], axis=0)
+
+    return _sweep("defect", apply, np.zeros_like(ys), report, tol_q,
+                  lambda d: np.linalg.norm(d, axis=-1))
 
 
 def q_along_orbit(ssys: StraightenedSystem, xi, eta, cert: ConstantsCertificate,
                   cfg_int: IntegratorConfig = IntegratorConfig(),
-                  tol_q=1e-10, max_sweeps=80) -> ReductionResult:
+                  tol_q=1e-10) -> ReductionResult:
     """Fixed point of the orbit-local defect functional
 
         q_{k+1}(t) = int_t^T [ gt(0, y(s) - q_k(s)) - gt(xt(s), y(s)) ] ds
@@ -201,8 +196,7 @@ def q_along_orbit(ssys: StraightenedSystem, xi, eta, cert: ConstantsCertificate,
                                E_ratio=0.0, report=report, xi=xi, eta=eta, horizon=0.0)
 
     orbit = flow(sys_t, xi, eta, (0.0, T), cfg_int, check_domain=False)
-    q = _defect_sweep(sys_t, orbit.times, orbit.fast, orbit.slow, report, tol_q,
-                      max_sweeps)
+    q = _defect_sweep(sys_t, orbit.times, orbit.fast, orbit.slow, report, tol_q)
     Q = q[0].copy()
     P = eta - Q
     xin = float(sys_t.norm_x(xi))
@@ -213,8 +207,7 @@ def q_along_orbit(ssys: StraightenedSystem, xi, eta, cert: ConstantsCertificate,
 
 
 def e_norm_sweep(ssys: StraightenedSystem, xis, etas, cert: ConstantsCertificate,
-                 cfg_int: IntegratorConfig = IntegratorConfig(), tol_q=1e-9,
-                 max_sweeps=80):
+                 cfg_int: IntegratorConfig = IntegratorConfig(), tol_q=1e-9):
     """Defect queries for a whole batch of (xi, eta) pairs at once.
 
     Integrates all orbits jointly over the longest needed horizon, then runs
@@ -230,7 +223,7 @@ def e_norm_sweep(ssys: StraightenedSystem, xis, etas, cert: ConstantsCertificate
     times, states = rk4_path(_full_field(sys_t), np.concatenate([xis, etas], axis=-1),
                              0.0, T, cfg_int.steps_for(T))
     q = _defect_sweep(sys_t, times, states[..., : sys_t.m], states[..., sys_t.m:],
-                      ContractionReport(), tol_q, max_sweeps)
+                      ContractionReport(), tol_q)
     Q = q[0]
     P = etas - Q
     ratios = np.where(xi_norms > 0, np.linalg.norm(Q, axis=-1) / np.maximum(xi_norms, 1e-300), 0.0)

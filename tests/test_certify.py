@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from slowfast.certify import (ConstantsCertificate, assemble_certificate, band_limited_drivers,
+from slowfast.certify import (ConstantsCertificate, _op_norm, assemble_certificate,
+                              band_limited_drivers,
                               delta_budget, estimate_lipschitz,
                               estimate_process_bound, frozen_coefficient_window,
                               frozen_drivers, rho_budget, slow_drift_budget,
@@ -88,6 +89,28 @@ class TestProcessBound:
     def test_empty_sample_rejected(self):
         with pytest.raises((ValueError, TypeError)):
             estimate_process_bound(build_l1(), [], 5.0, CFG)
+
+    @pytest.mark.parametrize("kind", ["sup", "euclidean", "weighted-quadrature"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_stacked_op_norm_equals_per_matrix_bytes(self, kind, m):
+        rng = np.random.default_rng(m)
+        weights = rng.uniform(0.1, 1.0, m)
+        sys = FastSlowSystem(m=m, n=1, F=lambda x, y: -x, g=lambda x, y: np.zeros_like(y),
+                             A0=lambda y: -np.eye(m), domain=GridDomain([0.0], [1.0], [3]),
+                             norm_kind=kind, quad_weights=weights)
+
+        def per_matrix(M):
+            # the one-matrix-at-a-time norms the stacked call replaces
+            if kind == "sup":
+                return float(np.max(np.sum(np.abs(M), axis=1)))
+            if kind == "euclidean":
+                return float(np.linalg.norm(M, 2))
+            w = np.sqrt(weights)
+            return float(np.linalg.norm((M * w[None, :]) / w[:, None], 2))
+
+        U = rng.normal(size=(12, m, m))
+        want = np.asarray([per_matrix(M) for M in U])
+        assert _op_norm(sys, U).tobytes() == want.tobytes()
 
 
 class TestLipschitz:

@@ -208,6 +208,31 @@ def test_run_exit_matches_the_escaped_error(cls, message):
     assert run_code == escaped
 
 
+class TestSpecFromArgs:
+    """Every common flag lands in the scenario spec under its own key."""
+
+    def spec(self, *flags):
+        return cli._spec_from_args(cli.make_parser().parse_args(["run", "--system", "Q1",
+                                                                 *flags]))
+
+    def test_every_flag_lands(self):
+        spec = self.spec("--eps", "0.05", "--grid", "21", "--m", "16", "--dt", "0.1",
+                         "--horizon", "7.5", "--derivative", "2", "--seed", "3",
+                         "--out", "r.json", "--override", "N1=0.2", "--override", "K=1.5",
+                         "--override", "mu=0.9")
+        assert (spec.system, spec.eps, spec.grid, spec.m, spec.dt, spec.horizon,
+                spec.derivative, spec.seed, spec.out) == (
+            "Q1", 0.05, 21, 16, 0.1, 7.5, 2, 3, "r.json")
+        assert spec.overrides == {"N1": 0.2, "K": 1.5, "mu": 0.9}
+
+    def test_repeated_eps_is_a_list(self):
+        assert self.spec("--eps", "0.1", "--eps", "0.05").eps == [0.1, 0.05]
+
+    def test_unset_flags_keep_defaults(self):
+        spec = self.spec()
+        assert spec == harness.ScenarioSpec(system="Q1")
+
+
 class TestAtomicWrite:
     def test_no_partial_file_on_same_name(self, tmp_path):
         target = tmp_path / "out.json"

@@ -4,6 +4,7 @@ bounded solutions."""
 import numpy as np
 import pytest
 
+from slowfast import integrate
 from slowfast.certify import ConstantsCertificate
 from slowfast.core import FastSlowSystem, GridDomain
 from slowfast.errors import (ConvergenceError, DomainExitError, NumericError,
@@ -12,7 +13,8 @@ from slowfast.integrate import (IntegratorConfig, OrbitPath, _full_field,
                                 _graph_fields, _picard_bounded, bounded_solution,
                                 flow, process_A0, process_apply, rk4_final,
                                 rk4_path, truncation_horizon, variational_flow)
-from slowfast.manifold import LPConfig
+from slowfast.manifold import LPConfig, d2h_solve, dh_solve, lp_solve
+from slowfast.reduction import e_norm_sweep, q_along_orbit
 from slowfast.systems import build_l1, build_l2, build_q1
 
 CFG = IntegratorConfig(dt=0.01)
@@ -289,11 +291,12 @@ class TestBoundedSolution:
                              truncation_horizon(L1_CERT, 1e-9), CFG, 1e-9)
         assert abs(fw.fast[-1, 0] - pc.fast[-1, 0]) < 1e-7
 
-    def test_picard_raises_when_sweeps_run_out(self):
+    def test_picard_raises_when_sweeps_run_out(self, monkeypatch):
+        monkeypatch.setattr(integrate, "MAX_SWEEPS", 1)
         sys = build_q1(eps=0.1)
         with pytest.raises(ConvergenceError):
             _picard_bounded(sys, lambda y: np.zeros_like(y), np.array([0.4]), 2.0, CFG,
-                            tol=1e-300, max_sweeps=1)
+                            tol=1e-300)
 
     def test_contraction_violation_rejected(self):
         from slowfast.errors import ContractionError
@@ -319,3 +322,41 @@ class TestDecayOnStraightened:
                 lhs = norms[idx[b]]
                 rhs = 1.05 * scert.K * np.exp(-rate * (t - s)) * norms[idx[a]]
                 assert lhs <= rhs + 1e-12
+
+
+COARSE = IntegratorConfig(dt=0.1)
+
+# each fixed-point iteration, run to a tolerance no sweep meets: (name in the
+# error message, call); Q1 and L2 at xi != 0 have nonzero fixed points
+SWEEP_CASES = {
+    "lp_solve": ("manifold", lambda f: lp_solve(
+        *f["q1"], LPConfig(grid=f["q1"][0].domain, tol_fixed_point=1e-300), COARSE)),
+    "dh_solve": ("derivative", lambda f: dh_solve(
+        f["q1"][0], f["q1_solved"][3], f["q1"][1],
+        LPConfig(grid=f["q1"][0].domain, tol_fixed_point=1e-300), COARSE)),
+    "d2h_solve": ("second-derivative", lambda f: d2h_solve(
+        f["q1"][0], f["q1_solved"][3], f["q1_dh_solved"][0], f["q1"][1],
+        LPConfig(grid=f["q1"][0].domain, tol_fixed_point=1e-300), COARSE)),
+    "q_along_orbit": ("defect", lambda f: q_along_orbit(
+        *f["l2_straight"][:1], [0.5], [0.3], f["l2_straight"][1], COARSE, tol_q=1e-300)),
+    "e_norm_sweep": ("defect", lambda f: e_norm_sweep(
+        f["l2_straight"][0], [[0.5], [-0.4]], [[0.3], [0.1]], f["l2_straight"][1], COARSE,
+        tol_q=1e-300)),
+    "_picard_bounded": ("Picard", lambda f: _picard_bounded(
+        f["q1"][0], lambda y: np.zeros_like(y), [0.4], 2.0, CFG, 1e-300)),
+}
+
+
+class TestSweepLoop:
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_cap_raises_with_report(self, case, request, monkeypatch):
+        what, call = SWEEP_CASES[case]
+        fixtures = {name: request.getfixturevalue(name)
+                    for name in ("q1", "q1_solved", "q1_dh_solved", "l2_straight")}
+        monkeypatch.setattr(integrate, "MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError) as info:
+            call(fixtures)
+        report = info.value.report
+        assert report.iterations == 1 and not report.converged
+        assert report.residuals[0] > 0
+        assert str(info.value).startswith(f"{what} iteration did not reach 1e-300 in 1 sweeps")
