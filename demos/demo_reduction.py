@@ -39,7 +39,7 @@ print(f"  fitted attraction rate {fit.rate:.4f} (r^2 = {fit.r2:.6f})")
 P1, Q1 = dp_point(ssys, [xi], [eta], res, scert, cfg)
 print(f"  dP = {P1[0].tolist()}   closed form [eps, 1] = [0.1, 1.0]")
 
-outer, layer = decompose_orbit(sys, ssys.h, res, 5.0, cfg)
+_, outer, layer = decompose_orbit(sys, zero, res, 5.0, cfg)
 lx, ly = layer.at(2.0)
 print(f"  layer correction at t=2: ({lx[0]:.6f}, {ly[0]:.7f})"
       f"   closed form (e^-2, -0.1 e^-2) = (0.135335, -0.0135335)")

@@ -11,8 +11,7 @@ from .certify import (ConstantsCertificate, assemble_certificate, delta_budget,
                       estimate_lipschitz, estimate_process_bound,
                       frozen_coefficient_window, rho_budget, slow_drift_budget,
                       spectral_gap_check, straightened_constants)
-from .core import (CutoffSpec, FastSlowSystem, GridDomain, GridFunction,
-                   check_derivatives, localize)
+from .core import FastSlowSystem, GridDomain, GridFunction, check_derivatives, localize
 from .errors import (CapabilityError, ContractionError, ConvergenceError,
                      DomainError, DomainExitError, InfeasibleBudgetError,
                      NoDecayError, NumericError, PreconditionError, SchemaError,
@@ -24,9 +23,9 @@ from .integrate import (ContractionReport, IntegratorConfig, OrbitPath,
 from .manifold import (LPConfig, d2h_solve, dh_solve, eqv_residual,
                        fd_derivative_error, invariance_residual, lp_map,
                        lp_map_batch, lp_solve)
-from .reduction import (ReductionResult, StraightenedSystem, attraction_rate_fit,
-                        decompose_orbit, dp_point, fit_exponential, q_along_orbit,
-                        semiconjugacy_residual, straighten)
+from .reduction import (ReductionResult, attraction_rate_fit, decompose_orbit, dp_point,
+                        fit_exponential, q_along_orbit, semiconjugacy_residual,
+                        straighten)
 from .systems import EXAMPLES, ExampleSystem, get_example
 
 __version__ = "0.1.0"

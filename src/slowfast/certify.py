@@ -461,9 +461,9 @@ def straightened_constants(cert: ConstantsCertificate, dh_sup):
 
 def assemble_certificate(sys: FastSlowSystem, cfg: IntegratorConfig = IntegratorConfig(),
                          seed=0, n_samples=2000, x_radius=2.0, t_max=10.0,
-                         n_drivers=4, overrides=None) -> ConstantsCertificate:
+                         overrides=None) -> ConstantsCertificate:
     """Full estimation pipeline: Lipschitz bundle first (its N0 caps the driver
-    speed), then (K, mu) from sampled drivers, integrated at a step of at
+    speed), then (K, mu) from 4 sampled drivers, integrated at a step of at
     least 0.02, then the delta and rho budgets.
 
     `overrides` maps certificate fields to supplied values; K and mu come as
@@ -486,7 +486,7 @@ def assemble_certificate(sys: FastSlowSystem, cfg: IntegratorConfig = Integrator
         prov.update(K="supplied", mu="supplied")
     else:
         drivers = band_limited_drivers(sys.domain, max(values["N0"], 1e-6),
-                                       n_drivers, seed=seed)
+                                       4, seed=seed)
         K, mu = estimate_process_bound(sys, drivers, t_max,
                                        IntegratorConfig(dt=max(cfg.dt, 0.02)))
         prov.update(K="sampled", mu="sampled")

@@ -28,7 +28,6 @@ from .errors import (ContractionError, ConvergenceError,
                      SlowfastError)
 from .harness import ScenarioSpec, _stage_certify, run_scenario
 from .manifold import d2h_solve, dh_solve, lp_solve
-from .integrate import flow
 from .reduction import (decompose_orbit, q_along_orbit, semiconjugacy_residual,
                         straighten)
 from .systems import EXAMPLES
@@ -114,9 +113,7 @@ def _spec_from_args(args):
             raise SchemaError(f"scenario {args.scenario} is not a JSON object")
         if args.system:
             data["system"] = args.system
-    if getattr(args, "eps", None) is not None:
-        data["eps"] = args.eps[0] if len(args.eps) == 1 else list(args.eps)
-    for key in ("grid", "m", "dt", "horizon", "derivative", "seed", "out"):
+    for key in ("eps", "grid", "m", "dt", "horizon", "derivative", "seed", "out"):
         if getattr(args, key, None) is not None:
             data[key] = getattr(args, key)
     ov = _parse_overrides(getattr(args, "override", None))
@@ -177,7 +174,7 @@ def cmd_slow_manifold(args):
             cols.append(flat[:, j])
     write_csv(out + ".csv", header, zip(*cols))
     payload = {
-        "system": spec.system, "eps": spec.eps_list()[0],
+        "system": spec.system, "eps": sysm.meta["eps"],
         "grid": {"lower": sysm.domain.lower.tolist(),
                  "upper": sysm.domain.upper.tolist(),
                  "points": sysm.domain.shape},
@@ -196,7 +193,6 @@ def cmd_reduce(args):
     spec = _spec_from_args(args)
     point = [float(v) for v in args.point.split(",")]
     sysm, cert, cfg_int, cfg_lp = _prepare(spec)
-    ex = EXAMPLES[spec.system]
     h, _ = lp_solve(sysm, cert, cfg_lp, cfg_int)
     dh, _ = dh_solve(sysm, h, cert, cfg_lp, cfg_int)
     ssys = straighten(sysm, h, dh)
@@ -212,9 +208,7 @@ def cmd_reduce(args):
         ssys, res, t_max=5.0, cfg_int=cfg_int, cert=scert, n_checks=5)
     _atomic_write(out + ".json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     t_max = min(10.0, max(2.0, res.horizon)) if res.horizon > 0 else 5.0
-    outer, layer = decompose_orbit(sysm, ssys.h, res, t_max, cfg_int)
-    x0 = np.asarray(ssys.h(eta), dtype=float) + xi
-    orbit = flow(sysm, x0, eta, (0.0, t_max), cfg_int, check_domain=False)
+    orbit, outer, layer = decompose_orbit(sysm, h, res, t_max, cfg_int)
     header = (["t"]
               + [f"orbit_x{i}" for i in range(sysm.m)] + [f"orbit_y{a}" for a in range(sysm.n)]
               + [f"outer_x{i}" for i in range(sysm.m)] + [f"outer_y{a}" for a in range(sysm.n)]
@@ -248,8 +242,7 @@ def cmd_run(args):
 def _add_common(p, with_point=False):
     p.add_argument("--system", choices=sorted(EXAMPLES), help="built-in system name")
     p.add_argument("--scenario", help="scenario JSON file")
-    p.add_argument("--eps", type=float, action="append",
-                   help="timescale parameter; repeat for a continuation list")
+    p.add_argument("--eps", type=float, help="timescale parameter")
     p.add_argument("--grid", type=int, help="slow grid points per axis")
     p.add_argument("--m", type=int, help="fast quadrature size (NF1)")
     p.add_argument("--dt", type=float)

@@ -124,6 +124,10 @@ class GridFunction:
     value to round-off.  Evaluation outside the box uses constant (clamped)
     extension, which preserves both the sup norm and the Lipschitz estimate.
     The interpolation set-up (bounds, strides, cell corners) is done at construction.
+
+    `value_norm` (default: the flat Euclidean norm) measures one value; like the
+    system callables it must broadcast over leading axes, as `sys.norm_x` does,
+    since the norms of all nodes are taken in one call.
     """
 
     def __init__(self, domain: GridDomain, values, value_norm=None):
@@ -177,7 +181,7 @@ class GridFunction:
 
     def node_norms(self):
         if self.value_norm is not None:
-            return np.asarray([self.value_norm(v) for v in self._flat])
+            return self.value_norm(self._flat)
         return _flat_norm(self._flat.reshape(self._flat.shape[0], -1))
 
     def sup_norm(self):
@@ -193,11 +197,10 @@ class GridFunction:
         best = 0.0
         for a in range(dom.n):
             d = np.diff(self.values, axis=a)
-            flat = d.reshape(-1, int(np.prod(self.value_shape)) or 1)
             if self.value_norm is not None:
-                norms = np.asarray([self.value_norm(v.reshape(self.value_shape)) for v in flat])
+                norms = self.value_norm(d.reshape((-1,) + self.value_shape))
             else:
-                norms = _flat_norm(flat)
+                norms = _flat_norm(d.reshape(-1, int(np.prod(self.value_shape)) or 1))
             if norms.size:
                 best = max(best, float(np.max(norms)) / dom.spacing[a])
         return best
@@ -377,7 +380,7 @@ def _central_diff(fn, u, h=1e-6):
     return np.stack(cols, axis=-1)
 
 
-def check_derivatives(sys: FastSlowSystem, n_points=100, seed=0, tol=1e-5, x_radius=1.0):
+def check_derivatives(sys: FastSlowSystem, n_points=100, seed=0, x_radius=1.0):
     """Max relative mismatch between supplied Jacobians and central differences.
 
     Also checks that A0 matches D_x F(0, y).  Raises nothing; returns the
@@ -458,27 +461,16 @@ def _graph_transform(sys: FastSlowSystem, h, dh):
 
 # -- cutoff localization ------------------------------------------------------
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Smooth bump chi(r): 1 for r <= inner, 0 for r >= outer, C-infinity between."""
+def chi(r):
+    """Smooth bump: 1 for r <= 0.5, 0 for r >= 1, C-infinity between."""
+    t = (np.asarray(r, dtype=float) - 0.5) / 0.5
+    return _smooth_step(1.0 - t)
 
-    inner: float = 0.5
-    outer: float = 1.0
 
-    def __post_init__(self):
-        if not 0 < self.inner < self.outer:
-            raise ValueError("need 0 < inner < outer")
-
-    def chi(self, r):
-        r = np.asarray(r, dtype=float)
-        t = (r - self.inner) / (self.outer - self.inner)
-        return _smooth_step(1.0 - t)
-
-    def dchi(self, r):
-        # analytic derivative of the exp-type transition; FD-free
-        r = np.asarray(r, dtype=float)
-        t = (1.0 - (r - self.inner) / (self.outer - self.inner))
-        return -_smooth_step_prime(t) / (self.outer - self.inner)
+def dchi(r):
+    """Derivative of chi, from the exp-type transition in closed form."""
+    t = 1.0 - (np.asarray(r, dtype=float) - 0.5) / 0.5
+    return -_smooth_step_prime(t) / 0.5
 
 
 def _phi(s):
@@ -510,8 +502,7 @@ def _smooth_step_prime(t):
     return (da * b + a * db) / denom
 
 
-def localize(sys: FastSlowSystem, h0, radius, bump: CutoffSpec = CutoffSpec(),
-             dh0=None, tol=1e-8) -> FastSlowSystem:
+def localize(sys: FastSlowSystem, h0, radius, dh0=None, tol=1e-8) -> FastSlowSystem:
     """Shift the critical sheet x = h0(y) to the origin and cut the remainder off.
 
     The returned system in xt = x - h0(y) is
@@ -520,9 +511,9 @@ def localize(sys: FastSlowSystem, h0, radius, bump: CutoffSpec = CutoffSpec(),
         y'  = g(chi(|xt|/radius) * xt + h0(y), y),
 
     where A(y) is the exact fast linearization of the shifted field at xt = 0
-    and R its remainder.  Inside |xt| <= radius*inner the flow coincides with
-    the plain shifted system; beyond radius*outer the remainder vanishes, so
-    the remainder sup M0 is finite.
+    and R its remainder.  Inside |xt| <= radius/2 the flow coincides with the
+    plain shifted system; beyond radius the remainder vanishes, so the
+    remainder sup M0 is finite.
 
     h0 (and optionally dh0) may be a GridFunction or a smooth callable;
     without dh0, the derivative of h0 comes from central differences.  The
@@ -542,7 +533,7 @@ def localize(sys: FastSlowSystem, h0, radius, bump: CutoffSpec = CutoffSpec(),
         raise ValueError("radius must be positive")
 
     def chi_of(xt):
-        return bump.chi(sys.norm_x(xt) / radius)[..., None]
+        return chi(sys.norm_x(xt) / radius)[..., None]
 
     def F_cut(xt, y, hy, dhy):
         # the localized F and the cutoff factor at xt

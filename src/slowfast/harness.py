@@ -66,7 +66,7 @@ def _positive(v):
 # where the field's default is None
 _SCHEMA = {
     "system": (lambda v: isinstance(v, str) and v in EXAMPLES, f"one of {sorted(EXAMPLES)}"),
-    "eps": (_numbers, "a finite number or a non-empty list of them"),
+    "eps": (_number, "a finite number"),
     "domain": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v))
                and v[0] < v[1], "[lo, hi] with finite lo < hi"),
     "grid": (_count(2), "an integer >= 2"),
@@ -122,20 +122,10 @@ class ScenarioSpec:
     def to_dict(self):
         return asdict(self)
 
-    def eps_list(self):
-        if self.eps is None:
-            return [self.default_eps()]
-        if isinstance(self.eps, (list, tuple)):
-            return [float(e) for e in self.eps]
-        return [float(self.eps)]
-
     def resolved(self):
-        """Fill defaults from the example registry; returns (example, kwargs).
-
-        A list-valued eps runs the pipeline at its first entry.
-        """
+        """Fill defaults from the example registry; returns (example, kwargs)."""
         ex = get_example(self.system)
-        kw = {"eps": self.eps_list()[0]}
+        kw = {"eps": ex.default_eps if self.eps is None else float(self.eps)}
         if self.domain is not None:
             kw["domain"] = tuple(self.domain)
         if self.grid is not None:
@@ -143,9 +133,6 @@ class ScenarioSpec:
         if self.m is not None and self.system == "NF1":
             kw["m"] = self.m
         return ex, kw
-
-    def default_eps(self):
-        return get_example(self.system).default_eps
 
 
 def build_scenario_system(spec: ScenarioSpec) -> FastSlowSystem:
@@ -404,11 +391,11 @@ def _chk_contraction(spec, state):
     return _check("contraction", worst <= bound, measured=worst, bound=bound)
 
 
-def _random_ball_sigma(sys, grid, radius, rng, modes=3):
-    """A random smooth grid function inside the certified ball."""
+def _random_ball_sigma(sys, grid, radius, rng):
+    """A random smooth grid function, a sum of 3 sine modes, inside the certified ball."""
     nodes = grid.node_coords()
     vals = np.zeros((nodes.shape[0], sys.m))
-    for _ in range(modes):
+    for _ in range(3):
         om = rng.uniform(0.5, 2.0, size=grid.n)
         ph = rng.uniform(0, 2 * np.pi)
         amp = rng.normal(size=sys.m)
@@ -463,8 +450,8 @@ def _chk_reduction(spec, state):
     worst, bound = state["e_ratio_worst"], state["e_ratio_bound"]
     ssys, scert = state["ssys"], state["scert"]
     rng = np.random.default_rng(spec.seed + 2)
-    xi = rng.uniform(0.2, 0.6, size=ssys.system.m)
-    eta = ssys.system.domain.sample(rng, 1)[0]
+    xi = rng.uniform(0.2, 0.6, size=ssys.m)
+    eta = ssys.domain.sample(rng, 1)[0]
     res = q_along_orbit(ssys, xi, eta, scert, state["cfg_int"])
     semi = semiconjugacy_residual(ssys, res, t_max=5.0, cfg_int=state["cfg_int"],
                                   cert=scert)

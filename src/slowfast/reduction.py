@@ -23,36 +23,22 @@ from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _full_fi
                         _sweep, flow, rk4_path)
 
 
-@dataclass
-class StraightenedSystem:
-    """The system in graph coordinates xt = x - h(y).
+def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> FastSlowSystem:
+    """The system in graph coordinates xt = x - h(y), itself a fast-slow system:
 
-    Exposes Ft(xt, y) = F(xt + h(y), y) - Dh(y) g(xt + h(y), y) and
-    gt(xt, y) = g(xt + h(y), y); the manifold sits at {xt = 0}.  `system` is a
-    full FastSlowSystem usable by every integrator; its joint field eval_Fg
-    evaluates h, Dh and g once per call.  Derivatives are available
-    when the base system has them and h was given smoothly (callables with a
-    second derivative, or an exact second-derivative field).
-    """
+        Ft(xt, y) = F(xt + h(y), y) - Dh(y) g(xt + h(y), y),
+        gt(xt, y) = g(xt + h(y), y),
 
-    h: object
-    dh: object
-    system: FastSlowSystem
-
-
-def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> StraightenedSystem:
-    """Build the straightened system from a converged manifold parameterization.
-
-    h, dh may be GridFunctions (from lp_solve/dh_solve) or smooth callables.
-    When a report is attached it must be converged.  Derivative callables of
-    the straightened field need the second derivative of h; without it the
-    straightened system carries no DF and derivative-consuming operations
-    will raise.  The transform is the one `core.localize` shifts by.
+    with the manifold at {xt = 0}.  Its joint field eval_Fg evaluates h, Dh
+    and g once per call.  h, dh may be GridFunctions (from lp_solve/dh_solve)
+    or smooth callables.  When a report is attached it must be converged.
+    Its DF needs the second derivative of h; without d2h the straightened
+    system carries no DF and derivative-consuming operations will raise.  The
+    transform is the one `core.localize` shifts by.
     """
     if report is not None and not report.converged:
         raise PreconditionError("straighten requires a converged manifold report")
-    hf, dhf = as_slow_function(h), as_slow_function(dh)
-    H, DH, shifted, lin = _graph_transform(sys, hf, dhf)
+    H, DH, shifted, lin = _graph_transform(sys, as_slow_function(h), as_slow_function(dh))
     m = sys.m
 
     def Ft(xt, y):
@@ -91,11 +77,10 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> Straightene
                       - np.einsum("...ij,...jk->...ik", Dh, dyt))
                 return np.concatenate([dx, dy], axis=-1)
 
-    inner = _FusedSystem(m=m, n=sys.n, F=Ft, g=gt, A0=lambda y: lin(y, H(y), DH(y)),
-                         domain=sys.domain, DF=DFt, Dg=Dgt, boundary_flag=sys.boundary_flag,
-                         norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
-                         meta=dict(sys.meta), Fg=Fgt)
-    return StraightenedSystem(h=hf, dh=dhf, system=inner)
+    return _FusedSystem(m=m, n=sys.n, F=Ft, g=gt, A0=lambda y: lin(y, H(y), DH(y)),
+                        domain=sys.domain, DF=DFt, Dg=Dgt, boundary_flag=sys.boundary_flag,
+                        norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
+                        meta=dict(sys.meta), Fg=Fgt)
 
 
 @dataclass
@@ -104,7 +89,6 @@ class ReductionResult:
 
     P: np.ndarray                 # projected slow base point
     Q: np.ndarray                 # eta - P
-    q_path: OrbitPath             # slow track carries q(t) along the orbit
     E_ratio: float                # |Q| / |xi| (0 for xi = 0)
     report: ContractionReport
     xi: np.ndarray
@@ -168,20 +152,20 @@ def _defect_sweep(sys_t, times, xts, ys, report, tol_q):
                   lambda d: np.linalg.norm(d, axis=-1))
 
 
-def q_along_orbit(ssys: StraightenedSystem, xi, eta, cert: ConstantsCertificate,
+def q_along_orbit(sys_t: FastSlowSystem, xi, eta, cert: ConstantsCertificate,
                   cfg_int: IntegratorConfig = IntegratorConfig(),
                   tol_q=1e-10) -> ReductionResult:
     """Fixed point of the orbit-local defect functional
 
         q_{k+1}(t) = int_t^T [ gt(0, y(s) - q_k(s)) - gt(xt(s), y(s)) ] ds
 
-    from q_0 = 0 on the forward orbit of (xi, eta); P = eta - q(0).  The
-    measured sweep ratio must respect the certified factor K N1 / mu'.
+    from q_0 = 0 on the forward orbit of (xi, eta) of the straightened system
+    sys_t; P = eta - q(0).  The measured sweep ratio must respect the
+    certified factor K N1 / mu'.
 
     `cert` carries the straightened constants: its mu is the straightened
     decay rate and its N1 the straightened slow Lipschitz constant.
     """
-    sys_t = ssys.system
     mu_p = _reduction_rate(cert)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -189,11 +173,9 @@ def q_along_orbit(ssys: StraightenedSystem, xi, eta, cert: ConstantsCertificate,
     report = ContractionReport(theoretical_ratio=cert.K * cert.N1 / mu_p)
 
     if T == 0.0:
-        times = np.array([0.0, cfg_int.dt])
-        qp = OrbitPath(times, np.zeros((2, sys_t.m)), np.zeros((2, sys_t.n)))
         report.converged = True
-        return ReductionResult(P=eta.copy(), Q=np.zeros(sys_t.n), q_path=qp,
-                               E_ratio=0.0, report=report, xi=xi, eta=eta, horizon=0.0)
+        return ReductionResult(P=eta.copy(), Q=np.zeros(sys_t.n), E_ratio=0.0,
+                               report=report, xi=xi, eta=eta, horizon=0.0)
 
     orbit = flow(sys_t, xi, eta, (0.0, T), cfg_int, check_domain=False)
     q = _defect_sweep(sys_t, orbit.times, orbit.fast, orbit.slow, report, tol_q)
@@ -201,12 +183,11 @@ def q_along_orbit(ssys: StraightenedSystem, xi, eta, cert: ConstantsCertificate,
     P = eta - Q
     xin = float(sys_t.norm_x(xi))
     e_ratio = float(np.linalg.norm(Q)) / xin if xin > 0 else 0.0
-    qp = OrbitPath(orbit.times, orbit.fast, q, meta={"dt": cfg_int.dt, "horizon": T})
-    return ReductionResult(P=P, Q=Q, q_path=qp, E_ratio=e_ratio, report=report,
+    return ReductionResult(P=P, Q=Q, E_ratio=e_ratio, report=report,
                            xi=xi, eta=eta, horizon=T, orbit=orbit)
 
 
-def e_norm_sweep(ssys: StraightenedSystem, xis, etas, cert: ConstantsCertificate,
+def e_norm_sweep(sys_t: FastSlowSystem, xis, etas, cert: ConstantsCertificate,
                  cfg_int: IntegratorConfig = IntegratorConfig(), tol_q=1e-9):
     """Defect queries for a whole batch of (xi, eta) pairs at once.
 
@@ -214,7 +195,6 @@ def e_norm_sweep(ssys: StraightenedSystem, xis, etas, cert: ConstantsCertificate
     the defect sweep of q_along_orbit on the whole batch.  Returns
     (P (B, n), Q (B, n), E_ratio (B,)).
     """
-    sys_t = ssys.system
     _reduction_rate(cert)
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
@@ -230,13 +210,12 @@ def e_norm_sweep(ssys: StraightenedSystem, xis, etas, cert: ConstantsCertificate
     return P, Q, ratios
 
 
-def projected_flow(ssys: StraightenedSystem, P, t_span, cfg_int) -> OrbitPath:
+def projected_flow(sys_t: FastSlowSystem, P, t_span, cfg_int) -> OrbitPath:
     """Flow of the straightened system started on the manifold, (0, P)."""
-    return flow(ssys.system, np.zeros(ssys.system.m), P, t_span, cfg_int,
-                check_domain=False)
+    return flow(sys_t, np.zeros(sys_t.m), P, t_span, cfg_int, check_domain=False)
 
 
-def semiconjugacy_residual(ssys: StraightenedSystem, result: ReductionResult,
+def semiconjugacy_residual(sys_t: FastSlowSystem, result: ReductionResult,
                            t_max, cfg_int: IntegratorConfig = IntegratorConfig(),
                            cert: ConstantsCertificate = None, n_checks=9,
                            tol_q=1e-10):
@@ -250,14 +229,14 @@ def semiconjugacy_residual(ssys: StraightenedSystem, result: ReductionResult,
         raise PreconditionError("semiconjugacy check needs a converged result")
     if cert is None:
         raise ValueError("pass the straightened-constants certificate")
-    orbit = flow(ssys.system, result.xi, result.eta, (0.0, float(t_max)), cfg_int,
+    orbit = flow(sys_t, result.xi, result.eta, (0.0, float(t_max)), cfg_int,
                  check_domain=False)
-    proj = projected_flow(ssys, result.P, (0.0, float(t_max)), cfg_int)
+    proj = projected_flow(sys_t, result.P, (0.0, float(t_max)), cfg_int)
     ts = np.linspace(0.0, float(t_max), n_checks)
     worst = 0.0
     for t in ts:
         xt_t, y_t = orbit.at(t)
-        res_t = q_along_orbit(ssys, xt_t, y_t, cert, cfg_int, tol_q=tol_q)
+        res_t = q_along_orbit(sys_t, xt_t, y_t, cert, cfg_int, tol_q=tol_q)
         _, y_proj = proj.at(t)
         worst = max(worst, float(np.linalg.norm(res_t.P - y_proj)))
     return worst
@@ -311,7 +290,7 @@ class RateFit:
         return bool(self.slow_prefactor <= 1.05 * self.slow_prefactor_bound)
 
 
-def attraction_rate_fit(ssys: StraightenedSystem, result: ReductionResult,
+def attraction_rate_fit(sys_t: FastSlowSystem, result: ReductionResult,
                         t_max, cfg_int: IntegratorConfig = IntegratorConfig(),
                         cert: ConstantsCertificate = None,
                         noise_floor=1e-11) -> RateFit:
@@ -323,10 +302,9 @@ def attraction_rate_fit(ssys: StraightenedSystem, result: ReductionResult,
     """
     if not result.report.converged:
         raise PreconditionError("rate fit needs a converged result")
-    orbit = flow(ssys.system, result.xi, result.eta, (0.0, float(t_max)), cfg_int,
+    orbit = flow(sys_t, result.xi, result.eta, (0.0, float(t_max)), cfg_int,
                  check_domain=False)
-    proj = projected_flow(ssys, result.P, (0.0, float(t_max)), cfg_int)
-    sys_t = ssys.system
+    proj = projected_flow(sys_t, result.P, (0.0, float(t_max)), cfg_int)
     gap = sys_t.norm_xy(orbit.fast - proj.fast, orbit.slow - proj.slow)
     try:
         fit = fit_exponential(list(zip(orbit.times, gap)), noise_floor)
@@ -346,7 +324,7 @@ def attraction_rate_fit(ssys: StraightenedSystem, result: ReductionResult,
     return out
 
 
-def dp_point(ssys: StraightenedSystem, xi, eta, result: ReductionResult,
+def dp_point(sys_t: FastSlowSystem, xi, eta, result: ReductionResult,
              cert: ConstantsCertificate, cfg_int: IntegratorConfig = IntegratorConfig(),
              tol=1e-10):
     """First derivative of the reduction map at (xi, eta).
@@ -357,7 +335,6 @@ def dp_point(ssys: StraightenedSystem, xi, eta, result: ReductionResult,
     defect-derivative integral.  Returns the pair (P1, Q1) with
     P1 = (0, I) - Q1 of shape (n, m+n).
     """
-    sys_t = ssys.system
     if not sys_t.has_derivatives(1):
         raise CapabilityError("dp_point needs derivatives of the straightened system "
                               "(smooth h with a second derivative)")
@@ -422,10 +399,11 @@ def decompose_orbit(sys: FastSlowSystem, h, result: ReductionResult, t_max,
 
         orbit(t) = outer(t) + layer(t),
 
+    orbit the flow of `sys` from the query's original point (h(eta) + xi, eta),
     outer the slow-manifold orbit from the projected point (h(P), P), layer
-    the exponentially decaying correction.  Reconstruction is exact by
-    construction; the layer magnitude is the caller's to check against the
-    certified decay.
+    the exponentially decaying correction.  Returns (orbit, outer, layer).
+    Reconstruction is exact by construction; the layer magnitude is the
+    caller's to check against the certified decay.
     """
     if not result.report.converged:
         raise PreconditionError("decompose_orbit needs a converged result")
@@ -437,4 +415,4 @@ def decompose_orbit(sys: FastSlowSystem, h, result: ReductionResult, t_max,
                  check_domain=False)
     layer = OrbitPath(orbit.times, orbit.fast - outer.fast, orbit.slow - outer.slow,
                       meta={"dt": cfg_int.dt, "horizon": float(t_max)})
-    return outer, layer
+    return orbit, outer, layer

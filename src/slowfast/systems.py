@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (CutoffSpec, FastSlowSystem, GridDomain, _smooth_step,
-                   _smooth_step_prime, localize)
+from .core import (FastSlowSystem, GridDomain, _smooth_step, _smooth_step_prime, chi,
+                   dchi, localize)
 
 
 def _box(lo, hi, points):
@@ -217,19 +217,20 @@ def build_coupled(eps=0.02, domain=(-1.0, 1.0), points=81):
 
 # -- VDP-cut ----------------------------------------------------------------------
 
-def vdp_branch(y, x_init=2.0, iters=60, tol=1e-14):
+def vdp_branch(y):
     """Attracting outer branch of the cubic nullcline x - x^3/3 = y, x >= 1.5.
 
-    Newton continuation; vectorized over y.
+    Newton continuation from x = 2, at most 60 steps, until a step is below
+    1e-14; vectorized over y.
     """
     y = np.asarray(y, dtype=float)
-    x = np.full(y.shape, float(x_init))
-    for _ in range(iters):
+    x = np.full(y.shape, 2.0)
+    for _ in range(60):
         f = x - x ** 3 / 3.0 - y[..., 0] if y.ndim and y.shape[-1] == 1 else x - x ** 3 / 3.0 - y
         df = 1.0 - x * x
         step = f / df
         x = x - step
-        if np.max(np.abs(step)) < tol:
+        if np.max(np.abs(step)) < 1e-14:
             break
     return x
 
@@ -277,7 +278,7 @@ def build_vdp_raw(eps=0.005, domain=(-2.0, 0.0), points=81):
 def build_vdp_cut(eps=0.005, domain=(-2.0, 0.0), points=81, radius=0.1):
     """The outer-branch system shifted to the origin and cut off at `radius`."""
     raw = build_vdp_raw(eps, domain, points)
-    loc = localize(raw, _vdp_h0, radius, CutoffSpec(), dh0=_vdp_dh0, tol=1e-10)
+    loc = localize(raw, _vdp_h0, radius, dh0=_vdp_dh0, tol=1e-10)
     loc.meta.update(name="VDP-cut", eps=float(eps))
     return loc
 
@@ -286,14 +287,13 @@ def build_vdp_cut(eps=0.005, domain=(-2.0, 0.0), points=81, radius=0.1):
 
 _NF1_SHIFT = 0.4
 _NF1_GAIN = 0.12
-_NF1_CUT = CutoffSpec(inner=0.5, outer=1.0)   # applied to |u|/2: pure tanh up to 1
 
 
-def _nf1_kernel(m, gain):
+def _nf1_kernel(m):
     xi = (np.arange(m) + 0.5) / m
     w = (np.sin(2 * np.pi * (xi[:, None] - xi[None, :]))
          + np.sin(2 * np.pi * xi)[:, None] - np.sin(2 * np.pi * xi)[None, :])
-    return gain * w, xi
+    return _NF1_GAIN * w, xi
 
 
 def _nf1_sigmoid(v):
@@ -303,7 +303,7 @@ def _nf1_sigmoid(v):
     s0p = 1.0 - s0 * s0
     t = np.tanh(v + a)
     dev = t - s0 - s0p * v
-    return s0 + s0p * v + _NF1_CUT.chi(np.abs(v) / 2.0) * dev
+    return s0 + s0p * v + chi(np.abs(v) / 2.0) * dev   # chi at |v|/2: pure tanh up to 1
 
 
 def _nf1_sigmoid_prime(v):
@@ -313,18 +313,18 @@ def _nf1_sigmoid_prime(v):
     t = np.tanh(v + a)
     dev = t - s0 - s0p * v
     devp = (1.0 - t * t) - s0p
-    chi = _NF1_CUT.chi(np.abs(v) / 2.0)
-    dchi = _NF1_CUT.dchi(np.abs(v) / 2.0) * np.sign(v) / 2.0
-    return s0p + dchi * dev + chi * devp
+    cut = chi(np.abs(v) / 2.0)
+    dcut = dchi(np.abs(v) / 2.0) * np.sign(v) / 2.0
+    return s0p + dcut * dev + cut * devp
 
 
-def build_nf1(eps=0.01, m=64, domain=(0.5, 1.5), points=41, gain=_NF1_GAIN):
+def build_nf1(eps=0.01, m=64, domain=(0.5, 1.5), points=41):
     """Quadrature discretization of u_t(z) = -u(z) + y * int w(z, z') s(u(z')) dz'
     with a slowly drifting gain y.  Midpoint nodes, sup norm over nodes; the
     antisymmetric kernel keeps the fast linearization spectrum on Re = -1.
     """
     dom = _box(domain[0], domain[1], points)
-    W, xi = _nf1_kernel(m, gain)
+    W, xi = _nf1_kernel(m)
     dxi = 1.0 / m
     s0p = 1.0 - math.tanh(_NF1_SHIFT) ** 2
     A_lin = W * (dxi * s0p)
@@ -358,7 +358,7 @@ def build_nf1(eps=0.01, m=64, domain=(0.5, 1.5), points=41, gain=_NF1_GAIN):
     return FastSlowSystem(m=m, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
                           norm_kind="sup",
                           meta={"name": "NF1", "eps": float(eps), "m": m,
-                                "nodes": xi, "gain": gain})
+                                "nodes": xi, "gain": _NF1_GAIN})
 
 
 def nf1_profile_interp(values, nodes, probes):

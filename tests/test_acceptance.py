@@ -195,10 +195,10 @@ def test_criterion_08_e_norm_bound(l2_straight, q1, coupled_straight):
     _, ssys_q, scert_q = q1_analytic_straight(q1, eps=0.1)
     for name, (ssys, scert) in (("L2", l2_straight), ("Q1", (ssys_q, scert_q)),
                                 ("coupled", coupled_straight)):
-        dom = ssys.system.domain
+        dom = ssys.domain
         sample = dom.lower + (dom.upper - dom.lower) \
             * rng.uniform(0.05, 0.95, (100, dom.n))
-        xis = rng.uniform(-0.8, 0.8, (100, ssys.system.m))
+        xis = rng.uniform(-0.8, 0.8, (100, ssys.m))
         _, _, ratios = e_norm_sweep(ssys, xis, sample, scert, DT)
         mu_p = scert.mu
         bound = scert.K * scert.N1 / max(mu_p - scert.K * scert.N1, 1e-300)

@@ -225,8 +225,9 @@ class TestSpecFromArgs:
             "Q1", 0.05, 21, 16, 0.1, 7.5, 2, 3, "r.json")
         assert spec.overrides == {"N1": 0.2, "K": 1.5, "mu": 0.9}
 
-    def test_repeated_eps_is_a_list(self):
-        assert self.spec("--eps", "0.1", "--eps", "0.05").eps == [0.1, 0.05]
+    def test_repeated_eps_keeps_the_last_like_dt(self):
+        spec = self.spec("--eps", "0.1", "--eps", "0.05", "--dt", "0.2", "--dt", "0.1")
+        assert (spec.eps, spec.dt) == (0.05, 0.1)
 
     def test_unset_flags_keep_defaults(self):
         spec = self.spec()

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowfast import systems
-from slowfast.core import (CutoffSpec, FastSlowSystem, GridDomain, GridFunction,
-                           GridStack, check_derivatives, localize, vector_norm)
+from slowfast.core import (FastSlowSystem, GridDomain, GridFunction, GridStack,
+                           check_derivatives, chi, dchi, localize, vector_norm)
 from slowfast.errors import PreconditionError
 from slowfast.integrate import IntegratorConfig, flow
 from slowfast.systems import (build_coupled, build_l1, build_nf1, build_q1,
@@ -119,6 +119,27 @@ class TestGridFunction:
         gf = GridFunction.from_callable(dom, lambda y: 3.0 * y)
         assert gf.lipschitz_estimate() == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("kind", ["sup", "euclidean", "weighted-quadrature"])
+    @pytest.mark.parametrize("m", [1, 7, 100])
+    @pytest.mark.parametrize("shape", [(41,), (6, 5)], ids=["41-rows", "2d"])
+    def test_value_norms_match_row_loop_bytes(self, kind, m, shape):
+        # node_norms and lipschitz_estimate take value_norm on all rows in one
+        # call; the norm of each row alone must give the same bits
+        rng = np.random.default_rng(m)
+        weights = rng.uniform(0.5, 1.5, m) if kind == "weighted-quadrature" else None
+        norm = lambda v: vector_norm(v, kind, weights)
+        n = len(shape)
+        dom = GridDomain(np.zeros(n), np.linspace(1.0, 2.0, n), shape)
+        gf = GridFunction(dom, rng.standard_normal(shape + (m,)), value_norm=norm)
+        rows = gf.values.reshape(-1, m)
+        want = np.asarray([norm(v) for v in rows])
+        assert gf.node_norms().tobytes() == want.tobytes()
+        best = 0.0
+        for a in range(n):
+            diffs = np.diff(gf.values, axis=a).reshape(-1, m)
+            best = max(best, float(np.max([norm(v) for v in diffs])) / dom.spacing[a])
+        assert np.float64(gf.lipschitz_estimate()).tobytes() == np.float64(best).tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("value_shape", [(), (2,), (2, "n"), (2, "n", "n")])
     def test_matches_loop_reference_bytes(self, n, value_shape):
@@ -213,23 +234,21 @@ class TestDerivativeConsistency:
 
 class TestCutoff:
     def test_bump_plateaus(self):
-        spec = CutoffSpec()
-        assert spec.chi(0.0) == pytest.approx(1.0)
-        assert spec.chi(0.4) == pytest.approx(1.0)
-        assert spec.chi(1.0) == pytest.approx(0.0)
-        assert spec.chi(3.0) == pytest.approx(0.0)
+        assert chi(0.0) == pytest.approx(1.0)
+        assert chi(0.4) == pytest.approx(1.0)
+        assert chi(1.0) == pytest.approx(0.0)
+        assert chi(3.0) == pytest.approx(0.0)
         r = np.linspace(0, 2, 200)
-        assert np.all(np.diff(spec.chi(r)) <= 1e-12)
+        assert np.all(np.diff(chi(r)) <= 1e-12)
 
     def test_dchi_matches_fd(self):
-        spec = CutoffSpec()
         r = np.linspace(0.05, 1.6, 40)
         h = 1e-6
-        fd = (spec.chi(r + h) - spec.chi(r - h)) / (2 * h)
-        assert np.max(np.abs(fd - spec.dchi(r))) < 1e-5
+        fd = (chi(r + h) - chi(r - h)) / (2 * h)
+        assert np.max(np.abs(fd - dchi(r))) < 1e-5
 
 
-def _reference_localize(sys, h0, radius, bump, dh0):
+def _reference_localize(sys, h0, radius, dh0):
     """localize as it was written before the shared graph-coordinate transform:
     separate closures that each evaluate h0 and Dh0.  The localized system must
     match it byte for byte."""
@@ -264,7 +283,7 @@ def _reference_localize(sys, h0, radius, bump, dh0):
         return dxF - np.einsum("...ij,...jk->...ik", DH(y), dxg)
 
     def chi_of(xt):
-        return bump.chi(sys.norm_x(xt) / radius)
+        return chi(sys.norm_x(xt) / radius)
 
     def F_loc(xt, y):
         xt = np.asarray(xt, dtype=float)
@@ -292,7 +311,7 @@ def _zero_dh(y):
 class TestLocalize:
     def test_critical_point_preserved_when_g_zero(self):
         raw = build_vdp_raw(eps=0.0)
-        loc = localize(raw, _vdp_h0, 0.1, CutoffSpec(), dh0=_vdp_dh0, tol=1e-10)
+        loc = localize(raw, _vdp_h0, 0.1, dh0=_vdp_dh0, tol=1e-10)
         ys = raw.domain.node_coords()
         vals = loc.eval_F(np.zeros((ys.shape[0], 1)), ys)
         assert np.max(np.abs(vals)) < 1e-10
@@ -300,7 +319,7 @@ class TestLocalize:
     def test_shifted_value_matches_algebra(self):
         # F_loc(0, y) = F(h0,y) - Dh0 g(h0,y) when g is nonzero
         raw = build_vdp_raw(eps=0.005)
-        loc = localize(raw, _vdp_h0, 0.1, CutoffSpec(), dh0=_vdp_dh0, tol=1e-10)
+        loc = localize(raw, _vdp_h0, 0.1, dh0=_vdp_dh0, tol=1e-10)
         y = np.array([-1.0])
         h0 = _vdp_h0(y)
         expected = raw.eval_F(h0, y) - _vdp_dh0(y)[..., 0] * raw.eval_g(h0, y)
@@ -321,7 +340,7 @@ class TestLocalize:
     def test_flow_matches_shifted_original_inside(self):
         eps = 0.005
         raw = build_vdp_raw(eps=eps)
-        loc = localize(raw, _vdp_h0, 0.1, CutoffSpec(), dh0=_vdp_dh0, tol=1e-10)
+        loc = localize(raw, _vdp_h0, 0.1, dh0=_vdp_dh0, tol=1e-10)
         cfg = IntegratorConfig(dt=0.002)
         eta = np.array([-1.0])
         xt0 = np.array([0.03])            # inside radius/2
@@ -334,10 +353,10 @@ class TestLocalize:
 
     def test_localize_twice_idempotent_inside(self):
         raw = build_vdp_raw(eps=0.0)
-        loc1 = localize(raw, _vdp_h0, 0.1, CutoffSpec(), dh0=_vdp_dh0, tol=1e-10)
+        loc1 = localize(raw, _vdp_h0, 0.1, dh0=_vdp_dh0, tol=1e-10)
         zero_h = lambda y: np.zeros(np.asarray(y).shape[:-1] + (1,))
         zero_dh = lambda y: np.zeros(np.asarray(y).shape[:-1] + (1, 1))
-        loc2 = localize(loc1, zero_h, 0.1, CutoffSpec(), dh0=zero_dh, tol=1e-10)
+        loc2 = localize(loc1, zero_h, 0.1, dh0=zero_dh, tol=1e-10)
         cfg = IntegratorConfig(dt=0.002)
         p1 = flow(loc1, [0.03], [-1.0], (0.0, 4.0), cfg, check_domain=False)
         p2 = flow(loc2, [0.03], [-1.0], (0.0, 4.0), cfg, check_domain=False)
@@ -348,13 +367,12 @@ class TestLocalize:
     def test_fields_match_reference_bytes(self, no_df_base, lead):
         # |xt| inside the inner radius (0.05), between the radii and beyond 0.1
         raw = build_vdp_raw(eps=0.005)
-        args = (0.1, CutoffSpec())
-        base = localize(raw, _vdp_h0, *args, dh0=_vdp_dh0, tol=1e-10)
-        ref = _reference_localize(raw, _vdp_h0, *args, _vdp_dh0)
+        base = localize(raw, _vdp_h0, 0.1, dh0=_vdp_dh0, tol=1e-10)
+        ref = _reference_localize(raw, _vdp_h0, 0.1, _vdp_dh0)
         if no_df_base:
             # the localized base has no DF/Dg: A falls back to central differences
-            base, ref = (localize(base, _zero_h, 0.08, CutoffSpec(), dh0=_zero_dh, tol=0.1),
-                         _reference_localize(ref, _zero_h, 0.08, CutoffSpec(), _zero_dh))
+            base, ref = (localize(base, _zero_h, 0.08, dh0=_zero_dh, tol=0.1),
+                         _reference_localize(ref, _zero_h, 0.08, _zero_dh))
         rng = np.random.default_rng(3)
         y = rng.uniform(-2.0, 0.0, lead + (1,))
         for r in (0.02, 0.07, 0.3):
@@ -394,7 +412,7 @@ class TestLocalize:
         raw = build_vdp_raw(eps=0.005)
         with pytest.raises(PreconditionError):
             localize(raw, lambda y: np.full(np.asarray(y).shape[:-1] + (1,), 5.0),
-                     0.1, CutoffSpec())
+                     0.1)
 
 
 def test_n_zero_rejected():

@@ -68,7 +68,8 @@ class TestScenarioSpec:
         assert spec.to_dict()["system"] == "L1"
 
     @pytest.mark.parametrize("doc", [
-        {"eps": []}, {"eps": ["a"]}, {"eps": True}, {"eps": float("nan")},
+        {"eps": []}, {"eps": ["a"]}, {"eps": [0.1, 0.05]}, {"eps": True},
+        {"eps": float("nan")},
         pytest.param({"eps": 2 ** 1100}, id="eps-beyond-float-range"),
         {"domain": [0.5]}, {"domain": [1.0, 0.0]}, {"domain": [0.0, float("inf")]},
         {"grid": [3, "x"]}, {"grid": 1}, {"grid": True}, {"m": 0},

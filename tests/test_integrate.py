@@ -311,7 +311,7 @@ class TestDecayOnStraightened:
     def test_s1_style_decay(self, coupled_straight):
         ssys, scert = coupled_straight
         cfg = IntegratorConfig(dt=0.01)
-        p = flow(ssys.system, [0.4], [0.1], (0.0, 6.0), cfg, check_domain=False)
+        p = flow(ssys, [0.4], [0.1], (0.0, 6.0), cfg, check_domain=False)
         rate = scert.mu          # mu' of the straightened system
         norms = np.abs(p.fast[:, 0])
         # sampled pairs t >= s

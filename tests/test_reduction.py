@@ -22,12 +22,9 @@ CFG = IntegratorConfig(dt=0.01)
 CFG5 = IntegratorConfig(dt=0.005)
 
 
-def l2_zero_straight(l2_pair):
-    sys, cert = l2_pair
-    zh = lambda y: np.zeros(np.asarray(y).shape[:-1] + (1,))
-    zdh = lambda y: np.zeros(np.asarray(y).shape[:-1] + (1, 1))
-    zd2h = lambda y: np.zeros(np.asarray(y).shape[:-1] + (1, 1, 1))
-    return straighten(sys, zh, zdh, d2h=zd2h), straightened_constants(cert, 0.0)
+def _zero_h(y):
+    """The manifold h = 0 of L2, as the `l2_straight` fixture straightens it."""
+    return np.zeros(np.asarray(y).shape[:-1] + (1,))
 
 
 def tc2_system(eps=0.1):
@@ -105,8 +102,8 @@ def _reference_jacobians(sys, h, dh, d2h):
 class TestStraighten:
     def test_manifold_maps_to_zero(self, coupled_straight):
         ssys, scert = coupled_straight
-        nodes = ssys.system.domain.node_coords()
-        vals = ssys.system.eval_F(np.zeros((nodes.shape[0], 1)), nodes)
+        nodes = ssys.domain.node_coords()
+        vals = ssys.eval_F(np.zeros((nodes.shape[0], 1)), nodes)
         # straightened field vanishes on {xt = 0} up to solver tolerance
         assert np.max(np.abs(vals)) <= 1e-6
 
@@ -115,7 +112,7 @@ class TestStraighten:
         # scale O(dy^2) between nodes; 41 points over [-1, 1] gives ~3e-4
         # forcing and ~1e-5 accumulated drift at worst
         ssys, _ = coupled_straight
-        p = flow(ssys.system, [0.0], [0.1], (0.0, 10.0), CFG, check_domain=False)
+        p = flow(ssys, [0.0], [0.1], (0.0, 10.0), CFG, check_domain=False)
         assert np.max(np.abs(p.fast)) <= 1e-5
 
     def test_l1_straightened_field_is_linear(self, l1):
@@ -126,7 +123,7 @@ class TestStraighten:
         xt = np.linspace(-0.4, 0.4, 9)[:, None]
         ys = np.linspace(-0.4, 0.4, 9)[:, None]
         # F~(xt, y) = -xt exactly
-        assert np.allclose(ssys.system.eval_F(xt, ys), -xt, atol=1e-14)
+        assert np.allclose(ssys.eval_F(xt, ys), -xt, atol=1e-14)
 
     def test_two_evaluation_routes_agree(self, q1):
         sys, _ = q1
@@ -134,7 +131,7 @@ class TestStraighten:
         dh = lambda y: q1_dh(y[..., 0], 0.1)[..., None, None]
         ssys = straighten(sys, h, dh)
         xt, y = np.array([0.1]), np.array([0.0])
-        direct = ssys.system.eval_F(xt, y)
+        direct = ssys.eval_F(xt, y)
         composed = sys.eval_F(xt + h(y), y) - dh(y)[..., 0] * sys.eval_g(xt + h(y), y)
         assert np.allclose(direct, composed, atol=1e-12)
 
@@ -147,7 +144,7 @@ class TestStraighten:
         if grid_h:
             h = GridFunction.from_callable(sys.domain, h)
             dh = GridFunction.from_callable(sys.domain, dh)
-        st = straighten(sys, h, dh).system
+        st = straighten(sys, h, dh)
         rng = np.random.default_rng(5)
         xt = rng.uniform(-0.5, 0.5, lead + (sys.m,))
         y = rng.uniform(-1.0, 1.0, lead + (sys.n,))
@@ -169,7 +166,7 @@ class TestStraighten:
             h = lambda y: 0.3 * np.sin(y)
             dh = lambda y: 0.3 * np.cos(y)[..., None]
             d2h = lambda y: -0.3 * np.sin(y)[..., None, None]
-        st = straighten(sys, h, dh, d2h=d2h).system
+        st = straighten(sys, h, dh, d2h=d2h)
         DFt, Dgt = _reference_jacobians(sys, h, dh, d2h)
         rng = np.random.default_rng(11)
         xt = rng.uniform(-0.5, 0.5, lead + (sys.m,))
@@ -192,7 +189,7 @@ class TestStraighten:
         q1 = build_q1(0.1)
         sys = dataclasses.replace(q1, F=counted("F", q1.F), g=counted("g", q1.g))
         st = straighten(sys, counted("h", lambda y: q1_h(y[..., 0], 0.1)[..., None]),
-                        counted("Dh", lambda y: q1_dh(y[..., 0], 0.1)[..., None, None])).system
+                        counted("Dh", lambda y: q1_dh(y[..., 0], 0.1)[..., None, None]))
         xt, y = np.full((4, 1), 0.2), np.linspace(-1.0, 1.0, 4)[:, None]
         st.eval_Fg(xt, y)
         assert calls == {"F": 1, "g": 1, "h": 1, "Dh": 1}
@@ -200,15 +197,15 @@ class TestStraighten:
         np.concatenate([st.eval_F(xt, y), st.eval_g(xt, y)], axis=-1)
         assert calls == {"F": 1, "g": 2, "h": 2, "Dh": 1}
 
-    def test_dg_bound(self, coupled_straight, coupled):
+    def test_dg_bound(self, coupled_straight, coupled_solved):
         ssys, _ = coupled_straight
-        sys, cert = coupled
+        sys, cert, _, _, dh = coupled_solved
         rng = np.random.default_rng(0)
         xs = rng.uniform(-0.5, 0.5, (200, 1))
         ys = sys.domain.sample(rng, 200)
-        Dg = ssys.system.eval_Dg(xs, ys)
+        Dg = ssys.eval_Dg(xs, ys)
         norms = np.linalg.norm(Dg.reshape(200, -1), axis=1)
-        dh_sup = float(np.max(np.abs(ssys.dh(ys))))
+        dh_sup = float(np.max(np.abs(dh(ys))))
         assert np.max(norms) <= (1.0 + dh_sup) * cert.N1 * (1 + 1e-6) + 1e-9
 
     def test_nonconverged_report_rejected(self, l1_solved):
@@ -301,7 +298,7 @@ class TestSemiconjugacy:
         ssys, scert = l2_straight
         res = q_along_orbit(ssys, [1.0], [0.0], scert, CFG5)
         from slowfast.reduction import projected_flow
-        orbit = flow(ssys.system, res.xi, res.eta, (0.0, 10.0), CFG5,
+        orbit = flow(ssys, res.xi, res.eta, (0.0, 10.0), CFG5,
                      check_domain=False)
         wrong = projected_flow(ssys, res.P + 0.01, (0.0, 10.0), CFG5)
         t = 10.0
@@ -314,14 +311,14 @@ class TestSemiconjugacy:
         # P(orbit(t1)) evolved to t2 equals P(orbit(t2))
         ssys, scert = coupled_straight
         res = q_along_orbit(ssys, [0.4], [-0.2], scert, CFG)
-        orbit = flow(ssys.system, res.xi, res.eta, (0.0, 6.0), CFG,
+        orbit = flow(ssys, res.xi, res.eta, (0.0, 6.0), CFG,
                      check_domain=False)
         t1, t2 = 1.5, 5.0
         xt1, y1 = orbit.at(t1)
         xt2, y2 = orbit.at(t2)
         P1 = q_along_orbit(ssys, xt1, y1, scert, CFG).P
         P2 = q_along_orbit(ssys, xt2, y2, scert, CFG).P
-        evolved = flow(ssys.system, np.zeros(1), P1, (0.0, t2 - t1), CFG,
+        evolved = flow(ssys, np.zeros(1), P1, (0.0, t2 - t1), CFG,
                        check_domain=False).slow[-1]
         assert np.linalg.norm(evolved - P2) <= 1e-6
 
@@ -357,8 +354,8 @@ class TestAttractionRate:
             k = min(max(k, 1), 32)
             lo, hi = etas[k - 1, 0], etas[k, 0]
         eta_b = 0.5 * (lo + hi)
-        pa = flow(ssys.system, [0.5], [0.1], (0.0, 8.0), CFG, check_domain=False)
-        pb = flow(ssys.system, [0.25], [eta_b], (0.0, 8.0), CFG, check_domain=False)
+        pa = flow(ssys, [0.5], [0.1], (0.0, 8.0), CFG, check_domain=False)
+        pb = flow(ssys, [0.25], [eta_b], (0.0, 8.0), CFG, check_domain=False)
         gap = np.linalg.norm(np.concatenate([pa.fast - pb.fast, pa.slow - pb.slow],
                                             axis=1), axis=1)
         from slowfast.harness import fit_exponential
@@ -410,8 +407,8 @@ class TestDpPoint:
         # the straightened system decay at essentially the fast rate
         from slowfast.integrate import flow, variational_flow
         ssys, scert = tc2_straight(eps=0.1)
-        base = flow(ssys.system, [0.5], [0.2], (0.0, 8.0), CFG, check_domain=False)
-        vf = variational_flow(ssys.system, base, 1, CFG)
+        base = flow(ssys, [0.5], [0.2], (0.0, 8.0), CFG, check_domain=False)
+        vf = variational_flow(ssys, base, 1, CFG)
         ux = np.abs(vf.first[:, 0, 0])          # d x~(t) / d xi
         rate = scert.mu - scert.N1
         envelope = 1.05 * np.exp(-rate * vf.times)
@@ -423,7 +420,7 @@ class TestDecompose:
         sys, _ = l2
         ssys, scert = l2_straight
         res = q_along_orbit(ssys, [0.0], [0.3], scert, CFG)
-        outer, layer = decompose_orbit(sys, ssys.h, res, 5.0, CFG)
+        _, outer, layer = decompose_orbit(sys, _zero_h, res, 5.0, CFG)
         assert np.max(np.abs(layer.fast)) <= 1e-12
         assert np.max(np.abs(layer.slow)) <= 1e-12
 
@@ -431,7 +428,7 @@ class TestDecompose:
         sys, _ = l2
         ssys, scert = l2_straight
         res = q_along_orbit(ssys, [1.0], [0.0], scert, CFG5)
-        outer, layer = decompose_orbit(sys, ssys.h, res, 5.0, CFG5)
+        _, outer, layer = decompose_orbit(sys, _zero_h, res, 5.0, CFG5)
         lx, ly = layer.at(2.0)
         assert lx[0] == pytest.approx(0.135335, abs=2e-6)
         assert ly[0] == pytest.approx(-0.0135335, abs=2e-6)
@@ -440,20 +437,34 @@ class TestDecompose:
         sys, _ = l2
         ssys, scert = l2_straight
         res = q_along_orbit(ssys, [1.0], [0.0], scert, CFG)
-        outer, layer = decompose_orbit(sys, ssys.h, res, 5.0, CFG)
+        _, outer, layer = decompose_orbit(sys, _zero_h, res, 5.0, CFG)
         orbit = flow(sys, [1.0], [0.0], (0.0, 5.0), CFG, check_domain=False)
         err = max(np.max(np.abs(orbit.fast - (outer.fast + layer.fast))),
                   np.max(np.abs(orbit.slow - (outer.slow + layer.slow))))
         assert err <= 1e-9
 
-    def test_layer_decays_at_certified_rate(self, coupled, coupled_straight):
-        sys, cert = coupled
+    def test_layer_decays_at_certified_rate(self, coupled_solved, coupled_straight):
+        sys, cert, _, h, _ = coupled_solved
         ssys, scert = coupled_straight
         res = q_along_orbit(ssys, [0.5], [0.0], scert, CFG)
-        outer, layer = decompose_orbit(sys, ssys.h, res, 8.0, CFG)
+        _, outer, layer = decompose_orbit(sys, h, res, 8.0, CFG)
         norms = np.linalg.norm(np.concatenate([layer.fast, layer.slow], axis=1),
                                axis=1)
         rate = (cert.mu - cert.K * cert.M1x) / 1.05
         start = norms[0]
         bound = 3.0 * start * np.exp(-rate * layer.times)
         assert np.all(norms[layer.times > 1.0] <= bound[layer.times > 1.0])
+
+    @pytest.mark.parametrize("xi,eta", [(0.6, -0.3), (0.0, 0.2)], ids=["off", "on"])
+    def test_orbit_is_the_flow_from_the_query_point(self, coupled_solved,
+                                                    coupled_straight, xi, eta):
+        # the returned orbit is the original-coordinates flow from (h(eta) + xi, eta)
+        sys, _, _, h, _ = coupled_solved
+        ssys, scert = coupled_straight
+        res = q_along_orbit(ssys, [xi], [eta], scert, CFG)
+        orbit, _, _ = decompose_orbit(sys, h, res, 4.0, CFG)
+        x0 = np.asarray(h(np.array([eta])), dtype=float) + np.array([xi])
+        want = flow(sys, x0, np.array([eta]), (0.0, 4.0), CFG, check_domain=False)
+        for got, ref in ((orbit.times, want.times), (orbit.fast, want.fast),
+                         (orbit.slow, want.slow)):
+            assert got.tobytes() == ref.tobytes()
