@@ -18,8 +18,7 @@ from .errors import (CapabilityError, ContractionError, ConvergenceError,
                      SlowfastError, UnderdeterminedError)
 from .harness import ScenarioSpec, run_scenario
 from .integrate import (ContractionReport, IntegratorConfig, OrbitPath,
-                        ProcessHandle, bounded_solution, flow, process_A0,
-                        process_apply, process_Z, variational_flow)
+                        bounded_solution_batch, flow, process_apply, variational_flow)
 from .manifold import (LPConfig, d2h_solve, dh_solve, eqv_residual,
                        fd_derivative_error, invariance_residual, lp_map,
                        lp_map_batch, lp_solve)

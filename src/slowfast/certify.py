@@ -19,9 +19,11 @@ import numpy as np
 from .core import FastSlowSystem, _central_diff, as_slow_function
 from .errors import (CapabilityError, InfeasibleBudgetError, NoDecayError,
                      NumericError, PreconditionError)
-from .integrate import IntegratorConfig, _rk4
+from .integrate import IntegratorConfig, _process_field, _rk4
 
 CERTIFICATE_FIELDS = ("K", "mu", "M0", "M1x", "M1y", "N0", "N1", "delta", "rho")
+LIPSCHITZ_SAMPLES = 2000    # sample budget of the certificate's Lipschitz bundle
+PROCESS_HORIZON = 10.0      # time span over which the certificate samples process norms
 
 
 @dataclass(frozen=True)
@@ -214,10 +216,6 @@ def estimate_process_bound(sys: FastSlowSystem, drivers, t_max,
         def norms(U):
             return np.max(sys.norm_x(U), axis=-1)
 
-    def field(t, U):
-        A = sys.eval_A0(dset.batch(t))
-        return np.einsum("bij,b...j->b...i", A, U)
-
     n_steps = cfg.steps_for(t_max)
     stride = max(1, n_steps // 80)
     gaps, lognorms = [], []
@@ -227,7 +225,7 @@ def estimate_process_bound(sys: FastSlowSystem, drivers, t_max,
             gaps.append(np.full(B, t))
             lognorms.append(np.log(np.maximum(norms(cur), 1e-300)))
 
-    _rk4(field, U, 0.0, t_max, n_steps, sample)
+    _rk4(_process_field(sys, dset.batch), U, 0.0, t_max, n_steps, sample)
     gaps = np.concatenate(gaps)
     lognorms = np.concatenate(lognorms)
 
@@ -460,11 +458,11 @@ def straightened_constants(cert: ConstantsCertificate, dh_sup):
 
 
 def assemble_certificate(sys: FastSlowSystem, cfg: IntegratorConfig = IntegratorConfig(),
-                         seed=0, n_samples=2000, x_radius=2.0, t_max=10.0,
-                         overrides=None) -> ConstantsCertificate:
-    """Full estimation pipeline: Lipschitz bundle first (its N0 caps the driver
-    speed), then (K, mu) from 4 sampled drivers, integrated at a step of at
-    least 0.02, then the delta and rho budgets.
+                         seed=0, x_radius=2.0, overrides=None) -> ConstantsCertificate:
+    """Full estimation pipeline: Lipschitz bundle first (LIPSCHITZ_SAMPLES
+    samples; its N0 caps the driver speed), then (K, mu) from 4 sampled drivers
+    over PROCESS_HORIZON, integrated at a step of at least 0.02, then the delta
+    and rho budgets.
 
     `overrides` maps certificate fields to supplied values; K and mu come as
     a pair.  An unknown key or a lone K or mu is a ValueError.
@@ -478,7 +476,7 @@ def assemble_certificate(sys: FastSlowSystem, cfg: IntegratorConfig = Integrator
         raise ValueError("override K and mu together: the process bound is one pair")
     prov = {}
     lip_over = {k: v for k, v in overrides.items() if k in ("M0", "M1x", "M1y", "N0", "N1")}
-    values, lip_prov = estimate_lipschitz(sys, n_samples=n_samples, x_radius=x_radius,
+    values, lip_prov = estimate_lipschitz(sys, n_samples=LIPSCHITZ_SAMPLES, x_radius=x_radius,
                                           seed=seed, overrides=lip_over)
     prov.update(lip_prov)
     if "K" in overrides:
@@ -487,7 +485,7 @@ def assemble_certificate(sys: FastSlowSystem, cfg: IntegratorConfig = Integrator
     else:
         drivers = band_limited_drivers(sys.domain, max(values["N0"], 1e-6),
                                        4, seed=seed)
-        K, mu = estimate_process_bound(sys, drivers, t_max,
+        K, mu = estimate_process_bound(sys, drivers, PROCESS_HORIZON,
                                        IntegratorConfig(dt=max(cfg.dt, 0.02)))
         prov.update(K="sampled", mu="sampled")
     cert = ConstantsCertificate(K=K, mu=mu, provenance=prov, **values)

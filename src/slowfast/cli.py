@@ -243,7 +243,7 @@ def _add_common(p, with_point=False):
     p.add_argument("--system", choices=sorted(EXAMPLES), help="built-in system name")
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--eps", type=float, help="timescale parameter")
-    p.add_argument("--grid", type=int, help="slow grid points per axis")
+    p.add_argument("--grid", type=int, help="slow grid points per axis, >= 3 (an interior node per axis)")
     p.add_argument("--m", type=int, help="fast quadrature size (NF1)")
     p.add_argument("--dt", type=float)
     p.add_argument("--horizon", type=float)

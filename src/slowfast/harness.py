@@ -20,7 +20,6 @@ from .errors import CapabilityError, SchemaError
 from .integrate import IntegratorConfig
 from .manifold import (LPConfig, dh_solve, eqv_residual, fd_derivative_error,
                        invariance_residual, lp_map_batch, lp_solve, d2h_solve)
-from .reduction import fit_exponential  # noqa: F401  (re-exported)
 from .reduction import q_along_orbit, semiconjugacy_residual, straighten
 from .systems import EXAMPLES, get_example
 
@@ -69,7 +68,7 @@ _SCHEMA = {
     "eps": (_number, "a finite number"),
     "domain": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v))
                and v[0] < v[1], "[lo, hi] with finite lo < hi"),
-    "grid": (_count(2), "an integer >= 2"),
+    "grid": (_count(3), "an integer >= 3, for an interior node on each axis"),
     "m": (_count(1), "an integer >= 1"),
     "dt": (_positive, "a finite number > 0"),
     "horizon": (_positive, "a finite number > 0"),

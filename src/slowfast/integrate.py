@@ -1,7 +1,7 @@
-"""Fixed-step RK4 time integration: full flows, linear processes
-(two-parameter semigroups), variational flows, the bounded solution that
-underlies the slow-manifold fixed point, and the sweep loop that every
-fixed-point iteration runs.
+"""Fixed-step RK4 time integration: full flows, the fast process (a
+two-parameter semigroup), variational flows, the bounded solution that
+underlies the slow-manifold fixed point, the named blocks of a flat RK4
+state, and the sweep loop that every fixed-point iteration runs.
 
 Only the classic 4th-order Runge-Kutta scheme is provided; reproducibility
 of certified numbers matters more than adaptivity here.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -180,56 +180,52 @@ def _package(sys, times, states, cfg, horizon):
                      meta={"dt": cfg.dt, "horizon": horizon})
 
 
-# -- linear processes (two-parameter semigroups) ------------------------------
+# -- named state blocks ---------------------------------------------------------
 
-@dataclass
-class ProcessHandle:
-    """Solution operator T(t, s) of a non-autonomous linear ODE v' = A(t) v.
+class _Blocks:
+    """Named blocks of a flat RK4 state: the blocks, of the given shape tuples,
+    sit side by side in order on the state's last axis."""
 
-    `matrix` maps t to the generator A(t).  The dissipative generator (the
-    frozen fast linearization A0) is forward-only; the slow-projection
-    generator Z is reversible.
-    """
+    def __init__(self, *shapes):
+        cuts = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
+        self.blocks = [(slice(a, b), s, len(s) == 1) for a, b, s in zip(cuts, cuts[1:], shapes)]
 
-    matrix: Callable
-    reversible: bool = False
+    def split(self, u):
+        """Each block of u as a view in its own shape over u's leading axes."""
+        lead = u.shape[:-1]
+        return [u[..., k] if flat else u[..., k].reshape(lead + s) for k, s, flat in self.blocks]
 
-
-def process_A0(sys: FastSlowSystem, driver) -> ProcessHandle:
-    """Process of v' = A0(psi(t)) v for a slow driver path psi (callable t -> y)."""
-    drv = _as_driver(driver)
-    return ProcessHandle(matrix=lambda t: sys.eval_A0(drv(t)))
-
-
-def process_Z(sys: FastSlowSystem, p_driver) -> ProcessHandle:
-    """Reversible process of w' = D_y g(0, p(t)) w along a projected slow path p."""
-    drv = _as_driver(p_driver)
-    zeros = np.zeros(sys.m)
-
-    def mat(t):
-        return sys.Dyg(zeros, drv(t))
-
-    return ProcessHandle(matrix=mat, reversible=True)
+    def join(self, lead, *parts):
+        """The flat state of one part per block, each broadcast to lead + its shape."""
+        out = []
+        for p, (_, s, flat) in zip(parts, self.blocks, strict=True):
+            if p.shape != lead + s:
+                p = np.broadcast_to(p, lead + s)
+            out.append(p if flat else p.reshape(lead + (-1,)))
+        return np.concatenate(out, axis=-1)
 
 
-def _as_driver(driver):
-    if callable(driver):
-        return driver
-    raise TypeError("driver must be a callable t -> y")
+# -- the fast process (a two-parameter semigroup) -----------------------------
+
+def _process_field(sys: FastSlowSystem, driver):
+    """The field U' = A0(psi(t)) U of the fast process T0(t, s; psi), over a
+    batch of driver paths: driver(t) is (B, n) and U is (B, ..., m)."""
+    def field(t, U):
+        return np.einsum("bij,b...j->b...i", sys.eval_A0(driver(t)), U)
+
+    return field
 
 
-def process_apply(handle: ProcessHandle, t, s, xi, cfg: IntegratorConfig):
-    """T(t, s) xi by integrating the linear ODE from s to t.  Linear in xi."""
+def process_apply(sys: FastSlowSystem, driver, U, s, t, cfg: IntegratorConfig):
+    """T0(t, s; psi) U for each driver path psi of the batch driver(t) (B, n);
+    forward-only (t < s is a PreconditionError) and linear in U."""
     t, s = float(t), float(s)
-    if t < s and not handle.reversible:
+    if t < s:
         raise PreconditionError("t < s for a forward-only (dissipative) process")
-    xi = np.asarray(xi, dtype=float)
+    U = np.asarray(U, dtype=float)
     if t == s:
-        return xi.copy()
-    n = cfg.steps_for(t - s)
-    _, out = rk4_final(lambda tau, v: np.einsum("ij,...j->...i", handle.matrix(tau), v),
-                       xi, s, t, n)
-    return out
+        return U.copy()
+    return _rk4(_process_field(sys, driver), U, s, t, cfg.steps_for(t - s))[1]
 
 
 # -- variational flows --------------------------------------------------------
@@ -242,6 +238,13 @@ class VariationalFlow:
     states: np.ndarray          # (S, m+n) re-integrated base orbit
     first: np.ndarray           # (S, m+n, m+n)
     second: Optional[np.ndarray] = None   # (S, m+n, m+n, m+n)
+
+
+def _jet(sys: FastSlowSystem, z):
+    """The joint field (F, g) at z = (x, y) and its Jacobian J, the generator
+    of the first variational flow U' = J U."""
+    x, y = z[..., :sys.m], z[..., sys.m:]
+    return sys.eval_Fg(x, y), np.concatenate([sys.eval_DF(x, y), sys.eval_Dg(x, y)], axis=-2)
 
 
 def variational_flow(sys: FastSlowSystem, base: OrbitPath, order, cfg: IntegratorConfig) -> VariationalFlow:
@@ -257,45 +260,27 @@ def variational_flow(sys: FastSlowSystem, base: OrbitPath, order, cfg: Integrato
         raise CapabilityError("variational_flow needs DF and Dg")
     if order == 2 and not sys.has_derivatives(2):
         raise CapabilityError("second variational flow needs D2F and D2g")
-    m, n = sys.m, sys.n
-    d = m + n
+    m, d = sys.m, sys.m + sys.n
     t0, t1 = float(base.times[0]), float(base.times[-1])
-    u0 = np.concatenate([base.fast[0], base.slow[0]])
+    blocks = _Blocks(*[(d,), (d, d), (d, d, d)][:order + 1])    # z, U[, V]
 
-    def jac(x, y):
-        return np.concatenate([sys.eval_DF(x, y), sys.eval_Dg(x, y)], axis=-2)
+    def field(t, u):
+        z, U, *V = blocks.split(u)
+        Fg, J = _jet(sys, z)
+        parts = [Fg, J @ U]
+        if V:
+            x, y = z[:m], z[m:]
+            H = np.concatenate([sys.eval_D2F(x, y), sys.eval_D2g(x, y)], axis=-3)
+            parts.append(np.einsum("ic,cab->iab", J, V[0])
+                         + np.einsum("icd,ca,db->iab", H, U, U))
+        return blocks.join((), *parts)
 
-    def hess(x, y):
-        return np.concatenate([sys.eval_D2F(x, y), sys.eval_D2g(x, y)], axis=-3)
-
-    nU = d * d
-    if order == 1:
-        def field(t, u):
-            z, U = u[:d], u[d:].reshape(d, d)
-            J = jac(z[:m], z[m:])
-            return np.concatenate([
-                sys.eval_Fg(z[:m], z[m:]),
-                (J @ U).ravel()])
-        w0 = np.concatenate([u0, np.eye(d).ravel()])
-    else:
-        def field(t, u):
-            z = u[:d]
-            U = u[d:d + nU].reshape(d, d)
-            V = u[d + nU:].reshape(d, d, d)
-            J = jac(z[:m], z[m:])
-            H = hess(z[:m], z[m:])
-            dV = np.einsum("ic,cab->iab", J, V) + np.einsum("icd,ca,db->iab", H, U, U)
-            return np.concatenate([
-                sys.eval_Fg(z[:m], z[m:]),
-                (J @ U).ravel(), dV.ravel()])
-        w0 = np.concatenate([u0, np.eye(d).ravel(), np.zeros(d * d * d)])
-
-    n_steps = cfg.steps_for(t1 - t0)
-    times, path = rk4_path(field, w0, t0, t1, n_steps)
-    states = path[:, :d]
-    first = path[:, d:d + nU].reshape(-1, d, d)
-    second = path[:, d + nU:].reshape(-1, d, d, d) if order == 2 else None
-    return VariationalFlow(times=times, states=states, first=first, second=second)
+    w0 = blocks.join((), *[np.concatenate([base.fast[0], base.slow[0]]), np.eye(d),
+                           np.zeros((d, d, d))][:order + 1])
+    times, path = rk4_path(field, w0, t0, t1, cfg.steps_for(t1 - t0))
+    states, first, *second = blocks.split(path)
+    return VariationalFlow(times=times, states=states, first=first,
+                           second=second[0] if second else None)
 
 
 # -- fixed-point sweeps -------------------------------------------------------
@@ -358,38 +343,6 @@ def truncation_horizon(cert, tol):
     return math.log(cert.K * amplitude / tol) / rate
 
 
-def bounded_solution(sys: FastSlowSystem, sigma, eta, horizon=None,
-                     cfg: IntegratorConfig = IntegratorConfig(), cert=None,
-                     tol=1e-9) -> OrbitPath:
-    """The unique bounded solution phi of x' = F(x, psi(t; eta, sigma)) on [-T, 0].
-
-    Integrates psi backward to -T, then the joint system
-    (x' = F(x,y), y' = g(sigma(y), y)) forward from (sigma(psi(-T)), psi(-T)).
-    The attracting contraction at rate mu - K*M1x makes the startup error at
-    most K e^{-(mu - K M1x) T} * 2(K M0/mu + delta) by the decay estimate, so
-    T from the truncation rule pins phi(0) to `tol`.  `_picard_bounded`
-    computes the same solution another way, as a cross-check.
-    """
-    if cert is not None:
-        if cert.K * cert.M1x >= cert.mu:
-            raise ContractionError("bounded solution needs K*M1x < mu")
-        if horizon is None:
-            horizon = truncation_horizon(cert, tol)
-    if horizon is None:
-        raise ValueError("pass a horizon or a certificate to derive one")
-    T = float(horizon)
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    sig = as_slow_function(sigma)
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    slow_field, joint, lift = _graph_fields(sys, sig)
-    n_b = cfg.steps_for(T)
-    _, y_T = rk4_final(slow_field, eta, 0.0, -T, n_b)
-    times, states = rk4_path(joint, lift(y_T), -T, 0.0, n_b)
-    return OrbitPath(times, states[:, : sys.m], states[:, sys.m:],
-                     meta={"dt": cfg.dt, "horizon": T})
-
-
 def _graph_fields(sys, sig):
     """The slow drift on the graph of sig, the coupled (fast, slow) field, and
     the lift y -> (sig(y), y) that starts the coupled field on the graph."""
@@ -407,8 +360,8 @@ def _graph_fields(sys, sig):
 
 
 def _picard_bounded(sys, sig, eta, T, cfg, tol):
-    """The bounded solution of `bounded_solution` on the same slow path and time
-    grid, by Picard iteration of the variation-of-constants map (each sweep one
+    """The bounded solution of `bounded_solution_batch` on the same slow path and
+    time grid, by Picard iteration of the variation-of-constants map (each sweep one
     inhomogeneous linear solve) from phi = 0."""
     from scipy.interpolate import CubicSpline
 
@@ -447,10 +400,14 @@ def two_pass(back_field, fwd_field, u0, lift, T, cfg: IntegratorConfig):
 
 def bounded_solution_batch(sys: FastSlowSystem, sigma, etas, horizon,
                            cfg: IntegratorConfig):
-    """phi(0; eta, sigma) for a batch of eta rows at once (forward route).
+    """phi(0; eta, sigma) of the unique bounded solution of x' = F(x, psi(t; eta,
+    sigma)), for a batch of eta rows (..., n) at once; returns (..., m).
 
-    Internal workhorse for grid sweeps; returns (B, m).
-    """
+    Integrates psi backward to -T, then (x' = F(x,y), y' = g(sigma(y), y))
+    forward from (sigma(psi(-T)), psi(-T)).  The contraction at rate mu - K*M1x
+    bounds the startup error by K e^{-(mu - K M1x) T} * 2(K M0/mu + delta), so
+    T = truncation_horizon(cert, tol) pins phi(0) to `tol`.  `_picard_bounded`
+    is the cross-check."""
     slow_field, joint, lift = _graph_fields(sys, as_slow_function(sigma))
     u0 = two_pass(slow_field, joint, np.asarray(etas, dtype=float), lift,
                   float(horizon), cfg)

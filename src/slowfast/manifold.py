@@ -21,9 +21,9 @@ from .certify import ConstantsCertificate
 from .core import FastSlowSystem, GridDomain, GridFunction, GridStack, as_slow_function
 from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
                      PreconditionError)
-from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _graph_fields,
-                        _sweep, bounded_solution_batch, flow, truncation_horizon,
-                        two_pass)
+from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _Blocks,
+                        _graph_fields, _sweep, bounded_solution_batch, flow,
+                        truncation_horizon, two_pass)
 
 
 @dataclass
@@ -140,21 +140,21 @@ def eqv_residual(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificat
     m, n = sys.m, sys.n
 
     slow_field = _graph_fields(sys, hf)[0]
+    blocks = _Blocks((n,), (m,))                      # y, v
 
     def joint(t, u):
-        y, v = u[..., :n], u[..., n:]
+        y, v = blocks.split(u)
         hy = np.asarray(hf(y), dtype=float)          # once: the slow drift reads it too
         A = sys.eval_A0(y)
         Fg = sys.eval_Fg(hy, y)
         r0 = Fg[..., :m] - np.einsum("...ij,...j->...i", A, hy)
         dv = np.einsum("...ij,...j->...i", A, v) + r0
-        return np.concatenate([Fg[..., m:], dv], axis=-1)
+        return blocks.join(u.shape[:-1], Fg[..., m:], dv)
 
     uf = two_pass(slow_field, joint, etas,
-                  lambda y_T: np.concatenate([y_T, np.zeros((etas.shape[0], m))], axis=-1),
-                  T, cfg_int)
+                  lambda y_T: blocks.join(y_T.shape[:-1], y_T, np.zeros(m)), T, cfg_int)
     vals = np.asarray(hf(etas), dtype=float)
-    resid = sys.norm_x(vals - uf[..., n:])
+    resid = sys.norm_x(vals - blocks.split(uf)[1])
     return float(np.max(resid))
 
 
@@ -201,16 +201,9 @@ def _joint_reader(*fns):
     values at y, each in its own value shape (equal to calling each).
     """
     grid = fns[0].domain
-    joint = GridFunction(grid, np.concatenate(
-        [f.values.reshape(grid.shape + (-1,)) for f in fns], axis=-1))
-    cuts = np.cumsum([0] + [math.prod(f.value_shape) for f in fns]).tolist()
-    parts = [(a, b, f.value_shape) for a, b, f in zip(cuts, cuts[1:], fns)]
-
-    def read(y):
-        out = joint(y)
-        return [out[..., a:b].reshape(out.shape[:-1] + shape) for a, b, shape in parts]
-
-    return read
+    blocks = _Blocks(*[f.value_shape for f in fns])
+    joint = GridFunction(grid, blocks.join(grid.shape, *[f.values for f in fns]))
+    return lambda y: blocks.split(joint(y))
 
 
 def _dh_apply(sys, h, w_field, T, cfg_int):
@@ -226,32 +219,27 @@ def _dh_apply(sys, h, w_field, T, cfg_int):
     grid = h.domain
     etas = grid.node_coords()
     B, m, n = etas.shape[0], sys.m, sys.n
+    back, fwd = _Blocks((n,), (n, n)), _Blocks((n,), (n, n), (m, n))     # y, z[, v]
 
-    def field(with_v):
+    def field(blocks):
         def fld(t, u):
-            y = u[..., :n]
-            z = u[..., n:n + n * n].reshape(u.shape[:-1] + (n, n))
+            y, z, *v = blocks.split(u)
             hy, Wy = read(y)
             Dg = sys.eval_Dg(hy, y)
             gen = np.einsum("...ij,...jk->...ik", Dg[..., :, :m], Wy) + Dg[..., :, m:]
-            dz = np.einsum("...ij,...jk->...ik", gen, z)
-            parts = [sys.eval_g(hy, y), dz.reshape(u.shape[:-1] + (n * n,))]
-            if with_v:
-                v = u[..., n + n * n:].reshape(u.shape[:-1] + (m, n))
+            parts = [sys.eval_g(hy, y), np.einsum("...ij,...jk->...ik", gen, z)]
+            if v:
                 DFh = sys.eval_DF(hy, y)
-                dv = (np.einsum("...ij,...jk->...ik", DFh[..., :, :m], v)
-                      + np.einsum("...ij,...jk->...ik", DFh[..., :, m:], z))
-                parts.append(dv.reshape(u.shape[:-1] + (m * n,)))
-            return np.concatenate(parts, axis=-1)
+                parts.append(np.einsum("...ij,...jk->...ik", DFh[..., :, :m], v[0])
+                             + np.einsum("...ij,...jk->...ik", DFh[..., :, m:], z))
+            return blocks.join(u.shape[:-1], *parts)
 
         return fld
 
-    u0 = np.concatenate([etas, np.broadcast_to(np.eye(n).ravel(), (B, n * n))], axis=-1)
-    uf = two_pass(field(False), field(True), u0,
-                  lambda u_T: np.concatenate([u_T, np.zeros((B, m * n))], axis=-1),
+    uf = two_pass(field(back), field(fwd), back.join((B,), etas, np.eye(n)),
+                  lambda u_T: fwd.join((B,), *back.split(u_T), np.zeros((m, n))),
                   T, cfg_int)
-    vals = uf[..., n + n * n:].reshape(grid.shape + (m, n))
-    return GridFunction(grid, vals)
+    return GridFunction(grid, fwd.split(uf)[2].reshape(grid.shape + (m, n)))
 
 
 def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
@@ -334,7 +322,8 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
     rate = cert.contraction_rate() - 2.0 * cert.N1 * (cert.rho + 1.0)
     T = math.log(max(cert.K * max(cert.M1y, 1e-6) / (rate * cfg.tol_bounded), 10.0)) / rate
 
-    sz1, sz2, sv = n * n, n * n * n, m * n * n
+    back = _Blocks((n,), (n, n), (n, n, n))                     # y, z1, z2
+    fwd = _Blocks((n,), (n, n), (n, n, n), (m, n, n))          # y, z1, z2, v
 
     def terms(y, z1, z2, hy, Dhy, W2y):
         w1 = np.einsum("...ij,...ja->...ia", Dhy, z1)
@@ -351,45 +340,33 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
                + np.einsum("...ij,...jab->...iab", Dg[..., :, m:], z2) + Sy)
         return V1, dz1, dz2
 
-    def unpack(u, with_v):
-        y = u[..., :n]
-        z1 = u[..., n:n + sz1].reshape(u.shape[:-1] + (n, n))
-        z2 = u[..., n + sz1:n + sz1 + sz2].reshape(u.shape[:-1] + (n, n, n))
-        v = None
-        if with_v:
-            v = u[..., n + sz1 + sz2:].reshape(u.shape[:-1] + (m, n, n))
-        return y, z1, z2, v
-
-    def make_field(read, with_v):
+    def make_field(read, blocks):
         def fld(t, u):
-            y, z1, z2, v = unpack(u, with_v)
+            y, z1, z2, *v = blocks.split(u)
             hy, Dhy, W2y = read(y)
             V1, dz1, dz2 = terms(y, z1, z2, hy, Dhy, W2y)
-            parts = [sys.eval_g(hy, y), dz1.reshape(u.shape[:-1] + (sz1,)),
-                     dz2.reshape(u.shape[:-1] + (sz2,))]
-            if with_v:
+            parts = [sys.eval_g(hy, y), dz1, dz2]
+            if v:
                 DFh = sys.eval_DF(hy, y)
                 D2F = sys.eval_D2F(hy, y)
                 Sx = np.einsum("...icd,...ca,...db->...iab", D2F, V1, V1)
-                dv = (np.einsum("...ij,...jab->...iab", DFh[..., :, :m], v)
-                      + np.einsum("...ij,...jab->...iab", DFh[..., :, m:], z2) + Sx)
-                parts.append(dv.reshape(u.shape[:-1] + (sv,)))
-            return np.concatenate(parts, axis=-1)
+                parts.append(np.einsum("...ij,...jab->...iab", DFh[..., :, :m], v[0])
+                             + np.einsum("...ij,...jab->...iab", DFh[..., :, m:], z2) + Sx)
+            return blocks.join(u.shape[:-1], *parts)
 
         return fld
 
     report = ContractionReport()
     report.diagnostics["horizon"] = T
-    u0 = np.concatenate([etas, np.broadcast_to(np.eye(n).ravel(), (B, sz1)),
-                         np.zeros((B, sz2))], axis=-1)
+    u0 = back.join((B,), etas, np.eye(n), np.zeros((n, n, n)))
 
     def apply(W2):
         # h, Dh and W2: one interpolation per stage
         read = _joint_reader(h, dh, GridFunction(grid, W2))
-        uf = two_pass(make_field(read, with_v=False), make_field(read, with_v=True), u0,
-                      lambda u_T: np.concatenate([u_T, np.zeros((B, sv))], axis=-1),
+        uf = two_pass(make_field(read, back), make_field(read, fwd), u0,
+                      lambda u_T: fwd.join((B,), *back.split(u_T), np.zeros((m, n, n))),
                       T, cfg_int)
-        return uf[..., n + sz1 + sz2:].reshape(grid.shape + (m, n, n))
+        return fwd.split(uf)[3].reshape(grid.shape + (m, n, n))
 
     W2 = _sweep("second-derivative", apply, np.zeros(grid.shape + (m, n, n)), report,
                 cfg.tol_fixed_point)

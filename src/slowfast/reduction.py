@@ -19,8 +19,8 @@ from .certify import ConstantsCertificate
 from .core import FastSlowSystem, _FusedSystem, _graph_transform, as_slow_function
 from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
                      PreconditionError, UnderdeterminedError)
-from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _full_field,
-                        _sweep, flow, rk4_path)
+from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _Blocks,
+                        _full_field, _jet, _sweep, flow, rk4_path)
 
 
 def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> FastSlowSystem:
@@ -216,9 +216,8 @@ def projected_flow(sys_t: FastSlowSystem, P, t_span, cfg_int) -> OrbitPath:
 
 
 def semiconjugacy_residual(sys_t: FastSlowSystem, result: ReductionResult,
-                           t_max, cfg_int: IntegratorConfig = IntegratorConfig(),
-                           cert: ConstantsCertificate = None, n_checks=9,
-                           tol_q=1e-10):
+                           t_max, cfg_int: IntegratorConfig, cert: ConstantsCertificate,
+                           n_checks=9, tol_q=1e-10):
     """max over sampled t of |P(orbit(t)) - y_projected(t)|.
 
     Re-runs the defect query at points along the orbit and compares with the
@@ -227,8 +226,6 @@ def semiconjugacy_residual(sys_t: FastSlowSystem, result: ReductionResult,
     """
     if not result.report.converged:
         raise PreconditionError("semiconjugacy check needs a converged result")
-    if cert is None:
-        raise ValueError("pass the straightened-constants certificate")
     orbit = flow(sys_t, result.xi, result.eta, (0.0, float(t_max)), cfg_int,
                  check_domain=False)
     proj = projected_flow(sys_t, result.P, (0.0, float(t_max)), cfg_int)
@@ -291,8 +288,7 @@ class RateFit:
 
 
 def attraction_rate_fit(sys_t: FastSlowSystem, result: ReductionResult,
-                        t_max, cfg_int: IntegratorConfig = IntegratorConfig(),
-                        cert: ConstantsCertificate = None,
+                        t_max, cfg_int: IntegratorConfig, cert: ConstantsCertificate,
                         noise_floor=1e-11) -> RateFit:
     """Least-squares exponential fit of |orbit(t) - projected orbit(t)|.
 
@@ -316,11 +312,10 @@ def attraction_rate_fit(sys_t: FastSlowSystem, result: ReductionResult,
     if np.max(slow_gap) > noise_floor:
         sfit = fit_exponential(list(zip(orbit.times, slow_gap)), noise_floor)
         out.slow_prefactor = sfit.prefactor
-        if cert is not None:
-            mu_p = cert.contraction_rate()
-            out.slow_prefactor_bound = (cert.K ** 2 * cert.N1
-                                        / max(mu_p - cert.K * cert.N1, 1e-300)
-                                        * float(sys_t.norm_x(result.xi)))
+        mu_p = cert.contraction_rate()
+        out.slow_prefactor_bound = (cert.K ** 2 * cert.N1
+                                    / max(mu_p - cert.K * cert.N1, 1e-300)
+                                    * float(sys_t.norm_x(result.xi)))
     return out
 
 
@@ -341,54 +336,31 @@ def dp_point(sys_t: FastSlowSystem, xi, eta, result: ReductionResult,
     mu_p = cert.contraction_rate()
     if 2.0 * cert.N1 >= mu_p:
         raise InfeasibleBudgetError("derivative budget 2 N1 < mu' violated")
-    m, n = sys_t.m, sys_t.n
-    d = m + n
+    m, n, d = sys_t.m, sys_t.n, sys_t.m + sys_t.n
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if not (np.allclose(xi, result.xi) and np.allclose(eta, result.eta)):
         raise PreconditionError("result was computed at a different point")
 
-    xin = float(sys_t.norm_x(xi))
-    rate = mu_p - 2.0 * cert.N1
-    amp = max(cert.K * max(xin, 1.0) * (cert.N1 + 1.0), 10 * tol)
-    T = math.log(amp / tol) / rate
+    amp = max(cert.K * max(float(sys_t.norm_x(xi)), 1.0) * (cert.N1 + 1.0), 10 * tol)
+    T = math.log(amp / tol) / (mu_p - 2.0 * cert.N1)
 
-    sU, sY, sG = d * d, n * n, n * d
-
-    def unpack(u):
-        o = 0
-        xt = u[o:o + m]; o += m
-        y = u[o:o + n]; o += n
-        q = u[o:o + n]; o += n
-        U = u[o:o + sU].reshape(d, d); o += sU
-        Y = u[o:o + sY].reshape(n, n); o += sY
-        G = u[o:].reshape(n, d)
-        return xt, y, q, U, Y, G
-
+    blocks = _Blocks((d,), (n,), (d, d), (n, n), (n, d))     # z = (xt, y), q, U, Y, G
     zeros_m = np.zeros(m)
 
     def fld(t, u):
-        xt, y, q, U, Y, G = unpack(u)
-        p = y - q
-        Fg = sys_t.eval_Fg(xt, y)
-        gv = Fg[m:]
-        g0p = sys_t.eval_g(zeros_m, p)
-        DF = sys_t.eval_DF(xt, y)
-        Dg = sys_t.eval_Dg(xt, y)
-        J = np.concatenate([DF, Dg], axis=0)
+        z, q, U, Y, _ = blocks.split(u)
+        Fg, J = _jet(sys_t, z)
+        p = z[m:] - q
         Az = sys_t.Dyg(zeros_m, p)
-        dU = J @ U
-        dY = -Y @ Az
-        integrand = Y @ (Az @ U[m:, :] - Dg @ U)
-        return np.concatenate([Fg, gv - g0p, dU.ravel(), dY.ravel(),
-                               integrand.ravel()])
+        integrand = Y @ (Az @ U[m:, :] - J[m:] @ U)
+        return blocks.join((), Fg, Fg[m:] - sys_t.eval_g(zeros_m, p), J @ U, -Y @ Az,
+                           integrand)
 
-    u0 = np.concatenate([xi, eta, result.Q, np.eye(d).ravel(), np.eye(n).ravel(),
-                         np.zeros(sG)])
-    n_steps = cfg_int.steps_for(T)
-    times, path = rk4_path(fld, u0, 0.0, T, n_steps)
-    *_, G = unpack(path[-1])
-    Q1 = G
+    u0 = blocks.join((), np.concatenate([xi, eta]), result.Q, np.eye(d), np.eye(n),
+                     np.zeros((n, d)))
+    _, path = rk4_path(fld, u0, 0.0, T, cfg_int.steps_for(T))
+    Q1 = blocks.split(path[-1])[-1]
     P1 = np.concatenate([np.zeros((n, m)), np.eye(n)], axis=1) - Q1
     return P1, Q1
 

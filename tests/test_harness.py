@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from slowfast.errors import SchemaError, UnderdeterminedError
 from slowfast import harness
 from slowfast.core import GridDomain
-from slowfast.harness import KNOWN_CHECKS, ScenarioSpec, fit_exponential, run_scenario
+from slowfast.harness import KNOWN_CHECKS, ScenarioSpec, run_scenario
+from slowfast.reduction import fit_exponential
 from slowfast.systems import EXAMPLES
 
 
@@ -72,7 +73,7 @@ class TestScenarioSpec:
         {"eps": float("nan")},
         pytest.param({"eps": 2 ** 1100}, id="eps-beyond-float-range"),
         {"domain": [0.5]}, {"domain": [1.0, 0.0]}, {"domain": [0.0, float("inf")]},
-        {"grid": [3, "x"]}, {"grid": 1}, {"grid": True}, {"m": 0},
+        {"grid": [3, "x"]}, {"grid": 1}, {"grid": 2}, {"grid": True}, {"m": 0},
         {"dt": 0.0}, {"dt": float("nan")}, {"horizon": -1.0},
         {"seed": -1}, {"seed": None}, {"derivative": True},
         {"overrides": {"K": "x"}}, {"overrides": {"K": 2.0}}, {"overrides": {"Q": 1.0}},

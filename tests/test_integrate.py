@@ -9,10 +9,10 @@ from slowfast.certify import ConstantsCertificate
 from slowfast.core import FastSlowSystem, GridDomain
 from slowfast.errors import (ConvergenceError, DomainExitError, NumericError,
                              PreconditionError)
-from slowfast.integrate import (IntegratorConfig, OrbitPath, _full_field,
-                                _graph_fields, _picard_bounded, bounded_solution,
-                                flow, process_A0, process_apply, rk4_final,
-                                rk4_path, truncation_horizon, variational_flow)
+from slowfast.integrate import (IntegratorConfig, OrbitPath, _Blocks, _full_field,
+                                _graph_fields, _picard_bounded, bounded_solution_batch,
+                                flow, process_apply, rk4_final, rk4_path,
+                                truncation_horizon, variational_flow)
 from slowfast.manifold import LPConfig, d2h_solve, dh_solve, lp_solve
 from slowfast.reduction import e_norm_sweep, q_along_orbit
 from slowfast.systems import build_l1, build_l2, build_q1
@@ -140,65 +140,124 @@ class TestSlowIVP:
         assert np.all(gap <= bound * (1 + 1e-6))
 
 
+class TestBlocks:
+    SHAPES = [(2,), (2, 3), (1, 2, 2), ()]
+
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=["no-lead", "rows", "grid"])
+    def test_join_split_round_trip_bytes(self, lead):
+        blocks = _Blocks(*self.SHAPES)
+        rng = np.random.default_rng(0)
+        parts = [rng.normal(size=lead + s) for s in self.SHAPES]
+        u = blocks.join(lead, *parts)
+        # the blocks sit in order on the last axis, as hand-computed offsets put them
+        flat = np.concatenate([p.reshape(lead + (-1,)) for p in parts], axis=-1)
+        assert u.shape == lead + (13,) and u.tobytes() == flat.tobytes()
+        views = blocks.split(u)
+        for p, v in zip(parts, views):
+            assert v.shape == p.shape and v.tobytes() == p.tobytes()
+            assert np.shares_memory(v, u)
+        assert blocks.join(lead, *views).tobytes() == u.tobytes()
+
+    def test_join_broadcasts_parts_over_the_leading_axes(self):
+        blocks = _Blocks((2,), (2, 2))
+        u = blocks.join((3,), np.array([1.0, 2.0]), np.eye(2))
+        assert np.array_equal(u, np.tile([1.0, 2.0, 1.0, 0.0, 0.0, 1.0], (3, 1)))
+        with pytest.raises(ValueError):
+            blocks.join((3,), np.zeros(2))
+
+
+def scalar_process_system():
+    """A0(y) = -(1 + y), the scalar fast process T0(t, s) = exp(-int_s^t (1 + psi))."""
+    return FastSlowSystem(
+        m=1, n=1, F=lambda x, y: -(1 + y) * x,
+        g=lambda x, y: np.full_like(y, 0.1),
+        A0=lambda y: -(1.0 + y)[..., None],
+        domain=GridDomain([-1.0], [9.0], [2]))
+
+
+def frozen(*ys):
+    """Constant driver paths through the slow points ys: a (B, 1) batch."""
+    batch = np.array(ys, dtype=float)[:, None]
+    return lambda t: batch
+
+
 class TestProcess:
     def test_constant_scalar(self):
-        sys = build_l1()
-        h = process_A0(sys, lambda t: np.array([0.0]))
-        assert process_apply(h, 1.0, 0.0, [2.0], FINE)[0] == pytest.approx(
-            0.735759, abs=1e-6)
+        got = process_apply(build_l1(), frozen(0.0), [[2.0]], 0.0, 1.0, FINE)
+        assert got[0, 0] == pytest.approx(0.735759, abs=1e-6)
 
     def test_identity_at_equal_times(self):
-        sys = build_l1()
-        h = process_A0(sys, lambda t: np.array([0.0]))
-        out = process_apply(h, 0.7, 0.7, [2.0], CFG)
-        assert out[0] == 2.0
+        out = process_apply(build_l1(), frozen(0.0), [[2.0]], 0.7, 0.7, CFG)
+        assert out[0, 0] == 2.0
 
     def test_time_varying_scalar_quadrature(self):
         # A0(psi(t)) = -(1 + 0.1 t): T(2,0) = exp(-2 - 0.1*2^2/2) = e^{-2.2}
-        sys = FastSlowSystem(
-            m=1, n=1, F=lambda x, y: -(1 + y) * x,
-            g=lambda x, y: np.full_like(y, 0.1),
-            A0=lambda y: -(1.0 + y)[..., None],
-            domain=GridDomain([-1.0], [9.0], [2]))
-        h = process_A0(sys, lambda t: np.array([0.1 * t]))
-        got = process_apply(h, 2.0, 0.0, [1.0], FINE)[0]
-        assert got == pytest.approx(0.110803, abs=1e-6)
+        got = process_apply(scalar_process_system(), lambda t: np.array([[0.1 * t]]),
+                            [[1.0]], 0.0, 2.0, FINE)
+        assert got[0, 0] == pytest.approx(0.110803, abs=1e-6)
+
+    def test_two_drivers_in_one_batch(self):
+        # psi = c t for c = 0.1 and 0.2: T(2,0) = exp(-2 - 2c), one row each
+        sys = scalar_process_system()
+        drivers = lambda t: np.array([[0.1 * t], [0.2 * t]])
+        got = process_apply(sys, drivers, [[1.0], [1.0]], 0.0, 2.0, FINE)
+        assert got[:, 0] == pytest.approx(np.exp([-2.2, -2.4]), abs=1e-6)
+        for row in range(2):
+            one = process_apply(sys, lambda t: drivers(t)[row:row + 1], [[1.0]], 0.0, 2.0,
+                                FINE)
+            assert np.array_equal(got[row], one[0])
 
     def test_cocycle_property(self):
-        sys = FastSlowSystem(
-            m=1, n=1, F=lambda x, y: -(1 + y) * x,
-            g=lambda x, y: np.full_like(y, 0.1),
-            A0=lambda y: -(1.0 + y)[..., None],
-            domain=GridDomain([-1.0], [9.0], [2]))
-        h = process_A0(sys, lambda t: np.array([0.1 * np.sin(t)]))
+        sys = scalar_process_system()
+        drv = lambda t: np.array([[0.1 * np.sin(t)]])
         rng = np.random.default_rng(0)
         for _ in range(5):
             r, s, t = np.sort(rng.uniform(0, 3, 3))
-            lhs = process_apply(h, t, r, [1.0], FINE)
-            rhs = process_apply(h, t, s, process_apply(h, s, r, [1.0], FINE), FINE)
-            assert abs(lhs[0] - rhs[0]) <= 10 * 1e-10
+            lhs = process_apply(sys, drv, [[1.0]], r, t, FINE)
+            rhs = process_apply(sys, drv, process_apply(sys, drv, [[1.0]], r, s, FINE),
+                                s, t, FINE)
+            assert abs(lhs[0, 0] - rhs[0, 0]) <= 10 * 1e-10
 
     def test_forward_only_guard(self):
-        sys = build_l1()
-        h = process_A0(sys, lambda t: np.array([0.0]))
         with pytest.raises(PreconditionError):
-            process_apply(h, 0.0, 1.0, [1.0], CFG)
+            process_apply(build_l1(), frozen(0.0), [[1.0]], 1.0, 0.0, CFG)
 
-    def test_reversible_slow_generator(self):
-        from slowfast.integrate import process_Z
-        sys = FastSlowSystem(
-            m=1, n=1, F=lambda x, y: -x, g=lambda x, y: 0.2 * np.sin(y),
-            A0=lambda y: -np.ones(y.shape[:-1] + (1, 1)),
-            Dg=lambda x, y: np.stack([np.zeros_like(y[..., 0]),
-                                      0.2 * np.cos(y[..., 0])], axis=-1)[..., None, :],
-            DF=lambda x, y: np.stack([-np.ones_like(x[..., 0]),
-                                      np.zeros_like(y[..., 0])], axis=-1)[..., None, :],
-            domain=GridDomain([-2.0], [2.0], [3]))
-        z = process_Z(sys, lambda t: np.array([0.3 + 0.05 * t]))
-        assert z.reversible
-        back = process_apply(z, 0.0, 1.5, [1.0], FINE)        # backward is legal
-        fwd = process_apply(z, 1.5, 0.0, back, FINE)
-        assert fwd[0] == pytest.approx(1.0, abs=1e-9)
+
+def _reference_variational_flow(sys, base, order, cfg):
+    """variational_flow as written with hand-computed state offsets (before
+    named blocks); the named-block field must match it byte for byte."""
+    m, n = sys.m, sys.n
+    d = m + n
+    t0, t1 = float(base.times[0]), float(base.times[-1])
+    u0 = np.concatenate([base.fast[0], base.slow[0]])
+
+    def jac(x, y):
+        return np.concatenate([sys.eval_DF(x, y), sys.eval_Dg(x, y)], axis=-2)
+
+    def hess(x, y):
+        return np.concatenate([sys.eval_D2F(x, y), sys.eval_D2g(x, y)], axis=-3)
+
+    nU = d * d
+    if order == 1:
+        def field(t, u):
+            z, U = u[:d], u[d:].reshape(d, d)
+            J = jac(z[:m], z[m:])
+            return np.concatenate([sys.eval_Fg(z[:m], z[m:]), (J @ U).ravel()])
+        w0 = np.concatenate([u0, np.eye(d).ravel()])
+    else:
+        def field(t, u):
+            z = u[:d]
+            U = u[d:d + nU].reshape(d, d)
+            V = u[d + nU:].reshape(d, d, d)
+            J = jac(z[:m], z[m:])
+            H = hess(z[:m], z[m:])
+            dV = np.einsum("ic,cab->iab", J, V) + np.einsum("icd,ca,db->iab", H, U, U)
+            return np.concatenate([sys.eval_Fg(z[:m], z[m:]), (J @ U).ravel(), dV.ravel()])
+        w0 = np.concatenate([u0, np.eye(d).ravel(), np.zeros(d * d * d)])
+
+    times, path = rk4_path(field, w0, t0, t1, cfg.steps_for(t1 - t0))
+    second = path[:, d + nU:].reshape(-1, d, d, d) if order == 2 else None
+    return times, path[:, :d], path[:, d:d + nU].reshape(-1, d, d), second
 
 
 class TestVariationalFlow:
@@ -232,6 +291,19 @@ class TestVariationalFlow:
               - variational_flow(sys, bm, 1, CFG).first[-1]) / (2 * d)
         assert np.max(np.abs(vf.second[-1][:, :, 1] - fd)) <= 1e-4
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_offset_packed_reference_bytes(self, order):
+        sys = build_q1(eps=0.1)
+        base = flow(sys, [0.5], [0.1], (0.0, 1.5), CFG)
+        vf = variational_flow(sys, base, order, CFG)
+        times, states, first, second = _reference_variational_flow(sys, base, order, CFG)
+        assert vf.times.tobytes() == times.tobytes()
+        assert vf.states.tobytes() == states.tobytes()
+        assert vf.first.tobytes() == first.tobytes()
+        assert (vf.second is None) == (order == 1)
+        if order == 2:
+            assert vf.second.tobytes() == second.tobytes()
+
     def test_missing_derivatives_raise(self):
         sys = build_l1()
         bare = FastSlowSystem(m=1, n=1, F=sys.F, g=sys.g, A0=sys.A0,
@@ -246,50 +318,45 @@ L1_CERT = ConstantsCertificate(K=1.0, mu=1.0, M0=0.5, M1x=0.0, M1y=1.0,
                                N0=0.1, N1=0.0, delta=2.0, rho=2.0)
 
 
+def bounded_at_zero(sys, etas, cert=L1_CERT, sigma=lambda y: np.zeros_like(y), tol=1e-9):
+    """phi(0; eta, sigma) for each eta, over the truncation horizon of `cert`."""
+    return bounded_solution_batch(sys, sigma, np.asarray(etas, dtype=float)[:, None],
+                                  truncation_horizon(cert, tol), CFG)[:, 0]
+
+
 class TestBoundedSolution:
     def test_r0_zero_gives_zero(self):
         sys = build_l2(eps=0.1)
         cert = ConstantsCertificate(K=1.0, mu=1.0, M0=0.0, M1x=0.0, M1y=0.0,
                                     N0=0.2, N1=0.1, delta=1e-12, rho=0.1)
-        bs = bounded_solution(sys, lambda y: np.zeros_like(y), [0.3], cfg=CFG,
-                              cert=cert)
-        assert np.max(np.abs(bs.fast)) < 1e-12
+        assert np.max(np.abs(bounded_at_zero(sys, [0.3], cert))) < 1e-12
 
     def test_l1_closed_form(self):
-        sys = build_l1(eps=0.1)
-        bs = bounded_solution(sys, lambda y: np.zeros_like(y), [0.5], cfg=CFG,
-                              cert=L1_CERT)
-        assert bs.fast[-1, 0] == pytest.approx(0.4, abs=1e-8)
-        # along the path, phi(t) = psi(t) - 0.1 once the startup layer decayed:
-        # at the midpoint the residual layer is ~ e^{-T/2} * |sigma - phi|(-T)
-        mid = len(bs) // 2
-        layer = np.exp(-(bs.times[mid] - bs.times[0])) * 2.0
-        assert bs.fast[mid, 0] == pytest.approx(bs.slow[mid, 0] - 0.1,
-                                                abs=max(1e-8, 2 * layer))
+        # y' = 0.1, so phi(t) = psi(t) - 0.1 is the bounded solution: phi(0) = eta - 0.1
+        etas = np.array([-0.5, 0.1, 0.3, 0.5])
+        phi = bounded_at_zero(build_l1(eps=0.1), etas)
+        assert phi == pytest.approx(etas - 0.1, abs=1e-8)
 
     def test_frozen_slow_converges_to_root(self):
-        sys = build_q1(eps=0.0)
-        bs = bounded_solution(sys, lambda y: np.zeros_like(y), [0.7], cfg=CFG,
-                              cert=L1_CERT)
         # Newton root of -x + y^2 at y = 0.7
-        assert bs.fast[-1, 0] == pytest.approx(0.49, abs=1e-8)
+        assert bounded_at_zero(build_q1(eps=0.0), [0.7])[0] == pytest.approx(0.49, abs=1e-8)
 
     def test_horizon_stability(self):
         sys = build_l1(eps=0.1)
+        zero = lambda y: np.zeros_like(y)
         T = truncation_horizon(L1_CERT, 1e-9)
-        a = bounded_solution(sys, lambda y: np.zeros_like(y), [0.5], horizon=T, cfg=CFG)
-        b = bounded_solution(sys, lambda y: np.zeros_like(y), [0.5], horizon=2 * T, cfg=CFG)
+        a, b = (bounded_solution_batch(sys, zero, [[0.5]], horizon, CFG)[0, 0]
+                for horizon in (T, 2 * T))
         amp = 2 * (L1_CERT.K * L1_CERT.M0 / L1_CERT.mu + L1_CERT.delta)
         bound = L1_CERT.K * np.exp(-(L1_CERT.mu - 0.0) * T) * amp
-        assert abs(a.fast[-1, 0] - b.fast[-1, 0]) <= bound + 1e-12
+        assert abs(a - b) <= bound + 1e-12
 
     def test_picard_cross_validates_forward(self):
         sys = build_q1(eps=0.1)
-        fw = bounded_solution(sys, lambda y: np.zeros_like(y), [0.4], cfg=CFG,
-                              cert=L1_CERT)
+        fw = bounded_at_zero(sys, [0.4])[0]
         pc = _picard_bounded(sys, lambda y: np.zeros_like(y), [0.4],
                              truncation_horizon(L1_CERT, 1e-9), CFG, 1e-9)
-        assert abs(fw.fast[-1, 0] - pc.fast[-1, 0]) < 1e-7
+        assert abs(fw - pc.fast[-1, 0]) < 1e-7
 
     def test_picard_raises_when_sweeps_run_out(self, monkeypatch):
         monkeypatch.setattr(integrate, "MAX_SWEEPS", 1)
@@ -300,11 +367,10 @@ class TestBoundedSolution:
 
     def test_contraction_violation_rejected(self):
         from slowfast.errors import ContractionError
-        sys = build_l1(eps=0.1)
         bad = ConstantsCertificate(K=1.0, mu=1.0, M0=0.5, M1x=2.0, M1y=1.0,
                                    N0=0.1, N1=0.0, delta=2.0, rho=2.0)
         with pytest.raises(ContractionError):
-            bounded_solution(sys, lambda y: np.zeros_like(y), [0.5], cfg=CFG, cert=bad)
+            bounded_at_zero(build_l1(eps=0.1), [0.5], bad)
 
 
 class TestDecayOnStraightened:

@@ -292,7 +292,7 @@ class TestInvarianceResidual:
 
     def test_off_manifold_decay_rate(self, q1):
         sys, cert = q1
-        from slowfast.harness import fit_exponential
+        from slowfast.reduction import fit_exponential
         eta = np.array([-0.5])
         x0 = q1_h(eta, 0.1) + 0.5
         from slowfast.integrate import flow
@@ -407,7 +407,8 @@ class TestUniquenessSurrogate:
         # backward-forward shooting: any orbit bounded on both ends must sit
         # on the manifold at t = 0
         sys, cert, cfg, h, _ = q1_solved
-        from slowfast.integrate import bounded_solution
-        for eta in (-0.7, 0.0, 0.6):
-            bs = bounded_solution(sys, h, [eta], cfg=CFG, cert=cert)
-            assert abs(bs.fast[-1, 0] - q1_h(eta, 0.1)) <= 1e-7
+        from slowfast.integrate import bounded_solution_batch, truncation_horizon
+        etas = np.array([-0.7, 0.0, 0.6])
+        phi = bounded_solution_batch(sys, h, etas[:, None], truncation_horizon(cert, 1e-9),
+                                     CFG)
+        assert np.max(np.abs(phi[:, 0] - q1_h(etas, 0.1))) <= 1e-7

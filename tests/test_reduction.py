@@ -2,6 +2,7 @@
 matched-asymptotics decomposition."""
 
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ from slowfast.certify import ConstantsCertificate, straightened_constants
 from slowfast.core import FastSlowSystem, GridDomain, GridFunction
 from slowfast.errors import (CapabilityError, ContractionError,
                              PreconditionError)
-from slowfast.integrate import IntegratorConfig, flow
+from slowfast.integrate import IntegratorConfig, flow, rk4_path
 from slowfast.manifold import ContractionReport
 from slowfast.reduction import (attraction_rate_fit, decompose_orbit, dp_point,
                                 e_norm_sweep, q_along_orbit,
@@ -65,6 +66,48 @@ def tc2_straight(eps=0.1):
     cert = ConstantsCertificate(K=1.0, mu=1.0, M0=1.0, M1x=0.0, M1y=0.0,
                                 N0=2 * eps, N1=1.1 * eps, delta=1e-12, rho=0.1)
     return ssys, straightened_constants(cert, 0.0)
+
+
+def _reference_dp_point(sys_t, xi, eta, result, cert, cfg_int, tol):
+    """dp_point as written with hand-computed state offsets and its own D g
+    evaluation (before named blocks and the shared Jacobian); dp_point must
+    match it byte for byte."""
+    m, n = sys_t.m, sys_t.n
+    d = m + n
+    xi, eta = np.atleast_1d(np.asarray(xi, float)), np.atleast_1d(np.asarray(eta, float))
+    rate = cert.contraction_rate() - 2.0 * cert.N1
+    amp = max(cert.K * max(float(sys_t.norm_x(xi)), 1.0) * (cert.N1 + 1.0), 10 * tol)
+    T = math.log(amp / tol) / rate
+    sU, sY, sG = d * d, n * n, n * d
+
+    def unpack(u):
+        o = 0
+        xt = u[o:o + m]; o += m
+        y = u[o:o + n]; o += n
+        q = u[o:o + n]; o += n
+        U = u[o:o + sU].reshape(d, d); o += sU
+        Y = u[o:o + sY].reshape(n, n); o += sY
+        return xt, y, q, U, Y, u[o:].reshape(n, d)
+
+    zeros_m = np.zeros(m)
+
+    def fld(t, u):
+        xt, y, q, U, Y, G = unpack(u)
+        p = y - q
+        Fg = sys_t.eval_Fg(xt, y)
+        g0p = sys_t.eval_g(zeros_m, p)
+        Dg = sys_t.eval_Dg(xt, y)
+        J = np.concatenate([sys_t.eval_DF(xt, y), Dg], axis=0)
+        Az = sys_t.Dyg(zeros_m, p)
+        integrand = Y @ (Az @ U[m:, :] - Dg @ U)
+        return np.concatenate([Fg, Fg[m:] - g0p, (J @ U).ravel(), (-Y @ Az).ravel(),
+                               integrand.ravel()])
+
+    u0 = np.concatenate([xi, eta, result.Q, np.eye(d).ravel(), np.eye(n).ravel(),
+                         np.zeros(sG)])
+    _, path = rk4_path(fld, u0, 0.0, T, cfg_int.steps_for(T))
+    Q1 = unpack(path[-1])[-1]
+    return np.concatenate([np.zeros((n, m)), np.eye(n)], axis=1) - Q1, Q1
 
 
 def _reference_jacobians(sys, h, dh, d2h):
@@ -358,7 +401,7 @@ class TestAttractionRate:
         pb = flow(ssys, [0.25], [eta_b], (0.0, 8.0), CFG, check_domain=False)
         gap = np.linalg.norm(np.concatenate([pa.fast - pb.fast, pa.slow - pb.slow],
                                             axis=1), axis=1)
-        from slowfast.harness import fit_exponential
+        from slowfast.reduction import fit_exponential
         fit = fit_exponential(list(zip(pa.times, gap)), 1e-9)
         assert fit.rate >= 0.95 * scert.mu
 
@@ -395,6 +438,13 @@ class TestDpPoint:
         fd = np.array([(P_of(xi0 + d, eta0) - P_of(xi0 - d, eta0)) / (2 * d),
                        (P_of(xi0, eta0 + d) - P_of(xi0, eta0 - d)) / (2 * d)])
         assert np.max(np.abs(P1[0] - fd)) <= 1e-4
+
+    def test_matches_offset_packed_reference_bytes(self):
+        ssys, scert = tc2_straight(eps=0.1)
+        res = q_along_orbit(ssys, [0.4], [0.2], scert, CFG, tol_q=1e-12)
+        P1, Q1 = dp_point(ssys, [0.4], [0.2], res, scert, CFG, tol=1e-11)
+        P1_ref, Q1_ref = _reference_dp_point(ssys, [0.4], [0.2], res, scert, CFG, 1e-11)
+        assert P1.tobytes() == P1_ref.tobytes() and Q1.tobytes() == Q1_ref.tobytes()
 
     def test_grid_h_requires_smoothness(self, coupled_straight):
         ssys, scert = coupled_straight
