@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 import numpy as np
 
-from .core import FastSlowSystem, _central_diff, as_slow_function
+from .core import FastSlowSystem, _central_diff
 from .errors import (CapabilityError, InfeasibleBudgetError, NoDecayError,
                      NumericError, PreconditionError)
 from .integrate import IntegratorConfig, _process_field, _rk4
@@ -233,7 +233,8 @@ def estimate_process_bound(sys: FastSlowSystem, drivers, t_max,
     rates = -lognorms[tail] / gaps[tail]
     mu = float(np.min(rates))
     if mu <= 0:
-        raise NoDecayError(f"sampled process norms grow (worst tail rate {mu:.3g} <= 0)")
+        raise NoDecayError(f"sampled process norms grow (worst tail rate {mu:.3g} <= 0 "
+                           f"at step dt = {cfg.dt:g})")
     K = max(1.0, float(np.max(np.exp(lognorms + mu * gaps))))
     return K, mu
 
@@ -429,10 +430,9 @@ def spectral_gap_check(sys: FastSlowSystem, h0, mu_req) -> SpectralGapResult:
     """Max over grid nodes y of max Re spec(D_x F(h0(y), y)) against -mu_req."""
     if sys.m > 512:
         raise CapabilityError("dense eigenvalue check limited to m <= 512")
-    h0f = as_slow_function(h0)
     worst = -np.inf
     for y in sys.domain.node_coords():
-        x = np.asarray(h0f(y), dtype=float)
+        x = np.asarray(h0(y), dtype=float)
         J = (sys.DxF(x, y) if sys.DF is not None
              else _central_diff(lambda v: sys.eval_F(v, y), x))
         try:

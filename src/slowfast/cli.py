@@ -12,7 +12,6 @@ and 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import builtins
 import json
 import logging
 import os
@@ -21,12 +20,11 @@ import tempfile
 
 import numpy as np
 
-from . import errors
 from .certify import spectral_gap_check, straightened_constants
 from .errors import (ContractionError, ConvergenceError,
                      InfeasibleBudgetError, NoDecayError, SchemaError,
                      SlowfastError)
-from .harness import ScenarioSpec, _stage_certify, run_scenario
+from .harness import ScenarioSpec, _run, _stage_certify
 from .manifold import d2h_solve, dh_solve, lp_solve
 from .reduction import (decompose_orbit, q_along_orbit, semiconjugacy_residual,
                         straighten)
@@ -49,17 +47,8 @@ EXIT_CODES = (
 
 def _exit_row(exc_type):
     for types, code, label in EXIT_CODES:
-        if isinstance(exc_type, type) and issubclass(exc_type, types):
+        if issubclass(exc_type, types):
             return code, label
-    return None
-
-
-def _class_named(name):
-    """The exception class a report's error entry names, or None."""
-    for space in (errors, builtins, np.linalg):
-        cls = getattr(space, name, None)
-        if isinstance(cls, type) and issubclass(cls, BaseException):
-            return cls
     return None
 
 
@@ -222,7 +211,7 @@ def cmd_reduce(args):
 
 def cmd_run(args):
     spec = _spec_from_args(args)
-    report = run_scenario(spec)
+    report, exc = _run(spec)
     text = json.dumps(report, indent=2, sort_keys=True)
     if spec.out:
         _atomic_write(spec.out, text + "\n")
@@ -233,9 +222,7 @@ def cmd_run(args):
         print(f"check {c['name']}: {c['status']}")
     if report["passed"]:
         return EXIT_OK
-    failed = [e["metrics"]["error"] for e in report["stages"] + report["checks"]
-              if e["status"] == "error"]
-    row = _exit_row(_class_named(failed[0].split(":", 1)[0])) if failed else None
+    row = None if exc is None else _exit_row(type(exc))
     return row[0] if row else EXIT_NO_CONVERGENCE
 
 

@@ -248,15 +248,6 @@ class GridStack:
         return reader(y)
 
 
-def as_slow_function(sigma):
-    """Coerce a GridFunction or plain callable into a callable y -> value."""
-    if isinstance(sigma, GridFunction):
-        return sigma
-    if callable(sigma):
-        return sigma
-    raise TypeError("expected GridFunction or callable")
-
-
 @dataclass
 class FastSlowSystem:
     """The pair (F, g) with its linearization A0 and optional derivatives.
@@ -522,7 +513,7 @@ def localize(sys: FastSlowSystem, h0, radius, dh0=None, tol=1e-8) -> FastSlowSys
     """
     if dh0 is None:
         dh0 = lambda y: _central_diff(h0, y)
-    H, DH, shifted, lin = _graph_transform(sys, as_slow_function(h0), as_slow_function(dh0))
+    H, DH, shifted, lin = _graph_transform(sys, h0, dh0)
     nodes = sys.domain.node_coords()
     res = np.max(sys.norm_x(sys.eval_F(H(nodes), nodes)))
     if res > tol:

@@ -23,9 +23,20 @@ from .manifold import (LPConfig, dh_solve, eqv_residual, fd_derivative_error,
 from .reduction import q_along_orbit, semiconjugacy_residual, straighten
 from .systems import EXAMPLES, get_example
 
-KNOWN_CHECKS = ("hypotheses", "manifold", "analytic_h", "eqv_residual",
-                "invariance", "derivative_fd", "contraction", "norm_bound",
-                "spectral_gap", "reduction")
+# check -> the stage whose state it reads; the check runs only if that stage completed
+_NEEDS = {
+    "hypotheses": "certify",
+    "manifold": "slow_manifold",
+    "analytic_h": "slow_manifold",
+    "eqv_residual": "slow_manifold",
+    "invariance": "slow_manifold",
+    "derivative_fd": "derivative",
+    "contraction": "certify",
+    "norm_bound": "certify",
+    "spectral_gap": "certify",
+    "reduction": "reduction",
+}
+KNOWN_CHECKS = tuple(_NEEDS)
 
 _DEFAULT_CHECKS = {
     "L1": ["hypotheses", "manifold", "analytic_h", "eqv_residual",
@@ -157,6 +168,10 @@ def _check(name, ok, **metrics):
             "metrics": _jsonable(metrics)}
 
 
+def _skipped(name, reason):
+    return {"name": name, "status": "skipped", "metrics": {"reason": reason}}
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in sorted(obj.items())}
@@ -176,15 +191,23 @@ def _jsonable(obj):
 
 def run_scenario(spec: ScenarioSpec) -> dict:
     """Execute certify -> lp_solve -> dh_solve [-> d2h_solve] -> straighten ->
-    reduction queries -> residual checks; stage errors land in the report.
+    reduction queries -> residual checks; stage and check errors land in the report.
+    """
+    return _run(spec)[0]
+
+
+def _run(spec):
+    """The scenario's report and the first exception a stage or check raised
+    (stages first), or None.  A stage completes when it returns metrics without
+    a "skipped" key; after a failed stage the later ones are skipped, and a
+    check whose stage (`_NEEDS`) did not complete is skipped and names it.
     """
     # where the report is written is not part of the record: same scenario, same bytes
     scenario = {k: v for k, v in spec.to_dict().items() if k != "out"}
     report = {"scenario": scenario, "seed": spec.seed, "certificate": None,
               "stages": [], "checks": [], "artifacts": []}
     ex, kw = spec.resolved()
-    checks = list(spec.checks) if spec.checks is not None else list(
-        _DEFAULT_CHECKS.get(spec.system, ["hypotheses", "manifold"]))
+    checks = spec.checks if spec.checks is not None else _DEFAULT_CHECKS[spec.system]
     state = {"example": ex, "build_kw": kw, "eps": kw["eps"]}
 
     stages = [("certify", _stage_certify), ("slow_manifold", _stage_manifold)]
@@ -195,28 +218,36 @@ def run_scenario(spec: ScenarioSpec) -> dict:
     if "reduction" in checks:
         stages.append(("reduction", _stage_reduction))
 
-    failed = False
+    completed, failed, first = set(), None, None
     for name, fn in stages:
         if failed:
-            report["stages"].append({"name": name, "status": "skipped", "metrics": {}})
+            report["stages"].append(_skipped(name, f"stage {failed} failed"))
             continue
         try:
-            metrics = fn(spec, state)
-            report["stages"].append({"name": name, "status": "ok",
-                                     "metrics": _jsonable(metrics)})
+            metrics = _jsonable(fn(spec, state))
             if name == "certify":
-                report["certificate"] = report["stages"][-1]["metrics"]["certificate"]
+                report["certificate"] = metrics["certificate"]
         except Exception as exc:
             report["stages"].append(_error_entry(name, exc))
-            failed = True
+            failed, first = name, exc
+            continue
+        report["stages"].append({"name": name, "status": "ok", "metrics": metrics})
+        if "skipped" not in metrics:
+            completed.add(name)
 
     for c in checks:
+        if _NEEDS[c] not in completed:
+            report["checks"].append(_skipped(c, f"stage {_NEEDS[c]} did not run"))
+            continue
         try:
             report["checks"].append(_CHECKS[c](spec, state))
-        except Exception as exc:   # e.g. KeyError: a failed stage left no artifact
+        except Exception as exc:
             report["checks"].append(_error_entry(c, exc))
-    report["passed"] = all(c["status"] == "pass" for c in report["checks"]) and not failed
-    return report
+            if first is None:
+                first = exc
+    report["passed"] = failed is None and all(
+        c["status"] in ("pass", "skipped") for c in report["checks"])
+    return report, first
 
 
 def _error_entry(name, exc):
@@ -322,21 +353,17 @@ def _chk_hypotheses(spec, state):
 
 
 def _chk_manifold(spec, state):
-    rep = state.get("h_report")
-    ok = rep is not None and rep.converged
-    return _check("manifold", ok,
-                  sweeps=0 if rep is None else rep.iterations,
-                  final_residual=None if rep is None or not rep.residuals
-                  else rep.residuals[-1])
+    rep = state["h_report"]
+    return _check("manifold", rep.converged, sweeps=rep.iterations,
+                  final_residual=rep.residuals[-1] if rep.residuals else None)
 
 
 def _chk_analytic_h(spec, state):
-    ex, sys, h = state["example"], state["sys"], state.get("h")
-    if ex.analytic_h is None or h is None:
-        return _check("analytic_h", False, reason="no oracle or no manifold")
+    ex, sys, h = state["example"], state["sys"], state["h"]
+    if ex.analytic_h is None:
+        return _skipped("analytic_h", "no analytic oracle")
     if sys.m != 1:
-        return {"name": "analytic_h", "status": "skipped",
-                "metrics": {"reason": "scalar oracle, m > 1"}}
+        return _skipped("analytic_h", "scalar oracle, m > 1")
     nodes = sys.domain.node_coords()
     exact = np.asarray(ex.analytic_h(nodes[..., 0], state["eps"]), dtype=float)
     err = float(np.max(np.abs(exact - h(nodes)[..., 0])))
@@ -360,10 +387,7 @@ def _chk_invariance(spec, state):
 
 
 def _chk_derivative_fd(spec, state):
-    dh = state.get("dh")
-    if dh is None:
-        return _check("derivative_fd", False, reason="no derivative stage")
-    err = fd_derivative_error(state["h"], dh)
+    err = fd_derivative_error(state["h"], state["dh"])
     return _check("derivative_fd", err <= 1e-4, fd_error=err, tol=1e-4)
 
 
@@ -371,7 +395,7 @@ def _chk_contraction(spec, state):
     sys, cert = state["sys"], state["cert"]
     rng = np.random.default_rng(spec.seed + 1)
     grid = state["cfg_lp"].grid
-    radius = state["cfg_lp"].resolved_radius(cert)
+    radius = cert.ball_radius
     pairs = 5 if spec.system != "L1" else 3
     sigmas, gaps = [], []
     for _ in range(pairs):
@@ -444,8 +468,6 @@ def _chk_spectral_gap(spec, state):
 
 
 def _chk_reduction(spec, state):
-    if "e_ratio_worst" not in state:
-        return _check("reduction", False, reason="reduction stage did not run")
     worst, bound = state["e_ratio_worst"], state["e_ratio_bound"]
     ssys, scert = state["ssys"], state["scert"]
     rng = np.random.default_rng(spec.seed + 2)

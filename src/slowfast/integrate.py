@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FastSlowSystem, as_slow_function
+from .core import FastSlowSystem
 from .errors import (CapabilityError, ContractionError, ConvergenceError,
                      DomainExitError, NumericError, PreconditionError)
 
@@ -408,7 +408,7 @@ def bounded_solution_batch(sys: FastSlowSystem, sigma, etas, horizon,
     bounds the startup error by K e^{-(mu - K M1x) T} * 2(K M0/mu + delta), so
     T = truncation_horizon(cert, tol) pins phi(0) to `tol`.  `_picard_bounded`
     is the cross-check."""
-    slow_field, joint, lift = _graph_fields(sys, as_slow_function(sigma))
+    slow_field, joint, lift = _graph_fields(sys, sigma)
     u0 = two_pass(slow_field, joint, np.asarray(etas, dtype=float), lift,
                   float(horizon), cfg)
     return u0[..., : sys.m]

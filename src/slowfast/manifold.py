@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .certify import ConstantsCertificate
-from .core import FastSlowSystem, GridDomain, GridFunction, GridStack, as_slow_function
+from .core import FastSlowSystem, GridDomain, GridFunction, GridStack
 from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
                      PreconditionError)
 from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _Blocks,
@@ -34,7 +34,6 @@ class LPConfig:
     horizon: Optional[float] = None          # None: truncation rule from the certificate
     tol_fixed_point: float = 1e-9
     tol_bounded: float = 1e-10               # startup tolerance for the bounded solution
-    ball_radius: Optional[float] = None      # None: K M0/mu + delta from the certificate
 
     def __post_init__(self):
         if not (math.isfinite(self.tol_fixed_point) and self.tol_fixed_point > 0):
@@ -44,11 +43,6 @@ class LPConfig:
         if self.horizon is not None:
             return float(self.horizon)
         return truncation_horizon(cert, self.tol_bounded)
-
-    def resolved_radius(self, cert):
-        if self.ball_radius is not None:
-            return float(self.ball_radius)
-        return cert.ball_radius
 
 
 # -- the manifold map ----------------------------------------------------------
@@ -78,7 +72,7 @@ def lp_map_batch(sys: FastSlowSystem, sigmas, cert: ConstantsCertificate, cfg: L
     if not cert.existence_ok:
         raise ContractionError("certificate does not satisfy the existence budget")
     sigmas = list(sigmas)
-    radius = cfg.resolved_radius(cert)
+    radius = cert.ball_radius
     for sigma in sigmas:
         if not _ball_check(sigma, radius):
             raise PreconditionError("sigma lies outside the certified ball")
@@ -107,7 +101,7 @@ def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate, cfg: LPConfig,
         raise ContractionError("certificate does not satisfy the existence budget")
     value_norm = None if sys.norm_kind == "euclidean" else sys.norm_x
     zero = GridFunction.zeros(cfg.grid, (sys.m,), value_norm=value_norm)
-    radius = cfg.resolved_radius(cert)
+    radius = cert.ball_radius
     if not _ball_check(zero, radius):
         raise PreconditionError("initial iterate lies outside the certified ball")
     T = cfg.resolved_horizon(cert)
@@ -135,16 +129,15 @@ def eqv_residual(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificat
     that h parameterizes an invariant graph.
     """
     T = cfg.resolved_horizon(cert)
-    hf = as_slow_function(h)
     etas = cfg.grid.node_coords()
     m, n = sys.m, sys.n
 
-    slow_field = _graph_fields(sys, hf)[0]
+    slow_field = _graph_fields(sys, h)[0]
     blocks = _Blocks((n,), (m,))                      # y, v
 
     def joint(t, u):
         y, v = blocks.split(u)
-        hy = np.asarray(hf(y), dtype=float)          # once: the slow drift reads it too
+        hy = np.asarray(h(y), dtype=float)           # once: the slow drift reads it too
         A = sys.eval_A0(y)
         Fg = sys.eval_Fg(hy, y)
         r0 = Fg[..., :m] - np.einsum("...ij,...j->...i", A, hy)
@@ -153,7 +146,7 @@ def eqv_residual(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificat
 
     uf = two_pass(slow_field, joint, etas,
                   lambda y_T: blocks.join(y_T.shape[:-1], y_T, np.zeros(m)), T, cfg_int)
-    vals = np.asarray(hf(etas), dtype=float)
+    vals = np.asarray(h(etas), dtype=float)
     resid = sys.norm_x(vals - blocks.split(uf)[1])
     return float(np.max(resid))
 
@@ -172,11 +165,10 @@ def invariance_residual(sys: FastSlowSystem, h, eta, t_max,
 
     Domain exit before t_max truncates the orbit and flags the result partial.
     """
-    hf = as_slow_function(h)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    x0 = np.asarray(hf(eta), dtype=float)
+    x0 = np.asarray(h(eta), dtype=float)
     path = flow(sys, x0, eta, (0.0, float(t_max)), cfg_int, stop_on_exit=True)
-    dev = sys.norm_x(path.fast - np.asarray(hf(path.slow), dtype=float))
+    dev = sys.norm_x(path.fast - np.asarray(h(path.slow), dtype=float))
     exit_t = path.meta.get("domain_exit")
     return InvarianceResult(max_deviation=float(np.max(dev)),
                             partial=exit_t is not None, exit_time=exit_t, path=path)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .certify import ConstantsCertificate
-from .core import FastSlowSystem, _FusedSystem, _graph_transform, as_slow_function
+from .core import FastSlowSystem, _FusedSystem, _graph_transform
 from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
                      PreconditionError, UnderdeterminedError)
 from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _Blocks,
@@ -38,7 +38,7 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> FastSlowSys
     """
     if report is not None and not report.converged:
         raise PreconditionError("straighten requires a converged manifold report")
-    H, DH, shifted, lin = _graph_transform(sys, as_slow_function(h), as_slow_function(dh))
+    H, DH, shifted, lin = _graph_transform(sys, h, dh)
     m = sys.m
 
     def Ft(xt, y):
@@ -62,8 +62,6 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> FastSlowSys
             return np.concatenate(slow_blocks(xt + H(y), y, DH(y)), axis=-1)
 
         if d2h is not None:
-            d2hf = as_slow_function(d2h)
-
             def DFt(xt, y):
                 x = xt + H(y)
                 Dh = DH(y)
@@ -72,7 +70,7 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> FastSlowSys
                 dxg, dyt = slow_blocks(x, y, Dh)
                 dx = dxF - np.einsum("...ij,...jk->...ik", Dh, dxg)
                 dy = (dyF + np.einsum("...ij,...jk->...ik", dxF, Dh)
-                      - np.einsum("...iab,...b->...ia", np.asarray(d2hf(y), dtype=float),
+                      - np.einsum("...iab,...b->...ia", np.asarray(d2h(y), dtype=float),
                                   sys.eval_g(x, y))
                       - np.einsum("...ij,...jk->...ik", Dh, dyt))
                 return np.concatenate([dx, dy], axis=-1)
@@ -379,11 +377,10 @@ def decompose_orbit(sys: FastSlowSystem, h, result: ReductionResult, t_max,
     """
     if not result.report.converged:
         raise PreconditionError("decompose_orbit needs a converged result")
-    hf = as_slow_function(h)
     P = result.P
-    x0 = np.asarray(hf(result.eta), dtype=float) + result.xi   # original x of the query
+    x0 = np.asarray(h(result.eta), dtype=float) + result.xi   # original x of the query
     orbit = flow(sys, x0, result.eta, (0.0, float(t_max)), cfg_int, check_domain=False)
-    outer = flow(sys, np.asarray(hf(P), dtype=float), P, (0.0, float(t_max)), cfg_int,
+    outer = flow(sys, np.asarray(h(P), dtype=float), P, (0.0, float(t_max)), cfg_int,
                  check_domain=False)
     layer = OrbitPath(orbit.times, orbit.fast - outer.fast, orbit.slow - outer.slow,
                       meta={"dt": cfg_int.dt, "horizon": float(t_max)})

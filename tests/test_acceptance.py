@@ -68,7 +68,7 @@ def _measured_ratio(sys, cert, grid_points, n_pairs, seed):
     grid = GridDomain(sys.domain.lower, sys.domain.upper, [grid_points])
     cfg = LPConfig(grid=grid)
     rng = np.random.default_rng(seed)
-    radius = cfg.resolved_radius(cert)
+    radius = cert.ball_radius
     sigmas, gaps = [], []
     for _ in range(n_pairs):
         s1 = _random_ball_sigma(sys, grid, radius, rng)

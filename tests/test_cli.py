@@ -178,13 +178,83 @@ class TestRunExitCodes:
                                        "metrics": {"error": f"{cls.__name__}: injected"}}
 
     def test_failing_check_without_error_exits_3(self, monkeypatch, capsys):
-        for stage in ("_stage_certify", "_stage_manifold", "_stage_derivative"):
+        monkeypatch.setattr(harness, "_stage_certify", lambda spec, state: {"certificate": {}})
+        for stage in ("_stage_manifold", "_stage_derivative"):
             monkeypatch.setattr(harness, stage, _quiet)
         monkeypatch.setitem(harness._CHECKS, "hypotheses",
                             lambda spec, state: harness._check("hypotheses", False))
         monkeypatch.setitem(harness._DEFAULT_CHECKS, "L1", ["hypotheses"])
         assert run_cli(*SMALL_RUN) == 3
-        assert "check hypotheses: fail" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "check hypotheses: fail" in out and '"error"' not in out
+
+    def test_error_class_defined_outside_the_package_sets_exit(self, monkeypatch):
+        class LocalNumeric(NumericError):
+            pass
+
+        monkeypatch.setattr(harness, "_stage_certify", _raising(LocalNumeric))
+        assert run_cli(*SMALL_RUN) == 4
+
+
+def _skips(reason, *names):
+    return [(name, "skipped", reason) for name in names]
+
+
+# (flags, exit code, [(stage, status, reason or error)], [(check, status, reason or error)])
+FAILURE_PATHS = {
+    "Q1-unstable-step": (
+        ("--system", "Q1", "--dt", "5"), 2,
+        [("certify", "error", "NoDecayError: sampled process norms grow "
+                              "(worst tail rate -0.524 <= 0 at step dt = 5)"),
+         *_skips("stage certify failed", "slow_manifold", "derivative")],
+        [*_skips("stage certify did not run", "hypotheses"),
+         *_skips("stage slow_manifold did not run", "manifold", "analytic_h", "eqv_residual"),
+         *_skips("stage derivative did not run", "derivative_fd"),
+         *_skips("stage certify did not run", "contraction", "norm_bound")]),
+    "VDP-cut-negative-eps": (
+        ("--system", "VDP-cut", "--eps", "-1", "--dt", "0.1"), 2,
+        [("certify", "error", "InfeasibleBudgetError: K*M1x >= mu: no contraction budget exists"),
+         *_skips("stage certify failed", "slow_manifold", "derivative")],
+        [*_skips("stage certify did not run", "hypotheses", "spectral_gap"),
+         *_skips("stage slow_manifold did not run", "manifold", "eqv_residual")]),
+    "L1-no-existence-budget": (
+        ("--system", "L1", "--dt", "0.1", "--grid", "21", "--override", "N1=10"), 2,
+        [("certify", "ok", None),
+         ("slow_manifold", "error",
+          "ContractionError: certificate does not satisfy the existence budget"),
+         *_skips("stage slow_manifold failed", "derivative")],
+        [("hypotheses", "fail", None),
+         *_skips("stage slow_manifold did not run", "manifold", "analytic_h", "eqv_residual"),
+         *_skips("stage derivative did not run", "derivative_fd"),
+         *[(name, "error", "ContractionError: certificate does not satisfy the existence budget")
+           for name in ("contraction", "norm_bound")]]),
+    "L1-no-derivative": (
+        ("--system", "L1", "--dt", "0.1", "--grid", "21", "--derivative", "0"), 0,
+        [("certify", "ok", None), ("slow_manifold", "ok", None)],
+        [("hypotheses", "pass", None), ("manifold", "pass", None),
+         ("analytic_h", "pass", None), ("eqv_residual", "pass", None),
+         *_skips("stage derivative did not run", "derivative_fd"),
+         ("contraction", "pass", None), ("norm_bound", "pass", None)]),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILURE_PATHS))
+def test_failure_path_report(tmp_path, capsys, case):
+    """A failed stage skips the later stages and every check that reads one of
+    them; each skip names its stage, and the exit code is the first error's."""
+    flags, code, stages, checks = FAILURE_PATHS[case]
+    out = tmp_path / "report.json"
+    assert run_cli("run", *flags, "--out", str(out)) == code
+    report = json.loads(out.read_text())
+
+    def entries(kind):
+        return [(e["name"], e["status"], e["metrics"].get("reason", e["metrics"].get("error")))
+                for e in report[kind]]
+
+    assert entries("stages") == stages
+    assert entries("checks") == checks
+    assert report["passed"] == (code == 0)
+    assert "KeyError" not in out.read_text()
 
 
 ERROR_CLASSES = sorted(

@@ -197,7 +197,7 @@ class TestRunScenario:
         rng = np.random.default_rng(spec.seed + 1)
         worst = 0.0
         for _ in range(5):
-            s1, s2 = (harness._random_ball_sigma(sys, cfg.grid, cfg.resolved_radius(cert), rng)
+            s1, s2 = (harness._random_ball_sigma(sys, cfg.grid, cert.ball_radius, rng)
                       for _ in range(2))
             d = float(np.max(sys.norm_x(s2.values - s1.values)))
             images = [lp_map(sys, s, cert, cfg, cfg_int).values for s in (s1, s2)]

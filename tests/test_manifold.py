@@ -71,7 +71,7 @@ def nf1_small():
 
 def _ball_sigmas(sys, cert, k, seed):
     rng = np.random.default_rng(seed)
-    radius = LPConfig(grid=sys.domain).resolved_radius(cert)
+    radius = cert.ball_radius
     return [_random_ball_sigma(sys, sys.domain, radius, rng) for _ in range(k)]
 
 
@@ -241,7 +241,7 @@ class TestLpSolve:
         monkeypatch.setattr(manifold, "bounded_solution_batch",
                             lambda *a: sweeps.append(1) or batch(*a))
         with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
-            lp_solve(sys, cert, LPConfig(grid=sys.domain, horizon=5, ball_radius=10), CFG)
+            lp_solve(sys, cert, LPConfig(grid=sys.domain, horizon=5), CFG)
         assert len(sweeps) == 1
 
 
@@ -251,7 +251,7 @@ class TestMeasuredContraction:
         grid = sys.domain
         cfg = LPConfig(grid=grid)
         rng = np.random.default_rng(7)
-        radius = cfg.resolved_radius(cert)
+        radius = cert.ball_radius
         sigmas = [_random_ball_sigma(sys, grid, radius, rng) for _ in range(8)]
         images = lp_map_batch(sys, sigmas, cert, cfg, CFG)    # equal to one lp_map per sigma
         worst = 0.0
