@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 import numpy as np
 
-from .core import FastSlowSystem, _central_diff
+from .core import FastSlowSystem
 from .errors import (CapabilityError, InfeasibleBudgetError, NoDecayError,
                      NumericError, PreconditionError)
 from .integrate import IntegratorConfig, _process_field, _rk4
@@ -433,8 +433,7 @@ def spectral_gap_check(sys: FastSlowSystem, h0, mu_req) -> SpectralGapResult:
     worst = -np.inf
     for y in sys.domain.node_coords():
         x = np.asarray(h0(y), dtype=float)
-        J = (sys.DxF(x, y) if sys.DF is not None
-             else _central_diff(lambda v: sys.eval_F(v, y), x))
+        J = sys.DxF(x, y)
         try:
             lam = np.linalg.eigvals(J)
         except np.linalg.LinAlgError as exc:  # pragma: no cover

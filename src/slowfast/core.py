@@ -335,9 +335,15 @@ class FastSlowSystem:
         return self._call(self._need("D2g"), x, y)
 
     def DxF(self, x, y):
+        """D_x F; central differences in x where the system supplies no DF."""
+        if self.DF is None:
+            return _central_diff(lambda v: self.eval_F(v, y), x)
         return self.eval_DF(x, y)[..., :, : self.m]
 
     def Dxg(self, x, y):
+        """D_x g; central differences in x where the system supplies no Dg."""
+        if self.Dg is None:
+            return _central_diff(lambda v: self.eval_g(v, y), x)
         return self.eval_Dg(x, y)[..., :, : self.m]
 
     def Dyg(self, x, y):
@@ -412,7 +418,7 @@ class _FusedSystem(FastSlowSystem):
         return self.Fg(x, np.asarray(y, dtype=float))
 
 
-def _graph_transform(sys: FastSlowSystem, h, dh):
+def _graph_transform(sys: FastSlowSystem):
     """The field of `sys` in the graph coordinate xt = x - h(y), the change of
     variables of Fenichel theory (Jones, "Geometric singular perturbation
     theory", LNM 1609, 1995):
@@ -420,34 +426,21 @@ def _graph_transform(sys: FastSlowSystem, h, dh):
         Ft(xt, y) = F(xt + h(y), y) - Dh(y) g(xt + h(y), y),
         A(y)      = D_x F(h(y), y) - Dh(y) D_x g(h(y), y),
 
-    A being the fast linearization of Ft at xt = 0, with central differences
-    in x where the base supplies no DF (Dg).
+    A being the fast linearization of Ft at xt = 0.
 
-    Returns (H, DH, shifted, lin): H(y) and DH(y) evaluate h and Dh;
-    shifted(xt, y, hy, dhy) gives the pair (Ft, g(xt + h(y), y)) and
-    lin(y, hy, dhy) gives A(y), both from the h(y) and Dh(y) the caller
-    passes, so a caller that needs several of them at one y evaluates h and
-    Dh once.
+    Returns (shifted, lin): shifted(xt, y, hy, dhy) gives the pair
+    (Ft, g(xt + h(y), y)) and lin(y, hy, dhy) gives A(y), both from the jet
+    hy = h(y), dhy = Dh(y) that the caller reads once per evaluation.
     """
-    def H(y):
-        return np.asarray(h(y), dtype=float)
-
-    def DH(y):
-        return np.asarray(dh(y), dtype=float)
-
     def shifted(xt, y, hy, dhy):
         x = xt + hy
         gv = sys.eval_g(x, y)
         return sys.eval_F(x, y) - np.einsum("...ij,...j->...i", dhy, gv), gv
 
     def lin(y, hy, dhy):
-        dxF = (sys.DxF(hy, y) if sys.DF is not None
-               else _central_diff(lambda x: sys.eval_F(x, y), hy))
-        dxg = (sys.Dxg(hy, y) if sys.Dg is not None
-               else _central_diff(lambda x: sys.eval_g(x, y), hy))
-        return dxF - np.einsum("...ij,...jk->...ik", dhy, dxg)
+        return sys.DxF(hy, y) - np.einsum("...ij,...jk->...ik", dhy, sys.Dxg(hy, y))
 
-    return H, DH, shifted, lin
+    return shifted, lin
 
 
 # -- cutoff localization ------------------------------------------------------
@@ -493,7 +486,7 @@ def _smooth_step_prime(t):
     return (da * b + a * db) / denom
 
 
-def localize(sys: FastSlowSystem, h0, radius, dh0=None, tol=1e-8) -> FastSlowSystem:
+def localize(sys: FastSlowSystem, jet0, radius, tol=1e-8) -> FastSlowSystem:
     """Shift the critical sheet x = h0(y) to the origin and cut the remainder off.
 
     The returned system in xt = x - h0(y) is
@@ -506,17 +499,16 @@ def localize(sys: FastSlowSystem, h0, radius, dh0=None, tol=1e-8) -> FastSlowSys
     plain shifted system; beyond radius the remainder vanishes, so the
     remainder sup M0 is finite.
 
-    h0 (and optionally dh0) may be a GridFunction or a smooth callable;
-    without dh0, the derivative of h0 comes from central differences.  The
-    shift is the graph-coordinate transform that `straighten` uses, and one
-    evaluation of the localized field (F, g or both) computes h0 and Dh0 once.
+    jet0(y) returns the pair (h0(y), Dh0(y)) as arrays of shape (..., m) and
+    (..., m, n).  The shift is the graph-coordinate transform that
+    `straighten` uses, and every evaluation of the localized system (F, g,
+    A0 or the joint field) reads jet0 once.  The sheet must be critical,
+    max |F(h0(y), y)| <= tol on the grid nodes; a non-finite residual fails.
     """
-    if dh0 is None:
-        dh0 = lambda y: _central_diff(h0, y)
-    H, DH, shifted, lin = _graph_transform(sys, h0, dh0)
+    shifted, lin = _graph_transform(sys)
     nodes = sys.domain.node_coords()
-    res = np.max(sys.norm_x(sys.eval_F(H(nodes), nodes)))
-    if res > tol:
+    res = np.max(sys.norm_x(sys.eval_F(jet0(nodes)[0], nodes)))
+    if not res <= tol:
         raise PreconditionError(
             f"h0 is not a critical sheet: max |F(h0(y),y)| = {res:.3e} > {tol:g}")
     radius = float(radius)
@@ -526,25 +518,23 @@ def localize(sys: FastSlowSystem, h0, radius, dh0=None, tol=1e-8) -> FastSlowSys
     def chi_of(xt):
         return chi(sys.norm_x(xt) / radius)[..., None]
 
-    def F_cut(xt, y, hy, dhy):
-        # the localized F and the cutoff factor at xt
+    def F_cut(xt, y):
+        # the localized F, the cutoff factor at xt and h0(y)
+        hy, dhy = jet0(y)
         c = chi_of(xt)
         lin_xt = np.einsum("...ij,...j->...i", lin(y, hy, dhy), xt)
-        return lin_xt + c * (shifted(xt, y, hy, dhy)[0] - lin_xt), c
-
-    def F_loc(xt, y):
-        return F_cut(xt, y, H(y), DH(y))[0]
+        return lin_xt + c * (shifted(xt, y, hy, dhy)[0] - lin_xt), c, hy
 
     def g_loc(xt, y):
-        return sys.eval_g(chi_of(xt) * xt + H(y), y)
+        return sys.eval_g(chi_of(xt) * xt + jet0(y)[0], y)
 
     def Fg_loc(xt, y):
         xt = np.asarray(xt, dtype=float)
-        hy = H(y)
-        F, c = F_cut(xt, y, hy, DH(y))
+        F, c, hy = F_cut(xt, y)
         return np.concatenate([F, sys.eval_g(c * xt + hy, y)], axis=-1)
 
-    return _FusedSystem(m=sys.m, n=sys.n, F=F_loc, g=g_loc, A0=lambda y: lin(y, H(y), DH(y)),
+    return _FusedSystem(m=sys.m, n=sys.n, F=lambda xt, y: F_cut(xt, y)[0], g=g_loc,
+                        A0=lambda y: lin(y, *jet0(y)),
                         domain=sys.domain, boundary_flag=sys.boundary_flag,
                         norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
                         meta=dict(sys.meta), Fg=Fg_loc)

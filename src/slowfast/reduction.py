@@ -23,32 +23,33 @@ from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _Blocks,
                         _full_field, _jet, _sweep, flow, rk4_path)
 
 
-def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> FastSlowSystem:
+def straighten(sys: FastSlowSystem, h, dh, d2h=None) -> FastSlowSystem:
     """The system in graph coordinates xt = x - h(y), itself a fast-slow system:
 
         Ft(xt, y) = F(xt + h(y), y) - Dh(y) g(xt + h(y), y),
         gt(xt, y) = g(xt + h(y), y),
 
-    with the manifold at {xt = 0}.  Its joint field eval_Fg evaluates h, Dh
-    and g once per call.  h, dh may be GridFunctions (from lp_solve/dh_solve)
-    or smooth callables.  When a report is attached it must be converged.
-    Its DF needs the second derivative of h; without d2h the straightened
-    system carries no DF and derivative-consuming operations will raise.  The
-    transform is the one `core.localize` shifts by.
+    with the manifold at {xt = 0}.  Every evaluation reads the jet (h(y),
+    Dh(y)) once, and gt reads h alone; the joint field eval_Fg evaluates g
+    once.  h, dh may be GridFunctions (from lp_solve/dh_solve) or smooth
+    callables.  Its DF needs the second derivative of h; without d2h the
+    straightened system carries no DF and derivative-consuming operations
+    will raise.  The transform is the one `core.localize` shifts by.
     """
-    if report is not None and not report.converged:
-        raise PreconditionError("straighten requires a converged manifold report")
-    H, DH, shifted, lin = _graph_transform(sys, h, dh)
+    shifted, lin = _graph_transform(sys)
     m = sys.m
 
+    def jet(y):
+        return np.asarray(h(y), dtype=float), np.asarray(dh(y), dtype=float)
+
     def Ft(xt, y):
-        return shifted(xt, y, H(y), DH(y))[0]
+        return shifted(xt, y, *jet(y))[0]
 
     def gt(xt, y):
-        return sys.eval_g(xt + H(y), y)
+        return sys.eval_g(xt + np.asarray(h(y), dtype=float), y)
 
     def Fgt(xt, y):
-        return np.concatenate(shifted(np.asarray(xt, dtype=float), y, H(y), DH(y)), axis=-1)
+        return np.concatenate(shifted(np.asarray(xt, dtype=float), y, *jet(y)), axis=-1)
 
     DFt = Dgt = None
     if sys.has_derivatives(1):
@@ -59,12 +60,13 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> FastSlowSys
             return dxg, Dg[..., :, m:] + np.einsum("...ij,...jk->...ik", dxg, dhy)
 
         def Dgt(xt, y):
-            return np.concatenate(slow_blocks(xt + H(y), y, DH(y)), axis=-1)
+            hy, dhy = jet(y)
+            return np.concatenate(slow_blocks(xt + hy, y, dhy), axis=-1)
 
         if d2h is not None:
             def DFt(xt, y):
-                x = xt + H(y)
-                Dh = DH(y)
+                hy, Dh = jet(y)
+                x = xt + hy
                 DF = sys.eval_DF(x, y)
                 dxF, dyF = DF[..., :, :m], DF[..., :, m:]
                 dxg, dyt = slow_blocks(x, y, Dh)
@@ -75,7 +77,7 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None, report=None) -> FastSlowSys
                       - np.einsum("...ij,...jk->...ik", Dh, dyt))
                 return np.concatenate([dx, dy], axis=-1)
 
-    return _FusedSystem(m=m, n=sys.n, F=Ft, g=gt, A0=lambda y: lin(y, H(y), DH(y)),
+    return _FusedSystem(m=m, n=sys.n, F=Ft, g=gt, A0=lambda y: lin(y, *jet(y)),
                         domain=sys.domain, DF=DFt, Dg=Dgt, boundary_flag=sys.boundary_flag,
                         norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
                         meta=dict(sys.meta), Fg=Fgt)

@@ -235,16 +235,10 @@ def vdp_branch(y):
     return x
 
 
-def _vdp_h0(y):
-    y = np.asarray(y, dtype=float)
-    x = vdp_branch(y[..., 0])
-    return x[..., None]
-
-
-def _vdp_dh0(y):
-    y = np.asarray(y, dtype=float)
-    x = vdp_branch(y[..., 0])
-    return (1.0 / (1.0 - x * x))[..., None, None]
+def _vdp_jet(y):
+    """(h0, Dh0) of the outer branch at y: one branch evaluation, Dh0 = 1/(1 - x^2)."""
+    x = vdp_branch(np.asarray(y, dtype=float)[..., 0])
+    return x[..., None], (1.0 / (1.0 - x * x))[..., None, None]
 
 
 def build_vdp_raw(eps=0.005, domain=(-2.0, 0.0), points=81):
@@ -278,7 +272,7 @@ def build_vdp_raw(eps=0.005, domain=(-2.0, 0.0), points=81):
 def build_vdp_cut(eps=0.005, domain=(-2.0, 0.0), points=81, radius=0.1):
     """The outer-branch system shifted to the origin and cut off at `radius`."""
     raw = build_vdp_raw(eps, domain, points)
-    loc = localize(raw, _vdp_h0, radius, dh0=_vdp_dh0, tol=1e-10)
+    loc = localize(raw, _vdp_jet, radius, tol=1e-10)
     loc.meta.update(name="VDP-cut", eps=float(eps))
     return loc
 

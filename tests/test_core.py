@@ -11,7 +11,7 @@ from slowfast.core import (FastSlowSystem, GridDomain, GridFunction, GridStack,
 from slowfast.errors import PreconditionError
 from slowfast.integrate import IntegratorConfig, flow
 from slowfast.systems import (build_coupled, build_l1, build_nf1, build_q1,
-                              build_vdp_cut, build_vdp_raw, _vdp_h0, _vdp_dh0)
+                              build_vdp_cut, build_vdp_raw, _vdp_jet)
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -231,6 +231,15 @@ class TestDerivativeConsistency:
         sys = build_vdp_cut(eps=0.005)
         assert check_derivatives(sys, n_points=30, x_radius=0.04) <= 1e-5
 
+    def test_dx_without_jacobian_is_central_difference(self):
+        # VDP-cut supplies no DF or Dg: D_x F and D_x g are central differences in x
+        sys = build_vdp_cut()
+        x, y = np.array([[0.03], [-0.07]]), np.array([[-1.5], [-0.4]])
+        for got, field in ((sys.DxF(x, y), sys.eval_F), (sys.Dxg(x, y), sys.eval_g)):
+            h = 1e-6
+            want = ((field(x + h, y) - field(x - h, y)) / (2 * h))[..., None]
+            assert got.tobytes() == want.tobytes()
+
 
 class TestCutoff:
     def test_bump_plateaus(self):
@@ -308,10 +317,14 @@ def _zero_dh(y):
     return np.zeros(np.asarray(y).shape[:-1] + (1, 1))
 
 
+def _zero_jet(y):
+    return _zero_h(y), _zero_dh(y)
+
+
 class TestLocalize:
     def test_critical_point_preserved_when_g_zero(self):
         raw = build_vdp_raw(eps=0.0)
-        loc = localize(raw, _vdp_h0, 0.1, dh0=_vdp_dh0, tol=1e-10)
+        loc = localize(raw, _vdp_jet, 0.1, tol=1e-10)
         ys = raw.domain.node_coords()
         vals = loc.eval_F(np.zeros((ys.shape[0], 1)), ys)
         assert np.max(np.abs(vals)) < 1e-10
@@ -319,10 +332,10 @@ class TestLocalize:
     def test_shifted_value_matches_algebra(self):
         # F_loc(0, y) = F(h0,y) - Dh0 g(h0,y) when g is nonzero
         raw = build_vdp_raw(eps=0.005)
-        loc = localize(raw, _vdp_h0, 0.1, dh0=_vdp_dh0, tol=1e-10)
+        loc = localize(raw, _vdp_jet, 0.1, tol=1e-10)
         y = np.array([-1.0])
-        h0 = _vdp_h0(y)
-        expected = raw.eval_F(h0, y) - _vdp_dh0(y)[..., 0] * raw.eval_g(h0, y)
+        h0, dh0 = _vdp_jet(y)
+        expected = raw.eval_F(h0, y) - dh0[..., 0] * raw.eval_g(h0, y)
         assert np.allclose(loc.eval_F(np.zeros(1), y), expected, atol=1e-12)
 
     def test_remainder_vanishes_beyond_cutoff(self):
@@ -340,23 +353,21 @@ class TestLocalize:
     def test_flow_matches_shifted_original_inside(self):
         eps = 0.005
         raw = build_vdp_raw(eps=eps)
-        loc = localize(raw, _vdp_h0, 0.1, dh0=_vdp_dh0, tol=1e-10)
+        loc = localize(raw, _vdp_jet, 0.1, tol=1e-10)
         cfg = IntegratorConfig(dt=0.002)
         eta = np.array([-1.0])
         xt0 = np.array([0.03])            # inside radius/2
         p_loc = flow(loc, xt0, eta, (0.0, 5.0), cfg, check_domain=False)
-        x0 = xt0 + _vdp_h0(eta)
+        x0 = xt0 + _vdp_jet(eta)[0]
         p_raw = flow(raw, x0, eta, (0.0, 5.0), cfg, check_domain=False)
-        xt_raw = p_raw.fast - _vdp_h0(p_raw.slow)
+        xt_raw = p_raw.fast - _vdp_jet(p_raw.slow)[0]
         assert np.max(np.abs(p_loc.slow - p_raw.slow)) < 1e-8
         assert np.max(np.abs(p_loc.fast - xt_raw)) < 1e-8
 
     def test_localize_twice_idempotent_inside(self):
         raw = build_vdp_raw(eps=0.0)
-        loc1 = localize(raw, _vdp_h0, 0.1, dh0=_vdp_dh0, tol=1e-10)
-        zero_h = lambda y: np.zeros(np.asarray(y).shape[:-1] + (1,))
-        zero_dh = lambda y: np.zeros(np.asarray(y).shape[:-1] + (1, 1))
-        loc2 = localize(loc1, zero_h, 0.1, dh0=zero_dh, tol=1e-10)
+        loc1 = localize(raw, _vdp_jet, 0.1, tol=1e-10)
+        loc2 = localize(loc1, _zero_jet, 0.1, tol=1e-10)
         cfg = IntegratorConfig(dt=0.002)
         p1 = flow(loc1, [0.03], [-1.0], (0.0, 4.0), cfg, check_domain=False)
         p2 = flow(loc2, [0.03], [-1.0], (0.0, 4.0), cfg, check_domain=False)
@@ -367,11 +378,12 @@ class TestLocalize:
     def test_fields_match_reference_bytes(self, no_df_base, lead):
         # |xt| inside the inner radius (0.05), between the radii and beyond 0.1
         raw = build_vdp_raw(eps=0.005)
-        base = localize(raw, _vdp_h0, 0.1, dh0=_vdp_dh0, tol=1e-10)
-        ref = _reference_localize(raw, _vdp_h0, 0.1, _vdp_dh0)
+        base = localize(raw, _vdp_jet, 0.1, tol=1e-10)
+        ref = _reference_localize(raw, lambda y: _vdp_jet(y)[0], 0.1,
+                                  lambda y: _vdp_jet(y)[1])
         if no_df_base:
             # the localized base has no DF/Dg: A falls back to central differences
-            base, ref = (localize(base, _zero_h, 0.08, dh0=_zero_dh, tol=0.1),
+            base, ref = (localize(base, _zero_jet, 0.08, tol=0.1),
                          _reference_localize(ref, _zero_h, 0.08, _zero_dh))
         rng = np.random.default_rng(3)
         y = rng.uniform(-2.0, 0.0, lead + (1,))
@@ -386,7 +398,7 @@ class TestLocalize:
                 assert got.tobytes() == want.tobytes()
 
     def test_newton_solves_per_evaluation(self, monkeypatch):
-        # h0 and Dh0 of VDP-cut each run one vdp_branch Newton solve
+        # every localized evaluation reads the jet (h0, Dh0) once: one branch evaluation
         calls = []
         branch = systems.vdp_branch
 
@@ -405,14 +417,13 @@ class TestLocalize:
             calls.clear()
             call()
             counts[name] = len(calls)
-        assert counts["eval_Fg"] <= 2 and counts["eval_F"] <= 2
-        assert counts["eval_g"] == 1 and counts["eval_A0"] == 2
+        assert counts == {"eval_Fg": 1, "eval_F": 1, "eval_g": 1, "eval_A0": 1}
 
     def test_bad_sheet_rejected(self):
         raw = build_vdp_raw(eps=0.005)
         with pytest.raises(PreconditionError):
-            localize(raw, lambda y: np.full(np.asarray(y).shape[:-1] + (1,), 5.0),
-                     0.1)
+            localize(raw, lambda y: (np.full(np.asarray(y).shape[:-1] + (1,), 5.0),
+                                     _zero_dh(y)), 0.1)
 
 
 def test_n_zero_rejected():

@@ -10,10 +10,8 @@ import pytest
 
 from slowfast.certify import ConstantsCertificate, straightened_constants
 from slowfast.core import FastSlowSystem, GridDomain, GridFunction
-from slowfast.errors import (CapabilityError, ContractionError,
-                             PreconditionError)
+from slowfast.errors import CapabilityError, ContractionError
 from slowfast.integrate import IntegratorConfig, flow, rk4_path
-from slowfast.manifold import ContractionReport
 from slowfast.reduction import (attraction_rate_fit, decompose_orbit, dp_point,
                                 e_norm_sweep, q_along_orbit,
                                 semiconjugacy_residual, straighten)
@@ -250,12 +248,6 @@ class TestStraighten:
         norms = np.linalg.norm(Dg.reshape(200, -1), axis=1)
         dh_sup = float(np.max(np.abs(dh(ys))))
         assert np.max(norms) <= (1.0 + dh_sup) * cert.N1 * (1 + 1e-6) + 1e-9
-
-    def test_nonconverged_report_rejected(self, l1_solved):
-        sys, cert, cfg, h, rep = l1_solved
-        bad = ContractionReport(residuals=[1.0], converged=False)
-        with pytest.raises(PreconditionError):
-            straighten(sys, h, h, report=bad)
 
 
 class TestQAlongOrbit:
