@@ -218,21 +218,17 @@ def build_coupled(eps=0.02, domain=(-1.0, 1.0), points=81):
 # -- VDP-cut ----------------------------------------------------------------------
 
 def vdp_branch(y):
-    """Attracting outer branch of the cubic nullcline x - x^3/3 = y, x >= 1.5.
+    """Attracting outer branch x >= 1 of the cubic nullcline x - x^3/3 = y.
 
-    Newton continuation from x = 2, at most 60 steps, until a step is below
-    1e-14; vectorized over y.
+    With x = 2 cos(t) the cubic reads cos(3t) = a, a = -3y/2, so the branch
+    is 2 cos(arccos(a)/3) for -1 <= a <= 1 and 2 cosh(arccosh(a)/3) for
+    a > 1.  Past the fold (y > 2/3, a < -1) there is no such root: NaN.
+    Elementwise in y.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.full(y.shape, 2.0)
-    for _ in range(60):
-        f = x - x ** 3 / 3.0 - y[..., 0] if y.ndim and y.shape[-1] == 1 else x - x ** 3 / 3.0 - y
-        df = 1.0 - x * x
-        step = f / df
-        x = x - step
-        if np.max(np.abs(step)) < 1e-14:
-            break
-    return x
+    a = -1.5 * np.asarray(y, dtype=float)
+    x = np.where(a <= 1.0, 2.0 * np.cos(np.arccos(np.clip(a, -1.0, 1.0)) / 3.0),
+                 2.0 * np.cosh(np.arccosh(np.maximum(a, 1.0)) / 3.0))
+    return np.where(a >= -1.0, x, np.nan)
 
 
 def _vdp_jet(y):

@@ -1,17 +1,20 @@
 """Core domain types: norms, grids, grid functions, systems, localization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowfast import systems
+from slowfast import integrate, manifold, systems
 from slowfast.core import (FastSlowSystem, GridDomain, GridFunction, GridStack,
                            check_derivatives, chi, dchi, localize, vector_norm)
 from slowfast.errors import PreconditionError
-from slowfast.integrate import IntegratorConfig, flow
+from slowfast.integrate import IntegratorConfig, bounded_solution_batch, flow
+from slowfast.manifold import LPConfig, eqv_residual
 from slowfast.systems import (build_coupled, build_l1, build_nf1, build_q1,
-                              build_vdp_cut, build_vdp_raw, _vdp_jet)
+                              build_vdp_cut, build_vdp_raw, vdp_branch, _vdp_jet)
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -419,11 +422,76 @@ class TestLocalize:
             counts[name] = len(calls)
         assert counts == {"eval_Fg": 1, "eval_F": 1, "eval_g": 1, "eval_A0": 1}
 
+    @pytest.mark.parametrize("kernel", ["eqv_residual", "bounded_solution_batch"])
+    def test_branch_evaluations_per_rk4_stage(self, monkeypatch, vdp, kernel):
+        # each forward-field stage reads the jet for the fast field and for the
+        # slow drift, no more: at most 2 branch evaluations
+        sys, cert = vdp
+        calls, per_stage = [], []
+        branch, two_pass = systems.vdp_branch, integrate.two_pass
+
+        def counted_branch(y):
+            calls.append(1)
+            return branch(y)
+
+        def counted_two_pass(back_field, fwd_field, *args):
+            def counted_field(t, u):
+                calls.clear()
+                out = fwd_field(t, u)
+                per_stage.append(len(calls))
+                return out
+            return two_pass(back_field, counted_field, *args)
+
+        monkeypatch.setattr(systems, "vdp_branch", counted_branch)
+        monkeypatch.setattr(integrate, "two_pass", counted_two_pass)
+        monkeypatch.setattr(manifold, "two_pass", counted_two_pass)
+        grid = GridDomain([-2.0], [0.0], [5])
+        zero, cfg = GridFunction.zeros(grid, (1,)), IntegratorConfig(dt=0.1)
+        if kernel == "eqv_residual":
+            eqv_residual(sys, zero, cert, LPConfig(grid=grid), cfg)
+        else:
+            bounded_solution_batch(sys, zero, grid.node_coords(), 1.0, cfg)
+        assert per_stage and max(per_stage) <= 2
+
     def test_bad_sheet_rejected(self):
         raw = build_vdp_raw(eps=0.005)
         with pytest.raises(PreconditionError):
             localize(raw, lambda y: (np.full(np.asarray(y).shape[:-1] + (1,), 5.0),
                                      _zero_dh(y)), 0.1)
+
+
+def _newton_branch(y):
+    """The outer branch by Newton continuation from x = 2, the closed form's reference."""
+    x = np.full(y.shape, 2.0)
+    for _ in range(60):
+        step = (x - x ** 3 / 3.0 - y) / (1.0 - x * x)
+        x = x - step
+        if np.max(np.abs(step)) < 1e-14:
+            break
+    return x
+
+
+class TestVdpBranch:
+    def test_solves_the_cubic_up_to_the_fold(self):
+        # the seam of the two closed forms, a = -3y/2 = 1, is at y = -2/3
+        seam = -2.0 / 3.0
+        y = np.concatenate([np.linspace(-2.2, 2.0 / 3.0, 20001),
+                            [np.nextafter(seam, -1.0), seam, np.nextafter(seam, 0.0)]])
+        x = vdp_branch(y)
+        assert np.max(np.abs(x - x ** 3 / 3.0 - y)) <= 1e-14
+        assert np.all(x >= 1.0)
+
+    def test_matches_newton_reference(self):
+        y = np.linspace(-2.2, 0.2, 20001)
+        assert np.max(np.abs(vdp_branch(y) - _newton_branch(y))) <= 4.5e-16
+
+    def test_no_branch_past_the_fold(self):
+        # for y > 2/3 no root has x >= 1: NaN, and the sheet check rejects it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isnan(vdp_branch([0.7, 1.0])))
+            with pytest.raises(PreconditionError):
+                build_vdp_cut(domain=(-2.0, 1.0))
 
 
 def test_n_zero_rejected():
