@@ -210,7 +210,7 @@ FAILURE_PATHS = {
         [*_skips("stage certify did not run", "hypotheses"),
          *_skips("stage slow_manifold did not run", "manifold", "analytic_h", "eqv_residual"),
          *_skips("stage derivative did not run", "derivative_fd"),
-         *_skips("stage certify did not run", "contraction", "norm_bound")]),
+         *_skips("stage slow_manifold did not run", "contraction", "norm_bound")]),
     "VDP-cut-negative-eps": (
         ("--system", "VDP-cut", "--eps", "-1", "--dt", "0.1"), 2,
         [("certify", "error", "InfeasibleBudgetError: K*M1x >= mu: no contraction budget exists"),
@@ -226,8 +226,7 @@ FAILURE_PATHS = {
         [("hypotheses", "fail", None),
          *_skips("stage slow_manifold did not run", "manifold", "analytic_h", "eqv_residual"),
          *_skips("stage derivative did not run", "derivative_fd"),
-         *[(name, "error", "ContractionError: certificate does not satisfy the existence budget")
-           for name in ("contraction", "norm_bound")]]),
+         *_skips("stage slow_manifold did not run", "contraction", "norm_bound")]),
     "L1-no-derivative": (
         ("--system", "L1", "--dt", "0.1", "--grid", "21", "--derivative", "0"), 0,
         [("certify", "ok", None), ("slow_manifold", "ok", None)],
