@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: certify, slow-manifold, reduce, run.  Exit codes are a stable
+Subcommands: certify, slow-manifold, reduce, run.  Each runs the stage
+functions of `harness` on one state; reduce straightens by the solved h and
+Dh, as the reduction stage of `run` does.  Exit codes are a stable
 contract: 0 success, 1 usage/schema error, 2 certificate infeasible,
 3 non-convergence, 4 numeric failure.  `run` always writes its report; when a
 stage or check raised, it exits with the code of the first error's class, as
@@ -20,14 +22,13 @@ import tempfile
 
 import numpy as np
 
-from .certify import spectral_gap_check, straightened_constants
+from . import harness
+from .certify import spectral_gap_check
 from .errors import (ContractionError, ConvergenceError,
                      InfeasibleBudgetError, NoDecayError, SchemaError,
                      SlowfastError)
-from .harness import ScenarioSpec, _run, _stage_certify
-from .manifold import d2h_solve, dh_solve, lp_solve
-from .reduction import (decompose_orbit, q_along_orbit, semiconjugacy_residual,
-                        straighten)
+from .harness import ScenarioSpec, _number, _run
+from .reduction import decompose_orbit, q_along_orbit, semiconjugacy_residual
 from .systems import EXAMPLES
 
 EXIT_OK = 0
@@ -113,25 +114,30 @@ def _spec_from_args(args):
     return ScenarioSpec.from_dict(data)
 
 
-def _prepare(spec):
-    """The system, certificate and configs of the scenario's certify stage."""
-    state = {"example": EXAMPLES[spec.system]}
-    _stage_certify(spec, state)
-    return state["sys"], state["cert"], state["cfg_int"], state["cfg_lp"]
+def _parse_point(text):
+    """--point as finite numbers, the rule the schema applies to reduction_points."""
+    try:
+        point = [float(v) for v in text.split(",")]
+    except ValueError:
+        point = None
+    if point is None or not all(map(_number, point)):
+        raise SchemaError(f"--point must be comma-separated finite numbers, not {text!r}")
+    return point
 
 
-def _print_hypothesis_table(cert, stream=None):
-    stream = stream or _sys.stdout
+def _print_hypothesis_table(cert):
     rows = cert.hypothesis_table()
     width = max(len(name) for name, _ in rows)
-    print(f"{'hypothesis':<{width}}  status", file=stream)
+    print(f"{'hypothesis':<{width}}  status")
     for name, status in rows:
-        print(f"{name:<{width}}  {status}", file=stream)
+        print(f"{name:<{width}}  {status}")
 
 
 def cmd_certify(args):
     spec = _spec_from_args(args)
-    sysm, cert, cfg_int, _ = _prepare(spec)
+    state = harness._state(spec)
+    harness._stage_certify(spec, state)
+    sysm, cert = state["sys"], state["cert"]
     if spec.system == "NF1":
         gap = spectral_gap_check(sysm, lambda y: np.zeros(np.asarray(y).shape[:-1] + (sysm.m,)), 0.5)
         print(f"spectral gap: max Re = {gap.max_real:.6g}, margin = {gap.margin:.6g}")
@@ -145,13 +151,12 @@ def cmd_certify(args):
 
 def cmd_slow_manifold(args):
     spec = _spec_from_args(args)
-    sysm, cert, cfg_int, cfg_lp = _prepare(spec)
-    h, rep = lp_solve(sysm, cert, cfg_lp, cfg_int)
-    fields = {"h": h}
-    if spec.derivative >= 1 and sysm.has_derivatives(1):
-        fields["dh"], _ = dh_solve(sysm, h, cert, cfg_lp, cfg_int)
-    if spec.derivative >= 2 and sysm.has_derivatives(2):
-        fields["d2h"], _ = d2h_solve(sysm, h, fields["dh"], cert, cfg_lp, cfg_int)
+    state = harness._state(spec)
+    for _, stage in harness._stages(spec, False):
+        stage(spec, state)
+    sysm, cert, h, rep = state["sys"], state["cert"], state["h"], state["h_report"]
+    # a skipped derivative stage (a system without derivatives) leaves no field
+    fields = {k: state[k] for k in ("h", "dh", "d2h") if k in state}
     out = spec.out or f"slow_manifold_{spec.system}"
     nodes = sysm.domain.node_coords()
     header = [f"y{a}" for a in range(sysm.n)]
@@ -180,16 +185,16 @@ def cmd_slow_manifold(args):
 
 def cmd_reduce(args):
     spec = _spec_from_args(args)
-    point = [float(v) for v in args.point.split(",")]
-    sysm, cert, cfg_int, cfg_lp = _prepare(spec)
-    h, _ = lp_solve(sysm, cert, cfg_lp, cfg_int)
-    dh, _ = dh_solve(sysm, h, cert, cfg_lp, cfg_int)
-    ssys = straighten(sysm, h, dh)
-    scert = straightened_constants(cert, dh.sup_norm())
-    xi = np.asarray(point[: sysm.m])
-    eta = np.asarray(point[sysm.m: sysm.m + sysm.n])
-    if eta.size != sysm.n:
-        raise SchemaError(f"--point needs {sysm.m}+{sysm.n} numbers")
+    point = _parse_point(args.point)
+    state = harness._state(spec)
+    harness._stage_certify(spec, state)
+    sysm, cfg_int = state["sys"], state["cfg_int"]
+    if len(point) != sysm.m + sysm.n:
+        raise SchemaError(f"--point needs {sysm.m}+{sysm.n} numbers, not {len(point)}")
+    harness._stage_manifold(spec, state)
+    harness._stage_derivative(spec, state)
+    ssys, scert = harness._straightened(state)
+    xi, eta = np.asarray(point[: sysm.m]), np.asarray(point[sysm.m:])
     res = q_along_orbit(ssys, xi, eta, scert, cfg_int)
     out = spec.out or f"reduction_{spec.system}"
     payload = res.to_dict()
@@ -197,7 +202,7 @@ def cmd_reduce(args):
         ssys, res, t_max=5.0, cfg_int=cfg_int, cert=scert, n_checks=5)
     _atomic_write(out + ".json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     t_max = min(10.0, max(2.0, res.horizon)) if res.horizon > 0 else 5.0
-    orbit, outer, layer = decompose_orbit(sysm, h, res, t_max, cfg_int)
+    orbit, outer, layer = decompose_orbit(sysm, state["h"], res, t_max, cfg_int)
     header = (["t"]
               + [f"orbit_x{i}" for i in range(sysm.m)] + [f"orbit_y{a}" for a in range(sysm.n)]
               + [f"outer_x{i}" for i in range(sysm.m)] + [f"outer_y{a}" for a in range(sysm.n)]

@@ -1,7 +1,8 @@
 """Scenario-level verification runs: build a system, certify it, compute the
-manifold and its derivatives, straighten, query the reduction map, and score
-every requested check.  Everything is seeded and deterministic: the same
-scenario document and seed produce byte-identical reports.
+manifold and its derivatives, straighten by them, query the reduction map, and
+score every requested check.  The stage functions here are the only code that
+solves a scenario; the CLI runs them too.  Everything is seeded and
+deterministic: the same scenario document and seed give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -151,17 +152,6 @@ def build_scenario_system(spec: ScenarioSpec) -> FastSlowSystem:
     return ex.build(**kw)
 
 
-def scenario_configs(spec: ScenarioSpec, sys: FastSlowSystem, cert=None):
-    if spec.dt is not None:
-        cfg_int = IntegratorConfig(dt=float(spec.dt))
-    elif cert is not None:
-        cfg_int = IntegratorConfig.default_for(cert.mu, cert.N1, sys.domain.diameter)
-    else:
-        cfg_int = IntegratorConfig()
-    cfg_lp = LPConfig(grid=sys.domain, horizon=spec.horizon)
-    return cfg_int, cfg_lp
-
-
 # -- scenario checks ----------------------------------------------------------------
 
 def _check(name, ok, **metrics):
@@ -191,7 +181,7 @@ def _jsonable(obj):
 
 
 def run_scenario(spec: ScenarioSpec) -> dict:
-    """Execute certify -> lp_solve -> dh_solve [-> d2h_solve] -> straighten ->
+    """Execute certify -> lp_solve -> dh_solve [-> d2h_solve] -> straighten(h, Dh) ->
     reduction queries -> residual checks; stage and check errors land in the report.
     """
     return _run(spec)[0]
@@ -207,20 +197,11 @@ def _run(spec):
     scenario = {k: v for k, v in spec.to_dict().items() if k != "out"}
     report = {"scenario": scenario, "seed": spec.seed, "certificate": None,
               "stages": [], "checks": [], "artifacts": []}
-    ex, kw = spec.resolved()
     checks = spec.checks if spec.checks is not None else _DEFAULT_CHECKS[spec.system]
-    state = {"example": ex, "build_kw": kw, "eps": kw["eps"]}
-
-    stages = [("certify", _stage_certify), ("slow_manifold", _stage_manifold)]
-    if spec.derivative >= 1:
-        stages.append(("derivative", _stage_derivative))
-    if spec.derivative >= 2:
-        stages.append(("second_derivative", _stage_d2))
-    if "reduction" in checks:
-        stages.append(("reduction", _stage_reduction))
+    state = _state(spec)
 
     completed, failed, first = set(), None, None
-    for name, fn in stages:
+    for name, fn in _stages(spec, "reduction" in checks):
         if failed:
             report["stages"].append(_skipped(name, f"stage {failed} failed"))
             continue
@@ -251,6 +232,25 @@ def _run(spec):
     return report, first
 
 
+def _state(spec):
+    """The state the stages of `spec` share, before the first stage runs."""
+    ex, kw = spec.resolved()
+    return {"example": ex, "build_kw": kw, "eps": kw["eps"]}
+
+
+def _stages(spec, reduction):
+    """(name, stage) in run order; the reduction straightens by Dh, so it needs
+    the derivative stage.  Read per call, so a replaced stage is the one that runs."""
+    stages = [("certify", _stage_certify), ("slow_manifold", _stage_manifold)]
+    if spec.derivative >= 1 or reduction:
+        stages.append(("derivative", _stage_derivative))
+    if spec.derivative >= 2:
+        stages.append(("second_derivative", _stage_d2))
+    if reduction:
+        stages.append(("reduction", _stage_reduction))
+    return stages
+
+
 def _error_entry(name, exc):
     """Any exception becomes a typed entry, so the report survives; traceback to the log."""
     import logging   # here, not at the top: a run that fails nowhere never loads it
@@ -260,15 +260,16 @@ def _error_entry(name, exc):
 
 
 def _stage_certify(spec, state):
-    sys = build_scenario_system(spec)
-    state["sys"] = sys
-    ex = state["example"]
-    cfg_int, _ = scenario_configs(spec, sys)
-    cert = assemble_certificate(sys, cfg_int, seed=spec.seed,
-                                x_radius=ex.sampling_radius,
-                                overrides=spec.overrides or {})
-    state["cert"] = cert
-    state["cfg_int"], state["cfg_lp"] = scenario_configs(spec, sys, cert)
+    sys = state["sys"] = build_scenario_system(spec)
+    # a set dt is the step of the certificate and of every solve; without one,
+    # the certificate samples at the default step and picks the solves' step
+    cfg_int = IntegratorConfig() if spec.dt is None else IntegratorConfig(dt=float(spec.dt))
+    cert = state["cert"] = assemble_certificate(
+        sys, cfg_int, seed=spec.seed, x_radius=state["example"].sampling_radius,
+        overrides=spec.overrides or {})
+    if spec.dt is None:
+        cfg_int = IntegratorConfig.default_for(cert.mu, cert.N1, sys.domain.diameter)
+    state["cfg_int"], state["cfg_lp"] = cfg_int, LPConfig(grid=sys.domain, horizon=spec.horizon)
     return {"certificate": json.loads(cert.to_json())}
 
 
@@ -287,9 +288,9 @@ def _stage_derivative(spec, state):
     if not sys.has_derivatives(1):
         return {"skipped": "system supplies no derivatives"}
     dh, rep = dh_solve(sys, state["h"], cert, state["cfg_lp"], state["cfg_int"])
-    state["dh"], state["dh_report"] = dh, rep
+    state["dh"], state["fd_error"] = dh, fd_derivative_error(state["h"], dh)
     return {"converged": rep.converged, "sweeps": rep.iterations,
-            "fd_error": fd_derivative_error(state["h"], dh),
+            "fd_error": state["fd_error"],
             "sup_norm": dh.sup_norm(), "sup_bound": rep.diagnostics.get("sup_bound")}
 
 
@@ -303,24 +304,18 @@ def _stage_d2(spec, state):
     return {"converged": rep.converged, "sup_norm": d2.sup_norm()}
 
 
+def _straightened(state):
+    """The system straightened by the solved h and Dh, and its (S1)/(S2) constants."""
+    dh = state.get("dh")
+    if dh is None:
+        raise CapabilityError("straightening needs Dh; the system supplies no derivatives")
+    return (straighten(state["sys"], state["h"], dh),
+            straightened_constants(state["cert"], dh.sup_norm()))
+
+
 def _stage_reduction(spec, state):
-    sys, cert = state["sys"], state["cert"]
-    ex = state["example"]
-    if ex.analytic_h is not None and ex.analytic_dh is not None:
-        # scalar systems only carry analytic oracles here
-        eps = state["eps"]
-        ssys = straighten(sys, lambda y: np.asarray(ex.analytic_h(y[..., 0], eps))[..., None],
-                          lambda y: np.asarray(ex.analytic_dh(y[..., 0], eps))[..., None, None],
-                          d2h=(None if ex.analytic_d2h is None else
-                               lambda y: np.asarray(ex.analytic_d2h(y[..., 0], eps))[..., None, None, None]))
-        dh_sup = float(np.max(np.abs(ex.analytic_dh(sys.domain.node_coords()[..., 0], eps))))
-    else:
-        if state.get("dh") is None:
-            raise CapabilityError("reduction stage needs the derivative stage "
-                                  "(run with derivative >= 1) or analytic oracles")
-        ssys = straighten(sys, state["h"], state["dh"])
-        dh_sup = state["dh"].sup_norm()
-    scert = straightened_constants(cert, dh_sup)
+    sys = state["sys"]
+    ssys, scert = _straightened(state)
     state["ssys"], state["scert"] = ssys, scert
 
     rng = np.random.default_rng(spec.seed)
@@ -336,7 +331,6 @@ def _stage_reduction(spec, state):
                              state["cfg_int"]) for xi, eta in points]
     results = [r.to_dict() for r in queried]
     worst_ratio = max((r.E_ratio for r in queried), default=0.0)
-    state["reduction_results"] = results
     state["e_ratio_worst"] = worst_ratio
     state["e_ratio_bound"] = bound
     return {"queries": len(results), "worst_E_ratio": worst_ratio,
@@ -387,7 +381,7 @@ def _chk_invariance(spec, state):
 
 
 def _chk_derivative_fd(spec, state):
-    err = fd_derivative_error(state["h"], state["dh"])
+    err = state["fd_error"]
     return _check("derivative_fd", err <= 1e-4, fd_error=err, tol=1e-4)
 
 

@@ -12,11 +12,11 @@ from slowfast.certify import (ConstantsCertificate, _op_norm, assemble_certifica
                               estimate_process_bound, frozen_coefficient_window,
                               frozen_drivers, rho_budget, slow_drift_budget,
                               spectral_gap_check, straightened_constants)
-from slowfast.core import FastSlowSystem, GridDomain
+from slowfast.core import FastSlowSystem, GridDomain, GridFunction
 from slowfast.errors import (InfeasibleBudgetError, NoDecayError,
                              PreconditionError)
 from slowfast.integrate import IntegratorConfig, flow
-from slowfast.systems import build_l1, build_q1
+from slowfast.systems import build_l1, build_nf1, build_q1, build_vdp_cut
 
 CFG = IntegratorConfig(dt=0.01)
 
@@ -156,6 +156,16 @@ class TestLipschitz:
                                     overrides={"K": 1.5, "mu": 0.75})
         assert (cert.K, cert.mu) == (1.5, 0.75)
         assert cert.provenance["K"] == cert.provenance["mu"] == "supplied"
+
+    def test_base_point_evaluated_once_per_chunk(self, monkeypatch):
+        """R0 at the base points once per chunk, plus its x-offset and random-pair
+        quotients: 3 calls per chunk of 1000 samples."""
+        calls = []
+        R0 = FastSlowSystem.R0
+        monkeypatch.setattr(FastSlowSystem, "R0",
+                            lambda self, x, y: calls.append(len(x)) or R0(self, x, y))
+        estimate_lipschitz(build_q1(eps=0.1), n_samples=2000, seed=0)
+        assert calls == [1000] * 6
 
     def test_monotone_in_budget(self):
         sys = build_q1(eps=0.1)
@@ -304,6 +314,19 @@ class TestSpectralGap:
         res = spectral_gap_check(sys, h, 0.5)
         assert res.ok
         assert res.max_real < -0.5
+
+
+    @pytest.mark.parametrize("build", [lambda: build_nf1(m=16), build_vdp_cut],
+                             ids=["NF1", "VDP-cut"])
+    def test_one_batch_equals_per_node_loop(self, build):
+        sys = build()
+        rng = np.random.default_rng(0)
+        h0 = GridFunction(sys.domain, 0.05 * rng.normal(size=sys.domain.shape + (sys.m,)))
+        worst = -np.inf
+        for y in sys.domain.node_coords():
+            lam = np.linalg.eigvals(sys.DxF(np.asarray(h0(y), dtype=float), y))
+            worst = max(worst, float(np.max(lam.real)))
+        assert repr(spectral_gap_check(sys, h0, 0.5).max_real) == repr(worst)
 
 
 class TestCertificatePredicates:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowfast import cli, errors, harness
+from slowfast.core import GridFunction
 from slowfast.cli import EXIT_NO_CONVERGENCE, main, write_csv
 from slowfast.errors import (ConvergenceError, InfeasibleBudgetError,
                              NumericError)
@@ -100,8 +101,61 @@ class TestReduceCommand:
         data = json.loads((tmp_path / "red0.json").read_text())
         assert data["Q"] == [0.0]
 
-    def test_bad_point_usage_error(self):
-        assert run_cli("reduce", "--system", "L2", "--point", "1.0") == 1
+    @pytest.mark.parametrize("point, certifies", [
+        ("1.0", True), ("1.0,abc", False), ("nan,0.0", False), ("1.0,0.0,5", True)],
+        ids=["short", "not-a-number", "nan", "long"])
+    def test_bad_point_usage_error(self, tmp_path, monkeypatch, point, certifies):
+        """A --point of anything but m + n finite numbers exits 1 and writes
+        nothing: an entry that is not a finite number before any stage, a wrong
+        count right after the certify stage, before the manifold is solved."""
+        ran = []
+        for name in ("_stage_certify", "_stage_manifold"):
+            monkeypatch.setattr(harness, name, _recording(ran, name, getattr(harness, name)))
+        out = tmp_path / "red"
+        assert run_cli("reduce", "--system", "L2", "--point", point, "--out", str(out)) == 1
+        assert ran == (["_stage_certify"] if certifies else [])
+        assert list(tmp_path.iterdir()) == []
+
+
+def _recording(calls, name, fn):
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+class TestCommandsRunTheStages:
+    """certify, slow-manifold and reduce solve through the stage functions of
+    `harness`, and the reduction stage straightens by the solved h and Dh."""
+
+    @pytest.mark.parametrize("argv", [
+        ("slow-manifold", "--system", "L1", "--dt", "0.1", "--grid", "21"),
+        ("reduce", "--system", "L2", "--dt", "0.1", "--point", "1.0,0.0")],
+        ids=["slow-manifold", "reduce"])
+    def test_a_failing_manifold_stage_fails_the_command(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(harness, "_stage_manifold", _raising(NumericError, "no h"))
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 4
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reduction_straightens_the_solved_manifold(self, tmp_path, monkeypatch):
+        seen = []
+        straighten = harness.straighten
+        monkeypatch.setattr(harness, "straighten",
+                            lambda sys, h, dh, d2h=None: seen.append((h, dh, d2h))
+                            or straighten(sys, h, dh, d2h))
+        assert run_cli("run", "--system", "L2", "--out", str(tmp_path / "r.json")) == 0
+        assert len(seen) == 1
+        h, dh, d2h = seen[0]
+        assert isinstance(h, GridFunction) and isinstance(dh, GridFunction)
+        assert d2h is None
+
+    def test_derivative_fd_reads_the_stage(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "fd_derivative_error",
+                            _recording(calls, "fd", harness.fd_derivative_error))
+        assert run_cli("run", "--system", "L1", "--dt", "0.1", "--grid", "21",
+                       "--out", str(tmp_path / "r.json")) == 0
+        assert calls == ["fd"]
 
 
 class TestRunCommand:
@@ -234,6 +288,13 @@ FAILURE_PATHS = {
          ("analytic_h", "pass", None), ("eqv_residual", "pass", None),
          *_skips("stage derivative did not run", "derivative_fd"),
          ("contraction", "pass", None), ("norm_bound", "pass", None)]),
+    # the reduction stage straightens by the solved Dh, so its stage runs anyway
+    "L2-no-derivative": (
+        ("--system", "L2", "--dt", "0.05", "--derivative", "0"), 0,
+        [("certify", "ok", None), ("slow_manifold", "ok", None),
+         ("derivative", "ok", None), ("reduction", "ok", None)],
+        [("hypotheses", "pass", None), ("manifold", "pass", None),
+         ("analytic_h", "pass", None), ("reduction", "pass", None)]),
 }
 
 

@@ -184,7 +184,7 @@ class TestRunScenario:
     def test_contraction_check_one_batch_equals_serial_pairs(self, monkeypatch):
         from slowfast.manifold import lp_map
         spec = ScenarioSpec.from_dict({"system": "Q1", "dt": 0.1, "seed": 3})
-        state = {"example": spec.resolved()[0]}
+        state = harness._state(spec)
         harness._stage_certify(spec, state)
         batches = []
         batch = harness.lp_map_batch
