@@ -239,7 +239,8 @@ def _add_common(p, with_point=False):
     p.add_argument("--m", type=int, help="fast quadrature size (NF1)")
     p.add_argument("--dt", type=float)
     p.add_argument("--horizon", type=float)
-    p.add_argument("--derivative", type=int, choices=(0, 1, 2))
+    if not with_point:          # reduce always solves Dh and never D2h
+        p.add_argument("--derivative", type=int, choices=(0, 1, 2))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--override", action="append", metavar="KEY=VALUE",

@@ -124,6 +124,11 @@ class GridFunction:
     value to round-off.  Evaluation outside the box uses constant (clamped)
     extension, which preserves both the sup norm and the Lipschitz estimate.
     The interpolation set-up (bounds, strides, cell corners) is done at construction.
+    A call at one slow state, y of shape (n,), finds its cell and corner weights
+    in Python floats with the array path's IEEE operations in its order, so it
+    returns the same bytes without the per-call array set-up; only the corner
+    rows' gather and sum stay in numpy.  Batches, NaN coordinates and GridStack
+    reads (whose y carries the block axis) take the array path.
 
     `value_norm` (default: the flat Euclidean norm) measures one value; like the
     system callables it must broadcast over leading axes, as `sys.norm_x` does,
@@ -146,6 +151,9 @@ class GridFunction:
         self._upper_side = corners[:, None, :].astype(bool)            # (2^n, 1, n)
         self._offsets = (corners @ self._strides)[:, None]             # (2^n, 1) flat offsets
         self._pad = (1,) * len(self.value_shape)             # weights broadcast over values
+        self._point_shape = (domain.n,)
+        self._axis_floats = [a.tolist() for a in (self._lower, self._upper, self._spacing,
+                                                  self._top, self._strides)]  # for one point
 
     @classmethod
     def from_callable(cls, domain, fn, value_norm=None):
@@ -164,6 +172,23 @@ class GridFunction:
     def __call__(self, y):
         """Multilinear interpolation at y of shape (..., n); clamped outside."""
         y = np.asarray(y, dtype=float)
+        if y.shape == self._point_shape:
+            # one slow state: the set-up below in floats, op for op; on a tie
+            # (+-0.0) np.maximum(a, b) returns b, and so does max(b, a)
+            base, w = 0, [1.0]
+            for v, lo, hi, h, top, stride in zip(y.tolist(), *self._axis_floats):
+                if v != v:                 # NaN: the array path's NaN -> index 0 rule
+                    break
+                t = (min(hi, max(lo, v)) - lo) / h
+                i = max(min(int(t), top), 0)
+                frac = t - i
+                base += i * stride
+                w = [c * g for g in (1.0 - frac, frac) for c in w]   # in corner order
+            else:
+                out = 0.0                  # from +0.0, corner by corner, as below
+                for wk, offset in zip(w, self._offsets[:, 0].tolist()):
+                    out = out + wk * self._flat[base + offset]
+                return np.asarray(out)
         yf = y.reshape(-1, len(self._strides))
         t = (np.minimum(np.maximum(yf, self._lower), self._upper) - self._lower) / self._spacing
         # t >= 0, so truncation is floor; the max(., 0) keeps a NaN row (cast to

@@ -116,6 +116,18 @@ class TestReduceCommand:
         assert ran == (["_stage_certify"] if certifies else [])
         assert list(tmp_path.iterdir()) == []
 
+    def test_derivative_flag_usage_error(self, tmp_path, monkeypatch):
+        """reduce always solves Dh and never D2h, so it takes no --derivative:
+        the flag exits 1 before any stage and writes nothing."""
+        ran = []
+        monkeypatch.setattr(harness, "_stage_certify",
+                            _recording(ran, "_stage_certify", harness._stage_certify))
+        out = tmp_path / "red"
+        assert run_cli("reduce", "--system", "L2", "--derivative", "2",
+                       "--point", "1.0,0.0", "--out", str(out)) == 1
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+
 
 def _recording(calls, name, fn):
     def wrapped(*args, **kwargs):

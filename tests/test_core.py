@@ -165,13 +165,22 @@ class TestGridFunction:
             got, want = gf(y), _loop_interp(gf, y)
             assert got.shape == want.shape == y.shape[:-1] + vshape
             assert got.tobytes() == want.tobytes()
+            for point in y.reshape(-1, n):        # one slow state: the float path
+                got, want = gf(point), _loop_interp(gf, point)
+                assert got.shape == want.shape == vshape
+                assert got.tobytes() == want.tobytes()
 
     def test_nan_input_gives_nan(self):
         dom = GridDomain([0.0, 0.0], [1.0, 2.0], [4, 5])
         gf = GridFunction.from_callable(dom, lambda y: y)
         with np.errstate(invalid="ignore"):
             out = gf(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+            point = gf(np.array([0.5, np.nan]))
         assert np.all(np.isnan(out[0])) and np.all(np.isfinite(out[1]))
+        assert point.shape == (2,) and np.all(np.isnan(point))
+        # one-point +-inf is clamped to the box faces
+        assert gf(np.array([np.inf, -np.inf])).tolist() == [1.0, 0.0]
+        assert gf(np.array([-np.inf, np.inf])).tolist() == [0.0, 2.0]
 
     @pytest.mark.parametrize("n, value_shape", [(1, ()), (1, (3,)), (2, (2, 2)), (3, (1,))])
     @pytest.mark.parametrize("k", [1, 4])
