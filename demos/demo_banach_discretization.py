@@ -6,9 +6,8 @@ infinite-dimensional-flavored manifold computation.
 
 import numpy as np
 
-from slowfast import (IntegratorConfig, LPConfig, assemble_certificate,
-                      eqv_residual, invariance_residual, lp_solve,
-                      spectral_gap_check)
+from slowfast import (IntegratorConfig, assemble_certificate, eqv_residual,
+                      invariance_residual, lp_solve, spectral_gap_check)
 from slowfast.systems import build_nf1, nf1_profile_interp
 
 cfg_int = IntegratorConfig(dt=0.01)
@@ -20,15 +19,14 @@ cert = assemble_certificate(sys, cfg_int, seed=0, x_radius=0.5)
 print("sampled constants:",
       {k: round(getattr(cert, k), 4) for k in ("K", "mu", "M0", "M1x", "M1y")})
 
-cfg = LPConfig(grid=sys.domain)
-h, report = lp_solve(sys, cert, cfg, cfg_int)
+h, report = lp_solve(sys, cert, cfg_int)
 print(f"manifold solve: {report.iterations} sweeps, sup |h| = {h.sup_norm():.4f}")
 
 gap = spectral_gap_check(sys, h, 0.5)
 print(f"spectral gap along the sheet: max Re = {gap.max_real:.8f} "
       f"(margin {gap.margin:.6f} vs 0.5)")
 
-print(f"invariance-integral residual: {eqv_residual(sys, h, cert, cfg, cfg_int):.2e}")
+print(f"invariance-integral residual: {eqv_residual(sys, h, cert, cfg_int):.2e}")
 inv = invariance_residual(sys, h, [0.75], 5.0, cfg_int)
 print(f"flowed-orbit graph deviation: {inv.max_deviation:.2e}")
 

@@ -36,7 +36,7 @@ print(f"  semiconjugacy residual over [0, 10]: {semi:.2e}")
 fit = attraction_rate_fit(ssys, res, 10.0, cfg, cert=scert)
 print(f"  fitted attraction rate {fit.rate:.4f} (r^2 = {fit.r2:.6f})")
 
-P1, Q1 = dp_point(ssys, [xi], [eta], res, scert, cfg)
+P1, Q1 = dp_point(ssys, res, scert, cfg)
 print(f"  dP = {P1[0].tolist()}   closed form [eps, 1] = [0.1, 1.0]")
 
 _, outer, layer = decompose_orbit(sys, zero, res, 5.0, cfg)

@@ -8,8 +8,8 @@ tolerance, and the residual diagnostics confirm invariance independently.
 
 import numpy as np
 
-from slowfast import (IntegratorConfig, LPConfig, assemble_certificate,
-                      dh_solve, eqv_residual, invariance_residual, lp_solve)
+from slowfast import (IntegratorConfig, assemble_certificate, dh_solve,
+                      eqv_residual, invariance_residual, lp_solve)
 from slowfast.systems import build_l1, build_q1, l1_h, q1_dh, q1_h
 
 cfg_int = IntegratorConfig(dt=0.01)
@@ -22,24 +22,22 @@ print("sampled constants:",
 for name, status in cert.hypothesis_table():
     print(f"  {name:<35} {status}")
 
-cfg = LPConfig(grid=sys.domain)
-h, report = lp_solve(sys, cert, cfg, cfg_int)
+h, report = lp_solve(sys, cert, cfg_int)
 nodes = sys.domain.node_coords()
 err = np.max(np.abs(h(nodes)[:, 0] - l1_h(nodes[:, 0], 0.1)))
 print(f"fixed point after {report.iterations} sweeps; sup error vs y-0.1: {err:.2e}")
-print(f"invariance-integral residual: {eqv_residual(sys, h, cert, cfg, cfg_int):.2e}")
+print(f"invariance-integral residual: {eqv_residual(sys, h, cert, cfg_int):.2e}")
 
 print()
 print("== Q1: x' = -x + y^2, y' = 0.1 on [-1, 1] ==")
 sysq = build_q1(eps=0.1)
 certq = assemble_certificate(sysq, cfg_int, seed=0)
-cfgq = LPConfig(grid=sysq.domain)
-hq, repq = lp_solve(sysq, certq, cfgq, cfg_int)
+hq, repq = lp_solve(sysq, certq, cfg_int)
 nq = sysq.domain.node_coords()
 errq = np.max(np.abs(hq(nq)[:, 0] - q1_h(nq[:, 0], 0.1)))
 print(f"sup error vs y^2 - 0.2y + 0.02: {errq:.2e}")
 
-dh, dhrep = dh_solve(sysq, hq, certq, cfgq, cfg_int)
+dh, dhrep = dh_solve(sysq, hq, certq, cfg_int)
 errd = np.max(np.abs(dh(nq)[:, 0, 0] - q1_dh(nq[:, 0], 0.1)))
 print(f"derivative fixed point, sup error vs 2y - 0.2: {errd:.2e}")
 

@@ -19,9 +19,8 @@ from .errors import (CapabilityError, ContractionError, ConvergenceError,
 from .harness import ScenarioSpec, run_scenario
 from .integrate import (ContractionReport, IntegratorConfig, OrbitPath,
                         bounded_solution_batch, flow, process_apply, variational_flow)
-from .manifold import (LPConfig, d2h_solve, dh_solve, eqv_residual,
-                       fd_derivative_error, invariance_residual, lp_map,
-                       lp_map_batch, lp_solve)
+from .manifold import (d2h_solve, dh_solve, eqv_residual, fd_derivative_error,
+                       invariance_residual, lp_map, lp_map_batch, lp_solve)
 from .reduction import (ReductionResult, attraction_rate_fit, decompose_orbit, dp_point,
                         fit_exponential, q_along_orbit, semiconjugacy_residual,
                         straighten)

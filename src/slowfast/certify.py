@@ -184,7 +184,7 @@ def band_limited_drivers(domain, N0, count, seed=0):
 
 
 def estimate_process_bound(sys: FastSlowSystem, drivers, t_max,
-                           cfg: IntegratorConfig, shifts=4, seed=0):
+                           cfg: IntegratorConfig, shifts=4):
     """Sampled (K, mu) with |T0(t,s; psi) xi| <= K e^{-mu (t-s)} |xi|.
 
     All (driver, start-shift) combinations are integrated as one batched
@@ -193,7 +193,7 @@ def estimate_process_bound(sys: FastSlowSystem, drivers, t_max,
     range (so the claimed rate is what the worst sampled pair actually shows);
     K is the max over all samples of ||T|| e^{mu * gap}.  Operator norms are
     exact for m <= 8 and probed with 10 random unit vectors (drawn with
-    `seed`) above that.  Norms are sampled about 80 times along the way.
+    seed 0) above that.  Norms are sampled about 80 times along the way.
     """
     if not isinstance(drivers, DriverSet):
         raise TypeError("drivers must be a DriverSet (band_limited_drivers / frozen_drivers)")
@@ -209,7 +209,7 @@ def estimate_process_bound(sys: FastSlowSystem, drivers, t_max,
         def norms(U):
             return _op_norm(sys, U)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         U = rng.normal(size=(B, 10, m))
         U /= np.maximum(sys.norm_x(U)[..., None], 1e-300)
 
@@ -342,9 +342,10 @@ def delta_budget(cert: ConstantsCertificate):
     return delta, n1_cap
 
 
-def rho_budget(cert: ConstantsCertificate, tol=1e-10):
+def rho_budget(cert: ConstantsCertificate):
     """Smallest rho > delta with N1 (rho+1) < mu - K M1x and
-    K M1y / (mu - K M1x - N1 (rho+1)) < rho, by bisection on the feasible edge.
+    K M1y / (mu - K M1x - N1 (rho+1)) < rho, by bisection on the feasible edge
+    to a relative width of 1e-10.
     """
     gap = cert.contraction_rate()
     if gap <= 0:
@@ -368,7 +369,7 @@ def rho_budget(cert: ConstantsCertificate, tol=1e-10):
         raise InfeasibleBudgetError("no admissible rho for this certificate")
     hi = ok[0]
     lo = delta
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > 1e-10 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid

@@ -101,6 +101,9 @@ def _spec_from_args(args):
             raise SchemaError(f"cannot read scenario {args.scenario}: {exc}") from exc
         if not isinstance(data, dict):
             raise SchemaError(f"scenario {args.scenario} is not a JSON object")
+        if "derivative" in data and not hasattr(args, "derivative"):
+            # reduce has no --derivative: it always solves Dh and never D2h
+            raise SchemaError(f"scenario {args.scenario}: reduce takes no derivative key")
         if args.system:
             data["system"] = args.system
     for key in ("eps", "grid", "m", "dt", "horizon", "derivative", "seed", "out"):

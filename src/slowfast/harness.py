@@ -19,7 +19,7 @@ from .certify import (CERTIFICATE_FIELDS, assemble_certificate,
 from .core import FastSlowSystem, GridFunction
 from .errors import CapabilityError, SchemaError
 from .integrate import IntegratorConfig
-from .manifold import (LPConfig, dh_solve, eqv_residual, fd_derivative_error,
+from .manifold import (dh_solve, eqv_residual, fd_derivative_error,
                        invariance_residual, lp_map_batch, lp_solve, d2h_solve)
 from .reduction import q_along_orbit, semiconjugacy_residual, straighten
 from .systems import EXAMPLES, get_example
@@ -269,13 +269,13 @@ def _stage_certify(spec, state):
         overrides=spec.overrides or {})
     if spec.dt is None:
         cfg_int = IntegratorConfig.default_for(cert.mu, cert.N1, sys.domain.diameter)
-    state["cfg_int"], state["cfg_lp"] = cfg_int, LPConfig(grid=sys.domain, horizon=spec.horizon)
+    state["cfg_int"] = cfg_int
     return {"certificate": json.loads(cert.to_json())}
 
 
 def _stage_manifold(spec, state):
     sys, cert = state["sys"], state["cert"]
-    h, rep = lp_solve(sys, cert, state["cfg_lp"], state["cfg_int"])
+    h, rep = lp_solve(sys, cert, state["cfg_int"], horizon=spec.horizon)
     state["h"], state["h_report"] = h, rep
     return {"converged": rep.converged, "sweeps": rep.iterations,
             "sup_norm": h.sup_norm(), "measured_ratio": rep.measured_ratio,
@@ -287,7 +287,7 @@ def _stage_derivative(spec, state):
     sys, cert = state["sys"], state["cert"]
     if not sys.has_derivatives(1):
         return {"skipped": "system supplies no derivatives"}
-    dh, rep = dh_solve(sys, state["h"], cert, state["cfg_lp"], state["cfg_int"])
+    dh, rep = dh_solve(sys, state["h"], cert, state["cfg_int"])
     state["dh"], state["fd_error"] = dh, fd_derivative_error(state["h"], dh)
     return {"converged": rep.converged, "sweeps": rep.iterations,
             "fd_error": state["fd_error"],
@@ -298,8 +298,7 @@ def _stage_d2(spec, state):
     sys, cert = state["sys"], state["cert"]
     if not sys.has_derivatives(2):
         return {"skipped": "system supplies no second derivatives"}
-    d2, rep = d2h_solve(sys, state["h"], state["dh"], cert, state["cfg_lp"],
-                        state["cfg_int"])
+    d2, rep = d2h_solve(sys, state["h"], state["dh"], cert, state["cfg_int"])
     state["d2h"] = d2
     return {"converged": rep.converged, "sup_norm": d2.sup_norm()}
 
@@ -366,8 +365,8 @@ def _chk_analytic_h(spec, state):
 
 
 def _chk_eqv(spec, state):
-    val = eqv_residual(state["sys"], state["h"], state["cert"], state["cfg_lp"],
-                       state["cfg_int"])
+    val = eqv_residual(state["sys"], state["h"], state["cert"], state["cfg_int"],
+                       horizon=spec.horizon)
     return _check("eqv_residual", val <= 1e-5, residual=val, tol=1e-5)
 
 
@@ -388,19 +387,18 @@ def _chk_derivative_fd(spec, state):
 def _chk_contraction(spec, state):
     sys, cert = state["sys"], state["cert"]
     rng = np.random.default_rng(spec.seed + 1)
-    grid = state["cfg_lp"].grid
     radius = cert.ball_radius
     pairs = 5 if spec.system != "L1" else 3
     sigmas, gaps = [], []
     for _ in range(pairs):
-        s1 = _random_ball_sigma(sys, grid, radius, rng)
-        s2 = _random_ball_sigma(sys, grid, radius, rng)
+        s1 = _random_ball_sigma(sys, sys.domain, radius, rng)
+        s2 = _random_ball_sigma(sys, sys.domain, radius, rng)
         d = float(np.max(sys.norm_x(s2.values - s1.values)))
         if d != 0:
             sigmas += [s1, s2]
             gaps.append(d)
     # every sigma of every pair in one batched two-pass
-    images = lp_map_batch(sys, sigmas, cert, state["cfg_lp"], state["cfg_int"])
+    images = lp_map_batch(sys, sigmas, cert, state["cfg_int"], horizon=spec.horizon)
     worst = 0.0
     for d, l1, l2 in zip(gaps, images[0::2], images[1::2]):
         worst = max(worst, float(np.max(sys.norm_x(l2.values - l1.values))) / d)
@@ -431,15 +429,14 @@ def _eps0_manifold(state, horizon):
     if horizon not in solved:
         sys0 = state["example"].build(eps=0.0, **{k: v for k, v in state["build_kw"].items()
                                                   if k != "eps"})
-        cfg_lp = LPConfig(grid=sys0.domain, horizon=horizon)
-        solved[horizon] = lp_solve(sys0, state["cert"], cfg_lp, state["cfg_int"])[0]
+        solved[horizon] = lp_solve(sys0, state["cert"], state["cfg_int"], horizon=horizon)[0]
     return solved[horizon]
 
 
 def _chk_norm_bound(spec, state):
     """Theorem-level sup bound on the eps = 0 manifold with >= 1% slack."""
     cert = state["cert"]
-    h0 = _eps0_manifold(state, state["cfg_lp"].horizon)
+    h0 = _eps0_manifold(state, spec.horizon)
     bound = cert.K * cert.M0 / cert.mu + cert.K * cert.M1y / cert.contraction_rate()
     sup = h0.sup_norm()
     return _check("norm_bound", sup <= bound * 0.99, sup_norm=sup, bound=bound)

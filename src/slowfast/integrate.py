@@ -359,33 +359,6 @@ def _graph_fields(sys, sig):
     return slow_field, joint, lift
 
 
-def _picard_bounded(sys, sig, eta, T, cfg, tol):
-    """The bounded solution of `bounded_solution_batch` on the same slow path and
-    time grid, by Picard iteration of the variation-of-constants map (each sweep one
-    inhomogeneous linear solve) from phi = 0."""
-    from scipy.interpolate import CubicSpline
-
-    slow_field = _graph_fields(sys, sig)[0]
-    n_b = cfg.steps_for(T)
-    _, y_T = rk4_final(slow_field, np.atleast_1d(np.asarray(eta, dtype=float)), 0.0, -T, n_b)
-    times, ys = rk4_path(slow_field, y_T, -T, 0.0, n_b)
-    y_spline = CubicSpline(times, ys, axis=0)
-
-    def apply(phi):
-        spline = CubicSpline(times, phi, axis=0)
-
-        def lin(t, v):
-            y = y_spline(t)
-            return sys.eval_A0(y) @ v + sys.R0(spline(t), y)
-
-        return rk4_path(lin, np.zeros(sys.m), -T, 0.0, n_b)[1]
-
-    report = ContractionReport()
-    phi = _sweep("Picard", apply, np.zeros((len(times), sys.m)), report, tol)
-    return OrbitPath(times, phi, ys, meta={"dt": cfg.dt, "horizon": T,
-                                           "sweeps": report.iterations})
-
-
 def two_pass(back_field, fwd_field, u0, lift, T, cfg: IntegratorConfig):
     """The bounded-solution kernel behind every Lyapunov-Perron map.
 
@@ -406,8 +379,8 @@ def bounded_solution_batch(sys: FastSlowSystem, sigma, etas, horizon,
     Integrates psi backward to -T, then (x' = F(x,y), y' = g(sigma(y), y))
     forward from (sigma(psi(-T)), psi(-T)).  The contraction at rate mu - K*M1x
     bounds the startup error by K e^{-(mu - K M1x) T} * 2(K M0/mu + delta), so
-    T = truncation_horizon(cert, tol) pins phi(0) to `tol`.  `_picard_bounded`
-    is the cross-check."""
+    T = truncation_horizon(cert, tol) pins phi(0) to `tol`.  The tests
+    cross-check it against Picard iteration of the variation-of-constants map."""
     slow_field, joint, lift = _graph_fields(sys, sigma)
     u0 = two_pass(slow_field, joint, np.asarray(etas, dtype=float), lift,
                   float(horizon), cfg)

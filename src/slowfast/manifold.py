@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .certify import ConstantsCertificate
-from .core import FastSlowSystem, GridDomain, GridFunction, GridStack
+from .core import FastSlowSystem, GridFunction, GridStack
 from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
                      PreconditionError)
 from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _Blocks,
@@ -26,23 +26,13 @@ from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _Blocks,
                         truncation_horizon, two_pass)
 
 
-@dataclass
-class LPConfig:
-    """Configuration of the fixed-point solves."""
+TOL_FIXED_POINT = 1e-9      # sweep residual at which the manifold and derivative solves stop
+TOL_BOUNDED = 1e-10         # startup error of the bounded solution; sets the horizons
 
-    grid: GridDomain
-    horizon: Optional[float] = None          # None: truncation rule from the certificate
-    tol_fixed_point: float = 1e-9
-    tol_bounded: float = 1e-10               # startup tolerance for the bounded solution
 
-    def __post_init__(self):
-        if not (math.isfinite(self.tol_fixed_point) and self.tol_fixed_point > 0):
-            raise ValueError("tol_fixed_point must be positive and finite")
-
-    def resolved_horizon(self, cert):
-        if self.horizon is not None:
-            return float(self.horizon)
-        return truncation_horizon(cert, self.tol_bounded)
+def _horizon(cert, horizon):
+    """The backward horizon: `horizon` if set, else the certificate's truncation rule."""
+    return truncation_horizon(cert, TOL_BOUNDED) if horizon is None else float(horizon)
 
 
 # -- the manifold map ----------------------------------------------------------
@@ -63,8 +53,8 @@ def _lp_apply(sys, sigmas, T, cfg_int):
     return [s.with_values(v.reshape(grid.shape + (sys.m,))) for s, v in zip(sigmas, vals)]
 
 
-def lp_map_batch(sys: FastSlowSystem, sigmas, cert: ConstantsCertificate, cfg: LPConfig,
-                 cfg_int: IntegratorConfig = IntegratorConfig()):
+def lp_map_batch(sys: FastSlowSystem, sigmas, cert: ConstantsCertificate,
+                 cfg_int: IntegratorConfig = IntegratorConfig(), horizon=None):
     """`lp_map` of each candidate in the list `sigmas` (all on one grid), in one
     batched two-pass; returns the list of images, each equal bit for bit to
     its own `lp_map`.  Every candidate must lie in the certified ball.
@@ -76,41 +66,43 @@ def lp_map_batch(sys: FastSlowSystem, sigmas, cert: ConstantsCertificate, cfg: L
     for sigma in sigmas:
         if not _ball_check(sigma, radius):
             raise PreconditionError("sigma lies outside the certified ball")
-    return _lp_apply(sys, sigmas, cfg.resolved_horizon(cert), cfg_int) if sigmas else []
+    return _lp_apply(sys, sigmas, _horizon(cert, horizon), cfg_int) if sigmas else []
 
 
 def lp_map(sys: FastSlowSystem, sigma: GridFunction, cert: ConstantsCertificate,
-           cfg: LPConfig, cfg_int: IntegratorConfig = IntegratorConfig()) -> GridFunction:
+           cfg_int: IntegratorConfig = IntegratorConfig(), horizon=None) -> GridFunction:
     """The manifold map evaluated on the grid: node eta -> phi(0; eta, sigma).
 
     Requires sigma in the certified ball (sup norm plus safety-factored
     Lipschitz estimate) and a feasible existence budget.
     """
-    return lp_map_batch(sys, [sigma], cert, cfg, cfg_int)[0]
+    return lp_map_batch(sys, [sigma], cert, cfg_int, horizon)[0]
 
 
-def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate, cfg: LPConfig,
-             cfg_int: IntegratorConfig = IntegratorConfig()):
-    """Iterate the manifold map to its fixed point h.
+def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate,
+             cfg_int: IntegratorConfig = IntegratorConfig(), horizon=None):
+    """Iterate the manifold map to its fixed point h on the system's grid.
 
-    Returns (h, report).  The report's theoretical ratio is the certified
-    contraction factor K M1y / ((delta+1)(mu - K M1x - N1 (delta+1))); sweep
-    residuals are sup-norm changes between Jacobi sweeps.
+    `horizon` (None: the certificate's truncation rule) is the backward
+    horizon of every bounded solution.  Returns (h, report).  The report's
+    theoretical ratio is the certified contraction factor
+    K M1y / ((delta+1)(mu - K M1x - N1 (delta+1))); sweep residuals are
+    sup-norm changes between Jacobi sweeps.
     """
     if not cert.existence_ok:
         raise ContractionError("certificate does not satisfy the existence budget")
     value_norm = None if sys.norm_kind == "euclidean" else sys.norm_x
-    zero = GridFunction.zeros(cfg.grid, (sys.m,), value_norm=value_norm)
+    zero = GridFunction.zeros(sys.domain, (sys.m,), value_norm=value_norm)
     radius = cert.ball_radius
     if not _ball_check(zero, radius):
         raise PreconditionError("initial iterate lies outside the certified ball")
-    T = cfg.resolved_horizon(cert)
+    T = _horizon(cert, horizon)
     report = ContractionReport(theoretical_ratio=cert.lp_ratio())
     report.diagnostics["horizon"] = T
     report.diagnostics["ball_radius"] = radius
     h = zero.with_values(_sweep(
         "manifold", lambda v: _lp_apply(sys, [zero.with_values(v)], T, cfg_int)[0].values,
-        zero.values, report, cfg.tol_fixed_point, sys.norm_x))
+        zero.values, report, TOL_FIXED_POINT, sys.norm_x))
     report.diagnostics["in_ball"] = bool(_ball_check(h, radius))
     report.diagnostics["sup_norm"] = h.sup_norm()
     return h, report
@@ -119,17 +111,17 @@ def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate, cfg: LPConfig,
 # -- residual diagnostics --------------------------------------------------------
 
 def eqv_residual(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
-                 cfg: LPConfig, cfg_int: IntegratorConfig = IntegratorConfig()):
-    """Max node residual of the invariance integral condition
+                 cfg_int: IntegratorConfig = IntegratorConfig(), horizon=None):
+    """Max residual over h's grid nodes of the invariance integral condition
 
         h(eta) = int_{-inf}^0 T0(0, s; eta, h) R0(h(psi(s)), psi(s)) ds,
 
-    with the integral truncated at the certificate horizon and evaluated as an
-    inhomogeneous linear forward solve.  Small residual certifies (numerically)
+    with the integral truncated at `horizon` (None: the certificate's) and
+    evaluated as an inhomogeneous linear forward solve.  Small residual certifies (numerically)
     that h parameterizes an invariant graph.
     """
-    T = cfg.resolved_horizon(cert)
-    etas = cfg.grid.node_coords()
+    T = _horizon(cert, horizon)
+    etas = h.domain.node_coords()
     m, n = sys.m, sys.n
 
     slow_field = _graph_fields(sys, h)[0]
@@ -176,13 +168,12 @@ def invariance_residual(sys: FastSlowSystem, h, eta, t_max,
 
 # -- first derivative -------------------------------------------------------------
 
-def _dh_horizon(cert, tol):
+def _dh_horizon(cert):
     rate = cert.contraction_rate() - cert.N1 * (cert.rho + 1.0)
     if rate <= 0:
         raise InfeasibleBudgetError("derivative budget N1(rho+1) >= mu - K*M1x")
-    tol = max(tol, 1e-10)
-    amp = max(cert.K * max(cert.M1y, 1e-6) / rate, 10 * tol)
-    return math.log(amp / tol) / rate
+    amp = max(cert.K * max(cert.M1y, 1e-6) / rate, 10 * TOL_BOUNDED)
+    return math.log(amp / TOL_BOUNDED) / rate
 
 
 def _joint_reader(*fns):
@@ -235,7 +226,7 @@ def _dh_apply(sys, h, w_field, T, cfg_int):
 
 
 def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
-             cfg: LPConfig, cfg_int: IntegratorConfig = IntegratorConfig()):
+             cfg_int: IntegratorConfig = IntegratorConfig()):
     """Fixed point of the derivative map; returns (Dh field, report).
 
     The theoretical ratio is K M1y / (rho (mu - K M1x - N1 (rho+1))).  The
@@ -248,12 +239,12 @@ def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
         raise CapabilityError("dh_solve needs DF and Dg")
     if not cert.smooth_ok:
         raise ContractionError("certificate does not satisfy the smoothness budget")
-    T = _dh_horizon(cert, cfg.tol_bounded)
+    T = _dh_horizon(cert)
     report = ContractionReport(theoretical_ratio=cert.dh_ratio())
     report.diagnostics["horizon"] = T
     w = GridFunction(h.domain, _sweep(
         "derivative", lambda v: _dh_apply(sys, h, GridFunction(h.domain, v), T, cfg_int).values,
-        np.zeros(h.domain.shape + (sys.m, sys.n)), report, cfg.tol_fixed_point))
+        np.zeros(h.domain.shape + (sys.m, sys.n)), report, TOL_FIXED_POINT))
     bound = cert.K * cert.M1y / (cert.contraction_rate() - cert.N1 * (cert.rho + 1))
     report.diagnostics["sup_bound"] = bound
     report.diagnostics["sup_norm"] = w.sup_norm()
@@ -292,8 +283,7 @@ def _d2h_budget_ok(cert):
 
 
 def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
-              cert: ConstantsCertificate, cfg: LPConfig,
-              cfg_int: IntegratorConfig = IntegratorConfig()):
+              cert: ConstantsCertificate, cfg_int: IntegratorConfig = IntegratorConfig()):
     """Fixed point of the order-2 variational integral system; returns
     (second-derivative field with values (m, n, n), report).
 
@@ -312,7 +302,7 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
     etas = grid.node_coords()
     B = etas.shape[0]
     rate = cert.contraction_rate() - 2.0 * cert.N1 * (cert.rho + 1.0)
-    T = math.log(max(cert.K * max(cert.M1y, 1e-6) / (rate * cfg.tol_bounded), 10.0)) / rate
+    T = math.log(max(cert.K * max(cert.M1y, 1e-6) / (rate * TOL_BOUNDED), 10.0)) / rate
 
     back = _Blocks((n,), (n, n), (n, n, n))                     # y, z1, z2
     fwd = _Blocks((n,), (n, n), (n, n, n), (m, n, n))          # y, z1, z2, v
@@ -361,5 +351,5 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
         return fwd.split(uf)[3].reshape(grid.shape + (m, n, n))
 
     W2 = _sweep("second-derivative", apply, np.zeros(grid.shape + (m, n, n)), report,
-                cfg.tol_fixed_point)
+                TOL_FIXED_POINT)
     return GridFunction(grid, W2), report

@@ -217,7 +217,7 @@ def projected_flow(sys_t: FastSlowSystem, P, t_span, cfg_int) -> OrbitPath:
 
 def semiconjugacy_residual(sys_t: FastSlowSystem, result: ReductionResult,
                            t_max, cfg_int: IntegratorConfig, cert: ConstantsCertificate,
-                           n_checks=9, tol_q=1e-10):
+                           n_checks=9):
     """max over sampled t of |P(orbit(t)) - y_projected(t)|.
 
     Re-runs the defect query at points along the orbit and compares with the
@@ -233,7 +233,7 @@ def semiconjugacy_residual(sys_t: FastSlowSystem, result: ReductionResult,
     worst = 0.0
     for t in ts:
         xt_t, y_t = orbit.at(t)
-        res_t = q_along_orbit(sys_t, xt_t, y_t, cert, cfg_int, tol_q=tol_q)
+        res_t = q_along_orbit(sys_t, xt_t, y_t, cert, cfg_int)
         _, y_proj = proj.at(t)
         worst = max(worst, float(np.linalg.norm(res_t.P - y_proj)))
     return worst
@@ -288,16 +288,16 @@ class RateFit:
 
 
 def attraction_rate_fit(sys_t: FastSlowSystem, result: ReductionResult,
-                        t_max, cfg_int: IntegratorConfig, cert: ConstantsCertificate,
-                        noise_floor=1e-11) -> RateFit:
+                        t_max, cfg_int: IntegratorConfig, cert: ConstantsCertificate) -> RateFit:
     """Least-squares exponential fit of |orbit(t) - projected orbit(t)|.
 
-    Fits log-gap over the window where the gap exceeds the noise floor; also
+    Fits log-gap over the window where the gap exceeds the noise floor 1e-11; also
     fits the slow-component gap alone and compares its prefactor against the
     certified bound K^2 N1 / (mu' - K N1) |xi|.
     """
     if not result.report.converged:
         raise PreconditionError("rate fit needs a converged result")
+    noise_floor = 1e-11
     orbit = flow(sys_t, result.xi, result.eta, (0.0, float(t_max)), cfg_int,
                  check_domain=False)
     proj = projected_flow(sys_t, result.P, (0.0, float(t_max)), cfg_int)
@@ -319,10 +319,11 @@ def attraction_rate_fit(sys_t: FastSlowSystem, result: ReductionResult,
     return out
 
 
-def dp_point(sys_t: FastSlowSystem, xi, eta, result: ReductionResult,
+def dp_point(sys_t: FastSlowSystem, result: ReductionResult,
              cert: ConstantsCertificate, cfg_int: IntegratorConfig = IntegratorConfig(),
              tol=1e-10):
-    """First derivative of the reduction map at (xi, eta).
+    """First derivative of the reduction map at the query point (xi, eta) of
+    `result`.
 
     Integrates, in one pass: the straightened orbit, the defect q(t) (by its
     own ODE from the converged Q), the first variational flow U(t), the
@@ -337,10 +338,7 @@ def dp_point(sys_t: FastSlowSystem, xi, eta, result: ReductionResult,
     if 2.0 * cert.N1 >= mu_p:
         raise InfeasibleBudgetError("derivative budget 2 N1 < mu' violated")
     m, n, d = sys_t.m, sys_t.n, sys_t.m + sys_t.n
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if not (np.allclose(xi, result.xi) and np.allclose(eta, result.eta)):
-        raise PreconditionError("result was computed at a different point")
+    xi, eta = result.xi, result.eta
 
     amp = max(cert.K * max(float(sys_t.norm_x(xi)), 1.0) * (cert.N1 + 1.0), 10 * tol)
     T = math.log(amp / tol) / (mu_p - 2.0 * cert.N1)

@@ -7,7 +7,7 @@ import pytest
 
 from slowfast.certify import assemble_certificate, straightened_constants
 from slowfast.integrate import IntegratorConfig
-from slowfast.manifold import LPConfig, dh_solve, lp_solve
+from slowfast.manifold import dh_solve, lp_solve
 from slowfast.reduction import straighten
 from slowfast.systems import (build_coupled, build_l1, build_l2, build_nf1,
                               build_q1, build_vdp_cut)
@@ -42,9 +42,8 @@ def l1():
 @pytest.fixture(scope="session")
 def l1_solved(l1):
     sys, cert = l1
-    cfg = LPConfig(grid=sys.domain)
-    h, rep = lp_solve(sys, cert, cfg, DT)
-    return sys, cert, cfg, h, rep
+    h, rep = lp_solve(sys, cert, DT)
+    return sys, cert, h, rep
 
 
 @pytest.fixture(scope="session")
@@ -57,15 +56,14 @@ def q1():
 @pytest.fixture(scope="session")
 def q1_solved(q1):
     sys, cert = q1
-    cfg = LPConfig(grid=sys.domain)
-    h, rep = lp_solve(sys, cert, cfg, DT)
-    return sys, cert, cfg, h, rep
+    h, rep = lp_solve(sys, cert, DT)
+    return sys, cert, h, rep
 
 
 @pytest.fixture(scope="session")
 def q1_dh_solved(q1_solved):
-    sys, cert, cfg, h, _ = q1_solved
-    dh, rep = dh_solve(sys, h, cert, cfg, DT)
+    sys, cert, h, _ = q1_solved
+    dh, rep = dh_solve(sys, h, cert, DT)
     return dh, rep
 
 
@@ -97,15 +95,14 @@ def coupled():
 @pytest.fixture(scope="session")
 def coupled_solved(coupled):
     sys, cert = coupled
-    cfg = LPConfig(grid=sys.domain, tol_fixed_point=1e-8, tol_bounded=1e-9)
-    h, rep = lp_solve(sys, cert, cfg, DT)
-    dh, dhrep = dh_solve(sys, h, cert, cfg, DT2)
-    return sys, cert, cfg, h, dh
+    h, rep = lp_solve(sys, cert, DT)
+    dh, dhrep = dh_solve(sys, h, cert, DT2)
+    return sys, cert, h, dh
 
 
 @pytest.fixture(scope="session")
 def coupled_straight(coupled_solved):
-    sys, cert, cfg, h, dh = coupled_solved
+    sys, cert, h, dh = coupled_solved
     ssys = straighten(sys, h, dh)
     scert = straightened_constants(cert, dh.sup_norm())
     return ssys, scert
@@ -121,9 +118,8 @@ def nf1():
 @pytest.fixture(scope="session")
 def nf1_solved(nf1):
     sys, cert = nf1
-    cfg = LPConfig(grid=sys.domain)
-    h, rep = lp_solve(sys, cert, cfg, DT)
-    return sys, cert, cfg, h, rep
+    h, rep = lp_solve(sys, cert, DT)
+    return sys, cert, h, rep
 
 
 @pytest.fixture(scope="session")
@@ -136,6 +132,5 @@ def vdp():
 @pytest.fixture(scope="session")
 def vdp_solved(vdp):
     sys, cert = vdp
-    cfg = LPConfig(grid=sys.domain)
-    h, rep = lp_solve(sys, cert, cfg, DT)
-    return sys, cert, cfg, h, rep
+    h, rep = lp_solve(sys, cert, DT)
+    return sys, cert, h, rep

@@ -17,7 +17,7 @@ from slowfast.certify import (assemble_certificate, estimate_process_bound,
 from slowfast.core import FastSlowSystem, GridDomain, GridFunction
 from slowfast.harness import _random_ball_sigma
 from slowfast.integrate import IntegratorConfig, flow, rk4_path
-from slowfast.manifold import (LPConfig, d2h_solve, dh_solve, eqv_residual,
+from slowfast.manifold import (d2h_solve, dh_solve, eqv_residual,
                                fd_derivative_error, invariance_residual,
                                lp_map_batch, lp_solve)
 from slowfast.reduction import (attraction_rate_fit, e_norm_sweep,
@@ -44,14 +44,14 @@ def q1_analytic_straight(q1_pair, eps):
 def test_criterion_01_exact_fixed_points(l1, q1):
     t0 = time.time()
     sys1, cert1 = l1
-    h1, rep1 = lp_solve(sys1, cert1, LPConfig(grid=sys1.domain), DT)
+    h1, rep1 = lp_solve(sys1, cert1, DT)
     t_l1 = time.time() - t0
     nodes1 = sys1.domain.node_coords()
     err_l1 = float(np.max(np.abs(h1(nodes1)[:, 0] - l1_h(nodes1[:, 0], 0.1))))
 
     t0 = time.time()
     sysq, certq = q1
-    hq, repq = lp_solve(sysq, certq, LPConfig(grid=sysq.domain), DT)
+    hq, repq = lp_solve(sysq, certq, DT)
     t_q1 = time.time() - t0
     nodesq = sysq.domain.node_coords()
     err_q1 = float(np.max(np.abs(hq(nodesq)[:, 0] - q1_h(nodesq[:, 0], 0.1))))
@@ -66,7 +66,6 @@ def test_criterion_01_exact_fixed_points(l1, q1):
 
 def _measured_ratio(sys, cert, grid_points, n_pairs, seed):
     grid = GridDomain(sys.domain.lower, sys.domain.upper, [grid_points])
-    cfg = LPConfig(grid=grid)
     rng = np.random.default_rng(seed)
     radius = cert.ball_radius
     sigmas, gaps = [], []
@@ -77,7 +76,7 @@ def _measured_ratio(sys, cert, grid_points, n_pairs, seed):
         if gap != 0:
             sigmas += [s1, s2]
             gaps.append(gap)
-    images = lp_map_batch(sys, sigmas, cert, cfg, DT)      # all pairs in one two-pass
+    images = lp_map_batch(sys, sigmas, cert, DT)      # all pairs in one two-pass
     worst = 0.0
     for gap, l1, l2 in zip(gaps, images[0::2], images[1::2]):
         d = float(np.max(sys.norm_x(l2.values - l1.values)))
@@ -106,7 +105,7 @@ def test_criterion_03_norm_bound(l1, q1, nf1):
             ("Q1", q1, build_q1, {}),
             ("NF1", nf1, build_nf1, {"m": 64, "points": 41})):
         sys0 = builder(eps=0.0, **kw)
-        h0, _ = lp_solve(sys0, cert, LPConfig(grid=sys0.domain), DT)
+        h0, _ = lp_solve(sys0, cert, DT)
         bound = cert.K * cert.M0 / cert.mu \
             + cert.K * cert.M1y / (cert.mu - cert.K * cert.M1x)
         sup = h0.sup_norm()
@@ -119,11 +118,10 @@ def test_criterion_03_norm_bound(l1, q1, nf1):
 def test_criterion_04_epsilon_continuity(l1, q1):
     details, ok = [], True
     for name, (sys, cert), builder in (("L1", l1, build_l1), ("Q1", q1, build_q1)):
-        cfg = LPConfig(grid=sys.domain)
-        h0, _ = lp_solve(builder(eps=0.0), cert, cfg, DT)
+        h0, _ = lp_solve(builder(eps=0.0), cert, DT)
         gaps = []
         for eps in (0.1, 0.05, 0.025):
-            he, _ = lp_solve(builder(eps=eps), cert, cfg, DT)
+            he, _ = lp_solve(builder(eps=eps), cert, DT)
             gaps.append(float(np.max(sys.norm_x(he.values - h0.values))))
         r1, r2 = gaps[1] / gaps[0], gaps[2] / gaps[1]
         good = 0.35 <= r1 <= 0.65 and 0.35 <= r2 <= 0.65
@@ -134,15 +132,15 @@ def test_criterion_04_epsilon_continuity(l1, q1):
 
 
 def test_criterion_05_derivative_correctness(l1_solved, q1_solved, q1_dh_solved):
-    sys1, cert1, cfg1, h1, _ = l1_solved
-    dh1, _ = dh_solve(sys1, h1, cert1, cfg1, DT)
+    sys1, cert1, h1, _ = l1_solved
+    dh1, _ = dh_solve(sys1, h1, cert1, DT)
     fd_l1 = fd_derivative_error(h1, dh1)
 
-    sysq, certq, cfgq, hq, _ = q1_solved
+    sysq, certq, hq, _ = q1_solved
     dhq, _ = q1_dh_solved
     fd_q1 = fd_derivative_error(hq, dhq)
 
-    d2, _ = d2h_solve(sysq, hq, dhq, certq, cfgq, DT)
+    d2, _ = d2h_solve(sysq, hq, dhq, certq, DT)
     d2_err = float(np.max(np.abs(d2.values - 2.0)))
 
     ok = fd_l1 <= 1e-4 and fd_q1 <= 1e-4 and d2_err <= 1e-3
@@ -290,7 +288,7 @@ def test_criterion_09_window_lemma_and_counterexamples():
 def test_criterion_10_banach_discretization(nf1, nf1_solved):
     from slowfast.certify import spectral_gap_check
 
-    sys, cert, cfg, h, rep = nf1_solved
+    sys, cert, h, rep = nf1_solved
     gap = spectral_gap_check(sys, h, 0.5)
     margin_ok = gap.margin >= 0.5 - 1e-9
 
@@ -303,7 +301,7 @@ def test_criterion_10_banach_discretization(nf1, nf1_solved):
     profiles = []
     for m, pts in ((16, 11), (32, 21), (64, 41)):
         s = build_nf1(eps=0.01, m=m, points=pts)
-        hh, _ = lp_solve(s, cert, LPConfig(grid=s.domain), DT)
+        hh, _ = lp_solve(s, cert, DT)
         profiles.append(nf1_profile_interp(hh(probes_y), s.meta["nodes"], probes_xi))
     d1 = float(np.max(np.abs(profiles[0] - profiles[1])))
     d2 = float(np.max(np.abs(profiles[1] - profiles[2])))
@@ -321,19 +319,18 @@ def test_criterion_11_equivalence_residual(l1_solved, q1_solved, l2, nf1_solved,
                                            vdp_solved):
     sys2, cert2 = l2
     cases = {
-        "L1": l1_solved[:4],
-        "Q1": q1_solved[:4],
-        "L2": (sys2, cert2, LPConfig(grid=sys2.domain),
-               GridFunction.zeros(sys2.domain, (1,))),
-        "NF1": nf1_solved[:4],
-        "VDP-cut": vdp_solved[:4],
+        "L1": l1_solved[:3],
+        "Q1": q1_solved[:3],
+        "L2": (sys2, cert2, GridFunction.zeros(sys2.domain, (1,))),
+        "NF1": nf1_solved[:3],
+        "VDP-cut": vdp_solved[:3],
     }
     details, ok = [], True
-    for name, (sys, cert, cfg, h) in cases.items():
-        res = eqv_residual(sys, h, cert, cfg, DT)
+    for name, (sys, cert, h) in cases.items():
+        res = eqv_residual(sys, h, cert, DT)
         good = res <= 1e-5
         perturbed = h.with_values(h.values + 0.1)
-        res_p = eqv_residual(sys, perturbed, cert, cfg, DT)
+        res_p = eqv_residual(sys, perturbed, cert, DT)
         good = good and res_p >= 0.05
         ok = ok and good
         details.append(f"{name} {res:.1e}/{res_p:.2f}")

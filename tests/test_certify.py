@@ -302,7 +302,7 @@ class TestSpectralGap:
         assert res.max_real == pytest.approx(-1.0, abs=1e-12)
 
     def test_nf1_gershgorin_then_dense(self, nf1_solved):
-        sys, cert, cfg, h, _ = nf1_solved
+        sys, cert, h, _ = nf1_solved
         # Gershgorin oracle: all discs centred at -1 with radius < 0.5
         nodes = sys.domain.node_coords()
         worst = -np.inf

@@ -128,6 +128,20 @@ class TestReduceCommand:
         assert ran == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_scenario_derivative_key_usage_error(self, tmp_path, monkeypatch):
+        """A scenario's derivative key is refused like the flag: exit 1 before
+        any stage, and nothing written."""
+        ran = []
+        monkeypatch.setattr(harness, "_stage_certify",
+                            _recording(ran, "_stage_certify", harness._stage_certify))
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({"system": "L2", "derivative": 2}))
+        out = tmp_path / "red"
+        assert run_cli("reduce", "--scenario", str(scen),
+                       "--point", "1.0,0.0", "--out", str(out)) == 1
+        assert ran == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scen.json"]
+
 
 def _recording(calls, name, fn):
     def wrapped(*args, **kwargs):

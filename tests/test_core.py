@@ -12,7 +12,7 @@ from slowfast.core import (FastSlowSystem, GridDomain, GridFunction, GridStack,
                            check_derivatives, chi, dchi, localize, vector_norm)
 from slowfast.errors import PreconditionError
 from slowfast.integrate import IntegratorConfig, bounded_solution_batch, flow
-from slowfast.manifold import LPConfig, eqv_residual
+from slowfast.manifold import eqv_residual
 from slowfast.systems import (build_coupled, build_l1, build_nf1, build_q1,
                               build_vdp_cut, build_vdp_raw, vdp_branch, _vdp_jet)
 
@@ -457,7 +457,7 @@ class TestLocalize:
         grid = GridDomain([-2.0], [0.0], [5])
         zero, cfg = GridFunction.zeros(grid, (1,)), IntegratorConfig(dt=0.1)
         if kernel == "eqv_residual":
-            eqv_residual(sys, zero, cert, LPConfig(grid=grid), cfg)
+            eqv_residual(sys, zero, cert, cfg)
         else:
             bounded_solution_batch(sys, zero, grid.node_coords(), 1.0, cfg)
         assert per_stage and max(per_stage) <= 2

@@ -1,5 +1,6 @@
 """Scenario runner, exponential fitting, report determinism."""
 
+import inspect
 import json
 from types import SimpleNamespace
 
@@ -173,13 +174,38 @@ class TestRunScenario:
         solve it with the same horizon (a set horizon reaches norm_bound only)."""
         calls = []
         solve = harness.lp_solve
-        monkeypatch.setattr(harness, "lp_solve", lambda *a: calls.append(a) or solve(*a))
+        monkeypatch.setattr(harness, "lp_solve",
+                            lambda *a, **kw: calls.append(a) or solve(*a, **kw))
         spec = ScenarioSpec.from_dict({
             "system": "NF1", "m": 8, "grid": 11, "dt": 0.05, "derivative": 0,
             "horizon": horizon, "checks": ["spectral_gap", "norm_bound"]})
         report = run_scenario(spec)
         assert len(calls) == solves                   # the stage's solve, then eps = 0
         assert [c["status"] for c in report["checks"]] == ["pass", "pass"]
+
+    def test_horizon_reaches_every_solve(self, monkeypatch):
+        """A set horizon reaches the stage's solve, eqv_residual, contraction and
+        norm_bound's eps = 0 solve; spectral_gap's eps = 0 solve keeps the
+        certificate's (None)."""
+        got = []
+
+        def record(name):
+            fn = getattr(harness, name)
+            sig = inspect.signature(fn)
+
+            def wrapped(*a, **kw):
+                got.append((name, sig.bind(*a, **kw).arguments.get("horizon")))
+                return fn(*a, **kw)
+            monkeypatch.setattr(harness, name, wrapped)
+
+        for name in ("lp_solve", "lp_map_batch", "eqv_residual"):
+            record(name)
+        spec = ScenarioSpec.from_dict({
+            "system": "Q1", "grid": 11, "dt": 0.1, "derivative": 0, "horizon": 6.0,
+            "checks": ["eqv_residual", "contraction", "norm_bound", "spectral_gap"]})
+        run_scenario(spec)
+        assert got == [("lp_solve", 6.0), ("eqv_residual", 6.0), ("lp_map_batch", 6.0),
+                       ("lp_solve", 6.0), ("lp_solve", None)]
 
     def test_contraction_check_one_batch_equals_serial_pairs(self, monkeypatch):
         from slowfast.manifold import lp_map
@@ -189,18 +215,18 @@ class TestRunScenario:
         batches = []
         batch = harness.lp_map_batch
         monkeypatch.setattr(harness, "lp_map_batch",
-                            lambda sys, sigmas, *a: batches.append(len(sigmas))
-                            or batch(sys, sigmas, *a))
+                            lambda sys, sigmas, *a, **kw: batches.append(len(sigmas))
+                            or batch(sys, sigmas, *a, **kw))
         entry = harness._CHECKS["contraction"](spec, state)
         assert batches == [10]
-        sys, cert, cfg, cfg_int = (state[k] for k in ("sys", "cert", "cfg_lp", "cfg_int"))
+        sys, cert, cfg_int = (state[k] for k in ("sys", "cert", "cfg_int"))
         rng = np.random.default_rng(spec.seed + 1)
         worst = 0.0
         for _ in range(5):
-            s1, s2 = (harness._random_ball_sigma(sys, cfg.grid, cert.ball_radius, rng)
+            s1, s2 = (harness._random_ball_sigma(sys, sys.domain, cert.ball_radius, rng)
                       for _ in range(2))
             d = float(np.max(sys.norm_x(s2.values - s1.values)))
-            images = [lp_map(sys, s, cert, cfg, cfg_int).values for s in (s1, s2)]
+            images = [lp_map(sys, s, cert, cfg_int).values for s in (s1, s2)]
             worst = max(worst, float(np.max(sys.norm_x(images[1] - images[0]))) / d)
         assert entry["metrics"]["measured"] == worst
 

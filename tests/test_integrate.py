@@ -1,19 +1,23 @@
 """Time integration: flows, slow subsystem, processes, variational flows,
 bounded solutions."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slowfast
 from slowfast import integrate
 from slowfast.certify import ConstantsCertificate
 from slowfast.core import FastSlowSystem, GridDomain
 from slowfast.errors import (ConvergenceError, DomainExitError, NumericError,
                              PreconditionError)
-from slowfast.integrate import (IntegratorConfig, OrbitPath, _Blocks, _full_field,
-                                _graph_fields, _picard_bounded, bounded_solution_batch,
+from slowfast.integrate import (ContractionReport, IntegratorConfig, OrbitPath, _Blocks,
+                                _full_field, _graph_fields, _sweep, bounded_solution_batch,
                                 flow, process_apply, rk4_final, rk4_path,
                                 truncation_horizon, variational_flow)
-from slowfast.manifold import LPConfig, d2h_solve, dh_solve, lp_solve
+from slowfast.manifold import TOL_FIXED_POINT, d2h_solve, dh_solve, lp_solve
 from slowfast.reduction import e_norm_sweep, q_along_orbit
 from slowfast.systems import build_l1, build_l2, build_q1
 
@@ -57,9 +61,8 @@ class TestRK4:
 @pytest.mark.parametrize("make", [
     lambda: IntegratorConfig(dt=float("nan")),
     lambda: IntegratorConfig(dt=float("inf")),
-    lambda: LPConfig(grid=GridDomain([0.0], [1.0], [5]), tol_fixed_point=float("nan")),
     lambda: GridDomain([0.0], [float("inf")], [5]),
-], ids=["dt-nan", "dt-inf", "tol-nan", "bound-inf"])
+], ids=["dt-nan", "dt-inf", "bound-inf"])
 def test_nonfinite_config_rejected(make):
     with pytest.raises(ValueError):
         make()
@@ -324,6 +327,46 @@ def bounded_at_zero(sys, etas, cert=L1_CERT, sigma=lambda y: np.zeros_like(y), t
                                   truncation_horizon(cert, tol), CFG)[:, 0]
 
 
+def _picard_bounded(sys, sig, eta, T, cfg, tol):
+    """The bounded solution of `bounded_solution_batch` on the same slow path and
+    time grid, by Picard iteration of the variation-of-constants map (each sweep one
+    inhomogeneous linear solve) from phi = 0: the cross-check of the two-pass."""
+    from scipy.interpolate import CubicSpline     # a test-only dependency
+
+    slow_field = _graph_fields(sys, sig)[0]
+    n_b = cfg.steps_for(T)
+    _, y_T = rk4_final(slow_field, np.atleast_1d(np.asarray(eta, dtype=float)), 0.0, -T, n_b)
+    times, ys = rk4_path(slow_field, y_T, -T, 0.0, n_b)
+    y_spline = CubicSpline(times, ys, axis=0)
+
+    def apply(phi):
+        spline = CubicSpline(times, phi, axis=0)
+
+        def lin(t, v):
+            y = y_spline(t)
+            return sys.eval_A0(y) @ v + sys.R0(spline(t), y)
+
+        return rk4_path(lin, np.zeros(sys.m), -T, 0.0, n_b)[1]
+
+    report = ContractionReport()
+    phi = _sweep("Picard", apply, np.zeros((len(times), sys.m)), report, tol)
+    return OrbitPath(times, phi, ys, meta={"dt": cfg.dt, "horizon": T,
+                                           "sweeps": report.iterations})
+
+
+def test_package_imports_no_scipy():
+    """scipy is a test dependency only: no module of the package imports it,
+    at the top or inside a function."""
+    found = []
+    for path in sorted(Path(slowfast.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for n in names
+                      if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
 class TestBoundedSolution:
     def test_r0_zero_gives_zero(self):
         sys = build_l2(eps=0.1)
@@ -392,23 +435,21 @@ class TestDecayOnStraightened:
 
 COARSE = IntegratorConfig(dt=0.1)
 
-# each fixed-point iteration, run to a tolerance no sweep meets: (name in the
-# error message, call); Q1 and L2 at xi != 0 have nonzero fixed points
+# each fixed-point iteration, run to a tolerance that one sweep from zero does
+# not meet: (name in the error message, tolerance, call); Q1 and L2 at xi != 0
+# have nonzero fixed points
 SWEEP_CASES = {
-    "lp_solve": ("manifold", lambda f: lp_solve(
-        *f["q1"], LPConfig(grid=f["q1"][0].domain, tol_fixed_point=1e-300), COARSE)),
-    "dh_solve": ("derivative", lambda f: dh_solve(
-        f["q1"][0], f["q1_solved"][3], f["q1"][1],
-        LPConfig(grid=f["q1"][0].domain, tol_fixed_point=1e-300), COARSE)),
-    "d2h_solve": ("second-derivative", lambda f: d2h_solve(
-        f["q1"][0], f["q1_solved"][3], f["q1_dh_solved"][0], f["q1"][1],
-        LPConfig(grid=f["q1"][0].domain, tol_fixed_point=1e-300), COARSE)),
-    "q_along_orbit": ("defect", lambda f: q_along_orbit(
+    "lp_solve": ("manifold", TOL_FIXED_POINT, lambda f: lp_solve(*f["q1"], COARSE)),
+    "dh_solve": ("derivative", TOL_FIXED_POINT, lambda f: dh_solve(
+        f["q1"][0], f["q1_solved"][2], f["q1"][1], COARSE)),
+    "d2h_solve": ("second-derivative", TOL_FIXED_POINT, lambda f: d2h_solve(
+        f["q1"][0], f["q1_solved"][2], f["q1_dh_solved"][0], f["q1"][1], COARSE)),
+    "q_along_orbit": ("defect", 1e-300, lambda f: q_along_orbit(
         *f["l2_straight"][:1], [0.5], [0.3], f["l2_straight"][1], COARSE, tol_q=1e-300)),
-    "e_norm_sweep": ("defect", lambda f: e_norm_sweep(
+    "e_norm_sweep": ("defect", 1e-300, lambda f: e_norm_sweep(
         f["l2_straight"][0], [[0.5], [-0.4]], [[0.3], [0.1]], f["l2_straight"][1], COARSE,
         tol_q=1e-300)),
-    "_picard_bounded": ("Picard", lambda f: _picard_bounded(
+    "_picard_bounded": ("Picard", 1e-300, lambda f: _picard_bounded(
         f["q1"][0], lambda y: np.zeros_like(y), [0.4], 2.0, CFG, 1e-300)),
 }
 
@@ -416,7 +457,7 @@ SWEEP_CASES = {
 class TestSweepLoop:
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_cap_raises_with_report(self, case, request, monkeypatch):
-        what, call = SWEEP_CASES[case]
+        what, tol, call = SWEEP_CASES[case]
         fixtures = {name: request.getfixturevalue(name)
                     for name in ("q1", "q1_solved", "q1_dh_solved", "l2_straight")}
         monkeypatch.setattr(integrate, "MAX_SWEEPS", 1)
@@ -425,4 +466,4 @@ class TestSweepLoop:
         report = info.value.report
         assert report.iterations == 1 and not report.converged
         assert report.residuals[0] > 0
-        assert str(info.value).startswith(f"{what} iteration did not reach 1e-300 in 1 sweeps")
+        assert str(info.value).startswith(f"{what} iteration did not reach {tol:g} in 1 sweeps")

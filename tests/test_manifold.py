@@ -8,7 +8,7 @@ from slowfast.core import FastSlowSystem, GridDomain, GridFunction
 from slowfast.errors import ContractionError, NumericError, PreconditionError
 from slowfast.integrate import IntegratorConfig
 from slowfast.harness import _random_ball_sigma
-from slowfast.manifold import (LPConfig, _dh_apply, _dh_horizon, _joint_reader,
+from slowfast.manifold import (TOL_FIXED_POINT, _dh_apply, _dh_horizon, _joint_reader,
                                _lp_apply, d2h_solve, dh_solve, eqv_residual,
                                fd_derivative_error, invariance_residual, lp_map,
                                lp_map_batch, lp_solve)
@@ -24,15 +24,13 @@ def grid_of(sys, fn):
 class TestLpMap:
     def test_exact_fixed_point_l1(self, l1):
         sys, cert = l1
-        cfg = LPConfig(grid=sys.domain)
         sig = grid_of(sys, lambda y: l1_h(y, 0.1))
-        out = lp_map(sys, sig, cert, cfg, CFG)
+        out = lp_map(sys, sig, cert, CFG)
         assert np.max(np.abs(out.values - sig.values)) <= 1e-8
 
     def test_zero_sigma_l1_closed_form(self, l1):
         sys, cert = l1
-        cfg = LPConfig(grid=sys.domain)
-        out = lp_map(sys, GridFunction.zeros(sys.domain, (1,)), cert, cfg, CFG)
+        out = lp_map(sys, GridFunction.zeros(sys.domain, (1,)), cert, CFG)
         nodes = sys.domain.node_coords()
         assert np.max(np.abs(out(nodes)[:, 0] - (nodes[:, 0] - 0.1))) <= 1e-9
 
@@ -42,25 +40,22 @@ class TestLpMap:
         from dataclasses import replace
         sys, cert = l2
         cert = replace(cert, delta=0.5)
-        cfg = LPConfig(grid=sys.domain)
         sig = grid_of(sys, lambda y: 0.01 * np.sin(3 * y))
-        out = lp_map(sys, sig, cert, cfg, CFG)
+        out = lp_map(sys, sig, cert, CFG)
         assert np.max(np.abs(out.values)) <= 1e-12
 
     def test_ball_membership_enforced(self, l1):
         sys, cert = l1
-        cfg = LPConfig(grid=sys.domain)
         big = grid_of(sys, lambda y: np.full_like(y, 100.0))
         with pytest.raises(PreconditionError):
-            lp_map(sys, big, cert, cfg, CFG)
+            lp_map(sys, big, cert, CFG)
 
     def test_infeasible_certificate_rejected(self, l1):
         sys, _ = l1
         bad = ConstantsCertificate(K=1, mu=1, M0=0.5, M1x=0.0, M1y=1.0,
                                    N0=0.1, N1=5.0, delta=2.0, rho=2.0)
-        cfg = LPConfig(grid=sys.domain)
         with pytest.raises(ContractionError):
-            lp_map(sys, GridFunction.zeros(sys.domain, (1,)), bad, cfg, CFG)
+            lp_map(sys, GridFunction.zeros(sys.domain, (1,)), bad, CFG)
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +92,12 @@ class TestLpMapBatch:
                                            ("q1", 1)])
     def test_batch_equals_single_maps_bytes(self, system, k, request):
         sys, cert = request.getfixturevalue(system)
-        cfg = LPConfig(grid=sys.domain)
         cfg_int = IntegratorConfig(dt=0.05)
         sigmas = _ball_sigmas(sys, cert, k, seed=k)
-        batch = lp_map_batch(sys, sigmas, cert, cfg, cfg_int)
+        batch = lp_map_batch(sys, sigmas, cert, cfg_int)
         assert len(batch) == k
         for sigma, got in zip(sigmas, batch):
-            want = lp_map(sys, sigma, cert, cfg, cfg_int)
+            want = lp_map(sys, sigma, cert, cfg_int)
             assert got.values.shape == want.values.shape == sigma.values.shape
             assert got.values.tobytes() == want.values.tobytes()
             assert got.value_norm is sigma.value_norm
@@ -113,8 +107,8 @@ class TestLpMapBatch:
         sigmas = _ball_sigmas(sys, cert, 3, seed=0)
         sigmas[2] = sigmas[2].with_values(sigmas[2].values * 100)
         with pytest.raises(PreconditionError, match="outside the certified ball"):
-            lp_map_batch(sys, sigmas, cert, LPConfig(grid=sys.domain), CFG)
-        assert lp_map_batch(sys, [], cert, LPConfig(grid=sys.domain), CFG) == []
+            lp_map_batch(sys, sigmas, cert, CFG)
+        assert lp_map_batch(sys, [], cert, CFG) == []
 
     def test_interpolations_do_not_scale_with_sigmas(self, q1, monkeypatch):
         """One interpolation per RK4 stage (plus the lift), whatever K is."""
@@ -151,7 +145,7 @@ class TestOneInterpolationPerStage:
     in the invariance residual: each field evaluation calls g once."""
 
     def test_dh_apply(self, q1_solved, monkeypatch):
-        sys, cert, cfg, h, _ = q1_solved
+        sys, cert, h, _ = q1_solved
         interp = count_calls(monkeypatch, GridFunction, "__call__")
         g = count_calls(monkeypatch, FastSlowSystem, "eval_g")
         w = GridFunction.zeros(sys.domain, (1, 1))
@@ -159,23 +153,22 @@ class TestOneInterpolationPerStage:
         assert g.calls == 8 * 20 and interp.calls == g.calls
 
     def test_d2h_field(self, q1_solved, q1_dh_solved, monkeypatch):
-        sys, cert, cfg, h, _ = q1_solved
+        sys, cert, h, _ = q1_solved
         dh, _ = q1_dh_solved
         interp = count_calls(monkeypatch, GridFunction, "__call__")
         g = count_calls(monkeypatch, FastSlowSystem, "eval_g")
-        d2h_solve(sys, h, dh, cert, cfg, IntegratorConfig(dt=0.1))
+        d2h_solve(sys, h, dh, cert, IntegratorConfig(dt=0.1))
         assert g.calls > 0 and interp.calls == g.calls
 
     def test_eqv_residual(self, q1_solved, monkeypatch):
-        sys, cert, cfg, h, _ = q1_solved
+        sys, cert, h, _ = q1_solved
         interp = count_calls(monkeypatch, GridFunction, "__call__")
         g = count_calls(monkeypatch, FastSlowSystem, "eval_g")
-        eqv_residual(sys, h, cert, LPConfig(grid=sys.domain, horizon=2.0),
-                     IntegratorConfig(dt=0.1))
+        eqv_residual(sys, h, cert, IntegratorConfig(dt=0.1), horizon=2.0)
         assert g.calls == 8 * 20 and interp.calls == g.calls + 1   # + the node read
 
     def test_joint_reader_equals_each_function_bytes(self, q1_solved, q1_dh_solved):
-        sys, _, _, h, _ = q1_solved
+        sys, _, h, _ = q1_solved
         dh, _ = q1_dh_solved
         w2 = GridFunction(sys.domain, np.random.default_rng(0).standard_normal(
             sys.domain.shape + (1, 1, 1)))
@@ -186,7 +179,7 @@ class TestOneInterpolationPerStage:
 
 class TestLpSolve:
     def test_l1_analytic(self, l1_solved):
-        sys, cert, cfg, h, rep = l1_solved
+        sys, cert, h, rep = l1_solved
         nodes = sys.domain.node_coords()
         err = np.max(np.abs(h(nodes)[:, 0] - l1_h(nodes[:, 0], 0.1)))
         assert err <= 1e-6
@@ -194,7 +187,7 @@ class TestLpSolve:
         assert rep.measured_ratio <= rep.theoretical_ratio * 1.05 + 1e-6
 
     def test_q1_analytic(self, q1_solved):
-        sys, cert, cfg, h, rep = q1_solved
+        sys, cert, h, rep = q1_solved
         nodes = sys.domain.node_coords()
         err = np.max(np.abs(h(nodes)[:, 0] - q1_h(nodes[:, 0], 0.1)))
         assert err <= 1e-5
@@ -204,24 +197,24 @@ class TestLpSolve:
         sys = build_q1(eps=0.0)
         cert = ConstantsCertificate(K=1, mu=1, M0=1.0, M1x=0.0, M1y=2.0,
                                     N0=0.0, N1=0.0, delta=4.0, rho=4.0)
-        h, rep = lp_solve(sys, cert, LPConfig(grid=sys.domain), CFG)
+        h, rep = lp_solve(sys, cert, CFG)
         nodes = sys.domain.node_coords()
         # Newton oracle: root of -x + y^2 is y^2 itself
         assert np.max(np.abs(h(nodes)[:, 0] - nodes[:, 0] ** 2)) <= 1e-8
 
     def test_fixed_point_residual_property(self, l1_solved):
-        sys, cert, cfg, h, rep = l1_solved
-        again = lp_map(sys, h, cert, cfg, CFG)
-        assert np.max(np.abs(again.values - h.values)) <= 2 * cfg.tol_fixed_point
+        sys, cert, h, rep = l1_solved
+        again = lp_map(sys, h, cert, CFG)
+        assert np.max(np.abs(again.values - h.values)) <= 2 * TOL_FIXED_POINT
 
     def test_norm_bound_theorem(self, l1_solved, q1_solved):
-        for sys, cert, cfg, h, rep in (l1_solved, q1_solved):
+        for sys, cert, h, rep in (l1_solved, q1_solved):
             bound = cert.K * cert.M0 / cert.mu \
                 + cert.K * cert.M1y / (cert.mu - cert.K * cert.M1x)
             assert h.sup_norm() <= bound * 0.99
 
     def test_sup_norm_within_ball(self, q1_solved):
-        sys, cert, cfg, h, rep = q1_solved
+        sys, cert, h, rep = q1_solved
         assert h.sup_norm() <= cert.K * cert.M0 / cert.mu + cert.delta + 1e-9
 
 
@@ -241,7 +234,7 @@ class TestLpSolve:
         monkeypatch.setattr(manifold, "bounded_solution_batch",
                             lambda *a: sweeps.append(1) or batch(*a))
         with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
-            lp_solve(sys, cert, LPConfig(grid=sys.domain, horizon=5), CFG)
+            lp_solve(sys, cert, CFG, horizon=5)
         assert len(sweeps) == 1
 
 
@@ -249,11 +242,10 @@ class TestMeasuredContraction:
     def test_random_pairs_below_theoretical(self, coupled):
         sys, cert = coupled
         grid = sys.domain
-        cfg = LPConfig(grid=grid)
         rng = np.random.default_rng(7)
         radius = cert.ball_radius
         sigmas = [_random_ball_sigma(sys, grid, radius, rng) for _ in range(8)]
-        images = lp_map_batch(sys, sigmas, cert, cfg, CFG)    # equal to one lp_map per sigma
+        images = lp_map_batch(sys, sigmas, cert, CFG)    # equal to one lp_map per sigma
         worst = 0.0
         for k in range(0, 8, 2):
             s1, s2 = sigmas[k], sigmas[k + 1]
@@ -267,19 +259,18 @@ class TestMeasuredContraction:
 
 class TestEqvResidual:
     def test_exact_h_small(self, l1_solved):
-        sys, cert, cfg, h, _ = l1_solved
-        assert eqv_residual(sys, h, cert, cfg, CFG) <= 1e-6
+        sys, cert, h, _ = l1_solved
+        assert eqv_residual(sys, h, cert, CFG) <= 1e-6
 
     def test_perturbed_h_detected(self, l1_solved):
-        sys, cert, cfg, h, _ = l1_solved
+        sys, cert, h, _ = l1_solved
         bad = h.with_values(h.values + 0.1)
-        assert eqv_residual(sys, bad, cert, cfg, CFG) >= 0.05
+        assert eqv_residual(sys, bad, cert, CFG) >= 0.05
 
     def test_r0_zero_exactly_zero(self, l2):
         sys, cert = l2
-        cfg = LPConfig(grid=sys.domain)
         h = GridFunction.zeros(sys.domain, (1,))
-        assert eqv_residual(sys, h, cert, cfg, CFG) <= 1e-14
+        assert eqv_residual(sys, h, cert, CFG) <= 1e-14
 
 
 class TestInvarianceResidual:
@@ -308,26 +299,26 @@ class TestInvarianceResidual:
         assert res.max_deviation <= 1e-9
 
     def test_partial_flag_on_exit(self, l1_solved):
-        sys, cert, cfg, h, _ = l1_solved
+        sys, cert, h, _ = l1_solved
         res = invariance_residual(sys, h, [0.45], 10.0, CFG)
         assert res.partial and res.exit_time is not None
 
 
 class TestDh:
     def test_dh_map_fixed_point_l1(self, l1_solved):
-        sys, cert, cfg, h, _ = l1_solved
+        sys, cert, h, _ = l1_solved
         exact = GridFunction(sys.domain, np.ones(sys.domain.shape + (1, 1)))
-        out = _dh_apply(sys, h, exact, _dh_horizon(cert, 1e-10), CFG)
+        out = _dh_apply(sys, h, exact, _dh_horizon(cert), CFG)
         assert np.max(np.abs(out.values - 1.0)) <= 1e-8
 
     def test_dh_solve_l1(self, l1_solved):
-        sys, cert, cfg, h, _ = l1_solved
-        dh, rep = dh_solve(sys, h, cert, cfg, CFG)
+        sys, cert, h, _ = l1_solved
+        dh, rep = dh_solve(sys, h, cert, CFG)
         assert np.max(np.abs(dh.values - 1.0)) <= 1e-6
         assert fd_derivative_error(h, dh) <= 1e-6
 
     def test_dh_solve_q1_analytic(self, q1_solved, q1_dh_solved):
-        sys, cert, cfg, h, _ = q1_solved
+        sys, cert, h, _ = q1_solved
         dh, rep = q1_dh_solved
         nodes = sys.domain.node_coords()
         err = np.max(np.abs(dh(nodes)[:, 0, 0] - q1_dh(nodes[:, 0], 0.1)))
@@ -339,7 +330,7 @@ class TestDh:
 
     def test_dh_sup_bound_boundary_confined(self, coupled, coupled_solved):
         sys, cert = coupled
-        _, _, _, h, dh = coupled_solved
+        _, _, h, dh = coupled_solved
         bound = cert.K * cert.M1y / (cert.mu - cert.K * cert.M1x
                                      - cert.N1 * (cert.rho + 1))
         assert dh.sup_norm() <= bound * (1 + 1e-6)
@@ -348,42 +339,39 @@ class TestDh:
         sys = build_q1(eps=0.0)
         cert = ConstantsCertificate(K=1, mu=1, M0=1.0, M1x=0.0, M1y=2.0,
                                     N0=0.0, N1=0.0, delta=4.0, rho=4.0)
-        cfg = LPConfig(grid=sys.domain)
-        h, _ = lp_solve(sys, cert, cfg, CFG)
-        dh, _ = dh_solve(sys, h, cert, cfg, CFG)
+        h, _ = lp_solve(sys, cert, CFG)
+        dh, _ = dh_solve(sys, h, cert, CFG)
         nodes = sys.domain.node_coords()
         # implicit function theorem: Dh = -(D_x F)^{-1} D_y F = 2y
         assert np.max(np.abs(dh(nodes)[:, 0, 0] - 2 * nodes[:, 0])) <= 1e-6
 
     def test_m1y_zero_gives_zero(self, l2):
         sys, cert = l2
-        cfg = LPConfig(grid=sys.domain)
         h = GridFunction.zeros(sys.domain, (1,))
-        dh, _ = dh_solve(sys, h, cert, cfg, CFG)
+        dh, _ = dh_solve(sys, h, cert, CFG)
         assert np.max(np.abs(dh.values)) <= 1e-12
 
 
 class TestD2h:
     def test_q1_constant_two(self, q1_solved, q1_dh_solved):
-        sys, cert, cfg, h, _ = q1_solved
+        sys, cert, h, _ = q1_solved
         dh, _ = q1_dh_solved
-        d2, rep = d2h_solve(sys, h, dh, cert, cfg, CFG)
+        d2, rep = d2h_solve(sys, h, dh, cert, CFG)
         assert np.max(np.abs(d2.values - 2.0)) <= 1e-3
 
     def test_linear_system_zero(self, l1_solved):
-        sys, cert, cfg, h, _ = l1_solved
-        dh, _ = dh_solve(sys, h, cert, cfg, CFG)
-        d2, _ = d2h_solve(sys, h, dh, cert, cfg, CFG)
+        sys, cert, h, _ = l1_solved
+        dh, _ = dh_solve(sys, h, cert, CFG)
+        d2, _ = d2h_solve(sys, h, dh, cert, CFG)
         assert np.max(np.abs(d2.values)) <= 1e-9
 
     def test_g_zero_scalar_implicit_oracle(self):
         sys = build_q1(eps=0.0)
         cert = ConstantsCertificate(K=1, mu=1, M0=1.0, M1x=0.0, M1y=2.0,
                                     N0=0.0, N1=0.0, delta=4.0, rho=4.0)
-        cfg = LPConfig(grid=sys.domain)
-        h, _ = lp_solve(sys, cert, cfg, CFG)
-        dh, _ = dh_solve(sys, h, cert, cfg, CFG)
-        d2, _ = d2h_solve(sys, h, dh, cert, cfg, CFG)
+        h, _ = lp_solve(sys, cert, CFG)
+        dh, _ = dh_solve(sys, h, cert, CFG)
+        d2, _ = d2h_solve(sys, h, dh, cert, CFG)
         # twice-differentiated implicit relation h = y^2: D2h = 2
         assert np.max(np.abs(d2.values - 2.0)) <= 1e-3
 
@@ -393,10 +381,9 @@ class TestEpsilonContinuity:
         cert = ConstantsCertificate(K=1, mu=1, M0=0.5, M1x=0.0, M1y=1.0,
                                     N0=0.1, N1=0.0, delta=2.0, rho=2.0)
         sups = []
-        h0, _ = lp_solve(build_l1(eps=0.0), cert, LPConfig(grid=build_l1().domain), CFG)
+        h0, _ = lp_solve(build_l1(eps=0.0), cert, CFG)
         for eps in (0.1, 0.05, 0.025):
-            he, _ = lp_solve(build_l1(eps=eps), cert,
-                             LPConfig(grid=build_l1().domain), CFG)
+            he, _ = lp_solve(build_l1(eps=eps), cert, CFG)
             sups.append(np.max(np.abs(he.values - h0.values)))
         assert sups[1] / sups[0] == pytest.approx(0.5, abs=0.075)
         assert sups[2] / sups[1] == pytest.approx(0.5, abs=0.075)
@@ -406,7 +393,7 @@ class TestUniquenessSurrogate:
     def test_two_sided_bounded_orbit_lies_on_manifold(self, q1_solved):
         # backward-forward shooting: any orbit bounded on both ends must sit
         # on the manifold at t = 0
-        sys, cert, cfg, h, _ = q1_solved
+        sys, cert, h, _ = q1_solved
         from slowfast.integrate import bounded_solution_batch, truncation_horizon
         etas = np.array([-0.7, 0.0, 0.6])
         phi = bounded_solution_batch(sys, h, etas[:, None], truncation_horizon(cert, 1e-9),

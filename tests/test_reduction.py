@@ -66,13 +66,13 @@ def tc2_straight(eps=0.1):
     return ssys, straightened_constants(cert, 0.0)
 
 
-def _reference_dp_point(sys_t, xi, eta, result, cert, cfg_int, tol):
+def _reference_dp_point(sys_t, result, cert, cfg_int, tol):
     """dp_point as written with hand-computed state offsets and its own D g
     evaluation (before named blocks and the shared Jacobian); dp_point must
     match it byte for byte."""
     m, n = sys_t.m, sys_t.n
     d = m + n
-    xi, eta = np.atleast_1d(np.asarray(xi, float)), np.atleast_1d(np.asarray(eta, float))
+    xi, eta = result.xi, result.eta
     rate = cert.contraction_rate() - 2.0 * cert.N1
     amp = max(cert.K * max(float(sys_t.norm_x(xi)), 1.0) * (cert.N1 + 1.0), 10 * tol)
     T = math.log(amp / tol) / rate
@@ -240,7 +240,7 @@ class TestStraighten:
 
     def test_dg_bound(self, coupled_straight, coupled_solved):
         ssys, _ = coupled_straight
-        sys, cert, _, _, dh = coupled_solved
+        sys, cert, _, dh = coupled_solved
         rng = np.random.default_rng(0)
         xs = rng.uniform(-0.5, 0.5, (200, 1))
         ys = sys.domain.sample(rng, 200)
@@ -402,7 +402,7 @@ class TestDpPoint:
     def test_l2_affine_exact(self, l2_straight):
         ssys, scert = l2_straight
         res = q_along_orbit(ssys, [1.0], [0.0], scert, CFG)
-        P1, Q1 = dp_point(ssys, [1.0], [0.0], res, scert, CFG)
+        P1, Q1 = dp_point(ssys, res, scert, CFG)
         assert np.allclose(P1, [[0.1, 1.0]], atol=1e-8)
 
     def test_xi_zero_identity(self, q1):
@@ -413,7 +413,7 @@ class TestDpPoint:
         ssys = straighten(sys, h, dh, d2h=d2h)
         scert = straightened_constants(cert, 2.2)
         res = q_along_orbit(ssys, [0.0], [0.2], scert, CFG)
-        P1, Q1 = dp_point(ssys, [0.0], [0.2], res, scert, CFG)
+        P1, Q1 = dp_point(ssys, res, scert, CFG)
         assert np.allclose(Q1, 0.0, atol=1e-12)
         assert np.allclose(P1, [[0.0, 1.0]], atol=1e-12)
 
@@ -421,7 +421,7 @@ class TestDpPoint:
         ssys, scert = tc2_straight(eps=0.1)
         xi0, eta0 = 0.4, 0.2
         res = q_along_orbit(ssys, [xi0], [eta0], scert, CFG5, tol_q=1e-12)
-        P1, _ = dp_point(ssys, [xi0], [eta0], res, scert, CFG5, tol=1e-11)
+        P1, _ = dp_point(ssys, res, scert, CFG5, tol=1e-11)
 
         def P_of(xi, eta):
             return q_along_orbit(ssys, [xi], [eta], scert, CFG5, tol_q=1e-12).P[0]
@@ -434,15 +434,15 @@ class TestDpPoint:
     def test_matches_offset_packed_reference_bytes(self):
         ssys, scert = tc2_straight(eps=0.1)
         res = q_along_orbit(ssys, [0.4], [0.2], scert, CFG, tol_q=1e-12)
-        P1, Q1 = dp_point(ssys, [0.4], [0.2], res, scert, CFG, tol=1e-11)
-        P1_ref, Q1_ref = _reference_dp_point(ssys, [0.4], [0.2], res, scert, CFG, 1e-11)
+        P1, Q1 = dp_point(ssys, res, scert, CFG, tol=1e-11)
+        P1_ref, Q1_ref = _reference_dp_point(ssys, res, scert, CFG, 1e-11)
         assert P1.tobytes() == P1_ref.tobytes() and Q1.tobytes() == Q1_ref.tobytes()
 
     def test_grid_h_requires_smoothness(self, coupled_straight):
         ssys, scert = coupled_straight
         res = q_along_orbit(ssys, [0.2], [0.1], scert, CFG)
         with pytest.raises(CapabilityError):
-            dp_point(ssys, [0.2], [0.1], res, scert, CFG)
+            dp_point(ssys, res, scert, CFG)
 
     def test_variational_decay_premise_sampled(self):
         # the smoothness hypothesis behind dp_point: first variational flows of
@@ -486,7 +486,7 @@ class TestDecompose:
         assert err <= 1e-9
 
     def test_layer_decays_at_certified_rate(self, coupled_solved, coupled_straight):
-        sys, cert, _, h, _ = coupled_solved
+        sys, cert, h, _ = coupled_solved
         ssys, scert = coupled_straight
         res = q_along_orbit(ssys, [0.5], [0.0], scert, CFG)
         _, outer, layer = decompose_orbit(sys, h, res, 8.0, CFG)
@@ -501,7 +501,7 @@ class TestDecompose:
     def test_orbit_is_the_flow_from_the_query_point(self, coupled_solved,
                                                     coupled_straight, xi, eta):
         # the returned orbit is the original-coordinates flow from (h(eta) + xi, eta)
-        sys, _, _, h, _ = coupled_solved
+        sys, _, h, _ = coupled_solved
         ssys, scert = coupled_straight
         res = q_along_orbit(ssys, [xi], [eta], scert, CFG)
         orbit, _, _ = decompose_orbit(sys, h, res, 4.0, CFG)
