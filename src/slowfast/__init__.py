@@ -13,9 +13,9 @@ from .certify import (ConstantsCertificate, assemble_certificate, delta_budget,
                       spectral_gap_check, straightened_constants)
 from .core import FastSlowSystem, GridDomain, GridFunction, check_derivatives, localize
 from .errors import (CapabilityError, ContractionError, ConvergenceError,
-                     DomainError, DomainExitError, InfeasibleBudgetError,
-                     NoDecayError, NumericError, PreconditionError, SchemaError,
-                     SlowfastError, UnderdeterminedError)
+                     InfeasibleBudgetError, NoDecayError, NumericError,
+                     PreconditionError, SchemaError, SlowfastError,
+                     UnderdeterminedError)
 from .harness import ScenarioSpec, run_scenario
 from .integrate import (ContractionReport, IntegratorConfig, OrbitPath,
                         bounded_solution_batch, flow, process_apply, variational_flow)

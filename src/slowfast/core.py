@@ -285,6 +285,9 @@ class FastSlowSystem:
       Dg(x, y)  -> (n, m+n)
       D2F(x, y) -> (m, m+n, m+n) symmetric bilinear second derivative
       D2g(x, y) -> (n, m+n, m+n)
+
+    The optional Fg(x, y) -> (m+n) is the joint field (F, g) in one call, for
+    systems whose two fields share work; F and g stay the separate fields.
     """
 
     m: int
@@ -301,6 +304,7 @@ class FastSlowSystem:
     norm_kind: str = "euclidean"
     quad_weights: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
+    Fg: Optional[Callable] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -335,7 +339,10 @@ class FastSlowSystem:
         return self._call(self.g, x, y)
 
     def eval_Fg(self, x, y):
-        """The joint field (F, g) at one point, shape (..., m+n)."""
+        """The joint field (F, g) at one point, shape (..., m+n): the system's
+        own Fg where it supplies one, else F and g side by side."""
+        if self.Fg is not None:
+            return self.Fg(x, np.asarray(y, dtype=float))
         return np.concatenate([self.eval_F(x, y), self.eval_g(x, y)], axis=-1)
 
     def eval_A0(self, y):
@@ -433,17 +440,6 @@ def check_derivatives(sys: FastSlowSystem, n_points=100, x_radius=1.0):
 
 
 # -- graph coordinates --------------------------------------------------------
-
-@dataclass
-class _FusedSystem(FastSlowSystem):
-    """A FastSlowSystem with a fused joint field Fg(x, y) = (F, g) that shares
-    the work the two fields have in common; F and g stay the separate fields."""
-
-    Fg: Optional[Callable] = None
-
-    def eval_Fg(self, x, y):
-        return self.Fg(x, np.asarray(y, dtype=float))
-
 
 def _graph_transform(sys: FastSlowSystem):
     """The field of `sys` in the graph coordinate xt = x - h(y), the change of
@@ -560,8 +556,8 @@ def localize(sys: FastSlowSystem, jet0, radius, tol=1e-8) -> FastSlowSystem:
         F, c, hy = F_cut(xt, y)
         return np.concatenate([F, sys.eval_g(c * xt + hy, y)], axis=-1)
 
-    return _FusedSystem(m=sys.m, n=sys.n, F=lambda xt, y: F_cut(xt, y)[0], g=g_loc,
-                        A0=lambda y: lin(y, *jet0(y)),
-                        domain=sys.domain, boundary_flag=sys.boundary_flag,
-                        norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
-                        meta=dict(sys.meta), Fg=Fg_loc)
+    return FastSlowSystem(m=sys.m, n=sys.n, F=lambda xt, y: F_cut(xt, y)[0], g=g_loc,
+                          A0=lambda y: lin(y, *jet0(y)),
+                          domain=sys.domain, boundary_flag=sys.boundary_flag,
+                          norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
+                          meta=dict(sys.meta), Fg=Fg_loc)

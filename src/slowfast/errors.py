@@ -14,22 +14,6 @@ class SchemaError(SlowfastError):
     """Scenario document failed validation (unknown key, bad type, bad value)."""
 
 
-class DomainError(SlowfastError):
-    """A slow state lies outside the closed box it is required to live in."""
-
-
-class DomainExitError(DomainError):
-    """A trajectory left the slow box in finite time.
-
-    Carries the exit time and the partial path integrated up to it.
-    """
-
-    def __init__(self, message, exit_time=None, path=None):
-        super().__init__(message)
-        self.exit_time = exit_time
-        self.path = path
-
-
 class PreconditionError(SlowfastError):
     """An operation's documented precondition does not hold for the inputs."""
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import FastSlowSystem
 from .errors import (CapabilityError, ContractionError, ConvergenceError,
-                     DomainExitError, NumericError, PreconditionError)
+                     NumericError, PreconditionError)
 
 
 MAX_STEPS = 5_000_000       # steps of one pass; a longer pass is a ValueError
@@ -96,16 +96,11 @@ def rk4_final(field, u0, t0, t1, n_steps):
 
 @dataclass
 class OrbitPath:
-    """A time-sampled trajectory with fast and slow tracks.
-
-    `meta` records integrator step size, truncation horizon, and any flags
-    (domain exit).
-    """
+    """A time-sampled trajectory with fast and slow tracks."""
 
     times: np.ndarray
     fast: np.ndarray
     slow: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -138,46 +133,17 @@ def _full_field(sys):
     return field
 
 
-def flow(sys: FastSlowSystem, x0, y0, t_span, cfg: IntegratorConfig,
-         check_domain=True, stop_on_exit=False) -> OrbitPath:
-    """Sampled solution of the full system over t_span = (t0, t1).
-
-    If the slow state leaves the box (only possible when boundary_flag is
-    false), raises DomainExitError carrying the exit time and partial path,
-    or truncates there with a meta flag when stop_on_exit is set.
-    """
+def flow(sys: FastSlowSystem, x0, y0, t_span, cfg: IntegratorConfig) -> OrbitPath:
+    """Sampled solution of the full system forward over t_span = (t0, t1),
+    t0 < t1.  The slow box is not checked: `manifold.invariance_residual`
+    cuts an orbit where it leaves the box."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    if check_domain and not sys.domain.contains(y0):
-        raise DomainExitError("initial slow state outside the box", exit_time=float(t_span[0]))
     t0, t1 = float(t_span[0]), float(t_span[1])
-    n = cfg.steps_for(t1 - t0)
-    times, states = rk4_path(_full_field(sys), np.concatenate([x0, y0]), t0, t1, n)
-    path = _package(sys, times, states, cfg, horizon=t1 - t0)
-
-    exit_idx = None
-    if check_domain and not sys.boundary_flag:
-        inside = sys.domain.contains(path.slow)
-        if not np.all(inside):
-            exit_idx = int(np.argmin(inside))
-    if exit_idx is not None:
-        t_exit = float(path.times[exit_idx])
-        keep = max(exit_idx, 1)
-        partial = _package(sys, path.times[:keep + 1], states[:keep + 1], cfg,
-                           horizon=t1 - t0)
-        partial.meta["domain_exit"] = t_exit
-        if stop_on_exit:
-            return partial
-        raise DomainExitError(f"slow state left the box at t = {t_exit:g}",
-                              exit_time=t_exit, path=partial)
-    return path
-
-
-def _package(sys, times, states, cfg, horizon):
+    times, states = rk4_path(_full_field(sys), np.concatenate([x0, y0]), t0, t1,
+                             cfg.steps_for(t1 - t0))
     m = sys.m
-    order = np.argsort(times)  # backward solves stored with increasing time
-    return OrbitPath(times[order], states[order, :m], states[order, m:],
-                     meta={"dt": cfg.dt, "horizon": horizon})
+    return OrbitPath(times, states[:, :m].copy(), states[:, m:].copy())
 
 
 # -- named state blocks ---------------------------------------------------------

@@ -21,7 +21,7 @@ from .certify import ConstantsCertificate
 from .core import FastSlowSystem, GridFunction, GridStack
 from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
                      PreconditionError)
-from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _Blocks,
+from .integrate import (ContractionReport, IntegratorConfig, _Blocks,
                         _graph_fields, _sweep, bounded_solution_batch, flow,
                         truncation_horizon, two_pass)
 
@@ -148,22 +148,30 @@ class InvarianceResult:
     max_deviation: float
     partial: bool = False
     exit_time: Optional[float] = None
-    path: Optional[OrbitPath] = None
 
 
 def invariance_residual(sys: FastSlowSystem, h, eta, t_max,
                         cfg_int: IntegratorConfig = IntegratorConfig()) -> InvarianceResult:
     """Integrate the full system from (h(eta), eta) and report max |x(t) - h(y(t))|.
 
-    Domain exit before t_max truncates the orbit and flags the result partial.
+    The graph of h is invariant over the slow box only: eta outside the box
+    is a PreconditionError.  Unless the system's boundary_flag is set, the
+    orbit is cut at its first sample outside the box, and the result is
+    flagged partial with that sample's time.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    if not sys.domain.contains(eta):
+        raise PreconditionError("eta lies outside the slow box")
     x0 = np.asarray(h(eta), dtype=float)
-    path = flow(sys, x0, eta, (0.0, float(t_max)), cfg_int, stop_on_exit=True)
-    dev = sys.norm_x(path.fast - np.asarray(h(path.slow), dtype=float))
-    exit_t = path.meta.get("domain_exit")
+    path = flow(sys, x0, eta, (0.0, float(t_max)), cfg_int)
+    fast, slow, exit_t = path.fast, path.slow, None
+    inside = sys.domain.contains(slow)
+    if not (sys.boundary_flag or inside.all()):
+        k = int(np.argmin(inside))            # >= 1: eta is inside
+        fast, slow, exit_t = fast[:k + 1], slow[:k + 1], float(path.times[k])
+    dev = sys.norm_x(fast - np.asarray(h(slow), dtype=float))
     return InvarianceResult(max_deviation=float(np.max(dev)),
-                            partial=exit_t is not None, exit_time=exit_t, path=path)
+                            partial=exit_t is not None, exit_time=exit_t)
 
 
 # -- first derivative -------------------------------------------------------------

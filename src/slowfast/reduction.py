@@ -16,11 +16,15 @@ from typing import Optional
 import numpy as np
 
 from .certify import ConstantsCertificate
-from .core import FastSlowSystem, _FusedSystem, _graph_transform
+from .core import FastSlowSystem, _graph_transform
 from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
                      PreconditionError, UnderdeterminedError)
 from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _Blocks,
                         _full_field, _jet, _sweep, flow, rk4_path)
+
+
+TOL_DEFECT = 1e-10      # a query's defect sweep residual; sets its and dp_point's horizons
+TOL_E_NORM = 1e-9       # e_norm_sweep's defect sweep residual; sets its horizon
 
 
 def straighten(sys: FastSlowSystem, h, dh, d2h=None) -> FastSlowSystem:
@@ -77,10 +81,10 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None) -> FastSlowSystem:
                       - np.einsum("...ij,...jk->...ik", Dh, dyt))
                 return np.concatenate([dx, dy], axis=-1)
 
-    return _FusedSystem(m=m, n=sys.n, F=Ft, g=gt, A0=lambda y: lin(y, *jet(y)),
-                        domain=sys.domain, DF=DFt, Dg=Dgt, boundary_flag=sys.boundary_flag,
-                        norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
-                        meta=dict(sys.meta), Fg=Fgt)
+    return FastSlowSystem(m=m, n=sys.n, F=Ft, g=gt, A0=lambda y: lin(y, *jet(y)),
+                          domain=sys.domain, DF=DFt, Dg=Dgt, boundary_flag=sys.boundary_flag,
+                          norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
+                          meta=dict(sys.meta), Fg=Fgt)
 
 
 @dataclass
@@ -131,7 +135,7 @@ def _reduction_rate(cert):
     return mu_p
 
 
-def _defect_sweep(sys_t, times, xts, ys, report, tol_q):
+def _defect_sweep(sys_t, times, xts, ys, report, tol):
     """Iterate the defect functional to its fixed point q on sampled orbits.
 
     xts, ys have shape (S, ..., m) and (S, ..., n) over the S sample times;
@@ -148,20 +152,20 @@ def _defect_sweep(sys_t, times, xts, ys, report, tol_q):
         return np.concatenate([np.cumsum(seg[::-1], axis=0)[::-1],
                                np.zeros((1,) + ys.shape[1:])], axis=0)
 
-    return _sweep("defect", apply, np.zeros_like(ys), report, tol_q,
+    return _sweep("defect", apply, np.zeros_like(ys), report, tol,
                   lambda d: np.linalg.norm(d, axis=-1))
 
 
 def q_along_orbit(sys_t: FastSlowSystem, xi, eta, cert: ConstantsCertificate,
-                  cfg_int: IntegratorConfig = IntegratorConfig(),
-                  tol_q=1e-10) -> ReductionResult:
+                  cfg_int: IntegratorConfig = IntegratorConfig()) -> ReductionResult:
     """Fixed point of the orbit-local defect functional
 
         q_{k+1}(t) = int_t^T [ gt(0, y(s) - q_k(s)) - gt(xt(s), y(s)) ] ds
 
     from q_0 = 0 on the forward orbit of (xi, eta) of the straightened system
     sys_t; P = eta - q(0).  The measured sweep ratio must respect the
-    certified factor K N1 / mu'.
+    certified factor K N1 / mu'.  The sweep stops at TOL_DEFECT, which also
+    sets the forward horizon.
 
     `cert` carries the straightened constants: its mu is the straightened
     decay rate and its N1 the straightened slow Lipschitz constant.
@@ -169,7 +173,7 @@ def q_along_orbit(sys_t: FastSlowSystem, xi, eta, cert: ConstantsCertificate,
     mu_p = _reduction_rate(cert)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    T = forward_horizon(cert, float(sys_t.norm_x(xi)), tol_q)
+    T = forward_horizon(cert, float(sys_t.norm_x(xi)), TOL_DEFECT)
     report = ContractionReport(theoretical_ratio=cert.K * cert.N1 / mu_p)
 
     if T == 0.0:
@@ -177,8 +181,8 @@ def q_along_orbit(sys_t: FastSlowSystem, xi, eta, cert: ConstantsCertificate,
         return ReductionResult(P=eta.copy(), Q=np.zeros(sys_t.n), E_ratio=0.0,
                                report=report, xi=xi, eta=eta, horizon=0.0)
 
-    orbit = flow(sys_t, xi, eta, (0.0, T), cfg_int, check_domain=False)
-    q = _defect_sweep(sys_t, orbit.times, orbit.fast, orbit.slow, report, tol_q)
+    orbit = flow(sys_t, xi, eta, (0.0, T), cfg_int)
+    q = _defect_sweep(sys_t, orbit.times, orbit.fast, orbit.slow, report, TOL_DEFECT)
     Q = q[0].copy()
     P = eta - Q
     xin = float(sys_t.norm_x(xi))
@@ -188,22 +192,22 @@ def q_along_orbit(sys_t: FastSlowSystem, xi, eta, cert: ConstantsCertificate,
 
 
 def e_norm_sweep(sys_t: FastSlowSystem, xis, etas, cert: ConstantsCertificate,
-                 cfg_int: IntegratorConfig = IntegratorConfig(), tol_q=1e-9):
+                 cfg_int: IntegratorConfig = IntegratorConfig()):
     """Defect queries for a whole batch of (xi, eta) pairs at once.
 
     Integrates all orbits jointly over the longest needed horizon, then runs
-    the defect sweep of q_along_orbit on the whole batch.  Returns
+    the defect sweep of q_along_orbit on the whole batch, to TOL_E_NORM.  Returns
     (P (B, n), Q (B, n), E_ratio (B,)).
     """
     _reduction_rate(cert)
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     xi_norms = sys_t.norm_x(xis)
-    T = max(forward_horizon(cert, float(np.max(xi_norms)), tol_q), 2 * cfg_int.dt)
+    T = max(forward_horizon(cert, float(np.max(xi_norms)), TOL_E_NORM), 2 * cfg_int.dt)
     times, states = rk4_path(_full_field(sys_t), np.concatenate([xis, etas], axis=-1),
                              0.0, T, cfg_int.steps_for(T))
     q = _defect_sweep(sys_t, times, states[..., : sys_t.m], states[..., sys_t.m:],
-                      ContractionReport(), tol_q)
+                      ContractionReport(), TOL_E_NORM)
     Q = q[0]
     P = etas - Q
     ratios = np.where(xi_norms > 0, np.linalg.norm(Q, axis=-1) / np.maximum(xi_norms, 1e-300), 0.0)
@@ -212,7 +216,7 @@ def e_norm_sweep(sys_t: FastSlowSystem, xis, etas, cert: ConstantsCertificate,
 
 def projected_flow(sys_t: FastSlowSystem, P, t_span, cfg_int) -> OrbitPath:
     """Flow of the straightened system started on the manifold, (0, P)."""
-    return flow(sys_t, np.zeros(sys_t.m), P, t_span, cfg_int, check_domain=False)
+    return flow(sys_t, np.zeros(sys_t.m), P, t_span, cfg_int)
 
 
 def semiconjugacy_residual(sys_t: FastSlowSystem, result: ReductionResult,
@@ -226,8 +230,7 @@ def semiconjugacy_residual(sys_t: FastSlowSystem, result: ReductionResult,
     """
     if not result.report.converged:
         raise PreconditionError("semiconjugacy check needs a converged result")
-    orbit = flow(sys_t, result.xi, result.eta, (0.0, float(t_max)), cfg_int,
-                 check_domain=False)
+    orbit = flow(sys_t, result.xi, result.eta, (0.0, float(t_max)), cfg_int)
     proj = projected_flow(sys_t, result.P, (0.0, float(t_max)), cfg_int)
     ts = np.linspace(0.0, float(t_max), n_checks)
     worst = 0.0
@@ -298,8 +301,7 @@ def attraction_rate_fit(sys_t: FastSlowSystem, result: ReductionResult,
     if not result.report.converged:
         raise PreconditionError("rate fit needs a converged result")
     noise_floor = 1e-11
-    orbit = flow(sys_t, result.xi, result.eta, (0.0, float(t_max)), cfg_int,
-                 check_domain=False)
+    orbit = flow(sys_t, result.xi, result.eta, (0.0, float(t_max)), cfg_int)
     proj = projected_flow(sys_t, result.P, (0.0, float(t_max)), cfg_int)
     gap = sys_t.norm_xy(orbit.fast - proj.fast, orbit.slow - proj.slow)
     try:
@@ -320,10 +322,9 @@ def attraction_rate_fit(sys_t: FastSlowSystem, result: ReductionResult,
 
 
 def dp_point(sys_t: FastSlowSystem, result: ReductionResult,
-             cert: ConstantsCertificate, cfg_int: IntegratorConfig = IntegratorConfig(),
-             tol=1e-10):
+             cert: ConstantsCertificate, cfg_int: IntegratorConfig = IntegratorConfig()):
     """First derivative of the reduction map at the query point (xi, eta) of
-    `result`.
+    `result`, integrated over the horizon that pins it to TOL_DEFECT.
 
     Integrates, in one pass: the straightened orbit, the defect q(t) (by its
     own ODE from the converged Q), the first variational flow U(t), the
@@ -340,8 +341,8 @@ def dp_point(sys_t: FastSlowSystem, result: ReductionResult,
     m, n, d = sys_t.m, sys_t.n, sys_t.m + sys_t.n
     xi, eta = result.xi, result.eta
 
-    amp = max(cert.K * max(float(sys_t.norm_x(xi)), 1.0) * (cert.N1 + 1.0), 10 * tol)
-    T = math.log(amp / tol) / (mu_p - 2.0 * cert.N1)
+    amp = max(cert.K * max(float(sys_t.norm_x(xi)), 1.0) * (cert.N1 + 1.0), 10 * TOL_DEFECT)
+    T = math.log(amp / TOL_DEFECT) / (mu_p - 2.0 * cert.N1)
 
     blocks = _Blocks((d,), (n,), (d, d), (n, n), (n, d))     # z = (xt, y), q, U, Y, G
     zeros_m = np.zeros(m)
@@ -379,9 +380,7 @@ def decompose_orbit(sys: FastSlowSystem, h, result: ReductionResult, t_max,
         raise PreconditionError("decompose_orbit needs a converged result")
     P = result.P
     x0 = np.asarray(h(result.eta), dtype=float) + result.xi   # original x of the query
-    orbit = flow(sys, x0, result.eta, (0.0, float(t_max)), cfg_int, check_domain=False)
-    outer = flow(sys, np.asarray(h(P), dtype=float), P, (0.0, float(t_max)), cfg_int,
-                 check_domain=False)
-    layer = OrbitPath(orbit.times, orbit.fast - outer.fast, orbit.slow - outer.slow,
-                      meta={"dt": cfg_int.dt, "horizon": float(t_max)})
+    orbit = flow(sys, x0, result.eta, (0.0, float(t_max)), cfg_int)
+    outer = flow(sys, np.asarray(h(P), dtype=float), P, (0.0, float(t_max)), cfg_int)
+    layer = OrbitPath(orbit.times, orbit.fast - outer.fast, orbit.slow - outer.slow)
     return orbit, outer, layer

@@ -273,7 +273,7 @@ def test_criterion_09_window_lemma_and_counterexamples():
                          A0=lambda y: np.broadcast_to(A, y.shape[:-1] + (2, 2)).copy(),
                          domain=GridDomain([-1.0], [1.0], [2]))
     p = flow(rot, [1.0, 0.0], [0.0], (0.0, np.pi / 2),
-             IntegratorConfig(dt=0.0005), check_domain=False)
+             IntegratorConfig(dt=0.0005))
     amp = float(np.linalg.norm(p.fast[-1]))
     exact = nu * np.exp(-np.pi / 2)
     rot_ok = abs(amp - exact) <= 0.01 * exact

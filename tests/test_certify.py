@@ -71,7 +71,7 @@ class TestProcessBound:
     def test_rotation_transient_amplification(self):
         nu = 7.0
         p = flow(rotation(nu), [1.0, 0.0], [0.0], (0.0, np.pi / 2),
-                 IntegratorConfig(dt=0.0005), check_domain=False)
+                 IntegratorConfig(dt=0.0005))
         assert np.linalg.norm(p.fast[-1]) == pytest.approx(
             nu * np.exp(-np.pi / 2), rel=1e-6)
         K, _ = estimate_process_bound(rotation(nu), frozen_drivers([[0.0]]),

@@ -36,12 +36,13 @@ class TestCertifyCommand:
         assert code == 2
         assert "fail" in capsys.readouterr().out
 
-    def test_nf1_gap_reported(self, capsys):
+    def test_nf1_prints_no_second_gap(self, capsys):
+        # NF1's spectral gap has one definition: the `spectral_gap` check of run
         code = run_cli("certify", "--system", "NF1", "--m", "32", "--grid", "11",
                        "--dt", "0.01")
         assert code == 0
         text = capsys.readouterr().out
-        assert "margin" in text
+        assert text.startswith("hypothesis") and "spectral gap" not in text
 
     def test_unknown_system_usage_error(self, capsys):
         assert run_cli("certify", "--system", "L9") == 1

@@ -369,9 +369,9 @@ class TestLocalize:
         cfg = IntegratorConfig(dt=0.002)
         eta = np.array([-1.0])
         xt0 = np.array([0.03])            # inside radius/2
-        p_loc = flow(loc, xt0, eta, (0.0, 5.0), cfg, check_domain=False)
+        p_loc = flow(loc, xt0, eta, (0.0, 5.0), cfg)
         x0 = xt0 + _vdp_jet(eta)[0]
-        p_raw = flow(raw, x0, eta, (0.0, 5.0), cfg, check_domain=False)
+        p_raw = flow(raw, x0, eta, (0.0, 5.0), cfg)
         xt_raw = p_raw.fast - _vdp_jet(p_raw.slow)[0]
         assert np.max(np.abs(p_loc.slow - p_raw.slow)) < 1e-8
         assert np.max(np.abs(p_loc.fast - xt_raw)) < 1e-8
@@ -381,8 +381,8 @@ class TestLocalize:
         loc1 = localize(raw, _vdp_jet, 0.1, tol=1e-10)
         loc2 = localize(loc1, _zero_jet, 0.1, tol=1e-10)
         cfg = IntegratorConfig(dt=0.002)
-        p1 = flow(loc1, [0.03], [-1.0], (0.0, 4.0), cfg, check_domain=False)
-        p2 = flow(loc2, [0.03], [-1.0], (0.0, 4.0), cfg, check_domain=False)
+        p1 = flow(loc1, [0.03], [-1.0], (0.0, 4.0), cfg)
+        p2 = flow(loc2, [0.03], [-1.0], (0.0, 4.0), cfg)
         assert np.max(np.abs(p1.fast - p2.fast)) < 1e-9
 
     @pytest.mark.parametrize("no_df_base", [False, True], ids=["raw_base", "localized_base"])

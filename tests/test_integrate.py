@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 import slowfast
-from slowfast import integrate
+from slowfast import integrate, reduction
 from slowfast.certify import ConstantsCertificate
 from slowfast.core import FastSlowSystem, GridDomain
-from slowfast.errors import (ConvergenceError, DomainExitError, NumericError,
-                             PreconditionError)
+from slowfast.errors import ConvergenceError, NumericError, PreconditionError
 from slowfast.integrate import (ContractionReport, IntegratorConfig, OrbitPath, _Blocks,
                                 _full_field, _graph_fields, _sweep, bounded_solution_batch,
                                 flow, process_apply, rk4_final, rk4_path,
@@ -94,18 +93,15 @@ class TestFlow:
         ratio = np.max(np.abs(coarse - fine)) / np.max(np.abs(mid - fine))
         assert 8.0 <= ratio <= 40.0
 
-    def test_domain_exit_raises_with_time(self):
+    def test_leaves_the_box_unchecked(self):
         sys = build_l1(eps=0.1)        # y' = 0.1, exits y=0.5 at t=3 from 0.2
-        with pytest.raises(DomainExitError) as ei:
-            flow(sys, [0.1], [0.2], (0.0, 10.0), CFG)
-        assert ei.value.exit_time == pytest.approx(3.0, abs=0.05)
-        assert ei.value.path is not None
+        p = flow(sys, [0.1], [0.2], (0.0, 10.0), CFG)
+        assert p.times[-1] == pytest.approx(10.0)
+        assert p.slow[-1, 0] == pytest.approx(1.2)
 
-    def test_stop_on_exit_truncates(self):
-        sys = build_l1(eps=0.1)
-        p = flow(sys, [0.1], [0.2], (0.0, 10.0), CFG, stop_on_exit=True)
-        assert "domain_exit" in p.meta
-        assert p.times[-1] <= 3.02
+    def test_backward_span_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            flow(build_l1(eps=0.1), [0.1], [0.2], (0.0, -1.0), CFG)
 
 
 class TestOrbitPath:
@@ -276,8 +272,8 @@ class TestVariationalFlow:
         vf = variational_flow(sys, base, 1, CFG)
         d = 1e-5
         for j, (dx, dy) in enumerate([(d, 0.0), (0.0, d)]):
-            pp = flow(sys, [0.5 + dx], [0.1 + dy], (0.0, 2.0), CFG, check_domain=False)
-            pm = flow(sys, [0.5 - dx], [0.1 - dy], (0.0, 2.0), CFG, check_domain=False)
+            pp = flow(sys, [0.5 + dx], [0.1 + dy], (0.0, 2.0), CFG)
+            pm = flow(sys, [0.5 - dx], [0.1 - dy], (0.0, 2.0), CFG)
             fd = np.concatenate([(pp.fast[-1] - pm.fast[-1]) / (2 * d),
                                  (pp.slow[-1] - pm.slow[-1]) / (2 * d)])
             rel = np.max(np.abs(vf.first[-1][:, j] - fd)) / (1 + np.max(np.abs(fd)))
@@ -288,8 +284,8 @@ class TestVariationalFlow:
         base = flow(sys, [0.5], [0.1], (0.0, 1.5), CFG)
         vf = variational_flow(sys, base, 2, CFG)
         d = 1e-4
-        bp = flow(sys, [0.5], [0.1 + d], (0.0, 1.5), CFG, check_domain=False)
-        bm = flow(sys, [0.5], [0.1 - d], (0.0, 1.5), CFG, check_domain=False)
+        bp = flow(sys, [0.5], [0.1 + d], (0.0, 1.5), CFG)
+        bm = flow(sys, [0.5], [0.1 - d], (0.0, 1.5), CFG)
         fd = (variational_flow(sys, bp, 1, CFG).first[-1]
               - variational_flow(sys, bm, 1, CFG).first[-1]) / (2 * d)
         assert np.max(np.abs(vf.second[-1][:, :, 1] - fd)) <= 1e-4
@@ -350,8 +346,7 @@ def _picard_bounded(sys, sig, eta, T, cfg, tol):
 
     report = ContractionReport()
     phi = _sweep("Picard", apply, np.zeros((len(times), sys.m)), report, tol)
-    return OrbitPath(times, phi, ys, meta={"dt": cfg.dt, "horizon": T,
-                                           "sweeps": report.iterations})
+    return OrbitPath(times, phi, ys)
 
 
 def test_package_imports_no_scipy():
@@ -420,7 +415,7 @@ class TestDecayOnStraightened:
     def test_s1_style_decay(self, coupled_straight):
         ssys, scert = coupled_straight
         cfg = IntegratorConfig(dt=0.01)
-        p = flow(ssys, [0.4], [0.1], (0.0, 6.0), cfg, check_domain=False)
+        p = flow(ssys, [0.4], [0.1], (0.0, 6.0), cfg)
         rate = scert.mu          # mu' of the straightened system
         norms = np.abs(p.fast[:, 0])
         # sampled pairs t >= s
@@ -445,10 +440,9 @@ SWEEP_CASES = {
     "d2h_solve": ("second-derivative", TOL_FIXED_POINT, lambda f: d2h_solve(
         f["q1"][0], f["q1_solved"][2], f["q1_dh_solved"][0], f["q1"][1], COARSE)),
     "q_along_orbit": ("defect", 1e-300, lambda f: q_along_orbit(
-        *f["l2_straight"][:1], [0.5], [0.3], f["l2_straight"][1], COARSE, tol_q=1e-300)),
+        *f["l2_straight"][:1], [0.5], [0.3], f["l2_straight"][1], COARSE)),
     "e_norm_sweep": ("defect", 1e-300, lambda f: e_norm_sweep(
-        f["l2_straight"][0], [[0.5], [-0.4]], [[0.3], [0.1]], f["l2_straight"][1], COARSE,
-        tol_q=1e-300)),
+        f["l2_straight"][0], [[0.5], [-0.4]], [[0.3], [0.1]], f["l2_straight"][1], COARSE)),
     "_picard_bounded": ("Picard", 1e-300, lambda f: _picard_bounded(
         f["q1"][0], lambda y: np.zeros_like(y), [0.4], 2.0, CFG, 1e-300)),
 }
@@ -461,6 +455,9 @@ class TestSweepLoop:
         fixtures = {name: request.getfixturevalue(name)
                     for name in ("q1", "q1_solved", "q1_dh_solved", "l2_straight")}
         monkeypatch.setattr(integrate, "MAX_SWEEPS", 1)
+        # the reduction sweeps read their tolerance from these constants
+        monkeypatch.setattr(reduction, "TOL_DEFECT", 1e-300)
+        monkeypatch.setattr(reduction, "TOL_E_NORM", 1e-300)
         with pytest.raises(ConvergenceError) as info:
             call(fixtures)
         report = info.value.report

@@ -287,7 +287,7 @@ class TestInvarianceResidual:
         eta = np.array([-0.5])
         x0 = q1_h(eta, 0.1) + 0.5
         from slowfast.integrate import flow
-        p = flow(sys, x0, eta, (0.0, 8.0), CFG, check_domain=False)
+        p = flow(sys, x0, eta, (0.0, 8.0), CFG)
         dev = np.abs(p.fast[:, 0] - q1_h(p.slow[:, 0], 0.1))
         fit = fit_exponential(list(zip(p.times, dev)), 1e-10)
         rate = cert.mu - cert.K * cert.M1x
@@ -302,6 +302,33 @@ class TestInvarianceResidual:
         sys, cert, h, _ = l1_solved
         res = invariance_residual(sys, h, [0.45], 10.0, CFG)
         assert res.partial and res.exit_time is not None
+
+    def test_exit_time_of_first_exit(self):
+        # L1: y' = 0.1 leaves the box [-0.5, 0.5] at t = 3 from y = 0.2
+        res = invariance_residual(build_l1(eps=0.1), lambda y: l1_h(y, 0.1), [0.2], 10.0, CFG)
+        assert res.partial
+        assert abs(res.exit_time - 3.0) <= CFG.dt * (1 + 1e-9)
+
+    def test_cut_at_first_exit(self):
+        # the same exit: the deviation is read on the path up to its first
+        # sample outside the box, and no further
+        sys = build_l1(eps=0.1)
+        reads = []
+
+        def h(y):
+            reads.append(np.array(y))
+            return l1_h(y, 0.1)
+
+        res = invariance_residual(sys, h, [0.2], 10.0, CFG)
+        assert res.partial
+        path = reads[-1]                    # the slow track the deviation read
+        inside = sys.domain.contains(path)
+        assert inside[:-1].all() and not inside[-1]
+        assert path[-1, 0] == pytest.approx(0.2 + 0.1 * res.exit_time)
+
+    def test_start_outside_the_box_rejected(self):
+        with pytest.raises(PreconditionError, match="outside the slow box"):
+            invariance_residual(build_l1(eps=0.1), lambda y: l1_h(y, 0.1), [0.6], 1.0, CFG)
 
 
 class TestDh:

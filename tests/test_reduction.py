@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from slowfast import reduction
 from slowfast.certify import ConstantsCertificate, straightened_constants
 from slowfast.core import FastSlowSystem, GridDomain, GridFunction
 from slowfast.errors import CapabilityError, ContractionError
@@ -153,7 +154,7 @@ class TestStraighten:
         # scale O(dy^2) between nodes; 41 points over [-1, 1] gives ~3e-4
         # forcing and ~1e-5 accumulated drift at worst
         ssys, _ = coupled_straight
-        p = flow(ssys, [0.0], [0.1], (0.0, 10.0), CFG, check_domain=False)
+        p = flow(ssys, [0.0], [0.1], (0.0, 10.0), CFG)
         assert np.max(np.abs(p.fast)) <= 1e-5
 
     def test_l1_straightened_field_is_linear(self, l1):
@@ -286,17 +287,18 @@ class TestQAlongOrbit:
         res = q_along_orbit(ssys, [0.5], [0.1], scert, CFG)
         assert res.report.measured_ratio <= res.report.theoretical_ratio * 1.05 + 1e-9
 
-    def test_batch_matches_single(self, coupled_straight):
+    def test_batch_matches_single(self, coupled_straight, monkeypatch):
         ssys, scert = coupled_straight
+        monkeypatch.setattr(reduction, "TOL_DEFECT", 1e-11)
+        monkeypatch.setattr(reduction, "TOL_E_NORM", 1e-11)
         xis = np.array([[0.3], [-0.2]])
         etas = np.array([[0.1], [0.4]])
-        P, Q, ratios = e_norm_sweep(ssys, xis, etas, scert, CFG, tol_q=1e-11)
+        P, Q, ratios = e_norm_sweep(ssys, xis, etas, scert, CFG)
         for i in range(2):
-            single = q_along_orbit(ssys, xis[i], etas[i], scert, CFG, tol_q=1e-11)
+            single = q_along_orbit(ssys, xis[i], etas[i], scert, CFG)
             assert np.allclose(P[i], single.P, atol=1e-5)
             # a one-query batch runs the same arithmetic as the single query
-            P1, _, _ = e_norm_sweep(ssys, xis[i:i + 1], etas[i:i + 1], scert, CFG,
-                                    tol_q=1e-11)
+            P1, _, _ = e_norm_sweep(ssys, xis[i:i + 1], etas[i:i + 1], scert, CFG)
             assert np.array_equal(P1[0], single.P)
 
 
@@ -333,8 +335,7 @@ class TestSemiconjugacy:
         ssys, scert = l2_straight
         res = q_along_orbit(ssys, [1.0], [0.0], scert, CFG5)
         from slowfast.reduction import projected_flow
-        orbit = flow(ssys, res.xi, res.eta, (0.0, 10.0), CFG5,
-                     check_domain=False)
+        orbit = flow(ssys, res.xi, res.eta, (0.0, 10.0), CFG5)
         wrong = projected_flow(ssys, res.P + 0.01, (0.0, 10.0), CFG5)
         t = 10.0
         xt_t, y_t = orbit.at(t)
@@ -346,15 +347,13 @@ class TestSemiconjugacy:
         # P(orbit(t1)) evolved to t2 equals P(orbit(t2))
         ssys, scert = coupled_straight
         res = q_along_orbit(ssys, [0.4], [-0.2], scert, CFG)
-        orbit = flow(ssys, res.xi, res.eta, (0.0, 6.0), CFG,
-                     check_domain=False)
+        orbit = flow(ssys, res.xi, res.eta, (0.0, 6.0), CFG)
         t1, t2 = 1.5, 5.0
         xt1, y1 = orbit.at(t1)
         xt2, y2 = orbit.at(t2)
         P1 = q_along_orbit(ssys, xt1, y1, scert, CFG).P
         P2 = q_along_orbit(ssys, xt2, y2, scert, CFG).P
-        evolved = flow(ssys, np.zeros(1), P1, (0.0, t2 - t1), CFG,
-                       check_domain=False).slow[-1]
+        evolved = flow(ssys, np.zeros(1), P1, (0.0, t2 - t1), CFG).slow[-1]
         assert np.linalg.norm(evolved - P2) <= 1e-6
 
 
@@ -373,10 +372,12 @@ class TestAttractionRate:
         fit = attraction_rate_fit(ssys, res, 5.0, CFG, cert=scert)
         assert fit.underdetermined
 
-    def test_fiber_constancy(self, coupled_straight):
+    def test_fiber_constancy(self, coupled_straight, monkeypatch):
         # two starts with the same projection converge to each other fast
         ssys, scert = coupled_straight
-        res_a = q_along_orbit(ssys, [0.5], [0.1], scert, CFG, tol_q=1e-12)
+        monkeypatch.setattr(reduction, "TOL_DEFECT", 1e-12)
+        monkeypatch.setattr(reduction, "TOL_E_NORM", 1e-12)
+        res_a = q_along_orbit(ssys, [0.5], [0.1], scert, CFG)
         # find eta_b so that (0.25, eta_b) has the same projection: batched
         # grid-search refinement (P is monotone in eta here)
         target = res_a.P[0]
@@ -384,13 +385,13 @@ class TestAttractionRate:
         for _ in range(5):
             etas = np.linspace(lo, hi, 33)[:, None]
             xis = np.full_like(etas, 0.25)
-            P, _, _ = e_norm_sweep(ssys, xis, etas, scert, CFG, tol_q=1e-12)
+            P, _, _ = e_norm_sweep(ssys, xis, etas, scert, CFG)
             k = int(np.searchsorted(P[:, 0], target))
             k = min(max(k, 1), 32)
             lo, hi = etas[k - 1, 0], etas[k, 0]
         eta_b = 0.5 * (lo + hi)
-        pa = flow(ssys, [0.5], [0.1], (0.0, 8.0), CFG, check_domain=False)
-        pb = flow(ssys, [0.25], [eta_b], (0.0, 8.0), CFG, check_domain=False)
+        pa = flow(ssys, [0.5], [0.1], (0.0, 8.0), CFG)
+        pb = flow(ssys, [0.25], [eta_b], (0.0, 8.0), CFG)
         gap = np.linalg.norm(np.concatenate([pa.fast - pb.fast, pa.slow - pb.slow],
                                             axis=1), axis=1)
         from slowfast.reduction import fit_exponential
@@ -417,25 +418,27 @@ class TestDpPoint:
         assert np.allclose(Q1, 0.0, atol=1e-12)
         assert np.allclose(P1, [[0.0, 1.0]], atol=1e-12)
 
-    def test_fd_agreement_nontrivial(self):
+    def test_fd_agreement_nontrivial(self, monkeypatch):
         ssys, scert = tc2_straight(eps=0.1)
+        monkeypatch.setattr(reduction, "TOL_DEFECT", 1e-12)
         xi0, eta0 = 0.4, 0.2
-        res = q_along_orbit(ssys, [xi0], [eta0], scert, CFG5, tol_q=1e-12)
-        P1, _ = dp_point(ssys, res, scert, CFG5, tol=1e-11)
+        res = q_along_orbit(ssys, [xi0], [eta0], scert, CFG5)
+        P1, _ = dp_point(ssys, res, scert, CFG5)
 
         def P_of(xi, eta):
-            return q_along_orbit(ssys, [xi], [eta], scert, CFG5, tol_q=1e-12).P[0]
+            return q_along_orbit(ssys, [xi], [eta], scert, CFG5).P[0]
 
         d = 1e-5
         fd = np.array([(P_of(xi0 + d, eta0) - P_of(xi0 - d, eta0)) / (2 * d),
                        (P_of(xi0, eta0 + d) - P_of(xi0, eta0 - d)) / (2 * d)])
         assert np.max(np.abs(P1[0] - fd)) <= 1e-4
 
-    def test_matches_offset_packed_reference_bytes(self):
+    def test_matches_offset_packed_reference_bytes(self, monkeypatch):
         ssys, scert = tc2_straight(eps=0.1)
-        res = q_along_orbit(ssys, [0.4], [0.2], scert, CFG, tol_q=1e-12)
-        P1, Q1 = dp_point(ssys, res, scert, CFG, tol=1e-11)
-        P1_ref, Q1_ref = _reference_dp_point(ssys, res, scert, CFG, 1e-11)
+        monkeypatch.setattr(reduction, "TOL_DEFECT", 1e-12)
+        res = q_along_orbit(ssys, [0.4], [0.2], scert, CFG)
+        P1, Q1 = dp_point(ssys, res, scert, CFG)
+        P1_ref, Q1_ref = _reference_dp_point(ssys, res, scert, CFG, 1e-12)
         assert P1.tobytes() == P1_ref.tobytes() and Q1.tobytes() == Q1_ref.tobytes()
 
     def test_grid_h_requires_smoothness(self, coupled_straight):
@@ -449,7 +452,7 @@ class TestDpPoint:
         # the straightened system decay at essentially the fast rate
         from slowfast.integrate import flow, variational_flow
         ssys, scert = tc2_straight(eps=0.1)
-        base = flow(ssys, [0.5], [0.2], (0.0, 8.0), CFG, check_domain=False)
+        base = flow(ssys, [0.5], [0.2], (0.0, 8.0), CFG)
         vf = variational_flow(ssys, base, 1, CFG)
         ux = np.abs(vf.first[:, 0, 0])          # d x~(t) / d xi
         rate = scert.mu - scert.N1
@@ -480,7 +483,7 @@ class TestDecompose:
         ssys, scert = l2_straight
         res = q_along_orbit(ssys, [1.0], [0.0], scert, CFG)
         _, outer, layer = decompose_orbit(sys, _zero_h, res, 5.0, CFG)
-        orbit = flow(sys, [1.0], [0.0], (0.0, 5.0), CFG, check_domain=False)
+        orbit = flow(sys, [1.0], [0.0], (0.0, 5.0), CFG)
         err = max(np.max(np.abs(orbit.fast - (outer.fast + layer.fast))),
                   np.max(np.abs(orbit.slow - (outer.slow + layer.slow))))
         assert err <= 1e-9
@@ -506,7 +509,7 @@ class TestDecompose:
         res = q_along_orbit(ssys, [xi], [eta], scert, CFG)
         orbit, _, _ = decompose_orbit(sys, h, res, 4.0, CFG)
         x0 = np.asarray(h(np.array([eta])), dtype=float) + np.array([xi])
-        want = flow(sys, x0, np.array([eta]), (0.0, 4.0), CFG, check_domain=False)
+        want = flow(sys, x0, np.array([eta]), (0.0, 4.0), CFG)
         for got, ref in ((orbit.times, want.times), (orbit.fast, want.fast),
                          (orbit.slow, want.slow)):
             assert got.tobytes() == ref.tobytes()
