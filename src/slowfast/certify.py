@@ -250,9 +250,6 @@ def _op_norm(sys, M):
     """Operator norms induced by the fast-space norm, of a stack M (..., m, m)."""
     if sys.norm_kind == "sup":
         return np.max(np.sum(np.abs(M), axis=-1), axis=-1)
-    if sys.norm_kind == "weighted-quadrature":
-        w = np.sqrt(np.asarray(sys.quad_weights, dtype=float))
-        M = (M * w) / w[:, None]
     return np.linalg.norm(M, 2, axis=(-2, -1))
 
 

@@ -6,10 +6,10 @@ A fast-slow system here is the autonomous pair
     x' = F(x, y) = A0(y) x + R0(x, y),      x in R^m  (the fast space),
     y' = g(x, y),                           y in a compact box Vbar in R^n,
 
-with A0(y) = D_x F(0, y).  The fast space may carry a non-Euclidean norm
-(sup norm, or a quadrature-weighted norm standing in for a discretized
-function space).  Everything downstream (norm estimates, contraction
-certificates) is generic in that norm.
+with A0(y) = D_x F(0, y).  The fast space may carry the sup norm instead of
+the Euclidean one (NF1's nodes stand in for a discretized function space).
+Everything downstream (norm estimates, contraction certificates) is generic
+in that norm.
 
 All types here are immutable after construction (grid-function value arrays
 are treated as frozen by convention) and every evaluation is pure, so
@@ -26,22 +26,17 @@ import numpy as np
 
 from .errors import CapabilityError, PreconditionError
 
-NORM_KINDS = ("euclidean", "sup", "weighted-quadrature")
+NORM_KINDS = ("euclidean", "sup")
 BALL_SAFETY = 1.1      # factor on the Lipschitz estimate, a lower bound, in the ball norm
 
 
-def vector_norm(v, kind="euclidean", weights=None):
+def vector_norm(v, kind="euclidean"):
     """Norm of v along its last axis.  Batched input is fine."""
     v = np.asarray(v, dtype=float)
     if kind == "euclidean":
         return np.linalg.norm(v, axis=-1)
     if kind == "sup":
         return np.max(np.abs(v), axis=-1)
-    if kind == "weighted-quadrature":
-        if weights is None:
-            raise ValueError("weighted-quadrature norm needs weights")
-        w = np.asarray(weights, dtype=float)
-        return np.sqrt(np.sum(w * v * v, axis=-1))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -302,7 +297,6 @@ class FastSlowSystem:
     D2g: Optional[Callable] = None
     boundary_flag: bool = False
     norm_kind: str = "euclidean"
-    quad_weights: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
     Fg: Optional[Callable] = None
 
@@ -318,7 +312,7 @@ class FastSlowSystem:
 
     # -- norms ------------------------------------------------------------
     def norm_x(self, v):
-        return vector_norm(v, self.norm_kind, self.quad_weights)
+        return vector_norm(v, self.norm_kind)
 
     def norm_y(self, v):
         return vector_norm(v, "euclidean")
@@ -559,5 +553,4 @@ def localize(sys: FastSlowSystem, jet0, radius, tol=1e-8) -> FastSlowSystem:
     return FastSlowSystem(m=sys.m, n=sys.n, F=lambda xt, y: F_cut(xt, y)[0], g=g_loc,
                           A0=lambda y: lin(y, *jet0(y)),
                           domain=sys.domain, boundary_flag=sys.boundary_flag,
-                          norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
-                          meta=dict(sys.meta), Fg=Fg_loc)
+                          norm_kind=sys.norm_kind, meta=dict(sys.meta), Fg=Fg_loc)

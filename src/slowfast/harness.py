@@ -101,7 +101,9 @@ _SCHEMA = {
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Validated scenario document.  Unknown keys are rejected outright."""
+    """Validated scenario document.  Unknown keys, and keys that no stage of the
+    scenario reads (`m` outside NF1, `reduction_points` without the reduction
+    check), are rejected outright."""
 
     system: str
     eps: float = None
@@ -129,6 +131,12 @@ class ScenarioSpec:
             test, want = _SCHEMA[key]
             if not ((value is None and defaults[key] is None) or test(value)):
                 raise SchemaError(f"scenario key {key!r} must be {want}, not {value!r}")
+        if data.get("m") is not None and data["system"] != "NF1":
+            raise SchemaError("scenario key 'm' applies to NF1 only")
+        checks = data.get("checks")
+        if data.get("reduction_points") is not None and "reduction" not in (
+                _DEFAULT_CHECKS[data["system"]] if checks is None else checks):
+            raise SchemaError("scenario key 'reduction_points' needs the reduction check")
         return cls(**data)
 
     def to_dict(self):
@@ -142,7 +150,7 @@ class ScenarioSpec:
             kw["domain"] = tuple(self.domain)
         if self.grid is not None:
             kw["points"] = self.grid
-        if self.m is not None and self.system == "NF1":
+        if self.m is not None:
             kw["m"] = self.m
         return ex, kw
 

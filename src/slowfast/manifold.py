@@ -197,40 +197,59 @@ def _joint_reader(*fns):
     return lambda y: blocks.split(joint(y))
 
 
-def _dh_apply(sys, h, w_field, T, cfg_int):
-    """One application of the derivative map on the whole grid.
+def _derivative_map(sys, fields, T, cfg_int):
+    """One application of the order-k derivative map (k = 1, 2) on the whole
+    grid; returns the node values, of shape grid + (m,) + (n,) * k.
 
-    Backward pass: (psi, z) from (eta, I) with z' = [D_x g . W(psi) + D_y g] z,
-    the variational flow of the slow subsystem constrained to the graph of the
-    candidate field W.  Forward pass re-integrates (psi, z) and accumulates
-    v' = D_x F(h,psi) v + D_y F(h,psi) z from v(-T) = 0; the node update is v(0).
-    h and W are grid functions on one grid, read by one interpolation per stage.
+    `fields` is (h, W) at k = 1 and (h, Dh, W) at k = 2, W the candidate k-th
+    derivative, all on one grid and read by one interpolation per stage; D1
+    below is W at k = 1 and Dh at k = 2.  Backward pass: (psi, z1[, z2]) from
+    (eta, I[, 0]) along the slow drift g(h(psi), psi), with
+    z1' = [D_x g . D1 + D_y g] z1 and, at k = 2,
+    z2' = D_x g . w2 + D_y g . z2 + D2g[V1, V1], where V1 = (Dh z1, z1) and
+    w2 = W[z1, z1] + Dh z2.  Forward pass re-integrates them and accumulates
+    v' = D_x F(h, psi) v + D_y F(h, psi) z_k [+ D2F[V1, V1]] from v(-T) = 0;
+    the node update is v(0).
     """
-    read = _joint_reader(h, w_field)
-    grid = h.domain
+    order = len(fields) - 1
+    read = _joint_reader(*fields)
+    grid = fields[0].domain
     etas = grid.node_coords()
     B, m, n = etas.shape[0], sys.m, sys.n
-    back, fwd = _Blocks((n,), (n, n)), _Blocks((n,), (n, n), (m, n))     # y, z[, v]
+    zs = [(n, n), (n, n, n)][:order]                       # z1[, z2]
+    v_shape = (m,) + zs[-1][1:]
+    back, fwd = _Blocks((n,), *zs), _Blocks((n,), *zs, v_shape)      # y, z1[, z2][, v]
+    mat = "...ij,...jk->...ik"                             # matrix product
+    lin = mat if order == 1 else "...ij,...jab->...iab"   # a matrix on an order-k block
+
+    def quad(D2, a):                                       # D2[a, a] on the columns of a
+        return np.einsum("...icd,...ca,...db->...iab", D2, a, a)
 
     def field(blocks):
         def fld(t, u):
-            y, z, *v = blocks.split(u)
-            hy, Wy = read(y)
+            y, *z = blocks.split(u)                        # z1[, z2][, v]
+            zk, v = z[order - 1], z[order:]
+            hy, D1, *W = read(y)
             Dg = sys.eval_Dg(hy, y)
-            gen = np.einsum("...ij,...jk->...ik", Dg[..., :, :m], Wy) + Dg[..., :, m:]
-            parts = [sys.eval_g(hy, y), np.einsum("...ij,...jk->...ik", gen, z)]
+            gen = np.einsum(mat, Dg[..., :, :m], D1) + Dg[..., :, m:]
+            parts = [sys.eval_g(hy, y), np.einsum(mat, gen, z[0])]
+            if order == 2:
+                V1 = np.concatenate([np.einsum(mat, D1, z[0]), z[0]], axis=-2)
+                w2 = quad(W[0], z[0]) + np.einsum(lin, D1, zk)
+                parts.append(np.einsum(lin, Dg[..., :, :m], w2)
+                             + np.einsum(lin, Dg[..., :, m:], zk) + quad(sys.eval_D2g(hy, y), V1))
             if v:
                 DFh = sys.eval_DF(hy, y)
-                parts.append(np.einsum("...ij,...jk->...ik", DFh[..., :, :m], v[0])
-                             + np.einsum("...ij,...jk->...ik", DFh[..., :, m:], z))
+                dv = np.einsum(lin, DFh[..., :, :m], v[0]) + np.einsum(lin, DFh[..., :, m:], zk)
+                parts.append(dv + quad(sys.eval_D2F(hy, y), V1) if order == 2 else dv)
             return blocks.join(u.shape[:-1], *parts)
 
         return fld
 
-    uf = two_pass(field(back), field(fwd), back.join((B,), etas, np.eye(n)),
-                  lambda u_T: fwd.join((B,), *back.split(u_T), np.zeros((m, n))),
-                  T, cfg_int)
-    return GridFunction(grid, fwd.split(uf)[2].reshape(grid.shape + (m, n)))
+    u0 = back.join((B,), etas, *[np.eye(n), np.zeros((n, n, n))][:order])
+    uf = two_pass(field(back), field(fwd), u0,
+                  lambda u_T: fwd.join((B,), *back.split(u_T), np.zeros(v_shape)), T, cfg_int)
+    return fwd.split(uf)[-1].reshape(grid.shape + v_shape)
 
 
 def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
@@ -250,9 +269,10 @@ def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
     T = _dh_horizon(cert)
     report = ContractionReport(theoretical_ratio=cert.dh_ratio())
     report.diagnostics["horizon"] = T
-    w = GridFunction(h.domain, _sweep(
-        "derivative", lambda v: _dh_apply(sys, h, GridFunction(h.domain, v), T, cfg_int).values,
-        np.zeros(h.domain.shape + (sys.m, sys.n)), report, TOL_FIXED_POINT))
+    grid = h.domain
+    w = GridFunction(grid, _sweep(
+        "derivative", lambda W: _derivative_map(sys, (h, GridFunction(grid, W)), T, cfg_int),
+        np.zeros(grid.shape + (sys.m, sys.n)), report, TOL_FIXED_POINT))
     bound = cert.K * cert.M1y / (cert.contraction_rate() - cert.N1 * (cert.rho + 1))
     report.diagnostics["sup_bound"] = bound
     report.diagnostics["sup_norm"] = w.sup_norm()
@@ -307,57 +327,12 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
                                     "(needs 2 N1 < mu - K M1x and the k=2 inequality)")
     grid = h.domain
     m, n = sys.m, sys.n
-    etas = grid.node_coords()
-    B = etas.shape[0]
     rate = cert.contraction_rate() - 2.0 * cert.N1 * (cert.rho + 1.0)
     T = math.log(max(cert.K * max(cert.M1y, 1e-6) / (rate * TOL_BOUNDED), 10.0)) / rate
 
-    back = _Blocks((n,), (n, n), (n, n, n))                     # y, z1, z2
-    fwd = _Blocks((n,), (n, n), (n, n, n), (m, n, n))          # y, z1, z2, v
-
-    def terms(y, z1, z2, hy, Dhy, W2y):
-        w1 = np.einsum("...ij,...ja->...ia", Dhy, z1)
-        V1 = np.concatenate([w1, z1], axis=-2)                    # (..., m+n, n)
-        Dg = sys.eval_Dg(hy, y)
-        D2g = sys.eval_D2g(hy, y)
-        Sy = np.einsum("...icd,...ca,...db->...iab", D2g, V1, V1)
-        w2 = (np.einsum("...icd,...ca,...db->...iab", W2y, z1, z1)
-              + np.einsum("...ij,...jab->...iab", Dhy, z2))
-        dz1 = np.einsum("...ij,...ja->...ia",
-                        np.einsum("...ic,...cj->...ij", Dg[..., :, :m], Dhy) + Dg[..., :, m:],
-                        z1)
-        dz2 = (np.einsum("...ic,...cab->...iab", Dg[..., :, :m], w2)
-               + np.einsum("...ij,...jab->...iab", Dg[..., :, m:], z2) + Sy)
-        return V1, dz1, dz2
-
-    def make_field(read, blocks):
-        def fld(t, u):
-            y, z1, z2, *v = blocks.split(u)
-            hy, Dhy, W2y = read(y)
-            V1, dz1, dz2 = terms(y, z1, z2, hy, Dhy, W2y)
-            parts = [sys.eval_g(hy, y), dz1, dz2]
-            if v:
-                DFh = sys.eval_DF(hy, y)
-                D2F = sys.eval_D2F(hy, y)
-                Sx = np.einsum("...icd,...ca,...db->...iab", D2F, V1, V1)
-                parts.append(np.einsum("...ij,...jab->...iab", DFh[..., :, :m], v[0])
-                             + np.einsum("...ij,...jab->...iab", DFh[..., :, m:], z2) + Sx)
-            return blocks.join(u.shape[:-1], *parts)
-
-        return fld
-
     report = ContractionReport()
     report.diagnostics["horizon"] = T
-    u0 = back.join((B,), etas, np.eye(n), np.zeros((n, n, n)))
-
-    def apply(W2):
-        # h, Dh and W2: one interpolation per stage
-        read = _joint_reader(h, dh, GridFunction(grid, W2))
-        uf = two_pass(make_field(read, back), make_field(read, fwd), u0,
-                      lambda u_T: fwd.join((B,), *back.split(u_T), np.zeros((m, n, n))),
-                      T, cfg_int)
-        return fwd.split(uf)[3].reshape(grid.shape + (m, n, n))
-
-    W2 = _sweep("second-derivative", apply, np.zeros(grid.shape + (m, n, n)), report,
-                TOL_FIXED_POINT)
+    W2 = _sweep("second-derivative",
+                lambda W: _derivative_map(sys, (h, dh, GridFunction(grid, W)), T, cfg_int),
+                np.zeros(grid.shape + (m, n, n)), report, TOL_FIXED_POINT)
     return GridFunction(grid, W2), report

@@ -20,7 +20,7 @@ from .core import FastSlowSystem, _graph_transform
 from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
                      PreconditionError, UnderdeterminedError)
 from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _Blocks,
-                        _full_field, _jet, _sweep, flow, rk4_path)
+                        _full_field, _jet, _sweep, flow, rk4_final, rk4_path)
 
 
 TOL_DEFECT = 1e-10      # a query's defect sweep residual; sets its and dp_point's horizons
@@ -83,8 +83,7 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None) -> FastSlowSystem:
 
     return FastSlowSystem(m=m, n=sys.n, F=Ft, g=gt, A0=lambda y: lin(y, *jet(y)),
                           domain=sys.domain, DF=DFt, Dg=Dgt, boundary_flag=sys.boundary_flag,
-                          norm_kind=sys.norm_kind, quad_weights=sys.quad_weights,
-                          meta=dict(sys.meta), Fg=Fgt)
+                          norm_kind=sys.norm_kind, meta=dict(sys.meta), Fg=Fgt)
 
 
 @dataclass
@@ -358,8 +357,7 @@ def dp_point(sys_t: FastSlowSystem, result: ReductionResult,
 
     u0 = blocks.join((), np.concatenate([xi, eta]), result.Q, np.eye(d), np.eye(n),
                      np.zeros((n, d)))
-    _, path = rk4_path(fld, u0, 0.0, T, cfg_int.steps_for(T))
-    Q1 = blocks.split(path[-1])[-1]
+    Q1 = blocks.split(rk4_final(fld, u0, 0.0, T, cfg_int.steps_for(T))[1])[-1]
     P1 = np.concatenate([np.zeros((n, m)), np.eye(n)], axis=1) - Q1
     return P1, Q1
 

@@ -368,18 +368,19 @@ def test_run_exit_matches_the_escaped_error(cls, message):
 class TestSpecFromArgs:
     """Every common flag lands in the scenario spec under its own key."""
 
-    def spec(self, *flags):
-        return cli._spec_from_args(cli.make_parser().parse_args(["run", "--system", "Q1",
+    def spec(self, *flags, system="Q1"):
+        return cli._spec_from_args(cli.make_parser().parse_args(["run", "--system", system,
                                                                  *flags]))
 
     def test_every_flag_lands(self):
+        # NF1: the one system that reads --m
         spec = self.spec("--eps", "0.05", "--grid", "21", "--m", "16", "--dt", "0.1",
                          "--horizon", "7.5", "--derivative", "2", "--seed", "3",
                          "--out", "r.json", "--override", "N1=0.2", "--override", "K=1.5",
-                         "--override", "mu=0.9")
+                         "--override", "mu=0.9", system="NF1")
         assert (spec.system, spec.eps, spec.grid, spec.m, spec.dt, spec.horizon,
                 spec.derivative, spec.seed, spec.out) == (
-            "Q1", 0.05, 21, 16, 0.1, 7.5, 2, 3, "r.json")
+            "NF1", 0.05, 21, 16, 0.1, 7.5, 2, 3, "r.json")
         assert spec.overrides == {"N1": 0.2, "K": 1.5, "mu": 0.9}
 
     def test_repeated_eps_keeps_the_last_like_dt(self):

@@ -26,8 +26,6 @@ class TestFastState:
         v = [3.0, -4.0]
         assert vector_norm(v) == pytest.approx(5.0)
         assert vector_norm(v, "sup") == pytest.approx(4.0)
-        s = vector_norm(v, "weighted-quadrature", weights=[0.5, 0.5])
-        assert s == pytest.approx(np.sqrt(12.5))
 
     def test_norm_positive_definite(self):
         assert vector_norm([0.0, 0.0]) == 0.0
@@ -122,15 +120,14 @@ class TestGridFunction:
         gf = GridFunction.from_callable(dom, lambda y: 3.0 * y)
         assert gf.lipschitz_estimate() == pytest.approx(3.0)
 
-    @pytest.mark.parametrize("kind", ["sup", "euclidean", "weighted-quadrature"])
+    @pytest.mark.parametrize("kind", ["sup", "euclidean"])
     @pytest.mark.parametrize("m", [1, 7, 100])
     @pytest.mark.parametrize("shape", [(41,), (6, 5)], ids=["41-rows", "2d"])
     def test_value_norms_match_row_loop_bytes(self, kind, m, shape):
         # node_norms and lipschitz_estimate take value_norm on all rows in one
         # call; the norm of each row alone must give the same bits
         rng = np.random.default_rng(m)
-        weights = rng.uniform(0.5, 1.5, m) if kind == "weighted-quadrature" else None
-        norm = lambda v: vector_norm(v, kind, weights)
+        norm = lambda v: vector_norm(v, kind)
         n = len(shape)
         dom = GridDomain(np.zeros(n), np.linspace(1.0, 2.0, n), shape)
         gf = GridFunction(dom, rng.standard_normal(shape + (m,)), value_norm=norm)
@@ -317,8 +314,7 @@ def _reference_localize(sys, h0, radius, dh0):
         return sys.eval_g(chi_of(xt)[..., None] * xt + H(y), y)
 
     return FastSlowSystem(m=m, n=n, F=F_loc, g=g_loc, A0=A, domain=sys.domain,
-                          boundary_flag=sys.boundary_flag, norm_kind=sys.norm_kind,
-                          quad_weights=sys.quad_weights)
+                          boundary_flag=sys.boundary_flag, norm_kind=sys.norm_kind)
 
 
 def _zero_h(y):

@@ -80,6 +80,7 @@ class TestScenarioSpec:
         {"overrides": {"K": "x"}}, {"overrides": {"K": 2.0}}, {"overrides": {"Q": 1.0}},
         {"overrides": {"N1": float("inf")}},
         {"reduction_points": [[0.1]]}, {"reduction_points": [[0.1, "a"]]},
+        {"m": 7}, {"reduction_points": [[0.1, 0.2]]},      # read by no stage of L1
     ], ids=lambda doc: json.dumps(doc, separators=(",", ":")))
     def test_bad_value_rejected(self, doc):
         with pytest.raises(SchemaError):

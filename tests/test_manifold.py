@@ -6,13 +6,13 @@ import pytest
 from slowfast.certify import ConstantsCertificate, assemble_certificate
 from slowfast.core import FastSlowSystem, GridDomain, GridFunction
 from slowfast.errors import ContractionError, NumericError, PreconditionError
-from slowfast.integrate import IntegratorConfig
+from slowfast.integrate import IntegratorConfig, _Blocks, two_pass
 from slowfast.harness import _random_ball_sigma
-from slowfast.manifold import (TOL_FIXED_POINT, _dh_apply, _dh_horizon, _joint_reader,
+from slowfast.manifold import (TOL_FIXED_POINT, _derivative_map, _dh_horizon, _joint_reader,
                                _lp_apply, d2h_solve, dh_solve, eqv_residual,
                                fd_derivative_error, invariance_residual, lp_map,
                                lp_map_batch, lp_solve)
-from slowfast.systems import build_l1, build_nf1, build_q1, l1_h, q1_dh, q1_h
+from slowfast.systems import build_coupled, build_l1, build_nf1, build_q1, l1_h, q1_dh, q1_h
 
 CFG = IntegratorConfig(dt=0.01)
 
@@ -149,7 +149,7 @@ class TestOneInterpolationPerStage:
         interp = count_calls(monkeypatch, GridFunction, "__call__")
         g = count_calls(monkeypatch, FastSlowSystem, "eval_g")
         w = GridFunction.zeros(sys.domain, (1, 1))
-        _dh_apply(sys, h, w, 2.0, IntegratorConfig(dt=0.1))
+        _derivative_map(sys, (h, w), 2.0, IntegratorConfig(dt=0.1))
         assert g.calls == 8 * 20 and interp.calls == g.calls
 
     def test_d2h_field(self, q1_solved, q1_dh_solved, monkeypatch):
@@ -335,8 +335,8 @@ class TestDh:
     def test_dh_map_fixed_point_l1(self, l1_solved):
         sys, cert, h, _ = l1_solved
         exact = GridFunction(sys.domain, np.ones(sys.domain.shape + (1, 1)))
-        out = _dh_apply(sys, h, exact, _dh_horizon(cert), CFG)
-        assert np.max(np.abs(out.values - 1.0)) <= 1e-8
+        out = _derivative_map(sys, (h, exact), _dh_horizon(cert), CFG)
+        assert np.max(np.abs(out - 1.0)) <= 1e-8
 
     def test_dh_solve_l1(self, l1_solved):
         sys, cert, h, _ = l1_solved
@@ -401,6 +401,143 @@ class TestD2h:
         d2, _ = d2h_solve(sys, h, dh, cert, CFG)
         # twice-differentiated implicit relation h = y^2: D2h = 2
         assert np.max(np.abs(d2.values - 2.0)) <= 1e-3
+
+
+def _reference_dh_apply(sys, h, w_field, T, cfg_int):
+    """The order-1 derivative map as written before the one order-k map: its
+    own generator, drift, forward term and block layouts; `_derivative_map`
+    must match it byte for byte."""
+    read = _joint_reader(h, w_field)
+    grid = h.domain
+    etas = grid.node_coords()
+    B, m, n = etas.shape[0], sys.m, sys.n
+    back, fwd = _Blocks((n,), (n, n)), _Blocks((n,), (n, n), (m, n))     # y, z[, v]
+
+    def field(blocks):
+        def fld(t, u):
+            y, z, *v = blocks.split(u)
+            hy, Wy = read(y)
+            Dg = sys.eval_Dg(hy, y)
+            gen = np.einsum("...ij,...jk->...ik", Dg[..., :, :m], Wy) + Dg[..., :, m:]
+            parts = [sys.eval_g(hy, y), np.einsum("...ij,...jk->...ik", gen, z)]
+            if v:
+                DFh = sys.eval_DF(hy, y)
+                parts.append(np.einsum("...ij,...jk->...ik", DFh[..., :, :m], v[0])
+                             + np.einsum("...ij,...jk->...ik", DFh[..., :, m:], z))
+            return blocks.join(u.shape[:-1], *parts)
+
+        return fld
+
+    uf = two_pass(field(back), field(fwd), back.join((B,), etas, np.eye(n)),
+                  lambda u_T: fwd.join((B,), *back.split(u_T), np.zeros((m, n))),
+                  T, cfg_int)
+    return fwd.split(uf)[2].reshape(grid.shape + (m, n))
+
+
+def _reference_d2h_apply(sys, h, dh, W2, T, cfg_int):
+    """The order-2 derivative map as `d2h_solve` wrote it before the one
+    order-k map, with its own terms, fields and block layouts."""
+    grid = h.domain
+    m, n = sys.m, sys.n
+    etas = grid.node_coords()
+    B = etas.shape[0]
+    back = _Blocks((n,), (n, n), (n, n, n))                     # y, z1, z2
+    fwd = _Blocks((n,), (n, n), (n, n, n), (m, n, n))          # y, z1, z2, v
+
+    def terms(y, z1, z2, hy, Dhy, W2y):
+        w1 = np.einsum("...ij,...ja->...ia", Dhy, z1)
+        V1 = np.concatenate([w1, z1], axis=-2)
+        Dg = sys.eval_Dg(hy, y)
+        D2g = sys.eval_D2g(hy, y)
+        Sy = np.einsum("...icd,...ca,...db->...iab", D2g, V1, V1)
+        w2 = (np.einsum("...icd,...ca,...db->...iab", W2y, z1, z1)
+              + np.einsum("...ij,...jab->...iab", Dhy, z2))
+        dz1 = np.einsum("...ij,...ja->...ia",
+                        np.einsum("...ic,...cj->...ij", Dg[..., :, :m], Dhy) + Dg[..., :, m:],
+                        z1)
+        dz2 = (np.einsum("...ic,...cab->...iab", Dg[..., :, :m], w2)
+               + np.einsum("...ij,...jab->...iab", Dg[..., :, m:], z2) + Sy)
+        return V1, dz1, dz2
+
+    def make_field(read, blocks):
+        def fld(t, u):
+            y, z1, z2, *v = blocks.split(u)
+            hy, Dhy, W2y = read(y)
+            V1, dz1, dz2 = terms(y, z1, z2, hy, Dhy, W2y)
+            parts = [sys.eval_g(hy, y), dz1, dz2]
+            if v:
+                DFh = sys.eval_DF(hy, y)
+                D2F = sys.eval_D2F(hy, y)
+                Sx = np.einsum("...icd,...ca,...db->...iab", D2F, V1, V1)
+                parts.append(np.einsum("...ij,...jab->...iab", DFh[..., :, :m], v[0])
+                             + np.einsum("...ij,...jab->...iab", DFh[..., :, m:], z2) + Sx)
+            return blocks.join(u.shape[:-1], *parts)
+
+        return fld
+
+    u0 = back.join((B,), etas, np.eye(n), np.zeros((n, n, n)))
+    read = _joint_reader(h, dh, GridFunction(grid, W2))
+    uf = two_pass(make_field(read, back), make_field(read, fwd), u0,
+                  lambda u_T: fwd.join((B,), *back.split(u_T), np.zeros((m, n, n))),
+                  T, cfg_int)
+    return fwd.split(uf)[3].reshape(grid.shape + (m, n, n))
+
+
+def _jet_system(m=2, n=2, seed=0):
+    """A system whose fields and derivatives are fixed random tensors scaled by
+    1 + |y|^2: only the shapes matter to a byte comparison of two maps, and
+    every term of the order-2 map is nonzero (Q1 has D g = 0)."""
+    rng = np.random.default_rng(seed)
+    d = m + n
+    DF, Dg = rng.standard_normal((m, d)), rng.standard_normal((n, d))
+    D2F, D2g = rng.standard_normal((m, d, d)), rng.standard_normal((n, d, d))
+
+    def scaled(T):
+        return lambda x, y: (1.0 + np.sum(y * y, axis=-1))[(...,) + (None,) * T.ndim] * T
+
+    return FastSlowSystem(
+        m=m, n=n, F=lambda x, y: -x, g=lambda x, y: 0.1 * y, A0=lambda y: -np.eye(m),
+        domain=GridDomain([-1.0] * n, [1.0] * n, [5] * n),
+        DF=scaled(DF), Dg=scaled(Dg), D2F=scaled(D2F), D2g=scaled(D2g))
+
+
+def _candidate(sys, value_shape, seed):
+    """A random candidate derivative field: nonzero, so every term of the map acts."""
+    return 0.5 * np.random.default_rng(seed).standard_normal(sys.domain.shape + value_shape)
+
+
+class TestDerivativeMap:
+    """The one order-k derivative map gives the bytes of the two maps it replaced."""
+
+    CFG = IntegratorConfig(dt=0.05)
+
+    @pytest.mark.parametrize("solved", ["q1_solved", "coupled_solved"])
+    def test_order_1_matches_reference_bytes(self, solved, request):
+        sys, _, h, *_ = request.getfixturevalue(solved)
+        w = GridFunction(sys.domain, _candidate(sys, (sys.m, sys.n), 0))
+        got = _derivative_map(sys, (h, w), 3.0, self.CFG)
+        assert got.tobytes() == _reference_dh_apply(sys, h, w, 3.0, self.CFG).tobytes()
+
+    def test_order_2_q1_matches_reference_bytes(self, q1_solved, q1_dh_solved):
+        sys, _, h, _ = q1_solved
+        dh, _ = q1_dh_solved
+        W2 = _candidate(sys, (sys.m, sys.n, sys.n), 1)
+        got = _derivative_map(sys, (h, dh, GridFunction(sys.domain, W2)), 3.0, self.CFG)
+        assert got.tobytes() == _reference_d2h_apply(sys, h, dh, W2, 3.0, self.CFG).tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_every_term_matches_reference_bytes(self, order):
+        sys = _jet_system()
+        h = GridFunction(sys.domain, _candidate(sys, (sys.m,), 2))
+        dh = GridFunction(sys.domain, _candidate(sys, (sys.m, sys.n), 3))
+        if order == 1:
+            got = _derivative_map(sys, (h, dh), 1.0, self.CFG)
+            want = _reference_dh_apply(sys, h, dh, 1.0, self.CFG)
+        else:
+            W2 = _candidate(sys, (sys.m, sys.n, sys.n), 4)
+            got = _derivative_map(sys, (h, dh, GridFunction(sys.domain, W2)), 1.0, self.CFG)
+            want = _reference_d2h_apply(sys, h, dh, W2, 1.0, self.CFG)
+        assert np.all(got != 0) and got.tobytes() == want.tobytes()
 
 
 class TestEpsilonContinuity:
