@@ -100,9 +100,14 @@ def _spec_from_args(args):
             raise SchemaError(f"cannot read scenario {args.scenario}: {exc}") from exc
         if not isinstance(data, dict):
             raise SchemaError(f"scenario {args.scenario} is not a JSON object")
+        # only run reads checks and reduction_points; reduce has no --derivative,
+        # as it always solves Dh and never D2h
+        unread = [k for k in ("checks", "reduction_points") if k in data and args.command != "run"]
         if "derivative" in data and not hasattr(args, "derivative"):
-            # reduce has no --derivative: it always solves Dh and never D2h
-            raise SchemaError(f"scenario {args.scenario}: reduce takes no derivative key")
+            unread.append("derivative")
+        if unread:
+            raise SchemaError(f"scenario {args.scenario}: {args.command} takes no "
+                              f"{' or '.join(unread)} key")
         if args.system:
             data["system"] = args.system
     for key in ("eps", "grid", "m", "dt", "horizon", "derivative", "seed", "out"):

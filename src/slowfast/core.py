@@ -19,6 +19,7 @@ concurrent sweeps over grids or parameter sets need no locking.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -28,6 +29,13 @@ from .errors import CapabilityError, PreconditionError
 
 NORM_KINDS = ("euclidean", "sup")
 BALL_SAFETY = 1.1      # factor on the Lipschitz estimate, a lower bound, in the ball norm
+# A one-point GridFunction read sums its corner rows in Python floats when a
+# value has at most FLOAT_SUM_MAX entries, else in numpy.  Per read (2 CPUs,
+# one BLAS thread, Python 3.11.7, numpy 2.4.6), on 101 nodes floats take
+# 0.6 / 0.9 / 1.2 / 1.5 / 2.9 us at 1 / 8 / 16 / 24 / 64 entries and numpy
+# 1.4-1.5 us; on 41 x 41 nodes floats take 1.3 / 2.5 / 2.7 us at 1 / 16 / 20
+# entries and numpy 2.5-2.6 us.
+FLOAT_SUM_MAX = 16
 
 
 def vector_norm(v, kind="euclidean"):
@@ -122,9 +130,11 @@ class GridFunction:
     The interpolation set-up (bounds, strides, cell corners) is done at construction.
     A call at one slow state, y of shape (n,), finds its cell and corner weights
     in Python floats with the array path's IEEE operations in its order, so it
-    returns the same bytes without the per-call array set-up; only the corner
-    rows' gather and sum stay in numpy.  Batches, NaN coordinates and GridStack
-    reads (whose y carries the block axis) take the array path.
+    returns the same bytes without the per-call array set-up.  It sums the
+    corner rows in floats too, from node rows kept as float lists once first
+    read, unless a value has more than FLOAT_SUM_MAX entries; then numpy sums
+    them.  Batches, NaN coordinates and GridStack reads (whose y carries the
+    block axis) take the array path.
 
     `value_norm` (default: the flat Euclidean norm) measures one value; like the
     system callables it must broadcast over leading axes, as `sys.norm_x` does,
@@ -147,9 +157,14 @@ class GridFunction:
         self._upper_side = corners[:, None, :].astype(bool)            # (2^n, 1, n)
         self._offsets = (corners @ self._strides)[:, None]             # (2^n, 1) flat offsets
         self._pad = (1,) * len(self.value_shape)             # weights broadcast over values
+        # for one point: per axis (lower, upper, spacing, top, stride) in floats,
+        # the corner offsets, and the node rows as float lists once first read
         self._point_shape = (domain.n,)
-        self._axis_floats = [a.tolist() for a in (self._lower, self._upper, self._spacing,
-                                                  self._top, self._strides)]  # for one point
+        self._axes = list(zip(*[a.tolist() for a in (self._lower, self._upper, self._spacing,
+                                                     self._top, self._strides)]))
+        self._corners = self._offsets[:, 0].tolist()
+        self._size = math.prod(self.value_shape)
+        self._rows = None
 
     @classmethod
     def from_callable(cls, domain, fn):
@@ -169,21 +184,45 @@ class GridFunction:
         y = np.asarray(y, dtype=float)
         if y.shape == self._point_shape:
             # one slow state: the set-up below in floats, op for op; on a tie
-            # (+-0.0) np.maximum(a, b) returns b, and so does max(b, a)
-            base, w = 0, [1.0]
-            for v, lo, hi, h, top, stride in zip(y.tolist(), *self._axis_floats):
+            # (+-0.0) np.maximum(a, b) returns b, and so does `v if v > b else b`
+            base, w = 0, None
+            for v, (lo, hi, h, top, stride) in zip(y.tolist(), self._axes):
                 if v != v:                 # NaN: the array path's NaN -> index 0 rule
                     break
-                t = (min(hi, max(lo, v)) - lo) / h
-                i = max(min(int(t), top), 0)
+                v = v if v > lo else lo
+                t = ((v if v < hi else hi) - lo) / h
+                i = int(t)                 # t >= 0: truncation is floor
+                i = i if i < top else top
                 frac = t - i
                 base += i * stride
-                w = [c * g for g in (1.0 - frac, frac) for c in w]   # in corner order
+                # in corner order; the first axis's weights are its factors (times 1.0)
+                w = [1.0 - frac, frac] if w is None else \
+                    [c * g for g in (1.0 - frac, frac) for c in w]
             else:
-                out = 0.0                  # from +0.0, corner by corner, as below
-                for wk, offset in zip(w, self._offsets[:, 0].tolist()):
-                    out = out + wk * self._flat[base + offset]
-                return np.asarray(out)
+                # the corner sum: from +0.0, corner by corner, as below; in float
+                # rows by plain loops, as a list comprehension costs more than
+                # the sum in Python 3.11
+                if self._size > FLOAT_SUM_MAX:
+                    out = 0.0
+                    for wk, offset in zip(w, self._corners):
+                        out = out + wk * self._flat[base + offset]
+                    return np.asarray(out)
+                rows = self._rows
+                if rows is None:
+                    rows = self._rows = self._flat.reshape(len(self._flat), -1).tolist()
+                corners, out = self._corners, []
+                w0, w1 = w[0], w[1]        # two corners at least, in one pass
+                for a, b in zip(rows[base + corners[0]], rows[base + corners[1]]):
+                    out.append(0.0 + w0 * a + w1 * b)
+                if len(w) > 2:             # the corners of further axes
+                    for wk, offset in zip(w[2:], corners[2:]):
+                        for j, v in enumerate(rows[base + offset]):
+                            out[j] += wk * v
+                if len(self.value_shape) == 1:
+                    return np.array(out)
+                arr = np.empty(self.value_shape)    # owns its data, unlike a reshaped view
+                arr.flat = out
+                return arr
         yf = y.reshape(-1, len(self._strides))
         t = (np.minimum(np.maximum(yf, self._lower), self._upper) - self._lower) / self._spacing
         # t >= 0, so truncation is floor; the max(., 0) keeps a NaN row (cast to
@@ -198,6 +237,12 @@ class GridFunction:
         for term in terms:
             out += term
         return out.reshape(y.shape[:-1] + self.value_shape)
+
+    def _same_grid(self, other):
+        """Whether `other` is sampled on this function's grid (box and nodes)."""
+        return (np.array_equal(self._lower, other._lower)
+                and np.array_equal(self._upper, other._upper)
+                and self.domain.shape == other.domain.shape)
 
     def node_norms(self):
         if self.value_norm is not None:
@@ -244,9 +289,7 @@ class GridStack:
     def __init__(self, fns):
         head = fns[0]
         for f in fns[1:]:
-            if f.value_shape != head.value_shape or not (
-                    np.array_equal(f._lower, head._lower) and np.array_equal(f._upper, head._upper)
-                    and f.domain.shape == head.domain.shape):
+            if f.value_shape != head.value_shape or not head._same_grid(f):
                 raise ValueError("stacked grid functions need one grid and one value shape")
         self._head = head
         self._flat = np.concatenate([f._flat for f in fns])
@@ -266,6 +309,45 @@ class GridStack:
             reader._offsets = self._head._offsets + np.repeat(self._starts, per_block)
             self._readers[per_block] = reader
         return reader(y)
+
+
+# -- named blocks of a flat axis ----------------------------------------------
+
+class _Blocks:
+    """Named blocks of a flat last axis (an RK4 state, or the values of a
+    joint grid function): the blocks, of the given shape tuples, sit side by
+    side in order on that axis."""
+
+    def __init__(self, *shapes):
+        cuts = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
+        self.blocks = [(slice(a, b), s, len(s) == 1) for a, b, s in zip(cuts, cuts[1:], shapes)]
+
+    def split(self, u):
+        """Each block of u as a view in its own shape over u's leading axes."""
+        lead = u.shape[:-1]
+        return [u[..., k] if flat else u[..., k].reshape(lead + s) for k, s, flat in self.blocks]
+
+    def join(self, lead, *parts):
+        """The flat state of one part per block, each broadcast to lead + its shape."""
+        out = []
+        for p, (_, s, flat) in zip(parts, self.blocks, strict=True):
+            if p.shape != lead + s:
+                p = np.broadcast_to(p, lead + s)
+            out.append(p if flat else p.reshape(lead + (-1,)))
+        return np.concatenate(out, axis=-1)
+
+
+def _joint_reader(*fns):
+    """One interpolation for several grid functions on one grid.
+
+    Their node values sit side by side on one flattened value axis of a
+    single GridFunction; the returned reader maps y to the list of their
+    values at y, each in its own value shape (equal to calling each).
+    """
+    grid = fns[0].domain
+    blocks = _Blocks(*[f.value_shape for f in fns])
+    joint = GridFunction(grid, blocks.join(grid.shape, *[f.values for f in fns]))
+    return lambda y: blocks.split(joint(y))
 
 
 @dataclass

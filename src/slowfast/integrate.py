@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FastSlowSystem
+from .core import FastSlowSystem, _Blocks
 from .errors import (CapabilityError, ContractionError, ConvergenceError,
                      NumericError, PreconditionError)
 
@@ -144,31 +144,6 @@ def flow(sys: FastSlowSystem, x0, y0, t_span, cfg: IntegratorConfig) -> OrbitPat
                              cfg.steps_for(t1 - t0))
     m = sys.m
     return OrbitPath(times, states[:, :m].copy(), states[:, m:].copy())
-
-
-# -- named state blocks ---------------------------------------------------------
-
-class _Blocks:
-    """Named blocks of a flat RK4 state: the blocks, of the given shape tuples,
-    sit side by side in order on the state's last axis."""
-
-    def __init__(self, *shapes):
-        cuts = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
-        self.blocks = [(slice(a, b), s, len(s) == 1) for a, b, s in zip(cuts, cuts[1:], shapes)]
-
-    def split(self, u):
-        """Each block of u as a view in its own shape over u's leading axes."""
-        lead = u.shape[:-1]
-        return [u[..., k] if flat else u[..., k].reshape(lead + s) for k, s, flat in self.blocks]
-
-    def join(self, lead, *parts):
-        """The flat state of one part per block, each broadcast to lead + its shape."""
-        out = []
-        for p, (_, s, flat) in zip(parts, self.blocks, strict=True):
-            if p.shape != lead + s:
-                p = np.broadcast_to(p, lead + s)
-            out.append(p if flat else p.reshape(lead + (-1,)))
-        return np.concatenate(out, axis=-1)
 
 
 # -- the fast process (a two-parameter semigroup) -----------------------------

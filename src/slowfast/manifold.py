@@ -18,12 +18,11 @@ from typing import Optional
 import numpy as np
 
 from .certify import ConstantsCertificate
-from .core import FastSlowSystem, GridFunction, GridStack
+from .core import FastSlowSystem, GridFunction, GridStack, _Blocks, _joint_reader
 from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
                      PreconditionError)
-from .integrate import (ContractionReport, IntegratorConfig, _Blocks,
-                        _graph_fields, _sweep, bounded_solution_batch, flow,
-                        truncation_horizon, two_pass)
+from .integrate import (ContractionReport, IntegratorConfig, _graph_fields, _sweep,
+                        bounded_solution_batch, flow, truncation_horizon, two_pass)
 
 
 TOL_FIXED_POINT = 1e-9      # sweep residual at which the manifold and derivative solves stop
@@ -182,19 +181,6 @@ def _dh_horizon(cert):
         raise InfeasibleBudgetError("derivative budget N1(rho+1) >= mu - K*M1x")
     amp = max(cert.K * max(cert.M1y, 1e-6) / rate, 10 * TOL_BOUNDED)
     return math.log(amp / TOL_BOUNDED) / rate
-
-
-def _joint_reader(*fns):
-    """One interpolation for several grid functions on one grid.
-
-    Their node values sit side by side on one flattened value axis of a
-    single GridFunction; the returned reader maps y to the list of their
-    values at y, each in its own value shape (equal to calling each).
-    """
-    grid = fns[0].domain
-    blocks = _Blocks(*[f.value_shape for f in fns])
-    joint = GridFunction(grid, blocks.join(grid.shape, *[f.values for f in fns]))
-    return lambda y: blocks.split(joint(y))
 
 
 def _derivative_map(sys, fields, T, cfg_int):

@@ -16,11 +16,11 @@ from typing import Optional
 import numpy as np
 
 from .certify import ConstantsCertificate
-from .core import FastSlowSystem, _graph_transform
+from .core import FastSlowSystem, GridFunction, _Blocks, _graph_transform, _joint_reader
 from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
                      PreconditionError, UnderdeterminedError)
-from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _Blocks,
-                        _full_field, _jet, _sweep, flow, rk4_final, rk4_path)
+from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _full_field, _jet,
+                        _sweep, flow, rk4_final, rk4_path)
 
 
 TOL_DEFECT = 1e-10      # a query's defect sweep residual; sets its and dp_point's horizons
@@ -33,18 +33,23 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None) -> FastSlowSystem:
         Ft(xt, y) = F(xt + h(y), y) - Dh(y) g(xt + h(y), y),
         gt(xt, y) = g(xt + h(y), y),
 
-    with the manifold at {xt = 0}.  Every evaluation reads the jet (h(y),
-    Dh(y)) once, and gt reads h alone; the joint field eval_Fg evaluates g
-    once.  h, dh may be GridFunctions (from lp_solve/dh_solve) or smooth
-    callables.  Its DF needs the second derivative of h; without d2h the
-    straightened system carries no DF and derivative-consuming operations
-    will raise.  The transform is the one `core.localize` shifts by.
+    with the manifold at {xt = 0}.  h, dh may be GridFunctions (from
+    lp_solve/dh_solve) or smooth callables.  Every evaluation but gt's reads
+    the jet (h(y), Dh(y)) once: by one interpolation of both when they are
+    grid functions on one grid, else by a call of each; gt reads h alone, and
+    the joint field eval_Fg evaluates g once.  Its DF needs the second
+    derivative of h; without d2h the straightened system carries no DF and
+    derivative-consuming operations will raise.  The transform is the one
+    `core.localize` shifts by.
     """
     shifted, lin = _graph_transform(sys)
     m = sys.m
 
-    def jet(y):
-        return np.asarray(h(y), dtype=float), np.asarray(dh(y), dtype=float)
+    if isinstance(h, GridFunction) and isinstance(dh, GridFunction) and h._same_grid(dh):
+        jet = _joint_reader(h, dh)
+    else:
+        def jet(y):
+            return np.asarray(h(y), dtype=float), np.asarray(dh(y), dtype=float)
 
     def Ft(xt, y):
         return shifted(xt, y, *jet(y))[0]

@@ -144,6 +144,29 @@ class TestReduceCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scen.json"]
 
 
+@pytest.mark.parametrize("command, doc, extra", [
+    ("certify", {"system": "L1", "checks": ["manifold"], "dt": 0.1}, []),
+    ("slow-manifold", {"system": "L2", "eps": 0.1, "reduction_points": [[0.3, 0.2]]}, []),
+    ("reduce", {"system": "L2", "eps": 0.1, "reduction_points": [[0.3, 0.2]]},
+     ["--point", "1.0,0.0"]),
+], ids=["certify-checks", "slow-manifold-reduction_points", "reduce-reduction_points"])
+def test_run_only_scenario_keys_usage_error(tmp_path, monkeypatch, command, doc, extra):
+    """Only run reads a scenario's checks and reduction_points; the other
+    commands refuse them: exit 1 before any stage, and nothing written."""
+    ran = []
+    monkeypatch.setattr(harness, "_stage_certify",
+                        _recording(ran, "_stage_certify", harness._stage_certify))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(doc))
+    assert run_cli(command, "--scenario", str(scen), *extra, "--out", str(tmp_path / "o")) == 1
+    assert ran == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scen.json"]
+    # run keeps both keys
+    spec = cli._spec_from_args(cli.make_parser().parse_args(["run", "--scenario", str(scen)]))
+    assert (spec.checks, spec.reduction_points) == (doc.get("checks"),
+                                                    doc.get("reduction_points"))
+
+
 def _recording(calls, name, fn):
     def wrapped(*args, **kwargs):
         calls.append(name)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowfast import integrate, manifold, systems
-from slowfast.core import (FastSlowSystem, GridDomain, GridFunction, GridStack,
+from slowfast.core import (FLOAT_SUM_MAX, FastSlowSystem, GridDomain, GridFunction, GridStack,
                            check_derivatives, chi, dchi, localize, vector_norm)
 from slowfast.errors import PreconditionError
 from slowfast.integrate import IntegratorConfig, bounded_solution_batch, flow
@@ -141,7 +141,8 @@ class TestGridFunction:
         assert np.float64(gf.lipschitz_estimate()).tobytes() == np.float64(best).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("value_shape", [(), (2,), (2, "n"), (2, "n", "n")])
+    @pytest.mark.parametrize("value_shape", [(), (2,), (2, "n"), (2, "n", "n"),
+                                             (FLOAT_SUM_MAX + 1,)])   # summed in numpy
     def test_matches_loop_reference_bytes(self, n, value_shape):
         rng = np.random.default_rng(n)
         dom = GridDomain(np.linspace(-1.0, 0.0, n), np.linspace(0.5, 2.0, n),
@@ -166,6 +167,7 @@ class TestGridFunction:
                 got, want = gf(point), _loop_interp(gf, point)
                 assert got.shape == want.shape == vshape
                 assert got.tobytes() == want.tobytes()
+                assert got.base is None           # no view keeping a second array alive
 
     def test_nan_input_gives_nan(self):
         dom = GridDomain([0.0, 0.0], [1.0, 2.0], [4, 5])
@@ -192,6 +194,20 @@ class TestGridFunction:
             assert got.shape == (k,) + lead + value_shape
             for j, f in enumerate(fns):
                 assert got[j].tobytes() == f(y[j]).tobytes()
+
+    def test_stack_of_functions_read_at_a_point_bytes(self):
+        """Functions already read at one slow state (so holding their float
+        rows) stack as before, and each still reads its own values."""
+        rng = np.random.default_rng(4)
+        dom = GridDomain([-1.0], [1.0], [7])
+        fns = [GridFunction(dom, rng.standard_normal(dom.shape + (2,))) for _ in range(3)]
+        point = np.array([0.3])
+        before = [f(point).tobytes() for f in fns]
+        y = rng.uniform(-1.2, 1.2, size=(3, 5, 1))
+        got = GridStack(fns)(y)
+        for j, f in enumerate(fns):
+            assert got[j].tobytes() == f(y[j]).tobytes() == _loop_interp(f, y[j]).tobytes()
+            assert f(point).tobytes() == before[j] == _loop_interp(f, point).tobytes()
 
     def test_stack_needs_one_grid_and_one_leading_block_per_function(self):
         dom = GridDomain([0.0], [1.0], [5])

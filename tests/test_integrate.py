@@ -10,12 +10,12 @@ import pytest
 import slowfast
 from slowfast import integrate, reduction
 from slowfast.certify import ConstantsCertificate
-from slowfast.core import FastSlowSystem, GridDomain
+from slowfast.core import FastSlowSystem, GridDomain, _Blocks
 from slowfast.errors import ConvergenceError, NumericError, PreconditionError
-from slowfast.integrate import (ContractionReport, IntegratorConfig, OrbitPath, _Blocks,
-                                _full_field, _graph_fields, _sweep, bounded_solution_batch,
-                                flow, process_apply, rk4_final, rk4_path,
-                                truncation_horizon, variational_flow)
+from slowfast.integrate import (ContractionReport, IntegratorConfig, OrbitPath, _full_field,
+                                _graph_fields, _sweep, bounded_solution_batch, flow,
+                                process_apply, rk4_final, rk4_path, truncation_horizon,
+                                variational_flow)
 from slowfast.manifold import TOL_FIXED_POINT, d2h_solve, dh_solve, lp_solve
 from slowfast.reduction import e_norm_sweep, q_along_orbit
 from slowfast.systems import build_l1, build_l2, build_q1

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from slowfast.certify import ConstantsCertificate, assemble_certificate
-from slowfast.core import FastSlowSystem, GridDomain, GridFunction
+from slowfast.core import FastSlowSystem, GridDomain, GridFunction, _Blocks, _joint_reader
 from slowfast.errors import ContractionError, NumericError, PreconditionError
-from slowfast.integrate import IntegratorConfig, _Blocks, two_pass
+from slowfast.integrate import IntegratorConfig, two_pass
 from slowfast.harness import _random_ball_sigma
-from slowfast.manifold import (TOL_FIXED_POINT, _derivative_map, _dh_horizon, _joint_reader,
-                               _lp_apply, d2h_solve, dh_solve, eqv_residual,
-                               fd_derivative_error, invariance_residual, lp_map,
-                               lp_map_batch, lp_solve)
+from slowfast.manifold import (TOL_FIXED_POINT, _derivative_map, _dh_horizon, _lp_apply,
+                               d2h_solve, dh_solve, eqv_residual, fd_derivative_error,
+                               invariance_residual, lp_map, lp_map_batch, lp_solve)
 from slowfast.systems import build_coupled, build_l1, build_nf1, build_q1, l1_h, q1_dh, q1_h
 
 CFG = IntegratorConfig(dt=0.01)
@@ -172,9 +171,10 @@ class TestOneInterpolationPerStage:
         dh, _ = q1_dh_solved
         w2 = GridFunction(sys.domain, np.random.default_rng(0).standard_normal(
             sys.domain.shape + (1, 1, 1)))
-        y = np.random.default_rng(1).uniform(-1.2, 1.2, size=(3, 7, 1))
-        for got, f in zip(_joint_reader(h, dh, w2)(y), (h, dh, w2)):
-            assert got.shape == f(y).shape and got.tobytes() == f(y).tobytes()
+        ys = np.random.default_rng(1).uniform(-1.2, 1.2, size=(3, 7, 1))
+        for y in (ys, ys[0, 0]):                  # a batch, and one point
+            for got, f in zip(_joint_reader(h, dh, w2)(y), (h, dh, w2)):
+                assert got.shape == f(y).shape and got.tobytes() == f(y).tobytes()
 
 
 class TestLpSolve:

@@ -219,6 +219,47 @@ class TestStraighten:
             assert got.shape == want.shape == lead + (rows, d)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name", ["Q1", "coupled"])
+    @pytest.mark.parametrize("lead", [(), (7,)], ids=["point", "batch"])
+    def test_grid_jet_one_read_bytes(self, name, lead, monkeypatch):
+        """Grid-function h and Dh on one grid are read by one interpolation per
+        evaluation (gt reads h alone, DF adds D2h), and every field equals the
+        straightening by the same values called one function at a time."""
+        if name == "Q1":
+            sys = build_q1(0.1)
+            h = lambda y: q1_h(y[..., 0], 0.1)[..., None]
+            dh = lambda y: q1_dh(y[..., 0], 0.1)[..., None, None]
+            d2h = lambda y: np.full(y.shape[:-1] + (1, 1, 1), 2.0)
+        else:                             # nonzero D_x g, so every chain-rule term counts
+            sys = build_coupled()
+            h = lambda y: 0.3 * np.sin(y)
+            dh = lambda y: 0.3 * np.cos(y)[..., None]
+            d2h = lambda y: -0.3 * np.sin(y)[..., None, None]
+        h, dh, d2h = (GridFunction.from_callable(sys.domain, f) for f in (h, dh, d2h))
+        st = straighten(sys, h, dh, d2h=d2h)
+        ref = straighten(sys, lambda y: h(y), lambda y: dh(y), d2h=lambda y: d2h(y))
+        rng = np.random.default_rng(12)
+        xt = rng.uniform(-0.5, 0.5, lead + (sys.m,))
+        y = rng.uniform(-1.1, 1.1, lead + (sys.n,))       # some points outside the box
+        calls = Counter()
+        call = GridFunction.__call__
+
+        def counted(f, y):
+            calls["interp"] += 1
+            return call(f, y)
+
+        monkeypatch.setattr(GridFunction, "__call__", counted)
+        for field, reads in (("eval_F", 1), ("eval_g", 1), ("eval_Fg", 1), ("eval_DF", 2),
+                             ("eval_Dg", 1)):
+            calls.clear()
+            got = getattr(st, field)(xt, y)
+            assert calls["interp"] == reads, field
+            want = getattr(ref, field)(xt, y)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+        calls.clear()
+        assert st.eval_A0(y).tobytes() == ref.eval_A0(y).tobytes()
+        assert calls["interp"] == 1 + 2
+
     def test_fused_field_calls_h_and_g_once(self):
         calls = Counter()
 
