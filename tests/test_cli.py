@@ -331,6 +331,33 @@ FAILURE_PATHS = {
          *_skips("stage slow_manifold did not run", "manifold", "analytic_h", "eqv_residual"),
          *_skips("stage derivative did not run", "derivative_fd"),
          *_skips("stage slow_manifold did not run", "contraction", "norm_bound")]),
+    "Q1-no-smoothness-budget": (
+        ("--system", "Q1", "--dt", "0.1", "--override", "rho=0.5"), 2,
+        [("certify", "ok", None), ("slow_manifold", "ok", None),
+         ("derivative", "error",
+          "ContractionError: certificate does not satisfy the smoothness budget")],
+        [("hypotheses", "fail", None), ("manifold", "pass", None),
+         ("analytic_h", "pass", None), ("eqv_residual", "pass", None),
+         *_skips("stage derivative did not run", "derivative_fd"),
+         ("contraction", "pass", None), ("norm_bound", "pass", None)]),
+    "L1-no-order-2-budget": (
+        ("--system", "L1", "--dt", "0.1", "--grid", "21", "--derivative", "2",
+         "--override", "N1=0.12", "--override", "rho=3"), 2,
+        [("certify", "ok", None), ("slow_manifold", "ok", None), ("derivative", "ok", None),
+         ("second_derivative", "error",
+          "InfeasibleBudgetError: order-2 budget violated "
+          "(needs 2 N1 < mu - K M1x and the k=2 inequality)")],
+        [("hypotheses", "pass", None), ("manifold", "pass", None),
+         ("analytic_h", "pass", None), ("eqv_residual", "pass", None),
+         ("derivative_fd", "pass", None), ("contraction", "pass", None),
+         ("norm_bound", "pass", None)]),
+    "L2-no-reduction-budget": (
+        ("--system", "L2", "--dt", "0.1", "--override", "K=20", "--override", "mu=1"), 2,
+        [("certify", "ok", None), ("slow_manifold", "ok", None), ("derivative", "ok", None),
+         ("reduction", "error", "ContractionError: reduction budget K N1 < mu' violated")],
+        [("hypotheses", "fail", None), ("manifold", "pass", None),
+         ("analytic_h", "pass", None),
+         *_skips("stage reduction did not run", "reduction")]),
     "L1-no-derivative": (
         ("--system", "L1", "--dt", "0.1", "--grid", "21", "--derivative", "0"), 0,
         [("certify", "ok", None), ("slow_manifold", "ok", None)],
