@@ -27,8 +27,7 @@ xi, eta = 1.0, 0.0
 res = q_along_orbit(ssys, [xi], [eta], scert, cfg)
 print(f"query at (xi, eta) = ({xi}, {eta})")
 print(f"  P = {res.P[0]:.8f}   closed form eta + eps*xi = {l2_P(xi, eta, 0.1):.8f}")
-print(f"  |Q|/|xi| = {res.E_ratio:.6f}   certified cap "
-      f"{scert.K * scert.N1 / (scert.mu - scert.K * scert.N1):.6f}")
+print(f"  |Q|/|xi| = {res.E_ratio:.6f}   certified cap {scert.e_ratio_bound():.6f}")
 
 semi = semiconjugacy_residual(ssys, res, 10.0, cfg, cert=scert)
 print(f"  semiconjugacy residual over [0, 10]: {semi:.2e}")

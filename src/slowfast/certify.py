@@ -5,8 +5,8 @@ driven linear systems.
 
 Sampled values are falsifiable estimates, not proofs: sups are approached from
 below, decay rates from above.  Every hypothesis predicate is a pure function
-of the certificate fields, applied with a configurable relative margin to
-absorb sampling noise.
+of the certificate fields, applied with the relative margin HYPOTHESIS_MARGIN
+to absorb sampling noise.
 """
 
 from __future__ import annotations
@@ -17,18 +17,21 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import FastSlowSystem
-from .errors import (CapabilityError, InfeasibleBudgetError, NoDecayError,
-                     NumericError, PreconditionError)
+from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
+                     NoDecayError, NumericError, PreconditionError)
 from .integrate import IntegratorConfig, _process_field, _rk4
 
 CERTIFICATE_FIELDS = ("K", "mu", "M0", "M1x", "M1y", "N0", "N1", "delta", "rho")
 LIPSCHITZ_SAMPLES = 2000    # sample budget of the certificate's Lipschitz bundle
 PROCESS_HORIZON = 10.0      # time span over which the certificate samples process norms
+HYPOTHESIS_MARGIN = 0.01    # relative slack of every strict budget inequality
 
 
 @dataclass(frozen=True)
 class ConstantsCertificate:
-    """The constant bundle with per-field provenance and hypothesis predicates."""
+    """The constant bundle with per-field provenance, and every budget,
+    contraction factor, bound and horizon read from it: no other module does
+    arithmetic on the fields.  Each budget reads gap(w, k) = mu' - k N1 (w+1)."""
 
     K: float = float("nan")
     mu: float = float("nan")
@@ -40,11 +43,10 @@ class ConstantsCertificate:
     delta: float = float("nan")
     rho: float = float("nan")
     provenance: dict = field(default_factory=dict)
-    margin: float = 0.01
 
     def _lt(self, lhs, rhs):
         """Strict inequality with relative safety margin."""
-        return lhs * (1.0 + self.margin) < rhs
+        return lhs * (1.0 + HYPOTHESIS_MARGIN) < rhs
 
     @property
     def H_ok(self):
@@ -53,15 +55,21 @@ class ConstantsCertificate:
 
     @property
     def existence_ok(self):
-        gap = self.contraction_rate() - self.N1 * (self.delta + 1.0)
-        return (self.H_ok and gap > 0.0
-                and self._lt(self.K * self.M1y, self.delta * gap))
+        gap = self.gap(self.delta)
+        return self.H_ok and gap > 0.0 and self._lt(self.K * self.M1y, self.delta * gap)
 
     @property
     def smooth_ok(self):
-        gap = self.contraction_rate() - self.N1 * (self.rho + 1.0)
-        return (self.H_ok and gap > 0.0
-                and self._lt(self.K * self.M1y, self.rho * gap))
+        gap = self.gap(self.rho)
+        return self.H_ok and gap > 0.0 and self._lt(self.K * self.M1y, self.rho * gap)
+
+    @property
+    def d2h_ok(self):
+        """The order-2 budget: 2 N1 < mu' and K M1y < (2 (rho+1) - 1) gap(rho, 2)."""
+        if not 2.0 * self.N1 < self.contraction_rate():
+            return False
+        g2 = self.gap(self.rho, order=2)
+        return g2 > 0 and self.K * self.M1y < (2.0 * (self.rho + 1.0) - 1.0) * g2
 
     @property
     def reduction_ok(self):
@@ -75,15 +83,80 @@ class ConstantsCertificate:
         """mu' = mu - K M1x, the decay rate of the straightened fast component."""
         return self.mu - self.K * self.M1x
 
+    def gap(self, weight, order=1):
+        """mu' - order N1 (weight + 1), the decay left at an order-k weight."""
+        return self.contraction_rate() - order * self.N1 * (weight + 1.0)
+
     def lp_ratio(self):
         """Contraction factor of the manifold map on the delta-ball."""
-        gap = self.contraction_rate() - self.N1 * (self.delta + 1.0)
-        return self.K * self.M1y / ((self.delta + 1.0) * gap)
+        return self.K * self.M1y / ((self.delta + 1.0) * self.gap(self.delta))
 
     def dh_ratio(self):
         """Contraction factor of the derivative map at weight rho."""
-        gap = self.contraction_rate() - self.N1 * (self.rho + 1.0)
-        return self.K * self.M1y / (self.rho * gap)
+        return self.K * self.M1y / (self.rho * self.gap(self.rho))
+
+    def dh_sup_bound(self):
+        """Sup bound on Dh, for slow paths confined to the box."""
+        return self.K * self.M1y / self.gap(self.rho)
+
+    def norm_bound(self):
+        """K M0 / mu + K M1y / mu', the theorem-level sup bound on h."""
+        return self.K * self.M0 / self.mu + self.K * self.M1y / self.contraction_rate()
+
+    def e_ratio_bound(self):
+        """K N1 / (mu' - K N1), the cap on |Q| / |xi| of a reduction query."""
+        return self.K * self.N1 / max(self.contraction_rate() - self.K * self.N1, 1e-300)
+
+    def slow_prefactor_bound(self, xi_norm):
+        """K e_ratio_bound() |xi|, the prefactor bound of the slow gap's decay."""
+        return self.K * self.e_ratio_bound() * xi_norm
+
+    def defect_ratio(self):
+        """K N1 / mu', the defect map's contraction factor, once K N1 < mu' holds."""
+        mu_p = self.contraction_rate()
+        if not self.reduction_ok or self.K * self.N1 >= mu_p:
+            raise ContractionError("reduction budget K N1 < mu' violated")
+        return self.K * self.N1 / mu_p
+
+    def lp_horizon(self, tol):
+        """Backward T with K 2 (K M0 / mu + delta) e^{-mu' T} <= tol (NaN delta: 0)."""
+        rate = self.contraction_rate()
+        if rate <= 0:
+            raise ContractionError("no positive contraction rate: K*M1x >= mu")
+        delta = self.delta if np.isfinite(self.delta) else 0.0
+        amplitude = max(2.0 * (self.K * self.M0 / self.mu + delta), 10 * tol)
+        return math.log(self.K * amplitude / tol) / rate
+
+    def dh_horizon(self, tol):
+        """Backward T of the derivative map, at rate gap(rho)."""
+        rate = self.gap(self.rho)
+        if rate <= 0:
+            raise InfeasibleBudgetError("derivative budget N1(rho+1) >= mu - K*M1x")
+        amp = max(self.K * max(self.M1y, 1e-6) / rate, 10 * tol)
+        return math.log(amp / tol) / rate
+
+    def d2h_horizon(self, tol):
+        """Backward T of the order-2 map, at rate gap(rho, 2); needs d2h_ok."""
+        rate = self.gap(self.rho, order=2)
+        return math.log(max(self.K * max(self.M1y, 1e-6) / (rate * tol), 10.0)) / rate
+
+    def forward_horizon(self, xi_norm, tol):
+        """Smallest T with K e^{-mu' T} |xi| <= tol / (2 N1 (1 + e_ratio_bound()))."""
+        denom = 2.0 * self.N1 * (1.0 + self.e_ratio_bound())
+        if denom <= 0 or xi_norm == 0:
+            return 0.0
+        target = tol / denom
+        if self.K * xi_norm <= target:
+            return 0.0
+        return math.log(self.K * xi_norm / target) / self.contraction_rate()
+
+    def dp_horizon(self, xi_norm, tol):
+        """Forward T of dP, at rate gap(0, 2) = mu' - 2 N1."""
+        rate = self.gap(0.0, order=2)
+        if rate <= 0:
+            raise InfeasibleBudgetError("derivative budget 2 N1 < mu' violated")
+        amp = max(self.K * max(xi_norm, 1.0) * (self.N1 + 1.0), 10 * tol)
+        return math.log(amp / tol) / rate
 
     def hypothesis_table(self):
         def status(flag, needed):
@@ -107,15 +180,14 @@ class ConstantsCertificate:
     def to_json(self):
         data = {f: getattr(self, f) for f in CERTIFICATE_FIELDS}
         data["provenance"] = dict(self.provenance)
-        data["margin"] = self.margin
+        data["margin"] = HYPOTHESIS_MARGIN
         data["hypotheses"] = {name: st for name, st in self.hypothesis_table()}
         return json.dumps(data, indent=2, sort_keys=True, allow_nan=True)
 
     @classmethod
     def from_dict(cls, data):
         kw = {f: float(data.get(f, float("nan"))) for f in CERTIFICATE_FIELDS}
-        return cls(provenance=dict(data.get("provenance", {})),
-                   margin=float(data.get("margin", 0.01)), **kw)
+        return cls(provenance=dict(data.get("provenance", {})), **kw)
 
 
 # -- (H1): process bound ------------------------------------------------------
@@ -357,7 +429,7 @@ def rho_budget(cert: ConstantsCertificate):
         raise InfeasibleBudgetError("no admissible rho above delta")
 
     def feasible(rho):
-        g = gap - cert.N1 * (rho + 1.0)
+        g = cert.gap(rho)
         return g > 0 and cert.K * cert.M1y < rho * g
 
     grid = np.linspace(delta, cap, 512)[1:-1]

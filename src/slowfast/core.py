@@ -377,7 +377,6 @@ class FastSlowSystem:
     Dg: Optional[Callable] = None
     D2F: Optional[Callable] = None
     D2g: Optional[Callable] = None
-    boundary_flag: bool = False
     norm_kind: str = "euclidean"
     meta: dict = field(default_factory=dict)
     Fg: Optional[Callable] = None
@@ -634,5 +633,5 @@ def localize(sys: FastSlowSystem, jet0, radius, tol=1e-8) -> FastSlowSystem:
 
     return FastSlowSystem(m=sys.m, n=sys.n, F=lambda xt, y: F_cut(xt, y)[0], g=g_loc,
                           A0=lambda y: lin(y, *jet0(y)),
-                          domain=sys.domain, boundary_flag=sys.boundary_flag,
-                          norm_kind=sys.norm_kind, meta=dict(sys.meta), Fg=Fg_loc)
+                          domain=sys.domain, norm_kind=sys.norm_kind, meta=dict(sys.meta),
+                          Fg=Fg_loc)

@@ -332,7 +332,7 @@ def _stage_reduction(spec, state):
         xis = rng.uniform(-0.5, 0.5, size=(n_q, sys.m))
         etas = sys.domain.sample(rng, n_q)
         points = [[x.tolist(), e.tolist()] for x, e in zip(xis, etas)]
-    bound = scert.K * scert.N1 / max(scert.mu - scert.K * scert.N1, 1e-300)
+    bound = scert.e_ratio_bound()
 
     queried = [q_along_orbit(ssys, np.atleast_1d(xi), np.atleast_1d(eta), scert,
                              state["cfg_int"]) for xi, eta in points]
@@ -445,7 +445,7 @@ def _chk_norm_bound(spec, state):
     """Theorem-level sup bound on the eps = 0 manifold with >= 1% slack."""
     cert = state["cert"]
     h0 = _eps0_manifold(state, spec.horizon)
-    bound = cert.K * cert.M0 / cert.mu + cert.K * cert.M1y / cert.contraction_rate()
+    bound = cert.norm_bound()
     sup = h0.sup_norm()
     return _check("norm_bound", sup <= bound * 0.99, sup_norm=sup, bound=bound)
 

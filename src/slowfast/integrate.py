@@ -16,8 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import FastSlowSystem, _Blocks
-from .errors import (CapabilityError, ContractionError, ConvergenceError,
-                     NumericError, PreconditionError)
+from .errors import CapabilityError, ConvergenceError, NumericError, PreconditionError
 
 
 MAX_STEPS = 5_000_000       # steps of one pass; a longer pass is a ValueError
@@ -270,20 +269,6 @@ def _sweep(what, apply, u, report, tol, norm=np.abs):
 
 # -- bounded solution ---------------------------------------------------------
 
-def truncation_horizon(cert, tol):
-    """Backward horizon T with K * amplitude * e^{-rate T} <= tol.
-
-    The rate is the straightened contraction rate mu - K*M1x and the
-    amplitude the ball diameter 2*(K M0/mu + delta).
-    """
-    rate = cert.contraction_rate()
-    if rate <= 0:
-        raise ContractionError("no positive contraction rate: K*M1x >= mu")
-    delta = cert.delta if np.isfinite(cert.delta) else 0.0
-    amplitude = max(2.0 * (cert.K * cert.M0 / cert.mu + delta), 10 * tol)
-    return math.log(cert.K * amplitude / tol) / rate
-
-
 def _graph_fields(sys, sig):
     """The slow drift on the graph of sig, the coupled (fast, slow) field, and
     the lift y -> (sig(y), y) that starts the coupled field on the graph."""
@@ -320,7 +305,7 @@ def bounded_solution_batch(sys: FastSlowSystem, sigma, etas, horizon,
     Integrates psi backward to -T, then (x' = F(x,y), y' = g(sigma(y), y))
     forward from (sigma(psi(-T)), psi(-T)).  The contraction at rate mu - K*M1x
     bounds the startup error by K e^{-(mu - K M1x) T} * 2(K M0/mu + delta), so
-    T = truncation_horizon(cert, tol) pins phi(0) to `tol`.  The tests
+    T = ConstantsCertificate.lp_horizon(tol) pins phi(0) to `tol`.  The tests
     cross-check it against Picard iteration of the variation-of-constants map."""
     slow_field, joint, lift = _graph_fields(sys, sigma)
     u0 = two_pass(slow_field, joint, np.asarray(etas, dtype=float), lift,

@@ -11,7 +11,6 @@ Jacobi sweeps: every node reads the previous iterate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +21,7 @@ from .core import FastSlowSystem, GridFunction, GridStack, _Blocks, _joint_reade
 from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
                      PreconditionError)
 from .integrate import (ContractionReport, IntegratorConfig, _graph_fields, _sweep,
-                        bounded_solution_batch, flow, truncation_horizon, two_pass)
+                        bounded_solution_batch, flow, two_pass)
 
 
 TOL_FIXED_POINT = 1e-9      # sweep residual at which the manifold and derivative solves stop
@@ -30,8 +29,8 @@ TOL_BOUNDED = 1e-10         # startup error of the bounded solution; sets the ho
 
 
 def _horizon(cert, horizon):
-    """The backward horizon: `horizon` if set, else the certificate's truncation rule."""
-    return truncation_horizon(cert, TOL_BOUNDED) if horizon is None else float(horizon)
+    """The backward horizon: `horizon` if set, else the certificate's lp_horizon."""
+    return cert.lp_horizon(TOL_BOUNDED) if horizon is None else float(horizon)
 
 
 # -- the manifold map ----------------------------------------------------------
@@ -82,11 +81,10 @@ def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate,
              cfg_int: IntegratorConfig = IntegratorConfig(), horizon=None):
     """Iterate the manifold map to its fixed point h on the system's grid.
 
-    `horizon` (None: the certificate's truncation rule) is the backward
-    horizon of every bounded solution.  Returns (h, report).  The report's
-    theoretical ratio is the certified contraction factor
-    K M1y / ((delta+1)(mu - K M1x - N1 (delta+1))); sweep residuals are
-    sup-norm changes between Jacobi sweeps.
+    `horizon` (None: `cert.lp_horizon(TOL_BOUNDED)`) is the backward horizon
+    of every bounded solution.  Returns (h, report).  The report's
+    theoretical ratio is the certified contraction factor `cert.lp_ratio()`;
+    sweep residuals are sup-norm changes between Jacobi sweeps.
     """
     if not cert.existence_ok:
         raise ContractionError("certificate does not satisfy the existence budget")
@@ -154,9 +152,8 @@ def invariance_residual(sys: FastSlowSystem, h, eta, t_max,
     """Integrate the full system from (h(eta), eta) and report max |x(t) - h(y(t))|.
 
     The graph of h is invariant over the slow box only: eta outside the box
-    is a PreconditionError.  Unless the system's boundary_flag is set, the
-    orbit is cut at its first sample outside the box, and the result is
-    flagged partial with that sample's time.
+    is a PreconditionError.  The orbit is cut at its first sample outside the
+    box, and the result is flagged partial with that sample's time.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if not sys.domain.contains(eta):
@@ -165,7 +162,7 @@ def invariance_residual(sys: FastSlowSystem, h, eta, t_max,
     path = flow(sys, x0, eta, (0.0, float(t_max)), cfg_int)
     fast, slow, exit_t = path.fast, path.slow, None
     inside = sys.domain.contains(slow)
-    if not (sys.boundary_flag or inside.all()):
+    if not inside.all():
         k = int(np.argmin(inside))            # >= 1: eta is inside
         fast, slow, exit_t = fast[:k + 1], slow[:k + 1], float(path.times[k])
     dev = sys.norm_x(fast - np.asarray(h(slow), dtype=float))
@@ -174,14 +171,6 @@ def invariance_residual(sys: FastSlowSystem, h, eta, t_max,
 
 
 # -- first derivative -------------------------------------------------------------
-
-def _dh_horizon(cert):
-    rate = cert.contraction_rate() - cert.N1 * (cert.rho + 1.0)
-    if rate <= 0:
-        raise InfeasibleBudgetError("derivative budget N1(rho+1) >= mu - K*M1x")
-    amp = max(cert.K * max(cert.M1y, 1e-6) / rate, 10 * TOL_BOUNDED)
-    return math.log(amp / TOL_BOUNDED) / rate
-
 
 def _derivative_map(sys, fields, T, cfg_int):
     """One application of the order-k derivative map (k = 1, 2) on the whole
@@ -242,27 +231,24 @@ def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
              cfg_int: IntegratorConfig = IntegratorConfig()):
     """Fixed point of the derivative map; returns (Dh field, report).
 
-    The theoretical ratio is K M1y / (rho (mu - K M1x - N1 (rho+1))).  The
-    certified sup bound on the result presumes slow paths confined to the box
-    (boundary-vanishing drift); for systems whose paths exit, constants
-    sampled on the box understate the effective ones and the bound is
-    reported in the diagnostics without being enforced.
+    The theoretical ratio is `cert.dh_ratio()` and the horizon
+    `cert.dh_horizon(TOL_BOUNDED)`.  The sup bound `cert.dh_sup_bound()`
+    presumes slow paths confined to the box; it is reported in the
+    diagnostics, not enforced.
     """
     if not sys.has_derivatives(1):
         raise CapabilityError("dh_solve needs DF and Dg")
     if not cert.smooth_ok:
         raise ContractionError("certificate does not satisfy the smoothness budget")
-    T = _dh_horizon(cert)
+    T = cert.dh_horizon(TOL_BOUNDED)
     report = ContractionReport(theoretical_ratio=cert.dh_ratio())
     report.diagnostics["horizon"] = T
     grid = h.domain
     w = GridFunction(grid, _sweep(
         "derivative", lambda W: _derivative_map(sys, (h, GridFunction(grid, W)), T, cfg_int),
         np.zeros(grid.shape + (sys.m, sys.n)), report, TOL_FIXED_POINT))
-    bound = cert.K * cert.M1y / (cert.contraction_rate() - cert.N1 * (cert.rho + 1))
-    report.diagnostics["sup_bound"] = bound
+    report.diagnostics["sup_bound"] = cert.dh_sup_bound()
     report.diagnostics["sup_norm"] = w.sup_norm()
-    report.diagnostics["sup_bound_applicable"] = bool(sys.boundary_flag)
     return w, report
 
 
@@ -288,14 +274,6 @@ def fd_derivative_error(h: GridFunction, dh: GridFunction):
 
 # -- second derivative -------------------------------------------------------------
 
-def _d2h_budget_ok(cert):
-    gap = cert.contraction_rate()
-    if not 2.0 * cert.N1 < gap:
-        return False
-    g2 = gap - 2.0 * cert.N1 * (cert.rho + 1.0)
-    return g2 > 0 and cert.K * cert.M1y < (2.0 * (cert.rho + 1.0) - 1.0) * g2
-
-
 def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
               cert: ConstantsCertificate, cfg_int: IntegratorConfig = IntegratorConfig()):
     """Fixed point of the order-2 variational integral system; returns
@@ -308,14 +286,12 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
     """
     if not sys.has_derivatives(2):
         raise CapabilityError("d2h_solve needs D2F and D2g")
-    if not _d2h_budget_ok(cert):
+    if not cert.d2h_ok:
         raise InfeasibleBudgetError("order-2 budget violated "
                                     "(needs 2 N1 < mu - K M1x and the k=2 inequality)")
     grid = h.domain
     m, n = sys.m, sys.n
-    rate = cert.contraction_rate() - 2.0 * cert.N1 * (cert.rho + 1.0)
-    T = math.log(max(cert.K * max(cert.M1y, 1e-6) / (rate * TOL_BOUNDED), 10.0)) / rate
-
+    T = cert.d2h_horizon(TOL_BOUNDED)
     report = ContractionReport()
     report.diagnostics["horizon"] = T
     W2 = _sweep("second-derivative",

@@ -9,7 +9,6 @@ point, so each query iterates a functional on that orbit's own time grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,8 +16,7 @@ import numpy as np
 
 from .certify import ConstantsCertificate
 from .core import FastSlowSystem, GridFunction, _Blocks, _graph_transform, _joint_reader
-from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
-                     PreconditionError, UnderdeterminedError)
+from .errors import CapabilityError, PreconditionError, UnderdeterminedError
 from .integrate import (ContractionReport, IntegratorConfig, OrbitPath, _full_field, _jet,
                         _sweep, flow, rk4_final, rk4_path)
 
@@ -87,8 +85,8 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None) -> FastSlowSystem:
                 return np.concatenate([dx, dy], axis=-1)
 
     return FastSlowSystem(m=m, n=sys.n, F=Ft, g=gt, A0=lambda y: lin(y, *jet(y)),
-                          domain=sys.domain, DF=DFt, Dg=Dgt, boundary_flag=sys.boundary_flag,
-                          norm_kind=sys.norm_kind, meta=dict(sys.meta), Fg=Fgt)
+                          domain=sys.domain, DF=DFt, Dg=Dgt, norm_kind=sys.norm_kind,
+                          meta=dict(sys.meta), Fg=Fgt)
 
 
 @dataclass
@@ -114,29 +112,6 @@ class ReductionResult:
             "measured_ratio": self.report.measured_ratio,
             "theoretical_ratio": self.report.theoretical_ratio,
         }
-
-
-def forward_horizon(cert, xi_norm, tol):
-    """Smallest T with K e^{-mu' T} |xi| below the defect tolerance budget."""
-    mu_p = cert.contraction_rate()
-    if mu_p <= 0:
-        raise ContractionError("straightened decay rate is not positive")
-    e_bound = cert.K * cert.N1 / max(mu_p - cert.K * cert.N1, 1e-300)
-    denom = 2.0 * cert.N1 * (1.0 + e_bound)
-    if denom <= 0 or xi_norm == 0:
-        return 0.0
-    target = tol / denom
-    if cert.K * xi_norm <= target:
-        return 0.0
-    return math.log(cert.K * xi_norm / target) / mu_p
-
-
-def _reduction_rate(cert):
-    """mu' of a certificate that satisfies the reduction budget K N1 < mu'."""
-    mu_p = cert.contraction_rate()
-    if not cert.reduction_ok or cert.K * cert.N1 >= mu_p:
-        raise ContractionError("reduction budget K N1 < mu' violated")
-    return mu_p
 
 
 def _defect_sweep(sys_t, times, xts, ys, report, tol):
@@ -168,17 +143,18 @@ def q_along_orbit(sys_t: FastSlowSystem, xi, eta, cert: ConstantsCertificate,
 
     from q_0 = 0 on the forward orbit of (xi, eta) of the straightened system
     sys_t; P = eta - q(0).  The measured sweep ratio must respect the
-    certified factor K N1 / mu'.  The sweep stops at TOL_DEFECT, which also
-    sets the forward horizon.
+    certified factor `cert.defect_ratio()` = K N1 / mu', which also checks the
+    reduction budget.  The sweep stops at TOL_DEFECT, which also sets the
+    forward horizon `cert.forward_horizon(|xi|, TOL_DEFECT)`.
 
     `cert` carries the straightened constants: its mu is the straightened
     decay rate and its N1 the straightened slow Lipschitz constant.
     """
-    mu_p = _reduction_rate(cert)
+    report = ContractionReport(theoretical_ratio=cert.defect_ratio())
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    T = forward_horizon(cert, float(sys_t.norm_x(xi)), TOL_DEFECT)
-    report = ContractionReport(theoretical_ratio=cert.K * cert.N1 / mu_p)
+    xin = float(sys_t.norm_x(xi))
+    T = cert.forward_horizon(xin, TOL_DEFECT)
 
     if T == 0.0:
         report.converged = True
@@ -189,7 +165,6 @@ def q_along_orbit(sys_t: FastSlowSystem, xi, eta, cert: ConstantsCertificate,
     q = _defect_sweep(sys_t, orbit.times, orbit.fast, orbit.slow, report, TOL_DEFECT)
     Q = q[0].copy()
     P = eta - Q
-    xin = float(sys_t.norm_x(xi))
     e_ratio = float(np.linalg.norm(Q)) / xin if xin > 0 else 0.0
     return ReductionResult(P=P, Q=Q, E_ratio=e_ratio, report=report,
                            xi=xi, eta=eta, horizon=T, orbit=orbit)
@@ -203,11 +178,11 @@ def e_norm_sweep(sys_t: FastSlowSystem, xis, etas, cert: ConstantsCertificate,
     the defect sweep of q_along_orbit on the whole batch, to TOL_E_NORM.  Returns
     (P (B, n), Q (B, n), E_ratio (B,)).
     """
-    _reduction_rate(cert)
+    cert.defect_ratio()                     # the reduction budget
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     xi_norms = sys_t.norm_x(xis)
-    T = max(forward_horizon(cert, float(np.max(xi_norms)), TOL_E_NORM), 2 * cfg_int.dt)
+    T = max(cert.forward_horizon(float(np.max(xi_norms)), TOL_E_NORM), 2 * cfg_int.dt)
     times, states = rk4_path(_full_field(sys_t), np.concatenate([xis, etas], axis=-1),
                              0.0, T, cfg_int.steps_for(T))
     q = _defect_sweep(sys_t, times, states[..., : sys_t.m], states[..., sys_t.m:],
@@ -300,7 +275,8 @@ def attraction_rate_fit(sys_t: FastSlowSystem, result: ReductionResult,
 
     Fits log-gap over the window where the gap exceeds the noise floor 1e-11; also
     fits the slow-component gap alone and compares its prefactor against the
-    certified bound K^2 N1 / (mu' - K N1) |xi|.
+    certified bound `cert.slow_prefactor_bound(|xi|)` = K E |xi|, E the cap
+    `cert.e_ratio_bound()`.
     """
     if not result.report.converged:
         raise PreconditionError("rate fit needs a converged result")
@@ -318,17 +294,15 @@ def attraction_rate_fit(sys_t: FastSlowSystem, result: ReductionResult,
     if np.max(slow_gap) > noise_floor:
         sfit = fit_exponential(list(zip(orbit.times, slow_gap)), noise_floor)
         out.slow_prefactor = sfit.prefactor
-        mu_p = cert.contraction_rate()
-        out.slow_prefactor_bound = (cert.K ** 2 * cert.N1
-                                    / max(mu_p - cert.K * cert.N1, 1e-300)
-                                    * float(sys_t.norm_x(result.xi)))
+        out.slow_prefactor_bound = cert.slow_prefactor_bound(float(sys_t.norm_x(result.xi)))
     return out
 
 
 def dp_point(sys_t: FastSlowSystem, result: ReductionResult,
              cert: ConstantsCertificate, cfg_int: IntegratorConfig = IntegratorConfig()):
     """First derivative of the reduction map at the query point (xi, eta) of
-    `result`, integrated over the horizon that pins it to TOL_DEFECT.
+    `result`, integrated over `cert.dp_horizon(|xi|, TOL_DEFECT)`, the horizon
+    that pins it to TOL_DEFECT.
 
     Integrates, in one pass: the straightened orbit, the defect q(t) (by its
     own ODE from the converged Q), the first variational flow U(t), the
@@ -339,14 +313,9 @@ def dp_point(sys_t: FastSlowSystem, result: ReductionResult,
     if not sys_t.has_derivatives(1):
         raise CapabilityError("dp_point needs derivatives of the straightened system "
                               "(smooth h with a second derivative)")
-    mu_p = cert.contraction_rate()
-    if 2.0 * cert.N1 >= mu_p:
-        raise InfeasibleBudgetError("derivative budget 2 N1 < mu' violated")
     m, n, d = sys_t.m, sys_t.n, sys_t.m + sys_t.n
     xi, eta = result.xi, result.eta
-
-    amp = max(cert.K * max(float(sys_t.norm_x(xi)), 1.0) * (cert.N1 + 1.0), 10 * TOL_DEFECT)
-    T = math.log(amp / TOL_DEFECT) / (mu_p - 2.0 * cert.N1)
+    T = cert.dp_horizon(float(sys_t.norm_x(xi)), TOL_DEFECT)
 
     blocks = _Blocks((d,), (n,), (d, d), (n, n), (n, d))     # z = (xt, y), q, U, Y, G
     zeros_m = np.zeros(m)

@@ -152,10 +152,10 @@ def l2_P(xi, eta, eps):
 def build_coupled(eps=0.02, domain=(-1.0, 1.0), points=81):
     """A genuinely coupled scalar system: the slow drift feels both variables,
     so the manifold map has a nonzero contraction factor and the reduction
-    defect Q is nonzero.  The drift vanishes smoothly on the box boundary
-    (boundary_flag), so orbits stay in the box for all time -- the setting in
-    which every global estimate is stated.  Used to make contraction and
-    defect-norm measurements non-trivial.
+    defect Q is nonzero.  The drift vanishes smoothly on the box boundary, so
+    orbits stay in the box for all time -- the setting in which every global
+    estimate is stated.  Used to make contraction and defect-norm
+    measurements non-trivial.
     """
     dom = _box(domain[0], domain[1], points)
     e = float(eps)
@@ -211,8 +211,7 @@ def build_coupled(eps=0.02, domain=(-1.0, 1.0), points=81):
         return out
 
     return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          D2F=D2F, D2g=None, boundary_flag=True,
-                          meta={"name": "coupled", "eps": e})
+                          D2F=D2F, D2g=None, meta={"name": "coupled", "eps": e})
 
 
 # -- VDP-cut ----------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from slowfast.certify import (ConstantsCertificate, _op_norm, assemble_certificate,
+from slowfast.certify import (HYPOTHESIS_MARGIN, ConstantsCertificate, _op_norm,
+                              assemble_certificate,
                               band_limited_drivers,
                               delta_budget, estimate_lipschitz,
                               estimate_process_bound, frozen_coefficient_window,
@@ -348,6 +349,16 @@ class TestCertificatePredicates:
         back = ConstantsCertificate.from_dict(data)
         assert back.K == cert.K and back.rho == cert.rho
         assert back.provenance["K"] == "sampled"
+
+    def test_margin_is_a_module_constant(self):
+        import json
+        cert = ConstantsCertificate(K=1.0, mu=1.0, M0=0.5, M1x=0.0, M1y=1.0,
+                                    N0=0.1, N1=0.0, delta=2.0, rho=2.0)
+        assert json.loads(cert.to_json())["margin"] == HYPOTHESIS_MARGIN == 0.01
+        assert cert._lt(1.0, 1.0 + 1.5 * HYPOTHESIS_MARGIN)
+        assert not cert._lt(1.0, 1.0 + 0.5 * HYPOTHESIS_MARGIN)
+        with pytest.raises(TypeError):
+            ConstantsCertificate(margin=0.02)
 
     def test_straightened_constants(self):
         cert = ConstantsCertificate(K=1.0, mu=1.0, M0=0.5, M1x=0.2, M1y=1.0,

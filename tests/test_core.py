@@ -330,7 +330,7 @@ def _reference_localize(sys, h0, radius, dh0):
         return sys.eval_g(chi_of(xt)[..., None] * xt + H(y), y)
 
     return FastSlowSystem(m=m, n=n, F=F_loc, g=g_loc, A0=A, domain=sys.domain,
-                          boundary_flag=sys.boundary_flag, norm_kind=sys.norm_kind)
+                          norm_kind=sys.norm_kind)
 
 
 def _zero_h(y):
@@ -531,7 +531,6 @@ def test_per_point_callables_rejected():
 
 def test_boundary_flag_drift_vanishes_on_boundary():
     sys = build_coupled()
-    assert sys.boundary_flag
     rng = np.random.default_rng(0)
     xs = rng.uniform(-1, 1, (20, 1))
     for edge in (sys.domain.lower, sys.domain.upper):

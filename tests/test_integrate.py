@@ -14,8 +14,7 @@ from slowfast.core import FastSlowSystem, GridDomain, _Blocks
 from slowfast.errors import ConvergenceError, NumericError, PreconditionError
 from slowfast.integrate import (ContractionReport, IntegratorConfig, OrbitPath, _full_field,
                                 _graph_fields, _sweep, bounded_solution_batch, flow,
-                                process_apply, rk4_final, rk4_path, truncation_horizon,
-                                variational_flow)
+                                process_apply, rk4_final, rk4_path, variational_flow)
 from slowfast.manifold import TOL_FIXED_POINT, d2h_solve, dh_solve, lp_solve
 from slowfast.reduction import e_norm_sweep, q_along_orbit
 from slowfast.systems import build_l1, build_l2, build_q1
@@ -320,7 +319,7 @@ L1_CERT = ConstantsCertificate(K=1.0, mu=1.0, M0=0.5, M1x=0.0, M1y=1.0,
 def bounded_at_zero(sys, etas, cert=L1_CERT, sigma=lambda y: np.zeros_like(y), tol=1e-9):
     """phi(0; eta, sigma) for each eta, over the truncation horizon of `cert`."""
     return bounded_solution_batch(sys, sigma, np.asarray(etas, dtype=float)[:, None],
-                                  truncation_horizon(cert, tol), CFG)[:, 0]
+                                  cert.lp_horizon(tol), CFG)[:, 0]
 
 
 def _picard_bounded(sys, sig, eta, T, cfg, tol):
@@ -382,7 +381,7 @@ class TestBoundedSolution:
     def test_horizon_stability(self):
         sys = build_l1(eps=0.1)
         zero = lambda y: np.zeros_like(y)
-        T = truncation_horizon(L1_CERT, 1e-9)
+        T = L1_CERT.lp_horizon(1e-9)
         a, b = (bounded_solution_batch(sys, zero, [[0.5]], horizon, CFG)[0, 0]
                 for horizon in (T, 2 * T))
         amp = 2 * (L1_CERT.K * L1_CERT.M0 / L1_CERT.mu + L1_CERT.delta)
@@ -393,7 +392,7 @@ class TestBoundedSolution:
         sys = build_q1(eps=0.1)
         fw = bounded_at_zero(sys, [0.4])[0]
         pc = _picard_bounded(sys, lambda y: np.zeros_like(y), [0.4],
-                             truncation_horizon(L1_CERT, 1e-9), CFG, 1e-9)
+                             L1_CERT.lp_horizon(1e-9), CFG, 1e-9)
         assert abs(fw - pc.fast[-1, 0]) < 1e-7
 
     def test_picard_raises_when_sweeps_run_out(self, monkeypatch):

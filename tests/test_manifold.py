@@ -8,7 +8,7 @@ from slowfast.core import FastSlowSystem, GridDomain, GridFunction, _Blocks, _jo
 from slowfast.errors import ContractionError, NumericError, PreconditionError
 from slowfast.integrate import IntegratorConfig, two_pass
 from slowfast.harness import _random_ball_sigma
-from slowfast.manifold import (TOL_FIXED_POINT, _derivative_map, _dh_horizon, _lp_apply,
+from slowfast.manifold import (TOL_BOUNDED, TOL_FIXED_POINT, _derivative_map, _lp_apply,
                                d2h_solve, dh_solve, eqv_residual, fd_derivative_error,
                                invariance_residual, lp_map, lp_map_batch, lp_solve)
 from slowfast.systems import build_coupled, build_l1, build_nf1, build_q1, l1_h, q1_dh, q1_h
@@ -335,7 +335,7 @@ class TestDh:
     def test_dh_map_fixed_point_l1(self, l1_solved):
         sys, cert, h, _ = l1_solved
         exact = GridFunction(sys.domain, np.ones(sys.domain.shape + (1, 1)))
-        out = _derivative_map(sys, (h, exact), _dh_horizon(cert), CFG)
+        out = _derivative_map(sys, (h, exact), cert.dh_horizon(TOL_BOUNDED), CFG)
         assert np.max(np.abs(out - 1.0)) <= 1e-8
 
     def test_dh_solve_l1(self, l1_solved):
@@ -351,9 +351,6 @@ class TestDh:
         err = np.max(np.abs(dh(nodes)[:, 0, 0] - q1_dh(nodes[:, 0], 0.1)))
         assert err <= 1e-4
         assert rep.measured_ratio <= rep.theoretical_ratio * 1.05 + 1e-6
-        # Q1's slow paths exit the box backward, so the box-sampled sup bound
-        # is informational only there
-        assert not rep.diagnostics["sup_bound_applicable"]
 
     def test_dh_sup_bound_boundary_confined(self, coupled, coupled_solved):
         sys, cert = coupled
@@ -558,8 +555,7 @@ class TestUniquenessSurrogate:
         # backward-forward shooting: any orbit bounded on both ends must sit
         # on the manifold at t = 0
         sys, cert, h, _ = q1_solved
-        from slowfast.integrate import bounded_solution_batch, truncation_horizon
+        from slowfast.integrate import bounded_solution_batch
         etas = np.array([-0.7, 0.0, 0.6])
-        phi = bounded_solution_batch(sys, h, etas[:, None], truncation_horizon(cert, 1e-9),
-                                     CFG)
+        phi = bounded_solution_batch(sys, h, etas[:, None], cert.lp_horizon(1e-9), CFG)
         assert np.max(np.abs(phi[:, 0] - q1_h(etas, 0.1))) <= 1e-7
