@@ -11,7 +11,7 @@ from .certify import (ConstantsCertificate, assemble_certificate, delta_budget,
                       estimate_lipschitz, estimate_process_bound,
                       frozen_coefficient_window, rho_budget, slow_drift_budget,
                       spectral_gap_check, straightened_constants)
-from .core import FastSlowSystem, GridDomain, GridFunction, check_derivatives, localize
+from .core import FastSlowSystem, GridDomain, GridFunction, localize
 from .errors import (CapabilityError, ContractionError, ConvergenceError,
                      InfeasibleBudgetError, NoDecayError, NumericError,
                      PreconditionError, SchemaError, SlowfastError,

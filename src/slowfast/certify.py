@@ -348,8 +348,10 @@ def estimate_lipschitz(sys: FastSlowSystem, n_samples=2000, x_radius=2.0,
         done += b
         ys = sys.domain.sample(rng, b)
         xs = rng.uniform(-x_radius, x_radius, size=(b, sys.m))
-        # the base point's values, evaluated once and shared by every quotient
-        r0, f0, g0 = sys.R0(xs, ys), sys.eval_F(xs, ys), sys.eval_g(xs, ys)
+        # the base point's values, evaluated once and shared by every quotient;
+        # r0 is R0(xs, ys) from f0, by the operations `R0` performs
+        f0, g0 = sys.eval_F(xs, ys), sys.eval_g(xs, ys)
+        r0 = f0 - np.einsum("...ij,...j->...i", sys.eval_A0(ys), xs)
 
         values["M0"] = max(values["M0"], float(np.max(sys.norm_x(r0))))
         values["N0"] = max(values["N0"], float(np.max(sys.norm_y(g0))))

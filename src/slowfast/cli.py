@@ -245,7 +245,7 @@ def _add_common(p, with_point=False):
     p.add_argument("--horizon", type=float)
     if not with_point:          # reduce always solves Dh and never D2h
         p.add_argument("--derivative", type=int, choices=(0, 1, 2))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="sampling seed (default: the scenario's, else 0)")
     p.add_argument("--out")
     p.add_argument("--override", action="append", metavar="KEY=VALUE",
                    help="certificate constant override")

@@ -167,12 +167,6 @@ class GridFunction:
         self._rows = None
 
     @classmethod
-    def from_callable(cls, domain, fn):
-        """Sample fn, which takes the (N, n) array of all nodes, on the grid."""
-        vals = np.asarray(fn(domain.node_coords()), dtype=float)
-        return cls(domain, vals.reshape(domain.shape + vals.shape[1:]))
-
-    @classmethod
     def zeros(cls, domain, value_shape=(), value_norm=None):
         return cls(domain, np.zeros(domain.shape + tuple(value_shape)), value_norm=value_norm)
 
@@ -483,35 +477,6 @@ def _central_diff(fn, u):
         du[..., i] = h
         cols.append((np.asarray(fn(u + du)) - np.asarray(fn(u - du))) / (2 * h))
     return np.stack(cols, axis=-1)
-
-
-def check_derivatives(sys: FastSlowSystem, n_points=100, x_radius=1.0):
-    """Max relative mismatch between supplied Jacobians and central differences,
-    at points drawn with seed 0.
-
-    Also checks that A0 matches D_x F(0, y).  Raises nothing; returns the
-    worst relative error so callers/tests can assert against their tolerance.
-    """
-    rng = np.random.default_rng(0)
-    ys = sys.domain.sample(rng, n_points)
-    xs = rng.uniform(-x_radius, x_radius, size=(n_points, sys.m))
-    worst = 0.0
-
-    def rel(a, b):
-        return float(np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b))))
-
-    for x, y in zip(xs, ys):
-        joint = lambda u: sys.eval_F(u[: sys.m], u[sys.m:])
-        fd = _central_diff(joint, np.concatenate([x, y]))
-        a0fd = _central_diff(lambda u: sys.eval_F(u, y), np.zeros(sys.m))
-        worst = max(worst, rel(a0fd, sys.eval_A0(y)))
-        if sys.DF is not None:
-            worst = max(worst, rel(fd, sys.eval_DF(x, y)))
-        if sys.Dg is not None:
-            gfd = _central_diff(lambda u: sys.eval_g(u[: sys.m], u[sys.m:]),
-                                np.concatenate([x, y]))
-            worst = max(worst, rel(gfd, sys.eval_Dg(x, y)))
-    return worst
 
 
 # -- graph coordinates --------------------------------------------------------

@@ -269,6 +269,12 @@ def _error_entry(name, exc):
 
 def _stage_certify(spec, state):
     sys = state["sys"] = build_scenario_system(spec)
+    # each reduction point has m numbers in xi and n in eta (the count rule of
+    # `reduce --point`), checked before any sampling or solve
+    for i, (xi, eta) in enumerate(spec.reduction_points or ()):
+        if np.size(xi) != sys.m or np.size(eta) != sys.n:
+            raise SchemaError(f"reduction point {i} {[xi, eta]!r}: xi must have {sys.m} "
+                              f"entries and eta {sys.n}")
     # a set dt is the step of the certificate and of every solve; without one,
     # the certificate samples at the default step and picks the solves' step
     cfg_int = IntegratorConfig() if spec.dt is None else IntegratorConfig(dt=float(spec.dt))
@@ -299,7 +305,7 @@ def _stage_derivative(spec, state):
     state["dh"], state["fd_error"] = dh, fd_derivative_error(state["h"], dh)
     return {"converged": rep.converged, "sweeps": rep.iterations,
             "fd_error": state["fd_error"],
-            "sup_norm": dh.sup_norm(), "sup_bound": rep.diagnostics.get("sup_bound")}
+            "sup_norm": dh.sup_norm(), "sup_bound": cert.dh_sup_bound()}
 
 
 def _stage_d2(spec, state):

@@ -95,13 +95,10 @@ def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate,
         raise PreconditionError("initial iterate lies outside the certified ball")
     T = _horizon(cert, horizon)
     report = ContractionReport(theoretical_ratio=cert.lp_ratio())
-    report.diagnostics["horizon"] = T
-    report.diagnostics["ball_radius"] = radius
     h = zero.with_values(_sweep(
         "manifold", lambda v: _lp_apply(sys, [zero.with_values(v)], T, cfg_int)[0].values,
         zero.values, report, TOL_FIXED_POINT, sys.norm_x))
     report.diagnostics["in_ball"] = bool(_ball_check(h, radius))
-    report.diagnostics["sup_norm"] = h.sup_norm()
     return h, report
 
 
@@ -233,8 +230,8 @@ def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
 
     The theoretical ratio is `cert.dh_ratio()` and the horizon
     `cert.dh_horizon(TOL_BOUNDED)`.  The sup bound `cert.dh_sup_bound()`
-    presumes slow paths confined to the box; it is reported in the
-    diagnostics, not enforced.
+    presumes slow paths confined to the box; the derivative stage reports it
+    beside the solved field's sup norm, and nothing enforces it.
     """
     if not sys.has_derivatives(1):
         raise CapabilityError("dh_solve needs DF and Dg")
@@ -242,13 +239,10 @@ def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
         raise ContractionError("certificate does not satisfy the smoothness budget")
     T = cert.dh_horizon(TOL_BOUNDED)
     report = ContractionReport(theoretical_ratio=cert.dh_ratio())
-    report.diagnostics["horizon"] = T
     grid = h.domain
     w = GridFunction(grid, _sweep(
         "derivative", lambda W: _derivative_map(sys, (h, GridFunction(grid, W)), T, cfg_int),
         np.zeros(grid.shape + (sys.m, sys.n)), report, TOL_FIXED_POINT))
-    report.diagnostics["sup_bound"] = cert.dh_sup_bound()
-    report.diagnostics["sup_norm"] = w.sup_norm()
     return w, report
 
 
@@ -293,7 +287,6 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
     m, n = sys.m, sys.n
     T = cert.d2h_horizon(TOL_BOUNDED)
     report = ContractionReport()
-    report.diagnostics["horizon"] = T
     W2 = _sweep("second-derivative",
                 lambda W: _derivative_map(sys, (h, dh, GridFunction(grid, W)), T, cfg_int),
                 np.zeros(grid.shape + (m, n, n)), report, TOL_FIXED_POINT)

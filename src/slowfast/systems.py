@@ -21,8 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (FastSlowSystem, GridDomain, _smooth_step, _smooth_step_prime, chi,
-                   dchi, localize)
+from .core import FastSlowSystem, GridDomain, chi, dchi, localize
 
 
 def _box(lo, hi, points):
@@ -145,73 +144,6 @@ def build_l2(eps=0.1, domain=(-1.0, 1.0), points=41):
 def l2_P(xi, eta, eps):
     """Closed-form reduction map of L2: the slow drift eta + eps xi."""
     return np.asarray(eta, dtype=float) + eps * np.asarray(xi, dtype=float)
-
-
-# -- coupled variant (not in the named registry) ---------------------------------
-
-def build_coupled(eps=0.02, domain=(-1.0, 1.0), points=81):
-    """A genuinely coupled scalar system: the slow drift feels both variables,
-    so the manifold map has a nonzero contraction factor and the reduction
-    defect Q is nonzero.  The drift vanishes smoothly on the box boundary, so
-    orbits stay in the box for all time -- the setting in which every global
-    estimate is stated.  Used to make contraction and defect-norm
-    measurements non-trivial.
-    """
-    dom = _box(domain[0], domain[1], points)
-    e = float(eps)
-    lo, hi = float(domain[0]), float(domain[1])
-    width = 0.25 * (hi - lo)
-
-    def beta(y):
-        # 1 in the core of the box, 0 on the boundary
-        edge = np.minimum(y - lo, hi - y) / width
-        return _smooth_step(edge)
-
-    def dbeta(y):
-        edge_lo = (y - lo) / width
-        edge_hi = (hi - y) / width
-        lower = edge_lo <= edge_hi
-        d = np.where(lower, _smooth_step_prime(edge_lo) / width,
-                     -_smooth_step_prime(edge_hi) / width)
-        return d
-
-    def base_g(x, y):
-        return 1.0 + 0.3 * np.tanh(x[..., 0]) + 0.2 * np.sin(y[..., 0])
-
-    def F(x, y):
-        return -x + 0.5 * y + 0.25 * np.sin(y) + 0.1 * np.tanh(x) ** 3
-
-    def g(x, y):
-        return (e * base_g(x, y) * beta(y[..., 0]))[..., None]
-
-    def A0(y):
-        return np.full(y.shape[:-1] + (1, 1), -1.0)
-
-    def DF(x, y):
-        t = np.tanh(x[..., 0])
-        out = np.empty(x.shape[:-1] + (1, 2))
-        out[..., 0, 0] = -1.0 + 0.3 * t * t * (1.0 - t * t)
-        out[..., 0, 1] = 0.5 + 0.25 * np.cos(y[..., 0])
-        return out
-
-    def Dg(x, y):
-        t = np.tanh(x[..., 0])
-        yy = y[..., 0]
-        out = np.empty(x.shape[:-1] + (1, 2))
-        out[..., 0, 0] = e * 0.3 * (1.0 - t * t) * beta(yy)
-        out[..., 0, 1] = e * (0.2 * np.cos(yy) * beta(yy) + base_g(x, y) * dbeta(yy))
-        return out
-
-    def D2F(x, y):
-        t = np.tanh(x[..., 0])
-        s2 = 1.0 - t * t
-        out = np.zeros(x.shape[:-1] + (1, 2, 2))
-        out[..., 0, 0, 0] = 0.1 * (6.0 * t * s2 * s2 - 6.0 * t ** 3 * s2)
-        out[..., 0, 1, 1] = -0.25 * np.sin(y[..., 0])
-        return out
-
-    return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          D2F=D2F, D2g=None, meta={"name": "coupled", "eps": e})
 
 
 # -- VDP-cut ----------------------------------------------------------------------

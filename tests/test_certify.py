@@ -156,14 +156,24 @@ class TestLipschitz:
         assert cert.provenance["K"] == cert.provenance["mu"] == "supplied"
 
     def test_base_point_evaluated_once_per_chunk(self, monkeypatch):
-        """R0 at the base points once per chunk, plus its x-offset and random-pair
-        quotients: 3 calls per chunk of 1000 samples."""
-        calls = []
-        R0 = FastSlowSystem.R0
+        """F at the base points once per chunk, shared by the remainder and the
+        y-quotients: R0 only for its x-offset and random-pair quotients (2 calls
+        per chunk of 1000 samples), and F 5 times per chunk (the base point,
+        R0's two, the y-offset and the random-pair quotient)."""
+        calls, f_calls = [], []
+        R0, eval_F = FastSlowSystem.R0, FastSlowSystem.eval_F
         monkeypatch.setattr(FastSlowSystem, "R0",
                             lambda self, x, y: calls.append(len(x)) or R0(self, x, y))
+        monkeypatch.setattr(FastSlowSystem, "eval_F",
+                            lambda self, x, y: f_calls.append(len(x)) or eval_F(self, x, y))
         estimate_lipschitz(build_q1(eps=0.1), n_samples=2000, seed=0)
-        assert calls == [1000] * 6
+        assert calls == [1000] * 4
+        assert f_calls == [1000] * 10
+
+    def test_delta_override_marks_supplied(self):
+        cert = assemble_certificate(build_l1(), IntegratorConfig(dt=0.05),
+                                    overrides={"delta": 0.3})
+        assert cert.delta == 0.3 and cert.provenance["delta"] == "supplied"
 
     def test_monotone_in_budget(self):
         sys = build_q1(eps=0.1)

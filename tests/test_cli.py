@@ -292,6 +292,24 @@ class TestRunExitCodes:
         out = capsys.readouterr().out
         assert "check hypotheses: fail" in out and '"error"' not in out
 
+    def test_check_error_after_every_stage_sets_exit(self, monkeypatch, tmp_path):
+        """Every stage completes and two checks raise: the report is written
+        with both errors, and the exit code is the first one's."""
+        monkeypatch.setattr(harness, "_stage_certify", lambda spec, state: {"certificate": {}})
+        for stage in ("_stage_manifold", "_stage_derivative"):
+            monkeypatch.setattr(harness, stage, _quiet)
+        monkeypatch.setitem(harness._CHECKS, "hypotheses", _raising(NumericError))
+        monkeypatch.setitem(harness._CHECKS, "manifold", _raising(ConvergenceError))
+        monkeypatch.setitem(harness._DEFAULT_CHECKS, "L1", ["hypotheses", "manifold"])
+        out = tmp_path / "report.json"
+        assert run_cli(*SMALL_RUN, "--out", str(out)) == 4
+        report = json.loads(out.read_text())
+        assert [e["status"] for e in report["stages"]] == ["ok"] * 3
+        assert [(e["name"], e["status"], e["metrics"]["error"]) for e in report["checks"]] == [
+            ("hypotheses", "error", "NumericError: injected"),
+            ("manifold", "error", "ConvergenceError: injected")]
+        assert report["passed"] is False
+
     def test_error_class_defined_outside_the_package_sets_exit(self, monkeypatch):
         class LocalNumeric(NumericError):
             pass
@@ -441,6 +459,58 @@ class TestSpecFromArgs:
         spec = self.spec()
         assert spec == harness.ScenarioSpec(system="Q1")
 
+    @pytest.mark.parametrize("override", ["rho", "rho=abc"], ids=["no-equals", "not-a-number"])
+    def test_malformed_override_usage_error(self, capsys, override):
+        assert run_cli("certify", "--system", "L1", "--override", override) == 1
+        assert capsys.readouterr().err.startswith("error: override ")
+
+    @pytest.mark.parametrize("doc", [None, {"dt": 0.1}], ids=["no-scenario", "scenario"])
+    def test_no_system_usage_error(self, tmp_path, capsys, doc):
+        argv = ["run"]
+        if doc is not None:
+            scen = tmp_path / "scen.json"
+            scen.write_text(json.dumps(doc))
+            argv += ["--scenario", str(scen)]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == "error: --system is required\n"
+
+
+def test_scenario_seed_unless_the_flag_is_given(tmp_path):
+    """--seed overrides a scenario's seed only when it is given: a scenario
+    with seed 3 certifies with the bytes of --seed 3, not those of seed 0."""
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"system": "L2", "seed": 3, "dt": 0.1}))
+    runs = {"scenario": ["--scenario", str(scen)],
+            "flag": ["--system", "L2", "--dt", "0.1", "--seed", "3"],
+            "default": ["--system", "L2", "--dt", "0.1"]}
+    for name, argv in runs.items():
+        assert run_cli("certify", *argv, "--out", str(tmp_path / f"{name}.json")) == 0
+    read = lambda name: (tmp_path / f"{name}.json").read_bytes()
+    assert read("scenario") == read("flag") != read("default")
+    parse = lambda *flags: cli._spec_from_args(cli.make_parser().parse_args(
+        ["run", "--scenario", str(scen), *flags]))
+    assert (parse().seed, parse("--seed", "5").seed, parse("--seed", "0").seed) == (3, 5, 0)
+
+
+@pytest.mark.parametrize("point", [[[1.0, 2.0], 0.0], [0.5, [0.0, 1.0]]],
+                         ids=["long-xi", "long-eta"])
+def test_reduction_point_of_wrong_size_usage_error(tmp_path, monkeypatch, point):
+    """A scenario's reduction point whose xi does not have m entries, or whose
+    eta does not have n, exits 1 from the certify stage, before any solve, and
+    the report names the point."""
+    ran = []
+    monkeypatch.setattr(harness, "_stage_manifold",
+                        _recording(ran, "_stage_manifold", harness._stage_manifold))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"system": "L2", "dt": 0.05, "checks": ["reduction"],
+                                "reduction_points": [[0.3, 0.2], point]}))
+    out = tmp_path / "report.json"
+    assert run_cli("run", "--scenario", str(scen), "--out", str(out)) == 1
+    assert ran == []
+    stage = json.loads(out.read_text())["stages"][0]
+    assert (stage["name"], stage["status"]) == ("certify", "error")
+    assert stage["metrics"]["error"].startswith(f"SchemaError: reduction point 1 {point!r}:")
+
 
 class TestAtomicWrite:
     def test_no_partial_file_on_same_name(self, tmp_path):
@@ -451,3 +521,16 @@ class TestAtomicWrite:
         assert target.read_text() == "new"
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".slowfast-")]
         assert not leftovers
+
+    def test_no_temp_file_when_the_rename_fails(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.json"
+        target.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("injected")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        with pytest.raises(OSError, match="injected"):
+            cli._atomic_write(str(target), "new")
+        assert target.read_text() == "old"
+        assert os.listdir(tmp_path) == ["out.json"]

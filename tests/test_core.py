@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_coupled, check_derivatives, sampled
 from slowfast import integrate, manifold, systems
 from slowfast.core import (FLOAT_SUM_MAX, FastSlowSystem, GridDomain, GridFunction, GridStack,
-                           check_derivatives, chi, dchi, localize, vector_norm)
+                           chi, dchi, localize, vector_norm)
 from slowfast.errors import PreconditionError
 from slowfast.integrate import IntegratorConfig, bounded_solution_batch, flow
 from slowfast.manifold import eqv_residual
-from slowfast.systems import (build_coupled, build_l1, build_nf1, build_q1,
-                              build_vdp_cut, build_vdp_raw, vdp_branch, _vdp_jet)
+from slowfast.systems import (build_l1, build_nf1, build_q1, build_vdp_cut,
+                              build_vdp_raw, vdp_branch, _vdp_jet)
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -89,7 +90,7 @@ def _loop_interp(gf, y):
 class TestGridFunction:
     def test_exact_on_nodes(self):
         dom = GridDomain([0.0, 0.0], [1.0, 2.0], [4, 5])
-        gf = GridFunction.from_callable(dom, lambda y: np.stack(
+        gf = sampled(dom, lambda y: np.stack(
             [np.sin(y[:, 0] + y[:, 1]), y[:, 0] * y[:, 1]], axis=-1))
         nodes = dom.node_coords()
         exact = np.stack([np.sin(nodes[:, 0] + nodes[:, 1]),
@@ -103,7 +104,7 @@ class TestGridFunction:
         errs = []
         for pts in (9, 17, 33):
             dom = GridDomain([0.0], [1.0], [pts])
-            gf = GridFunction.from_callable(dom, f)
+            gf = sampled(dom, f)
             errs.append(np.max(np.abs(gf(probes) - f(probes))))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 1.8)
@@ -117,7 +118,7 @@ class TestGridFunction:
 
     def test_lipschitz_estimate_definition(self):
         dom = GridDomain([0.0], [1.0], [11])
-        gf = GridFunction.from_callable(dom, lambda y: 3.0 * y)
+        gf = sampled(dom, lambda y: 3.0 * y)
         assert gf.lipschitz_estimate() == pytest.approx(3.0)
 
     @pytest.mark.parametrize("kind", ["sup", "euclidean"])
@@ -171,7 +172,7 @@ class TestGridFunction:
 
     def test_nan_input_gives_nan(self):
         dom = GridDomain([0.0, 0.0], [1.0, 2.0], [4, 5])
-        gf = GridFunction.from_callable(dom, lambda y: y)
+        gf = sampled(dom, lambda y: y)
         with np.errstate(invalid="ignore"):
             out = gf(np.array([[np.nan, 0.5], [0.5, 0.5]]))
             point = gf(np.array([0.5, np.nan]))
@@ -221,7 +222,7 @@ class TestGridFunction:
 
     def test_clamped_extension_preserves_bounds(self):
         dom = GridDomain([0.0], [1.0], [11])
-        gf = GridFunction.from_callable(dom, lambda y: y * y)
+        gf = sampled(dom, lambda y: y * y)
         assert gf(np.array([[2.5]]))[0, 0] == pytest.approx(1.0)
         assert gf(np.array([[-1.0]]))[0, 0] == pytest.approx(0.0)
 

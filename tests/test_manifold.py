@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import sampled
 from slowfast.certify import ConstantsCertificate, assemble_certificate
 from slowfast.core import FastSlowSystem, GridDomain, GridFunction, _Blocks, _joint_reader
 from slowfast.errors import ContractionError, NumericError, PreconditionError
@@ -11,13 +12,13 @@ from slowfast.harness import _random_ball_sigma
 from slowfast.manifold import (TOL_BOUNDED, TOL_FIXED_POINT, _derivative_map, _lp_apply,
                                d2h_solve, dh_solve, eqv_residual, fd_derivative_error,
                                invariance_residual, lp_map, lp_map_batch, lp_solve)
-from slowfast.systems import build_coupled, build_l1, build_nf1, build_q1, l1_h, q1_dh, q1_h
+from slowfast.systems import build_l1, build_nf1, build_q1, l1_h, q1_dh, q1_h
 
 CFG = IntegratorConfig(dt=0.01)
 
 
 def grid_of(sys, fn):
-    return GridFunction.from_callable(sys.domain, fn)
+    return sampled(sys.domain, fn)
 
 
 class TestLpMap:

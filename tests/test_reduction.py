@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import build_coupled, sampled
 from slowfast import reduction
 from slowfast.certify import ConstantsCertificate, straightened_constants
 from slowfast.core import FastSlowSystem, GridDomain, GridFunction
@@ -16,7 +17,7 @@ from slowfast.integrate import IntegratorConfig, flow, rk4_path
 from slowfast.reduction import (attraction_rate_fit, decompose_orbit, dp_point,
                                 e_norm_sweep, q_along_orbit,
                                 semiconjugacy_residual, straighten)
-from slowfast.systems import build_coupled, build_q1, l1_h, l2_P, q1_dh, q1_h
+from slowfast.systems import build_q1, l1_h, l2_P, q1_dh, q1_h
 
 CFG = IntegratorConfig(dt=0.01)
 CFG5 = IntegratorConfig(dt=0.005)
@@ -184,8 +185,8 @@ class TestStraighten:
         h = lambda y: q1_h(y[..., 0], 0.1)[..., None]
         dh = lambda y: q1_dh(y[..., 0], 0.1)[..., None, None]
         if grid_h:
-            h = GridFunction.from_callable(sys.domain, h)
-            dh = GridFunction.from_callable(sys.domain, dh)
+            h = sampled(sys.domain, h)
+            dh = sampled(sys.domain, dh)
         st = straighten(sys, h, dh)
         rng = np.random.default_rng(5)
         xt = rng.uniform(-0.5, 0.5, lead + (sys.m,))
@@ -235,7 +236,7 @@ class TestStraighten:
             h = lambda y: 0.3 * np.sin(y)
             dh = lambda y: 0.3 * np.cos(y)[..., None]
             d2h = lambda y: -0.3 * np.sin(y)[..., None, None]
-        h, dh, d2h = (GridFunction.from_callable(sys.domain, f) for f in (h, dh, d2h))
+        h, dh, d2h = (sampled(sys.domain, f) for f in (h, dh, d2h))
         st = straighten(sys, h, dh, d2h=d2h)
         ref = straighten(sys, lambda y: h(y), lambda y: dh(y), d2h=lambda y: d2h(y))
         rng = np.random.default_rng(12)
