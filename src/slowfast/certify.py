@@ -53,15 +53,11 @@ class ConstantsCertificate:
         return (self.K >= 1.0 and self.mu > 0.0
                 and self._lt(self.K * self.M1x, self.mu))
 
-    @property
-    def existence_ok(self):
-        gap = self.gap(self.delta)
-        return self.H_ok and gap > 0.0 and self._lt(self.K * self.M1y, self.delta * gap)
-
-    @property
-    def smooth_ok(self):
-        gap = self.gap(self.rho)
-        return self.H_ok and gap > 0.0 and self._lt(self.K * self.M1y, self.rho * gap)
+    def budget_ok(self, weight):
+        """The order-1 budget at a weight, K M1y < weight gap(weight) under (H):
+        existence at delta, smoothness at rho."""
+        gap = self.gap(weight)
+        return self.H_ok and gap > 0.0 and self._lt(self.K * self.M1y, weight * gap)
 
     @property
     def d2h_ok(self):
@@ -169,9 +165,9 @@ class ConstantsCertificate:
             ("H2 contraction K*M1x < mu", status(self.H_ok, ("K", "mu", "M1x"))),
             ("H3 timescale N1 < mu - K*M1x",
              status(self._lt(self.N1, self.contraction_rate()), ("K", "mu", "M1x", "N1"))),
-            ("existence (delta budget)", status(self.existence_ok,
+            ("existence (delta budget)", status(self.budget_ok(self.delta),
                                                 ("K", "mu", "M1x", "M1y", "N1", "delta"))),
-            ("smoothness (rho budget)", status(self.smooth_ok,
+            ("smoothness (rho budget)", status(self.budget_ok(self.rho),
                                                ("K", "mu", "M1x", "M1y", "N1", "rho"))),
             ("S1 straightened decay", status(self.H_ok, ("K", "mu", "M1x"))),
             ("S2 reduction K*N1 < mu", status(self.reduction_ok, ("K", "mu", "N1"))),

@@ -4,11 +4,11 @@ Subcommands: certify, slow-manifold, reduce, run.  Each runs the stage
 functions of `harness` on one state; reduce straightens by the solved h and
 Dh, as the reduction stage of `run` does.  Exit codes are a stable
 contract: 0 success, 1 usage/schema error, 2 certificate infeasible,
-3 non-convergence, 4 numeric failure.  `run` always writes its report; when a
-stage or check raised, it exits with the code of the first error's class, as
-if that error had escaped.  All files are written atomically
-(temp file + rename); CSV uses '.' decimals, comma separators, a header row,
-and 17 significant digits.
+3 non-convergence, 4 numeric failure.  `run` always writes its report;
+then, when the first error a stage or check raised has an exit code, it
+re-raises that error, so `main` reports it as it reports an error escaping
+any command.  All files are written atomically (temp file + rename); CSV
+uses '.' decimals, comma separators, a header row, and 17 significant digits.
 """
 
 from __future__ import annotations
@@ -113,9 +113,12 @@ def _spec_from_args(args):
     for key in ("eps", "grid", "m", "dt", "horizon", "derivative", "seed", "out"):
         if getattr(args, key, None) is not None:
             data[key] = getattr(args, key)
+    # --override merges into the scenario's overrides, the flag winning per key;
+    # scenario overrides that are not a map stay as they are, for the schema to refuse
     ov = _parse_overrides(getattr(args, "override", None))
-    if ov:
-        data["overrides"] = ov
+    base = data.get("overrides")
+    if ov and (base is None or isinstance(base, dict)):
+        data["overrides"] = {**(base or {}), **ov}
     if not data.get("system"):
         raise SchemaError("--system is required")
     return ScenarioSpec.from_dict(data)
@@ -229,10 +232,9 @@ def cmd_run(args):
         print(text)
     for c in report["checks"]:
         print(f"check {c['name']}: {c['status']}")
-    if report["passed"]:
-        return EXIT_OK
-    row = None if exc is None else _exit_row(type(exc))
-    return row[0] if row else EXIT_NO_CONVERGENCE
+    if exc is not None and _exit_row(type(exc)):
+        raise exc
+    return EXIT_OK if report["passed"] else EXIT_NO_CONVERGENCE
 
 
 def _add_common(p, with_point=False):

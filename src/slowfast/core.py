@@ -29,13 +29,6 @@ from .errors import CapabilityError, PreconditionError
 
 NORM_KINDS = ("euclidean", "sup")
 BALL_SAFETY = 1.1      # factor on the Lipschitz estimate, a lower bound, in the ball norm
-# A one-point GridFunction read sums its corner rows in Python floats when a
-# value has at most FLOAT_SUM_MAX entries, else in numpy.  Per read (2 CPUs,
-# one BLAS thread, Python 3.11.7, numpy 2.4.6), on 101 nodes floats take
-# 0.6 / 0.9 / 1.2 / 1.5 / 2.9 us at 1 / 8 / 16 / 24 / 64 entries and numpy
-# 1.4-1.5 us; on 41 x 41 nodes floats take 1.3 / 2.5 / 2.7 us at 1 / 16 / 20
-# entries and numpy 2.5-2.6 us.
-FLOAT_SUM_MAX = 16
 
 
 def vector_norm(v, kind="euclidean"):
@@ -112,12 +105,6 @@ class GridDomain:
         return rng.uniform(self.lower, self.upper, size=(size, self.n))
 
 
-def _flat_norm(values):
-    """Euclidean norm over all trailing (value) axes, batched over the first axes."""
-    return np.sqrt(np.sum(values * values, axis=tuple(range(-(values.ndim - 1), 0)))) \
-        if values.ndim > 1 else np.abs(values)
-
-
 class GridFunction:
     """A map sigma: Vbar -> values sampled on the tensor grid, with multilinear
     interpolation between nodes.
@@ -132,8 +119,7 @@ class GridFunction:
     in Python floats with the array path's IEEE operations in its order, so it
     returns the same bytes without the per-call array set-up.  It sums the
     corner rows in floats too, from node rows kept as float lists once first
-    read, unless a value has more than FLOAT_SUM_MAX entries; then numpy sums
-    them.  Batches, NaN coordinates and GridStack reads (whose y carries the
+    read.  Batches, NaN coordinates and GridStack reads (whose y carries the
     block axis) take the array path.
 
     `value_norm` (default: the flat Euclidean norm) measures one value; like the
@@ -163,7 +149,6 @@ class GridFunction:
         self._axes = list(zip(*[a.tolist() for a in (self._lower, self._upper, self._spacing,
                                                      self._top, self._strides)]))
         self._corners = self._offsets[:, 0].tolist()
-        self._size = math.prod(self.value_shape)
         self._rows = None
 
     @classmethod
@@ -196,11 +181,6 @@ class GridFunction:
                 # the corner sum: from +0.0, corner by corner, as below; in float
                 # rows by plain loops, as a list comprehension costs more than
                 # the sum in Python 3.11
-                if self._size > FLOAT_SUM_MAX:
-                    out = 0.0
-                    for wk, offset in zip(w, self._corners):
-                        out = out + wk * self._flat[base + offset]
-                    return np.asarray(out)
                 rows = self._rows
                 if rows is None:
                     rows = self._rows = self._flat.reshape(len(self._flat), -1).tolist()
@@ -238,10 +218,16 @@ class GridFunction:
                 and np.array_equal(self._upper, other._upper)
                 and self.domain.shape == other.domain.shape)
 
-    def node_norms(self):
+    def _norms(self, values):
+        """The value norm of each value stacked on the first axis of `values`;
+        without a `value_norm`, the Euclidean norm over all value axes."""
         if self.value_norm is not None:
-            return self.value_norm(self._flat)
-        return _flat_norm(self._flat.reshape(self._flat.shape[0], -1))
+            return self.value_norm(values)
+        flat = values.reshape(len(values), -1)
+        return np.sqrt(np.sum(flat * flat, axis=-1))
+
+    def node_norms(self):
+        return self._norms(self._flat)
 
     def sup_norm(self):
         """Max over grid nodes of the value norm (exact on nodes by definition)."""
@@ -255,13 +241,8 @@ class GridFunction:
         dom = self.domain
         best = 0.0
         for a in range(dom.n):
-            d = np.diff(self.values, axis=a)
-            if self.value_norm is not None:
-                norms = self.value_norm(d.reshape((-1,) + self.value_shape))
-            else:
-                norms = _flat_norm(d.reshape(-1, int(np.prod(self.value_shape)) or 1))
-            if norms.size:
-                best = max(best, float(np.max(norms)) / dom.spacing[a])
+            d = np.diff(self.values, axis=a).reshape((-1,) + self.value_shape)
+            best = max(best, float(np.max(self._norms(d))) / dom.spacing[a])
         return best
 
     def ball_norm(self):

@@ -429,8 +429,7 @@ def _random_ball_sigma(sys, grid, radius, rng):
         ph = rng.uniform(0, 2 * np.pi)
         amp = rng.normal(size=sys.m)
         vals += np.sin(nodes @ om + ph)[:, None] * amp[None, :]
-    gf = GridFunction(grid, vals.reshape(grid.shape + (sys.m,)),
-                      value_norm=None if sys.norm_kind == "euclidean" else sys.norm_x)
+    gf = GridFunction(grid, vals.reshape(grid.shape + (sys.m,)), value_norm=sys.norm_x)
     bn = gf.ball_norm()
     scale = 0.5 * radius / bn if bn > 0 else 0.0
     return gf.with_values(gf.values * scale)

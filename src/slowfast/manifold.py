@@ -57,7 +57,7 @@ def lp_map_batch(sys: FastSlowSystem, sigmas, cert: ConstantsCertificate,
     batched two-pass; returns the list of images, each equal bit for bit to
     its own `lp_map`.  Every candidate must lie in the certified ball.
     """
-    if not cert.existence_ok:
+    if not cert.budget_ok(cert.delta):
         raise ContractionError("certificate does not satisfy the existence budget")
     sigmas = list(sigmas)
     radius = cert.ball_radius
@@ -86,10 +86,9 @@ def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate,
     theoretical ratio is the certified contraction factor `cert.lp_ratio()`;
     sweep residuals are sup-norm changes between Jacobi sweeps.
     """
-    if not cert.existence_ok:
+    if not cert.budget_ok(cert.delta):
         raise ContractionError("certificate does not satisfy the existence budget")
-    value_norm = None if sys.norm_kind == "euclidean" else sys.norm_x
-    zero = GridFunction.zeros(sys.domain, (sys.m,), value_norm=value_norm)
+    zero = GridFunction.zeros(sys.domain, (sys.m,), value_norm=sys.norm_x)
     radius = cert.ball_radius
     if not _ball_check(zero, radius):
         raise PreconditionError("initial iterate lies outside the certified ball")
@@ -235,7 +234,7 @@ def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
     """
     if not sys.has_derivatives(1):
         raise CapabilityError("dh_solve needs DF and Dg")
-    if not cert.smooth_ok:
+    if not cert.budget_ok(cert.rho):
         raise ContractionError("certificate does not satisfy the smoothness budget")
     T = cert.dh_horizon(TOL_BOUNDED)
     report = ContractionReport(theoretical_ratio=cert.dh_ratio())

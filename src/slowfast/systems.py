@@ -28,6 +28,20 @@ def _box(lo, hi, points):
     return GridDomain(np.atleast_1d(lo), np.atleast_1d(hi), np.atleast_1d(points))
 
 
+# -- the callables L1, Q1 and L2 share (m = n = 1) ----------------------------------
+
+def _a0_minus_one(y):
+    return np.full(y.shape[:-1] + (1, 1), -1.0)
+
+
+def _zero_Dg(x, y):
+    return np.zeros(x.shape[:-1] + (1, 2))
+
+
+def _zero_D2(x, y):
+    return np.zeros(x.shape[:-1] + (1, 2, 2))
+
+
 # -- L1 -------------------------------------------------------------------------
 
 def build_l1(eps=0.1, domain=(-0.5, 0.5), points=101):
@@ -39,24 +53,14 @@ def build_l1(eps=0.1, domain=(-0.5, 0.5), points=101):
     def g(x, y):
         return np.full(y.shape, float(eps))
 
-    def A0(y):
-        return np.full(y.shape[:-1] + (1, 1), -1.0)
-
     def DF(x, y):
         out = np.empty(x.shape[:-1] + (1, 2))
         out[..., 0, 0] = -1.0
         out[..., 0, 1] = 1.0
         return out
 
-    def Dg(x, y):
-        return np.zeros(x.shape[:-1] + (1, 2))
-
-    def D2F(x, y):
-        return np.zeros(x.shape[:-1] + (1, 2, 2))
-
-    D2g = D2F
-    return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          D2F=D2F, D2g=D2g,
+    return FastSlowSystem(m=1, n=1, F=F, g=g, A0=_a0_minus_one, domain=dom, DF=DF,
+                          Dg=_zero_Dg, D2F=_zero_D2, D2g=_zero_D2,
                           meta={"name": "L1", "eps": float(eps)})
 
 
@@ -75,28 +79,19 @@ def build_q1(eps=0.1, domain=(-1.0, 1.0), points=101):
     def g(x, y):
         return np.full(y.shape, float(eps))
 
-    def A0(y):
-        return np.full(y.shape[:-1] + (1, 1), -1.0)
-
     def DF(x, y):
         out = np.empty(x.shape[:-1] + (1, 2))
         out[..., 0, 0] = -1.0
         out[..., 0, 1] = 2.0 * y[..., 0]
         return out
 
-    def Dg(x, y):
-        return np.zeros(x.shape[:-1] + (1, 2))
-
     def D2F(x, y):
         out = np.zeros(x.shape[:-1] + (1, 2, 2))
         out[..., 0, 1, 1] = 2.0
         return out
 
-    def D2g(x, y):
-        return np.zeros(x.shape[:-1] + (1, 2, 2))
-
-    return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          D2F=D2F, D2g=D2g,
+    return FastSlowSystem(m=1, n=1, F=F, g=g, A0=_a0_minus_one, domain=dom, DF=DF,
+                          Dg=_zero_Dg, D2F=D2F, D2g=_zero_D2,
                           meta={"name": "Q1", "eps": float(eps)})
 
 
@@ -120,9 +115,6 @@ def build_l2(eps=0.1, domain=(-1.0, 1.0), points=41):
     def g(x, y):
         return float(eps) * x
 
-    def A0(y):
-        return np.full(y.shape[:-1] + (1, 1), -1.0)
-
     def DF(x, y):
         out = np.zeros(x.shape[:-1] + (1, 2))
         out[..., 0, 0] = -1.0
@@ -133,11 +125,8 @@ def build_l2(eps=0.1, domain=(-1.0, 1.0), points=41):
         out[..., 0, 0] = float(eps)
         return out
 
-    def D2(x, y):
-        return np.zeros(x.shape[:-1] + (1, 2, 2))
-
-    return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          D2F=D2, D2g=D2,
+    return FastSlowSystem(m=1, n=1, F=F, g=g, A0=_a0_minus_one, domain=dom, DF=DF, Dg=Dg,
+                          D2F=_zero_D2, D2g=_zero_D2,
                           meta={"name": "L2", "eps": float(eps)})
 
 
@@ -208,6 +197,8 @@ def build_vdp_cut(eps=0.005, domain=(-2.0, 0.0), points=81, radius=0.1):
 
 _NF1_SHIFT = 0.4
 _NF1_GAIN = 0.12
+_NF1_S0 = math.tanh(_NF1_SHIFT)          # the sigmoid's tangent line at 0: value
+_NF1_S0P = 1.0 - _NF1_S0 * _NF1_S0       # and slope
 
 
 def _nf1_kernel(m):
@@ -219,19 +210,14 @@ def _nf1_kernel(m):
 
 def _nf1_sigmoid(v):
     """Shifted tanh with its deviation from the tangent line cut off beyond |v| = 2."""
-    a = _NF1_SHIFT
-    s0 = math.tanh(a)
-    s0p = 1.0 - s0 * s0
-    t = np.tanh(v + a)
-    dev = t - s0 - s0p * v
+    s0, s0p = _NF1_S0, _NF1_S0P
+    dev = np.tanh(v + _NF1_SHIFT) - s0 - s0p * v
     return s0 + s0p * v + chi(np.abs(v) / 2.0) * dev   # chi at |v|/2: pure tanh up to 1
 
 
 def _nf1_sigmoid_prime(v):
-    a = _NF1_SHIFT
-    s0 = math.tanh(a)
-    s0p = 1.0 - s0 * s0
-    t = np.tanh(v + a)
+    s0, s0p = _NF1_S0, _NF1_S0P
+    t = np.tanh(v + _NF1_SHIFT)
     dev = t - s0 - s0p * v
     devp = (1.0 - t * t) - s0p
     cut = chi(np.abs(v) / 2.0)
@@ -247,8 +233,7 @@ def build_nf1(eps=0.01, m=64, domain=(0.5, 1.5), points=41):
     dom = _box(domain[0], domain[1], points)
     W, xi = _nf1_kernel(m)
     dxi = 1.0 / m
-    s0p = 1.0 - math.tanh(_NF1_SHIFT) ** 2
-    A_lin = W * (dxi * s0p)
+    A_lin = W * (dxi * _NF1_S0P)
 
     def F(u, y):
         s = _nf1_sigmoid(u)

@@ -27,13 +27,13 @@ XI_NORMS = (0.0, 0.3, 1.0, 2.5)
 
 # -- the inline formulas, verbatim ------------------------------------------------
 
-def ref_existence_ok(cert):                 # certify.ConstantsCertificate.existence_ok
+def ref_existence_ok(cert):                 # certify.ConstantsCertificate.budget_ok(delta)
     gap = cert.contraction_rate() - cert.N1 * (cert.delta + 1.0)
     return (cert.H_ok and gap > 0.0
             and cert._lt(cert.K * cert.M1y, cert.delta * gap))
 
 
-def ref_smooth_ok(cert):                    # certify.ConstantsCertificate.smooth_ok
+def ref_smooth_ok(cert):                    # certify.ConstantsCertificate.budget_ok(rho)
     gap = cert.contraction_rate() - cert.N1 * (cert.rho + 1.0)
     return (cert.H_ok and gap > 0.0
             and cert._lt(cert.K * cert.M1y, cert.rho * gap))
@@ -185,8 +185,8 @@ def test_certificates_cover_every_verdict(certificates):
 
 CASES = {
     # method: (call on the certificate, reference, argument tuples)
-    "existence_ok": (lambda c: c.existence_ok, ref_existence_ok, [()]),
-    "smooth_ok": (lambda c: c.smooth_ok, ref_smooth_ok, [()]),
+    "existence_ok": (lambda c: c.budget_ok(c.delta), ref_existence_ok, [()]),
+    "smooth_ok": (lambda c: c.budget_ok(c.rho), ref_smooth_ok, [()]),
     "d2h_ok": (lambda c: c.d2h_ok, ref_d2h_ok, [()]),
     "lp_ratio": (lambda c: c.lp_ratio(), ref_lp_ratio, [()]),
     "dh_ratio": (lambda c: c.dh_ratio(), ref_dh_ratio, [()]),

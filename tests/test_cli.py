@@ -459,6 +459,20 @@ class TestSpecFromArgs:
         spec = self.spec()
         assert spec == harness.ScenarioSpec(system="Q1")
 
+    def test_override_flags_merge_into_the_scenario_map(self, tmp_path, capsys):
+        """Each --override sets its own key of a scenario's overrides and keeps
+        the others; a scenario map that is not a map is still a schema error."""
+        scen = tmp_path / "scen.json"
+        parse = lambda *flags: cli._spec_from_args(cli.make_parser().parse_args(
+            ["run", "--scenario", str(scen), *flags]))
+        scen.write_text(json.dumps({"system": "L1", "overrides": {"K": 1.5, "mu": 0.75}}))
+        assert parse("--override", "N1=0.2").overrides == {"K": 1.5, "mu": 0.75, "N1": 0.2}
+        assert parse("--override", "mu=0.5").overrides == {"K": 1.5, "mu": 0.5}
+        assert parse().overrides == {"K": 1.5, "mu": 0.75}
+        scen.write_text(json.dumps({"system": "L1", "overrides": [["K", 1.5]]}))
+        assert run_cli("run", "--scenario", str(scen), "--override", "N1=0.2") == 1
+        assert capsys.readouterr().err.startswith("error: scenario key 'overrides' must be ")
+
     @pytest.mark.parametrize("override", ["rho", "rho=abc"], ids=["no-equals", "not-a-number"])
     def test_malformed_override_usage_error(self, capsys, override):
         assert run_cli("certify", "--system", "L1", "--override", override) == 1
@@ -510,6 +524,18 @@ def test_reduction_point_of_wrong_size_usage_error(tmp_path, monkeypatch, point)
     stage = json.loads(out.read_text())["stages"][0]
     assert (stage["name"], stage["status"]) == ("certify", "error")
     assert stage["metrics"]["error"].startswith(f"SchemaError: reduction point 1 {point!r}:")
+
+
+def test_run_stage_error_on_stderr(tmp_path, capsys):
+    """`run` writes its report, then prints the first stage error to stderr
+    as an error escaping a command prints, and exits with its code."""
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"system": "L2", "dt": 0.05, "checks": ["reduction"],
+                                "reduction_points": [[0.3, 0.2], [[1.0, 2.0], 0.0]]}))
+    out = tmp_path / "report.json"
+    assert run_cli("run", "--scenario", str(scen), "--out", str(out)) == 1
+    error = json.loads(out.read_text())["stages"][0]["metrics"]["error"]
+    assert capsys.readouterr().err == "error: " + error.removeprefix("SchemaError: ") + "\n"
 
 
 class TestAtomicWrite:

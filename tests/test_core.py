@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import build_coupled, check_derivatives, sampled
 from slowfast import integrate, manifold, systems
-from slowfast.core import (FLOAT_SUM_MAX, FastSlowSystem, GridDomain, GridFunction, GridStack,
-                           chi, dchi, localize, vector_norm)
+from slowfast.core import (FastSlowSystem, GridDomain, GridFunction, GridStack, chi, dchi,
+                           localize, vector_norm)
 from slowfast.errors import PreconditionError
 from slowfast.integrate import IntegratorConfig, bounded_solution_batch, flow
 from slowfast.manifold import eqv_residual
-from slowfast.systems import (build_l1, build_nf1, build_q1, build_vdp_cut,
+from slowfast.systems import (build_l1, build_l2, build_nf1, build_q1, build_vdp_cut,
                               build_vdp_raw, vdp_branch, _vdp_jet)
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -140,10 +140,16 @@ class TestGridFunction:
             diffs = np.diff(gf.values, axis=a).reshape(-1, m)
             best = max(best, float(np.max([norm(v) for v in diffs])) / dom.spacing[a])
         assert np.float64(gf.lipschitz_estimate()).tobytes() == np.float64(best).tobytes()
+        if kind == "euclidean":
+            # the default flat norm is vector_norm's for 1-D values, bit for bit,
+            # so a euclidean system may pass its norm_x as the value norm
+            plain = GridFunction(dom, gf.values)
+            assert plain.node_norms().tobytes() == gf.node_norms().tobytes()
+            assert plain.lipschitz_estimate().hex() == gf.lipschitz_estimate().hex()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("value_shape", [(), (2,), (2, "n"), (2, "n", "n"),
-                                             (FLOAT_SUM_MAX + 1,)])   # summed in numpy
+                                             (17,), (64,)])   # large values: NF1's h
     def test_matches_loop_reference_bytes(self, n, value_shape):
         rng = np.random.default_rng(n)
         dom = GridDomain(np.linspace(-1.0, 0.0, n), np.linspace(0.5, 2.0, n),
@@ -247,7 +253,7 @@ class TestEvalR0:
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("builder,kw", [
         (build_l1, {}), (build_q1, {}), (build_coupled, {"points": 21}),
-        (build_nf1, {"m": 16, "points": 5}),
+        (build_nf1, {"m": 16, "points": 5}), (build_l2, {}),
     ])
     def test_fd_match(self, builder, kw):
         sys = builder(**kw)
