@@ -149,7 +149,7 @@ class TestGridFunction:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("value_shape", [(), (2,), (2, "n"), (2, "n", "n"),
-                                             (17,), (64,)])   # large values: NF1's h
+                                             (17,), (64,)])   # summed in numpy
     def test_matches_loop_reference_bytes(self, n, value_shape):
         rng = np.random.default_rng(n)
         dom = GridDomain(np.linspace(-1.0, 0.0, n), np.linspace(0.5, 2.0, n),
