@@ -9,8 +9,11 @@
 #   slow-manifold.*    `slow-manifold --system Q1 --derivative 2 --dt 0.1`
 #   certify-nf1.out    the stdout of `certify --system NF1 --m 16 --dt 0.1`
 #   demo_*.out         the stdout of the four demos
-#   fail-1..5.json     the `run` reports of the five budget failures, each of
-#                      which must exit 2
+#   fail-1..6.json     the `run` reports of six failures, each of which must
+#                      exit 2: the five budget failures, and Q1 at --dt 5,
+#                      outside RK4's stability region for Q1's fast rate, so
+#                      certify raises NoDecayError and the run still writes
+#                      its report
 # Exits 1 on the first command that fails otherwise.  Two trees (or two hash
 # seeds) agree when every file of one DIR equals its namesake in the other.
 #
@@ -40,7 +43,8 @@ for args in "--system Q1 --dt 0.1 --override rho=0.5" \
             "--system L1 --dt 0.1 --grid 21 --derivative 2 --override N1=0.12 --override rho=3" \
             "--system L2 --dt 0.1 --override K=20 --override mu=1" \
             "--system L1 --dt 0.1 --grid 21 --override N1=10" \
-            "--system VDP-cut --eps -1 --dt 0.1"; do
+            "--system VDP-cut --eps -1 --dt 0.1" \
+            "--system Q1 --dt 5"; do
   i=$((i + 1))
   code=0
   slowfast run $args --out "$out/fail-$i.json" > /dev/null || code=$?

@@ -122,13 +122,14 @@ class GridFunction:
     value to round-off.  Evaluation outside the box uses constant (clamped)
     extension, which preserves both the sup norm and the Lipschitz estimate.
     The interpolation set-up (bounds, strides, cell corners) is done at construction.
-    A call at one slow state, y of shape (n,), finds its cell and corner weights
-    in Python floats with the array path's IEEE operations in its order, so it
-    returns the same bytes without the per-call array set-up.  It sums the
-    corner rows in floats too, from node rows kept as float lists once first
-    read, unless a value has more than FLOAT_SUM_MAX entries; then numpy sums
-    them.  Batches, NaN coordinates and GridStack reads (whose y carries the
-    block axis) take the array path.
+    On a one-axis grid (every named system's), a call at one slow state, y of
+    shape (1,), finds its cell and corner weights in Python floats with the
+    array path's IEEE operations in its order, so it returns the same bytes
+    without the per-call array set-up.  It sums the two corner rows in floats
+    too, from node rows kept as float lists once first read, unless a value has
+    more than FLOAT_SUM_MAX entries; then numpy sums them.  Batches, points on
+    grids of n >= 2 axes, a NaN coordinate and GridStack reads (whose y carries
+    the block axis) take the array path.
 
     `value_norm` (default: the flat Euclidean norm) measures one value; like the
     system callables it must broadcast over leading axes, as `sys.norm_x` does,
@@ -151,12 +152,10 @@ class GridFunction:
         self._upper_side = corners[:, None, :].astype(bool)            # (2^n, 1, n)
         self._offsets = (corners @ self._strides)[:, None]             # (2^n, 1) flat offsets
         self._pad = (1,) * len(self.value_shape)             # weights broadcast over values
-        # for one point: per axis (lower, upper, spacing, top, stride) in floats,
-        # the corner offsets, and the node rows as float lists once first read
-        self._point_shape = (domain.n,)
-        self._axes = list(zip(*[a.tolist() for a in (self._lower, self._upper, self._spacing,
-                                                     self._top, self._strides)]))
-        self._corners = self._offsets[:, 0].tolist()
+        # for one point on one axis: (lower, upper, spacing, top) in floats, and
+        # the node rows as float lists once first read
+        self._point = (self._lower[0].item(), self._upper[0].item(), self._spacing[0].item(),
+                       self._top[0].item()) if domain.n == 1 else None
         self._size = math.prod(self.value_shape)
         self._rows = None
 
@@ -170,47 +169,33 @@ class GridFunction:
     def __call__(self, y):
         """Multilinear interpolation at y of shape (..., n); clamped outside."""
         y = np.asarray(y, dtype=float)
-        if y.shape == self._point_shape:
-            # one slow state: the set-up below in floats, op for op; on a tie
-            # (+-0.0) np.maximum(a, b) returns b, and so does `v if v > b else b`
-            base, w = 0, None
-            for v, (lo, hi, h, top, stride) in zip(y.tolist(), self._axes):
-                if v != v:                 # NaN: the array path's NaN -> index 0 rule
-                    break
-                v = v if v > lo else lo
-                t = ((v if v < hi else hi) - lo) / h
-                i = int(t)                 # t >= 0: truncation is floor
-                i = i if i < top else top
-                frac = t - i
-                base += i * stride
-                # in corner order; the first axis's weights are its factors (times 1.0)
-                w = [1.0 - frac, frac] if w is None else \
-                    [c * g for g in (1.0 - frac, frac) for c in w]
-            else:
-                # the corner sum: from +0.0, corner by corner, as below; in float
-                # rows by plain loops, as a list comprehension costs more than
-                # the sum in Python 3.11
-                if self._size > FLOAT_SUM_MAX:
-                    out = 0.0
-                    for wk, offset in zip(w, self._corners):
-                        out = out + wk * self._flat[base + offset]
-                    return np.asarray(out)
-                rows = self._rows
-                if rows is None:
-                    rows = self._rows = self._flat.reshape(len(self._flat), -1).tolist()
-                corners, out = self._corners, []
-                w0, w1 = w[0], w[1]        # two corners at least, in one pass
-                for a, b in zip(rows[base + corners[0]], rows[base + corners[1]]):
-                    out.append(0.0 + w0 * a + w1 * b)
-                if len(w) > 2:             # the corners of further axes
-                    for wk, offset in zip(w[2:], corners[2:]):
-                        for j, v in enumerate(rows[base + offset]):
-                            out[j] += wk * v
-                if len(self.value_shape) == 1:
-                    return np.array(out)
-                arr = np.empty(self.value_shape)    # owns its data, unlike a reshaped view
-                arr.flat = out
-                return arr
+        # one slow state on one axis (a NaN takes the array path's NaN -> index 0
+        # rule): the set-up below in floats, op for op; on a tie (+-0.0)
+        # np.maximum(a, b) returns b, and so does `v if v > b else b`
+        if y.shape == (1,) and self._point is not None and (v := y.item()) == v:
+            lo, hi, h, top = self._point
+            v = v if v > lo else lo
+            t = ((v if v < hi else hi) - lo) / h
+            i = int(t)                     # t >= 0: truncation is floor
+            i = i if i < top else top
+            frac = t - i
+            w0, w1 = 1.0 - frac, frac
+            # the corner sum: from +0.0, corner by corner, as below
+            if self._size > FLOAT_SUM_MAX:
+                return 0.0 + w0 * self._flat[i] + w1 * self._flat[i + 1]
+            rows = self._rows
+            if rows is None:
+                rows = self._rows = self._flat.reshape(len(self._flat), -1).tolist()
+            # in float rows by a plain loop, as a list comprehension costs more
+            # than the sum in Python 3.11
+            out = []
+            for a, b in zip(rows[i], rows[i + 1]):
+                out.append(0.0 + w0 * a + w1 * b)
+            if len(self.value_shape) == 1:
+                return np.array(out)
+            arr = np.empty(self.value_shape)    # owns its data, unlike a reshaped view
+            arr.flat = out
+            return arr
         yf = y.reshape(-1, len(self._strides))
         t = (np.minimum(np.maximum(yf, self._lower), self._upper) - self._lower) / self._spacing
         # t >= 0, so truncation is floor; the max(., 0) keeps a NaN row (cast to
@@ -220,11 +205,13 @@ class GridFunction:
         w = np.multiply.reduce(np.where(self._upper_side, frac, 1.0 - frac), axis=-1)
         gathered = self._flat.take(i0 @ self._strides + self._offsets, axis=0)
         terms = w.reshape(w.shape + self._pad) * gathered               # (2^n, B, ...)
-        # from +0.0, corner by corner: a sum of -0.0 terms stays +0.0 in reports
-        out = np.zeros(terms.shape[1:])
+        # from +0.0, corner by corner: a sum of -0.0 terms stays +0.0 in reports;
+        # through a view in the terms' shape, so the result owns its data
+        out = np.zeros(y.shape[:-1] + self.value_shape)
+        acc = out.reshape(terms.shape[1:])
         for term in terms:
-            out += term
-        return out.reshape(y.shape[:-1] + self.value_shape)
+            acc += term
+        return out
 
     def _same_grid(self, other):
         """Whether `other` is sampled on this function's grid (box and nodes)."""

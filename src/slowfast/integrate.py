@@ -253,16 +253,20 @@ def _sweep(what, apply, u, report, tol, norm=np.abs):
 
     Each sweep appends its residual, the max of the norm of the change, to
     `report`; the sweeps stop once it is <= tol, which marks the report
-    converged, and the last iterate is returned.  Otherwise raises
-    ConvergenceError carrying the report; `what` names the iteration.
+    converged, and the last iterate is returned.  A residual that is not
+    finite raises NumericError at once; running out of sweeps raises
+    ConvergenceError carrying the report.  `what` names the iteration.
     """
-    for _ in range(MAX_SWEEPS):
+    for k in range(1, MAX_SWEEPS + 1):
         new = apply(u)
-        report.residuals.append(float(np.max(norm(new - u))))
+        r = float(np.max(norm(new - u)))
+        report.residuals.append(r)
         u = new
-        if report.residuals[-1] <= tol:
+        if r <= tol:
             report.converged = True
             return u
+        if not math.isfinite(r):
+            raise NumericError(f"{what} iteration: residual {r} at sweep {k} is not finite")
     raise ConvergenceError(f"{what} iteration did not reach {tol:g} in {MAX_SWEEPS} sweeps "
                            f"(last residual {report.residuals[-1]:.3e})", report=report)
 

@@ -260,8 +260,7 @@ def test_criterion_09_window_lemma_and_counterexamples():
 
     Ks = []
     for nu in (1.0, 3.0, 5.0):
-        Knu, _ = estimate_process_bound(jordan(nu), frozen_drivers([[0.0]]),
-                                        12.0, DT, shifts=1)
+        Knu, _ = estimate_process_bound(jordan(nu), frozen_drivers([[0.0]]), 12.0, DT)
         Ks.append(Knu)
     jordan_ok = Ks[0] < Ks[1] < Ks[2]
 

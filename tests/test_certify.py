@@ -60,8 +60,7 @@ class TestProcessBound:
     def test_jordan_transient_growth(self):
         Ks, mus = {}, {}
         for nu in (1.0, 5.0):
-            K, mu = estimate_process_bound(jordan(nu), frozen_drivers([[0.0]]),
-                                           12.0, CFG, shifts=1)
+            K, mu = estimate_process_bound(jordan(nu), frozen_drivers([[0.0]]), 12.0, CFG)
             assert mu > 0
             Ks[nu], mus[nu] = K, mu
         assert Ks[5.0] > Ks[1.0]
@@ -75,17 +74,15 @@ class TestProcessBound:
                  IntegratorConfig(dt=0.0005))
         assert np.linalg.norm(p.fast[-1]) == pytest.approx(
             nu * np.exp(-np.pi / 2), rel=1e-6)
-        K, _ = estimate_process_bound(rotation(nu), frozen_drivers([[0.0]]),
-                                      12.0, CFG, shifts=1)
-        K1, _ = estimate_process_bound(rotation(1.5), frozen_drivers([[0.0]]),
-                                       12.0, CFG, shifts=1)
+        K, _ = estimate_process_bound(rotation(nu), frozen_drivers([[0.0]]), 12.0, CFG)
+        K1, _ = estimate_process_bound(rotation(1.5), frozen_drivers([[0.0]]), 12.0, CFG)
         assert K > K1 > 1.0
 
     def test_growth_raises_no_decay(self):
         growing = matrix_system(lambda s: np.broadcast_to(
             0.2 * np.eye(1), np.shape(s) + (1, 1)).copy(), 1)
         with pytest.raises(NoDecayError):
-            estimate_process_bound(growing, frozen_drivers([[0.0]]), 8.0, CFG, shifts=1)
+            estimate_process_bound(growing, frozen_drivers([[0.0]]), 8.0, CFG)
 
     def test_empty_sample_rejected(self):
         with pytest.raises((ValueError, TypeError)):

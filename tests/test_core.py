@@ -170,7 +170,8 @@ class TestGridFunction:
             got, want = gf(y), _loop_interp(gf, y)
             assert got.shape == want.shape == y.shape[:-1] + vshape
             assert got.tobytes() == want.tobytes()
-            for point in y.reshape(-1, n):        # one slow state: the float path
+            # one slow state: the float path on one axis, the array path above
+            for point in y.reshape(-1, n):
                 got, want = gf(point), _loop_interp(gf, point)
                 assert got.shape == want.shape == vshape
                 assert got.tobytes() == want.tobytes()
@@ -187,6 +188,14 @@ class TestGridFunction:
         # one-point +-inf is clamped to the box faces
         assert gf(np.array([np.inf, -np.inf])).tolist() == [1.0, 0.0]
         assert gf(np.array([-np.inf, np.inf])).tolist() == [0.0, 2.0]
+
+    @pytest.mark.parametrize("value_shape", [(), (3,), (2, 1), (64,)])
+    def test_nan_point_on_one_axis_gives_nan(self, value_shape):
+        dom = GridDomain([0.0], [1.0], [5])
+        gf = GridFunction(dom, np.ones((5,) + value_shape))
+        with np.errstate(invalid="ignore"):
+            got = gf(np.array([np.nan]))
+        assert got.shape == value_shape and np.all(np.isnan(got))
 
     @pytest.mark.parametrize("n, value_shape", [(1, ()), (1, (3,)), (2, (2, 2)), (3, (1,))])
     @pytest.mark.parametrize("k", [1, 4])

@@ -448,6 +448,20 @@ SWEEP_CASES = {
 
 
 class TestSweepLoop:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_residual_raises_numeric_at_once(self, bad):
+        calls = []
+
+        def apply(u):
+            calls.append(u)
+            return np.full_like(u, bad)
+
+        report = ContractionReport()
+        with pytest.raises(NumericError,
+                           match=f"defect iteration: residual {bad} at sweep 1 is not finite"):
+            _sweep("defect", apply, np.zeros(3), report, 1e-10)
+        assert len(calls) == 1 and report.iterations == 1 and not report.converged
+
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_cap_raises_with_report(self, case, request, monkeypatch):
         what, tol, call = SWEEP_CASES[case]

@@ -20,6 +20,7 @@ from slowfast.reduction import (attraction_rate_fit, decompose_orbit, dp_point,
 from slowfast.systems import build_q1, l1_h, l2_P, q1_dh, q1_h
 
 CFG = IntegratorConfig(dt=0.01)
+CFG2 = IntegratorConfig(dt=0.02)
 CFG5 = IntegratorConfig(dt=0.005)
 
 
@@ -366,7 +367,45 @@ class TestENormBound:
         assert np.max(ratios) <= bound * 1.05
 
 
+def _semiconjugacy_reference(ssys, res, t_max, cfg, cert, n_checks):
+    """The semiconjugacy residual by a loop that re-solves every sample time,
+    t = 0 included."""
+    orbit = flow(ssys, res.xi, res.eta, (0.0, t_max), cfg)
+    proj = reduction.projected_flow(ssys, res.P, (0.0, t_max), cfg)
+    worst = 0.0
+    for t in np.linspace(0.0, t_max, n_checks):
+        xt_t, y_t = orbit.at(t)
+        P_t = q_along_orbit(ssys, xt_t, y_t, cert, cfg).P
+        if t == 0.0:           # the query's own point: P again, bit for bit
+            assert P_t.tobytes() == res.P.tobytes()
+        worst = max(worst, float(np.linalg.norm(P_t - proj.at(t)[1])))
+    return worst
+
+
 class TestSemiconjugacy:
+    # L2 (Q = 0) and the coupled system (Q != 0), each at a point off its manifold
+    CASES = {"l2_straight": ([1.0], [0.0]), "coupled_straight": ([0.4], [-0.2])}
+
+    @pytest.mark.parametrize("n_checks", [3, 5, 9])
+    @pytest.mark.parametrize("fixture", sorted(CASES))
+    def test_equals_loop_that_resolves_t0_bytes(self, fixture, n_checks, request):
+        ssys, scert = request.getfixturevalue(fixture)
+        res = q_along_orbit(ssys, *self.CASES[fixture], scert, CFG2)
+        got = semiconjugacy_residual(ssys, res, 4.0, CFG2, scert, n_checks=n_checks)
+        want = _semiconjugacy_reference(ssys, res, 4.0, CFG2, scert, n_checks)
+        assert got > 0.0
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("n_checks", [3, 9])
+    def test_queries_each_sample_after_t0_once(self, l2_straight, n_checks, monkeypatch):
+        ssys, scert = l2_straight
+        res = q_along_orbit(ssys, [1.0], [0.0], scert, CFG2)
+        calls = []
+        monkeypatch.setattr(reduction, "q_along_orbit",
+                            lambda *a, **k: calls.append(a) or q_along_orbit(*a, **k))
+        semiconjugacy_residual(ssys, res, 4.0, CFG2, scert, n_checks=n_checks)
+        assert len(calls) == n_checks - 1
+
     def test_l2_small_residual(self, l2_straight):
         ssys, scert = l2_straight
         res = q_along_orbit(ssys, [1.0], [0.0], scert, CFG5)
