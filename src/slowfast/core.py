@@ -341,6 +341,12 @@ class FastSlowSystem:
 
     The optional Fg(x, y) -> (m+n) is the joint field (F, g) in one call, for
     systems whose two fields share work; F and g stay the separate fields.
+
+    `drift_reads_x` False declares a slow drift that does not read x:
+    g(x, y) = g(0, y), so D_x g = 0 (the slowly evolving parameters of
+    y' = eps).  Like supplying DF it is a property of the system: the
+    manifold map then reads a candidate graph only at its lift, and the
+    derivative solves apply their map once.
     """
 
     m: int
@@ -356,6 +362,7 @@ class FastSlowSystem:
     norm_kind: str = "euclidean"
     meta: dict = field(default_factory=dict)
     Fg: Optional[Callable] = None
+    drift_reads_x: bool = True
 
     def __post_init__(self):
         if self.n < 1:

@@ -275,8 +275,12 @@ def _sweep(what, apply, u, report, tol, norm=np.abs):
 
 def _graph_fields(sys, sig):
     """The slow drift on the graph of sig, the coupled (fast, slow) field, and
-    the lift y -> (sig(y), y) that starts the coupled field on the graph."""
+    the lift y -> (sig(y), y) that starts the coupled field on the graph.
+    A drift that does not read x (`sys.drift_reads_x` False) is evaluated at
+    x = 0 without reading sig, which the lift then reads alone."""
     def slow_field(t, y):
+        if not sys.drift_reads_x:
+            return sys.eval_g(np.zeros(y.shape[:-1] + (sys.m,)), y)
         return sys.eval_g(np.asarray(sig(y), dtype=float), y)
 
     def joint(t, u):

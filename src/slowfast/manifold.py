@@ -223,6 +223,23 @@ def _derivative_map(sys, fields, T, cfg_int):
     return fwd.split(uf)[-1].reshape(grid.shape + v_shape)
 
 
+def _derivative_solve(what, sys, fields, T, cfg_int, report):
+    """Sweep the derivative map on the grid of `fields` (h[, Dh]) from W = 0 to
+    its fixed point; returns the node values.  Where the drift does not read
+    x, D_x g = 0 leaves the map's image independent of W, so the map is
+    applied once and every sweep returns that image."""
+    grid = fields[0].domain
+
+    def apply(W):
+        return _derivative_map(sys, (*fields, GridFunction(grid, W)), T, cfg_int)
+
+    W0 = np.zeros(grid.shape + (sys.m,) + (sys.n,) * len(fields))
+    if not sys.drift_reads_x:
+        image = apply(W0)
+        apply = lambda W: image
+    return _sweep(what, apply, W0, report, TOL_FIXED_POINT)
+
+
 def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
              cfg_int: IntegratorConfig = IntegratorConfig()):
     """Fixed point of the derivative map; returns (Dh field, report).
@@ -236,13 +253,10 @@ def dh_solve(sys: FastSlowSystem, h: GridFunction, cert: ConstantsCertificate,
         raise CapabilityError("dh_solve needs DF and Dg")
     if not cert.budget_ok(cert.rho):
         raise ContractionError("certificate does not satisfy the smoothness budget")
-    T = cert.dh_horizon(TOL_BOUNDED)
     report = ContractionReport(theoretical_ratio=cert.dh_ratio())
-    grid = h.domain
-    w = GridFunction(grid, _sweep(
-        "derivative", lambda W: _derivative_map(sys, (h, GridFunction(grid, W)), T, cfg_int),
-        np.zeros(grid.shape + (sys.m, sys.n)), report, TOL_FIXED_POINT))
-    return w, report
+    W = _derivative_solve("derivative", sys, (h,), cert.dh_horizon(TOL_BOUNDED), cfg_int,
+                          report)
+    return GridFunction(h.domain, W), report
 
 
 def fd_derivative_error(h: GridFunction, dh: GridFunction):
@@ -282,11 +296,7 @@ def d2h_solve(sys: FastSlowSystem, h: GridFunction, dh: GridFunction,
     if not cert.d2h_ok:
         raise InfeasibleBudgetError("order-2 budget violated "
                                     "(needs 2 N1 < mu - K M1x and the k=2 inequality)")
-    grid = h.domain
-    m, n = sys.m, sys.n
-    T = cert.d2h_horizon(TOL_BOUNDED)
     report = ContractionReport()
-    W2 = _sweep("second-derivative",
-                lambda W: _derivative_map(sys, (h, dh, GridFunction(grid, W)), T, cfg_int),
-                np.zeros(grid.shape + (m, n, n)), report, TOL_FIXED_POINT)
-    return GridFunction(grid, W2), report
+    W2 = _derivative_solve("second-derivative", sys, (h, dh),
+                           cert.d2h_horizon(TOL_BOUNDED), cfg_int, report)
+    return GridFunction(h.domain, W2), report

@@ -37,8 +37,9 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None) -> FastSlowSystem:
     grid functions on one grid, else by a call of each; gt reads h alone, and
     the joint field eval_Fg evaluates g once.  Its DF needs the second
     derivative of h; without d2h the straightened system carries no DF and
-    derivative-consuming operations will raise.  The transform is the one
-    `core.localize` shifts by.
+    derivative-consuming operations will raise.  gt reads xt only where g
+    reads x, so the straightened system keeps `sys.drift_reads_x`.  The
+    transform is the one `core.localize` shifts by.
     """
     shifted, lin = _graph_transform(sys)
     m = sys.m
@@ -86,7 +87,7 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None) -> FastSlowSystem:
 
     return FastSlowSystem(m=m, n=sys.n, F=Ft, g=gt, A0=lambda y: lin(y, *jet(y)),
                           domain=sys.domain, DF=DFt, Dg=Dgt, norm_kind=sys.norm_kind,
-                          meta=dict(sys.meta), Fg=Fgt)
+                          meta=dict(sys.meta), Fg=Fgt, drift_reads_x=sys.drift_reads_x)
 
 
 @dataclass

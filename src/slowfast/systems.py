@@ -34,12 +34,22 @@ def _a0_minus_one(y):
     return np.full(y.shape[:-1] + (1, 1), -1.0)
 
 
-def _zero_Dg(x, y):
-    return np.zeros(x.shape[:-1] + (1, 2))
-
-
 def _zero_D2(x, y):
     return np.zeros(x.shape[:-1] + (1, 2, 2))
+
+
+def _slow_parameter(eps, m):
+    """The slow drift y' = eps of L1, Q1 and NF1 (m fast variables, n = 1) as
+    the keywords g, Dg and drift_reads_x=False: g reads no x, and D_x g = 0."""
+    e = float(eps)
+
+    def g(x, y):
+        return np.full(y.shape, e)
+
+    def Dg(x, y):
+        return np.zeros(x.shape[:-1] + (1, m + 1))
+
+    return dict(g=g, Dg=Dg, drift_reads_x=False)
 
 
 # -- L1 -------------------------------------------------------------------------
@@ -50,18 +60,15 @@ def build_l1(eps=0.1, domain=(-0.5, 0.5), points=101):
     def F(x, y):
         return -x + y
 
-    def g(x, y):
-        return np.full(y.shape, float(eps))
-
     def DF(x, y):
         out = np.empty(x.shape[:-1] + (1, 2))
         out[..., 0, 0] = -1.0
         out[..., 0, 1] = 1.0
         return out
 
-    return FastSlowSystem(m=1, n=1, F=F, g=g, A0=_a0_minus_one, domain=dom, DF=DF,
-                          Dg=_zero_Dg, D2F=_zero_D2, D2g=_zero_D2,
-                          meta={"name": "L1", "eps": float(eps)})
+    return FastSlowSystem(m=1, n=1, F=F, A0=_a0_minus_one, domain=dom, DF=DF,
+                          D2F=_zero_D2, D2g=_zero_D2, meta={"name": "L1", "eps": float(eps)},
+                          **_slow_parameter(eps, 1))
 
 
 def l1_h(y, eps):
@@ -76,9 +83,6 @@ def build_q1(eps=0.1, domain=(-1.0, 1.0), points=101):
     def F(x, y):
         return -x + y * y
 
-    def g(x, y):
-        return np.full(y.shape, float(eps))
-
     def DF(x, y):
         out = np.empty(x.shape[:-1] + (1, 2))
         out[..., 0, 0] = -1.0
@@ -90,9 +94,9 @@ def build_q1(eps=0.1, domain=(-1.0, 1.0), points=101):
         out[..., 0, 1, 1] = 2.0
         return out
 
-    return FastSlowSystem(m=1, n=1, F=F, g=g, A0=_a0_minus_one, domain=dom, DF=DF,
-                          Dg=_zero_Dg, D2F=D2F, D2g=_zero_D2,
-                          meta={"name": "Q1", "eps": float(eps)})
+    return FastSlowSystem(m=1, n=1, F=F, A0=_a0_minus_one, domain=dom, DF=DF,
+                          D2F=D2F, D2g=_zero_D2, meta={"name": "Q1", "eps": float(eps)},
+                          **_slow_parameter(eps, 1))
 
 
 def q1_h(y, eps):
@@ -239,9 +243,6 @@ def build_nf1(eps=0.01, m=64, domain=(0.5, 1.5), points=41):
         s = _nf1_sigmoid(u)
         return -u + y[..., 0:1] * dxi * np.einsum("ij,...j->...i", W, s)
 
-    def g(u, y):
-        return np.full(y.shape, float(eps))
-
     diag = np.arange(m)
 
     def A0(y):
@@ -258,13 +259,10 @@ def build_nf1(eps=0.01, m=64, domain=(0.5, 1.5), points=41):
         out[..., :, m] = dxi * np.einsum("ij,...j->...i", W, s)
         return out
 
-    def Dg(u, y):
-        return np.zeros(u.shape[:-1] + (1, m + 1))
-
-    return FastSlowSystem(m=m, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          norm_kind="sup",
+    return FastSlowSystem(m=m, n=1, F=F, A0=A0, domain=dom, DF=DF, norm_kind="sup",
                           meta={"name": "NF1", "eps": float(eps), "m": m,
-                                "nodes": xi, "gain": _NF1_GAIN})
+                                "nodes": xi, "gain": _NF1_GAIN},
+                          **_slow_parameter(eps, m))
 
 
 def nf1_profile_interp(values, nodes, probes):

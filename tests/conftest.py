@@ -110,8 +110,11 @@ def check_derivatives(sys: FastSlowSystem, n_points=100, x_radius=1.0):
     """Max relative mismatch between supplied Jacobians and central differences,
     at points drawn with seed 0.
 
-    Also checks that A0 matches D_x F(0, y).  Raises nothing; returns the
-    worst relative error so callers/tests can assert against their tolerance.
+    Also checks that A0 matches D_x F(0, y).  A system that declares a slow
+    drift reading no x (`drift_reads_x` False) is held to that exactly: g
+    must give the same bits at x and at x + 1, and the x-block of Dg must be
+    0.0; a miss makes the result inf.  Raises nothing; returns the worst
+    relative error so callers/tests can assert against their tolerance.
     """
     rng = np.random.default_rng(0)
     ys = sys.domain.sample(rng, n_points)
@@ -132,6 +135,10 @@ def check_derivatives(sys: FastSlowSystem, n_points=100, x_radius=1.0):
             gfd = _central_diff(lambda u: sys.eval_g(u[: sys.m], u[sys.m:]),
                                 np.concatenate([x, y]))
             worst = max(worst, rel(gfd, sys.eval_Dg(x, y)))
+        if not sys.drift_reads_x:
+            same_g = sys.eval_g(x, y).tobytes() == sys.eval_g(x + 1.0, y).tobytes()
+            if not same_g or (sys.Dg is not None and np.any(sys.Dxg(x, y) != 0.0)):
+                worst = np.inf
     return worst
 
 

@@ -1,6 +1,7 @@
 """Core domain types: norms, grids, grid functions, systems, localization."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from slowfast.core import (FastSlowSystem, GridDomain, GridFunction, GridStack, 
 from slowfast.errors import PreconditionError
 from slowfast.integrate import IntegratorConfig, bounded_solution_batch, flow
 from slowfast.manifold import eqv_residual
+from slowfast.reduction import straighten
 from slowfast.systems import (build_l1, build_l2, build_nf1, build_q1, build_vdp_cut,
                               build_vdp_raw, vdp_branch, _vdp_jet)
 
@@ -267,6 +269,25 @@ class TestDerivativeConsistency:
     def test_fd_match(self, builder, kw):
         sys = builder(**kw)
         assert check_derivatives(sys, n_points=100, x_radius=0.8) <= 1e-5
+
+    @pytest.mark.parametrize("name", ["L1", "Q1", "NF1"])
+    def test_slow_parameter_declared(self, name):
+        """L1, Q1 and NF1 (y' = eps) declare a drift that reads no x, and so
+        does each of them straightened; check_derivatives holds them to it."""
+        sys = systems.EXAMPLES[name].build(**({"m": 16, "points": 5} if name == "NF1" else {}))
+        h = lambda y: 0.3 * y[..., :1] * np.ones(sys.m)
+        dh = lambda y: np.full(y.shape[:-1] + (sys.m, 1), 0.3)
+        for s in (sys, straighten(sys, h, dh)):
+            assert s.drift_reads_x is False
+            assert check_derivatives(s, n_points=20, x_radius=0.8) <= 1e-5
+
+    @pytest.mark.parametrize("builder", [build_vdp_cut, build_l2])
+    def test_drift_that_reads_x_keeps_the_default(self, builder):
+        sys = builder()
+        assert sys.drift_reads_x is True
+        # declared wrongly, the drift fails the check
+        assert check_derivatives(replace(sys, drift_reads_x=False), n_points=5,
+                                 x_radius=0.04) == np.inf
 
     def test_vdp_cut_a0_consistent(self):
         sys = build_vdp_cut(eps=0.005)

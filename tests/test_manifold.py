@@ -1,9 +1,12 @@
 """The manifold fixed point, its derivatives, residual diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import sampled
+from slowfast import manifold, systems
 from slowfast.certify import ConstantsCertificate, assemble_certificate
 from slowfast.core import FastSlowSystem, GridDomain, GridFunction, _Blocks, _joint_reader
 from slowfast.errors import ContractionError, NumericError, PreconditionError
@@ -37,7 +40,6 @@ class TestLpMap:
     def test_r0_zero_maps_to_zero(self, l2):
         # with M1y = 0 any delta keeps the existence budget feasible, so widen
         # the (degenerate) ball to admit a nonzero candidate
-        from dataclasses import replace
         sys, cert = l2
         cert = replace(cert, delta=0.5)
         sig = grid_of(sys, lambda y: 0.01 * np.sin(3 * y))
@@ -110,19 +112,31 @@ class TestLpMapBatch:
             lp_map_batch(sys, sigmas, cert, CFG)
         assert lp_map_batch(sys, [], cert, CFG) == []
 
-    def test_interpolations_do_not_scale_with_sigmas(self, q1, monkeypatch):
-        """One interpolation per RK4 stage (plus the lift), whatever K is."""
-        sys, cert = q1
+    @staticmethod
+    def _lp_apply_reads(sys, cert, monkeypatch):
+        """Interpolation calls of one `_lp_apply` at T = 2, dt = 0.1, for K =
+        1, 2 and 10 candidates; returns (counts, RK4 steps)."""
         cfg_int = IntegratorConfig(dt=0.1)
-        T = 2.0
         interp = count_calls(monkeypatch, GridFunction, "__call__")
         counts = []
         for k in (1, 2, 10):
             interp.calls = 0
-            _lp_apply(sys, _ball_sigmas(sys, cert, k, seed=k), T, cfg_int)
+            _lp_apply(sys, _ball_sigmas(sys, cert, k, seed=k), 2.0, cfg_int)
             counts.append(interp.calls)
-        steps = cfg_int.steps_for(T)
+        return counts, cfg_int.steps_for(2.0)
+
+    def test_interpolations_do_not_scale_with_sigmas(self, q1, monkeypatch):
+        """One interpolation per RK4 stage (plus the lift), whatever K is, where
+        the drift reads x: Q1 declared to read it."""
+        sys, cert = q1
+        counts, steps = self._lp_apply_reads(replace(sys, drift_reads_x=True), cert,
+                                             monkeypatch)
         assert counts == [8 * steps + 1] * 3
+
+    def test_drift_reading_no_x_reads_only_the_lift(self, q1, monkeypatch):
+        """Q1's drift reads no x: the candidates are read once, at the lift."""
+        sys, cert = q1
+        assert self._lp_apply_reads(sys, cert, monkeypatch)[0] == [1] * 3
 
     def test_nan_in_one_sigma_named_by_block_and_row(self):
         """A NaN at node 5 of the third candidate reaches rows 4 and 5 of its
@@ -160,12 +174,28 @@ class TestOneInterpolationPerStage:
         d2h_solve(sys, h, dh, cert, IntegratorConfig(dt=0.1))
         assert g.calls > 0 and interp.calls == g.calls
 
-    def test_eqv_residual(self, q1_solved, monkeypatch):
-        sys, cert, h, _ = q1_solved
+    @staticmethod
+    def _eqv_residual_reads(sys, h, cert, monkeypatch):
+        """(g calls, interpolation calls) of one `eqv_residual` at T = 2, dt = 0.1."""
         interp = count_calls(monkeypatch, GridFunction, "__call__")
         g = count_calls(monkeypatch, FastSlowSystem, "eval_g")
         eqv_residual(sys, h, cert, IntegratorConfig(dt=0.1), horizon=2.0)
-        assert g.calls == 8 * 20 and interp.calls == g.calls + 1   # + the node read
+        return g.calls, interp.calls
+
+    def test_eqv_residual(self, q1_solved, monkeypatch):
+        """Where the drift reads x (Q1 declared to read it), both passes read h
+        at every stage."""
+        sys, cert, h, _ = q1_solved
+        g, interp = self._eqv_residual_reads(replace(sys, drift_reads_x=True), h, cert,
+                                             monkeypatch)
+        assert g == 8 * 20 and interp == g + 1   # + the node read
+
+    def test_eqv_residual_drift_reading_no_x(self, q1_solved, monkeypatch):
+        """Q1's drift reads no x: only the forward pass reads h, for the
+        remainder term, once per stage."""
+        sys, cert, h, _ = q1_solved
+        g, interp = self._eqv_residual_reads(sys, h, cert, monkeypatch)
+        assert g == 8 * 20 and interp == 4 * 20 + 1
 
     def test_joint_reader_equals_each_function_bytes(self, q1_solved, q1_dh_solved):
         sys, _, h, _ = q1_solved
@@ -222,7 +252,6 @@ class TestLpSolve:
     def test_blow_up_fails_fast(self, monkeypatch):
         """x' = -x + 5x^3 + y leaves every ball from x = 0 when y is near 1: the
         first sweep's forward pass overflows and must stop the solve."""
-        import slowfast.manifold as manifold
         sys = FastSlowSystem(
             m=1, n=1, F=lambda x, y: -x + 5 * x ** 3 + y,
             g=lambda x, y: np.zeros_like(y),
@@ -536,6 +565,52 @@ class TestDerivativeMap:
             got = _derivative_map(sys, (h, dh, GridFunction(sys.domain, W2)), 1.0, self.CFG)
             want = _reference_d2h_apply(sys, h, dh, W2, 1.0, self.CFG)
         assert np.all(got != 0) and got.tobytes() == want.tobytes()
+
+
+class TestDriftReadingNoX:
+    """L1, Q1 and NF1 declare a slow drift that reads no x: D_x g = 0 leaves
+    the derivative map's image independent of its candidate, so `dh_solve`
+    and `d2h_solve` apply the map once and keep its image."""
+
+    CFG = IntegratorConfig(dt=0.1)
+
+    @pytest.mark.parametrize("name, order", [("L1", 1), ("L1", 2), ("Q1", 1), ("Q1", 2),
+                                             ("NF1", 1)])
+    def test_image_does_not_depend_on_candidate_bytes(self, name, order):
+        sys = systems.EXAMPLES[name].build(**({"m": 16, "points": 11} if name == "NF1" else {}))
+        assert sys.drift_reads_x is False
+        # h (and Dh at order 2) random: the claim holds on any graph
+        fields = [GridFunction(sys.domain, _candidate(sys, (sys.m,) + (sys.n,) * k, k))
+                  for k in range(order)]
+        shape = (sys.m,) + (sys.n,) * order
+
+        def image(W):
+            return _derivative_map(sys, (*fields, GridFunction(sys.domain, W)), 2.0, self.CFG)
+
+        first = image(np.zeros(sys.domain.shape + shape))
+        for W in (first, _candidate(sys, shape, 9)):
+            assert image(W).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("solved", ["l1_solved", "q1_solved"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_solves_equal_the_swept_map(self, solved, order, request, monkeypatch):
+        """The same values and residuals as the system declared to read x,
+        whose solve sweeps the map for real; one map application, not two."""
+        sys, cert, h, _ = request.getfixturevalue(solved)
+        fields = (h,) if order == 1 else (h, dh_solve(sys, h, cert, self.CFG)[0])
+        maps = count_calls(monkeypatch, manifold, "_derivative_map")
+        got = []
+        for s in (sys, replace(sys, drift_reads_x=True)):
+            maps.calls = 0
+            if order == 1:
+                w, rep = dh_solve(s, h, cert, self.CFG)
+            else:
+                w, rep = d2h_solve(s, *fields, cert, self.CFG)
+            got.append((w.values.tobytes(), rep.residuals, maps.calls))
+        (declared, res, calls), (swept, swept_res, swept_calls) = got
+        assert declared == swept and res == swept_res
+        # the swept map's last sweep recomputes the image: residual 0.0
+        assert calls == 1 and swept_calls == len(swept_res) and res[-1] == 0.0
 
 
 class TestEpsilonContinuity:
