@@ -32,7 +32,7 @@ print(f"flowed-orbit graph deviation: {inv.max_deviation:.2e}")
 
 # profile of the manifold at a fixed gain, as a function on [0, 1]
 probes = np.linspace(0.05, 0.95, 7)
-prof = nf1_profile_interp(h(np.array([[1.0]])), sys.meta["nodes"], probes)
+prof = nf1_profile_interp(h(np.array([[1.0]])), probes)
 print("h(y=1.0) sampled along the spatial variable:")
 for z, v in zip(probes, prof.ravel()):
     print(f"  z = {z:.2f}: {v:+.5f}")

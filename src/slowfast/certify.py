@@ -173,6 +173,11 @@ class ConstantsCertificate:
             ("S2 reduction K*N1 < mu", status(self.reduction_ok, ("K", "mu", "N1"))),
         ]
 
+    def hypotheses_hold(self):
+        """True unless a row of the hypothesis table fails; an "unknown" row (a
+        NaN constant) does not count."""
+        return all(status != "fail" for _, status in self.hypothesis_table())
+
     def to_json(self):
         data = {f: getattr(self, f) for f in CERTIFICATE_FIELDS}
         data["provenance"] = dict(self.provenance)
@@ -323,12 +328,10 @@ def _op_norm(sys, M):
 
 # -- (H2)/(H3): Lipschitz and sup constants -----------------------------------
 
-def estimate_lipschitz(sys: FastSlowSystem, n_samples=2000, x_radius=2.0,
-                       seed=0, overrides=None):
+def estimate_lipschitz(sys: FastSlowSystem, n_samples=2000, x_radius=2.0, seed=0):
     """Sampled sup / difference-quotient estimates of (M0, M1x, M1y, N1, N0).
 
     Lower bounds on the true constants (sampling never overshoots a sup).
-    `overrides` entries replace sampled values and are marked as supplied.
     """
     pair_scale = 1e-4                    # length of the small offsets
     if n_samples < 1000:
@@ -377,13 +380,7 @@ def estimate_lipschitz(sys: FastSlowSystem, n_samples=2000, x_radius=2.0,
             / np.maximum(np.sqrt(sys.norm_x(xs2 - xs) ** 2 + sys.norm_y(ys2 - ys) ** 2),
                          1e-300)
         values["N1"] = max(values["N1"], float(np.max(qg)), float(np.max(qgp)))
-    provenance = {k: "sampled" for k in values}
-    for k, v in (overrides or {}).items():
-        if k not in values:
-            raise ValueError(f"unknown override {k!r}")
-        values[k] = float(v)
-        provenance[k] = "supplied"
-    return values, provenance
+    return values
 
 
 # -- budgets -------------------------------------------------------------------
@@ -541,13 +538,11 @@ def assemble_certificate(sys: FastSlowSystem, cfg: IntegratorConfig = Integrator
                          f"known fields are {CERTIFICATE_FIELDS}")
     if ("K" in overrides) != ("mu" in overrides):
         raise ValueError("override K and mu together: the process bound is one pair")
-    prov = {}
-    lip_over = {k: v for k, v in overrides.items() if k in ("M0", "M1x", "M1y", "N0", "N1")}
-    values, lip_prov = estimate_lipschitz(sys, n_samples=LIPSCHITZ_SAMPLES, x_radius=x_radius,
-                                          seed=seed, overrides=lip_over)
-    prov.update(lip_prov)
+    values = estimate_lipschitz(sys, n_samples=LIPSCHITZ_SAMPLES, x_radius=x_radius, seed=seed)
+    prov = {k: "supplied" if k in overrides else "sampled" for k in values}
+    values.update((k, float(overrides[k])) for k in values if k in overrides)
     if "K" in overrides:
-        K, mu = float(overrides.pop("K")), float(overrides.pop("mu"))
+        K, mu = float(overrides["K"]), float(overrides["mu"])
         prov.update(K="supplied", mu="supplied")
     else:
         drivers = band_limited_drivers(sys.domain, max(values["N0"], 1e-6),
@@ -555,23 +550,17 @@ def assemble_certificate(sys: FastSlowSystem, cfg: IntegratorConfig = Integrator
         K, mu = estimate_process_bound(sys, drivers, PROCESS_HORIZON,
                                        IntegratorConfig(dt=max(cfg.dt, 0.02)))
         prov.update(K="sampled", mu="sampled")
-    cert = ConstantsCertificate(K=K, mu=mu, provenance=prov, **values)
+    cert = ConstantsCertificate(K=K, mu=mu, **values)
     if "delta" in overrides:
-        cert = replace(cert, delta=float(overrides["delta"]))
-        prov["delta"] = "supplied"
+        delta, prov["delta"] = float(overrides["delta"]), "supplied"
     else:
-        delta, _ = delta_budget(cert)
-        cert = replace(cert, delta=delta)
-        prov["delta"] = "closed-form"
+        delta, prov["delta"] = delta_budget(cert)[0], "closed-form"
+    cert = replace(cert, delta=delta)
     if "rho" in overrides:
-        cert = replace(cert, rho=float(overrides["rho"]))
-        prov["rho"] = "supplied"
+        rho, prov["rho"] = float(overrides["rho"]), "supplied"
     else:
         try:
-            rho = rho_budget(cert)
-            prov["rho"] = "closed-form"
+            rho, prov["rho"] = rho_budget(cert), "closed-form"
         except InfeasibleBudgetError:
-            rho = float("nan")
-            prov["rho"] = "infeasible"
-        cert = replace(cert, rho=rho)
-    return replace(cert, provenance=prov)
+            rho, prov["rho"] = float("nan"), "infeasible"
+    return replace(cert, rho=rho, provenance=prov)

@@ -152,8 +152,7 @@ def cmd_certify(args):
     if spec.out:
         _atomic_write(spec.out, cert.to_json() + "\n")
         print(f"wrote {spec.out}")
-    required_fail = any(status == "fail" for _, status in cert.hypothesis_table())
-    return EXIT_INFEASIBLE if required_fail else EXIT_OK
+    return EXIT_OK if cert.hypotheses_hold() else EXIT_INFEASIBLE
 
 
 def cmd_slow_manifold(args):
@@ -175,7 +174,7 @@ def cmd_slow_manifold(args):
             cols.append(flat[:, j])
     write_csv(out + ".csv", header, zip(*cols))
     payload = {
-        "system": spec.system, "eps": sysm.meta["eps"],
+        "system": spec.system, "eps": state["eps"],
         "grid": {"lower": sysm.domain.lower.tolist(),
                  "upper": sysm.domain.upper.tolist(),
                  "points": sysm.domain.shape},

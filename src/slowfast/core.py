@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -360,7 +360,6 @@ class FastSlowSystem:
     D2F: Optional[Callable] = None
     D2g: Optional[Callable] = None
     norm_kind: str = "euclidean"
-    meta: dict = field(default_factory=dict)
     Fg: Optional[Callable] = None
     drift_reads_x: bool = True
 
@@ -587,5 +586,4 @@ def localize(sys: FastSlowSystem, jet0, radius, tol=1e-8) -> FastSlowSystem:
 
     return FastSlowSystem(m=sys.m, n=sys.n, F=lambda xt, y: F_cut(xt, y)[0], g=g_loc,
                           A0=lambda y: lin(y, *jet0(y)),
-                          domain=sys.domain, norm_kind=sys.norm_kind, meta=dict(sys.meta),
-                          Fg=Fg_loc)
+                          domain=sys.domain, norm_kind=sys.norm_kind, Fg=Fg_loc)

@@ -87,7 +87,7 @@ def straighten(sys: FastSlowSystem, h, dh, d2h=None) -> FastSlowSystem:
 
     return FastSlowSystem(m=m, n=sys.n, F=Ft, g=gt, A0=lambda y: lin(y, *jet(y)),
                           domain=sys.domain, DF=DFt, Dg=Dgt, norm_kind=sys.norm_kind,
-                          meta=dict(sys.meta), Fg=Fgt, drift_reads_x=sys.drift_reads_x)
+                          Fg=Fgt, drift_reads_x=sys.drift_reads_x)
 
 
 @dataclass
@@ -199,6 +199,15 @@ def projected_flow(sys_t: FastSlowSystem, P, t_span, cfg_int) -> OrbitPath:
     return flow(sys_t, np.zeros(sys_t.m), P, t_span, cfg_int)
 
 
+def _orbit_pair(sys_t, result, t_max, cfg_int, what):
+    """The orbit from (xi, eta) and the projected flow from (0, P) of a converged query."""
+    if not result.report.converged:
+        raise PreconditionError(f"{what} needs a converged result")
+    span = (0.0, float(t_max))
+    return (flow(sys_t, result.xi, result.eta, span, cfg_int),
+            projected_flow(sys_t, result.P, span, cfg_int))
+
+
 def semiconjugacy_residual(sys_t: FastSlowSystem, result: ReductionResult,
                            t_max, cfg_int: IntegratorConfig, cert: ConstantsCertificate,
                            n_checks=9):
@@ -208,12 +217,12 @@ def semiconjugacy_residual(sys_t: FastSlowSystem, result: ReductionResult,
     projected slow flow started at (0, P): the two must agree if P really
     semi-conjugates the flow to the on-manifold flow.  `result` comes from
     `q_along_orbit` with the same `cert` and `cfg_int`, so the query at t = 0
-    would return its P bit for bit: the samples start after t = 0.
+    would return its P bit for bit: the samples start after t = 0, so
+    `n_checks` counts t = 0 and needs at least 2.
     """
-    if not result.report.converged:
-        raise PreconditionError("semiconjugacy check needs a converged result")
-    orbit = flow(sys_t, result.xi, result.eta, (0.0, float(t_max)), cfg_int)
-    proj = projected_flow(sys_t, result.P, (0.0, float(t_max)), cfg_int)
+    if n_checks < 2:
+        raise ValueError(f"n_checks must be at least 2 (t = 0 and a later time), not {n_checks}")
+    orbit, proj = _orbit_pair(sys_t, result, t_max, cfg_int, "semiconjugacy check")
     worst = 0.0
     for t in np.linspace(0.0, float(t_max), n_checks)[1:]:
         xt_t, y_t = orbit.at(t)
@@ -280,11 +289,8 @@ def attraction_rate_fit(sys_t: FastSlowSystem, result: ReductionResult,
     certified bound `cert.slow_prefactor_bound(|xi|)` = K E |xi|, E the cap
     `cert.e_ratio_bound()`.
     """
-    if not result.report.converged:
-        raise PreconditionError("rate fit needs a converged result")
+    orbit, proj = _orbit_pair(sys_t, result, t_max, cfg_int, "rate fit")
     noise_floor = 1e-11
-    orbit = flow(sys_t, result.xi, result.eta, (0.0, float(t_max)), cfg_int)
-    proj = projected_flow(sys_t, result.P, (0.0, float(t_max)), cfg_int)
     gap = sys_t.norm_xy(orbit.fast - proj.fast, orbit.slow - proj.slow)
     try:
         fit = fit_exponential(list(zip(orbit.times, gap)), noise_floor)

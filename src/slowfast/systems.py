@@ -9,8 +9,7 @@ Five named systems are registered:
   NF1      quadrature-discretized integro-differential fast field with one
            slowly drifting gain parameter, sup norm over nodes
 
-All callables broadcast over leading axes.  Each system stores `eps` in its
-meta.
+All callables broadcast over leading axes.
 """
 
 from __future__ import annotations
@@ -38,6 +37,14 @@ def _zero_D2(x, y):
     return np.zeros(x.shape[:-1] + (1, 2, 2))
 
 
+def _row(x, dx, dy):
+    """The (..., 1, 2) Jacobian row (dx, dy) of a scalar field at the points x."""
+    out = np.empty(x.shape[:-1] + (1, 2))
+    out[..., 0, 0] = dx
+    out[..., 0, 1] = dy
+    return out
+
+
 def _slow_parameter(eps, m):
     """The slow drift y' = eps of L1, Q1 and NF1 (m fast variables, n = 1) as
     the keywords g, Dg and drift_reads_x=False: g reads no x, and D_x g = 0."""
@@ -61,14 +68,10 @@ def build_l1(eps=0.1, domain=(-0.5, 0.5), points=101):
         return -x + y
 
     def DF(x, y):
-        out = np.empty(x.shape[:-1] + (1, 2))
-        out[..., 0, 0] = -1.0
-        out[..., 0, 1] = 1.0
-        return out
+        return _row(x, -1.0, 1.0)
 
     return FastSlowSystem(m=1, n=1, F=F, A0=_a0_minus_one, domain=dom, DF=DF,
-                          D2F=_zero_D2, D2g=_zero_D2, meta={"name": "L1", "eps": float(eps)},
-                          **_slow_parameter(eps, 1))
+                          D2F=_zero_D2, D2g=_zero_D2, **_slow_parameter(eps, 1))
 
 
 def l1_h(y, eps):
@@ -84,10 +87,7 @@ def build_q1(eps=0.1, domain=(-1.0, 1.0), points=101):
         return -x + y * y
 
     def DF(x, y):
-        out = np.empty(x.shape[:-1] + (1, 2))
-        out[..., 0, 0] = -1.0
-        out[..., 0, 1] = 2.0 * y[..., 0]
-        return out
+        return _row(x, -1.0, 2.0 * y[..., 0])
 
     def D2F(x, y):
         out = np.zeros(x.shape[:-1] + (1, 2, 2))
@@ -95,8 +95,7 @@ def build_q1(eps=0.1, domain=(-1.0, 1.0), points=101):
         return out
 
     return FastSlowSystem(m=1, n=1, F=F, A0=_a0_minus_one, domain=dom, DF=DF,
-                          D2F=D2F, D2g=_zero_D2, meta={"name": "Q1", "eps": float(eps)},
-                          **_slow_parameter(eps, 1))
+                          D2F=D2F, D2g=_zero_D2, **_slow_parameter(eps, 1))
 
 
 def q1_h(y, eps):
@@ -120,18 +119,13 @@ def build_l2(eps=0.1, domain=(-1.0, 1.0), points=41):
         return float(eps) * x
 
     def DF(x, y):
-        out = np.zeros(x.shape[:-1] + (1, 2))
-        out[..., 0, 0] = -1.0
-        return out
+        return _row(x, -1.0, 0.0)
 
     def Dg(x, y):
-        out = np.zeros(x.shape[:-1] + (1, 2))
-        out[..., 0, 0] = float(eps)
-        return out
+        return _row(x, float(eps), 0.0)
 
     return FastSlowSystem(m=1, n=1, F=F, g=g, A0=_a0_minus_one, domain=dom, DF=DF, Dg=Dg,
-                          D2F=_zero_D2, D2g=_zero_D2,
-                          meta={"name": "L2", "eps": float(eps)})
+                          D2F=_zero_D2, D2g=_zero_D2)
 
 
 def l2_P(xi, eta, eps):
@@ -175,26 +169,17 @@ def build_vdp_raw(eps=0.005, domain=(-2.0, 0.0), points=81):
         return np.full(y.shape[:-1] + (1, 1), 1.0)
 
     def DF(x, y):
-        out = np.empty(x.shape[:-1] + (1, 2))
-        out[..., 0, 0] = 1.0 - x[..., 0] ** 2
-        out[..., 0, 1] = -1.0
-        return out
+        return _row(x, 1.0 - x[..., 0] ** 2, -1.0)
 
     def Dg(x, y):
-        out = np.zeros(x.shape[:-1] + (1, 2))
-        out[..., 0, 0] = e
-        return out
+        return _row(x, e, 0.0)
 
-    return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          meta={"name": "VDP-raw", "eps": e})
+    return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg)
 
 
 def build_vdp_cut(eps=0.005, domain=(-2.0, 0.0), points=81, radius=0.1):
     """The outer-branch system shifted to the origin and cut off at `radius`."""
-    raw = build_vdp_raw(eps, domain, points)
-    loc = localize(raw, _vdp_jet, radius, tol=1e-10)
-    loc.meta.update(name="VDP-cut", eps=float(eps))
-    return loc
+    return localize(build_vdp_raw(eps, domain, points), _vdp_jet, radius, tol=1e-10)
 
 
 # -- NF1 ---------------------------------------------------------------------------
@@ -205,11 +190,16 @@ _NF1_S0 = math.tanh(_NF1_SHIFT)          # the sigmoid's tangent line at 0: valu
 _NF1_S0P = 1.0 - _NF1_S0 * _NF1_S0       # and slope
 
 
+def _nf1_nodes(m):
+    """The m midpoint quadrature nodes on [0, 1]."""
+    return (np.arange(m) + 0.5) / m
+
+
 def _nf1_kernel(m):
-    xi = (np.arange(m) + 0.5) / m
+    xi = _nf1_nodes(m)
     w = (np.sin(2 * np.pi * (xi[:, None] - xi[None, :]))
          + np.sin(2 * np.pi * xi)[:, None] - np.sin(2 * np.pi * xi)[None, :])
-    return _NF1_GAIN * w, xi
+    return _NF1_GAIN * w
 
 
 def _nf1_sigmoid(v):
@@ -235,7 +225,7 @@ def build_nf1(eps=0.01, m=64, domain=(0.5, 1.5), points=41):
     antisymmetric kernel keeps the fast linearization spectrum on Re = -1.
     """
     dom = _box(domain[0], domain[1], points)
-    W, xi = _nf1_kernel(m)
+    W = _nf1_kernel(m)
     dxi = 1.0 / m
     A_lin = W * (dxi * _NF1_S0P)
 
@@ -260,23 +250,20 @@ def build_nf1(eps=0.01, m=64, domain=(0.5, 1.5), points=41):
         return out
 
     return FastSlowSystem(m=m, n=1, F=F, A0=A0, domain=dom, DF=DF, norm_kind="sup",
-                          meta={"name": "NF1", "eps": float(eps), "m": m,
-                                "nodes": xi, "gain": _NF1_GAIN},
                           **_slow_parameter(eps, m))
 
 
-def nf1_profile_interp(values, nodes, probes):
-    """Periodic linear interpolation of node profiles onto probe locations.
+def nf1_profile_interp(values, probes):
+    """Periodic linear interpolation (period 1) of node profiles onto probe locations.
 
-    Lets manifolds computed at different quadrature sizes be compared on a
-    common set of spatial points.
+    The nodes are NF1's m midpoint nodes (arange(m) + 0.5) / m, m the width
+    of the last axis of `values`.  Lets manifolds computed at different
+    quadrature sizes be compared on a common set of spatial points.
     """
     values = np.asarray(values, dtype=float)
-    nodes = np.asarray(nodes, dtype=float)
-    ext_nodes = np.concatenate([[nodes[-1] - 1.0], nodes, [nodes[0] + 1.0]])
-    ext_vals = np.concatenate([values[..., -1:], values, values[..., :1]], axis=-1)
-    flat = ext_vals.reshape(-1, ext_nodes.size)
-    out = np.stack([np.interp(probes, ext_nodes, row) for row in flat])
+    nodes = _nf1_nodes(values.shape[-1])
+    out = np.stack([np.interp(probes, nodes, row, period=1.0)
+                    for row in values.reshape(-1, nodes.size)])
     return out.reshape(values.shape[:-1] + (len(probes),))
 
 
@@ -286,7 +273,6 @@ def nf1_profile_interp(values, nodes, probes):
 class ExampleSystem:
     """A named example: builder plus optional closed-form oracles."""
 
-    id: str
     build: Callable
     default_eps: float
     analytic_h: Optional[Callable] = None      # (y, eps) -> x
@@ -301,27 +287,27 @@ class ExampleSystem:
 # shape, so harness wrappers can append value axes uniformly
 EXAMPLES = {
     "L1": ExampleSystem(
-        id="L1", build=build_l1, default_eps=0.1,
+        build=build_l1, default_eps=0.1,
         analytic_h=l1_h,
         analytic_dh=lambda y, e: np.ones_like(np.asarray(y, dtype=float)),
         analytic_d2h=lambda y, e: np.zeros_like(np.asarray(y, dtype=float)),
         h_tol=1e-6),
     "Q1": ExampleSystem(
-        id="Q1", build=build_q1, default_eps=0.1,
+        build=build_q1, default_eps=0.1,
         analytic_h=q1_h, analytic_dh=q1_dh,
         analytic_d2h=lambda y, e: np.full_like(np.asarray(y, dtype=float), 2.0),
         h_tol=1e-5),
     "L2": ExampleSystem(
-        id="L2", build=build_l2, default_eps=0.1,
+        build=build_l2, default_eps=0.1,
         analytic_h=lambda y, e: np.zeros_like(np.asarray(y, dtype=float)),
         analytic_dh=lambda y, e: np.zeros_like(np.asarray(y, dtype=float)),
         analytic_P=l2_P,
         h_tol=1e-8),
     "VDP-cut": ExampleSystem(
-        id="VDP-cut", build=build_vdp_cut, default_eps=0.005,
+        build=build_vdp_cut, default_eps=0.005,
         sampling_radius=0.1, h_tol=1e-4),
     "NF1": ExampleSystem(
-        id="NF1", build=build_nf1, default_eps=0.01,
+        build=build_nf1, default_eps=0.01,
         sampling_radius=0.5, h_tol=1e-4),
 }
 

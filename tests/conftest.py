@@ -101,7 +101,7 @@ def build_coupled(eps=0.02, domain=(-1.0, 1.0), points=81):
         return out
 
     return FastSlowSystem(m=1, n=1, F=F, g=g, A0=A0, domain=dom, DF=DF, Dg=Dg,
-                          D2F=D2F, D2g=None, meta={"name": "coupled", "eps": e})
+                          D2F=D2F, D2g=None)
 
 
 # -- helpers ---------------------------------------------------------------------

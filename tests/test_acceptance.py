@@ -301,7 +301,7 @@ def test_criterion_10_banach_discretization(nf1, nf1_solved):
     for m, pts in ((16, 11), (32, 21), (64, 41)):
         s = build_nf1(eps=0.01, m=m, points=pts)
         hh, _ = lp_solve(s, cert, DT)
-        profiles.append(nf1_profile_interp(hh(probes_y), s.meta["nodes"], probes_xi))
+        profiles.append(nf1_profile_interp(hh(probes_y), probes_xi))
     d1 = float(np.max(np.abs(profiles[0] - profiles[1])))
     d2 = float(np.max(np.abs(profiles[1] - profiles[2])))
     order = float(np.log2(d1 / d2))

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from slowfast.certify import (HYPOTHESIS_MARGIN, ConstantsCertificate, _op_norm,
-                              assemble_certificate,
+from slowfast.certify import (HYPOTHESIS_MARGIN, LIPSCHITZ_SAMPLES, ConstantsCertificate,
+                              _op_norm, assemble_certificate,
                               band_limited_drivers,
                               delta_budget, estimate_lipschitz,
                               estimate_process_bound, frozen_coefficient_window,
@@ -111,23 +111,22 @@ class TestProcessBound:
 class TestLipschitz:
     def test_l1_constants(self):
         sys = build_l1(eps=0.1, domain=(-1.0, 1.0))
-        vals, prov = estimate_lipschitz(sys, n_samples=4000, x_radius=2.0, seed=1)
+        vals = estimate_lipschitz(sys, n_samples=4000, x_radius=2.0, seed=1)
         assert vals["M0"] == pytest.approx(1.0, abs=0.01)
         assert vals["M1x"] <= 1e-9
         assert vals["M1y"] == pytest.approx(1.0, rel=1e-6)
         assert vals["N1"] <= 1e-9
         assert vals["N0"] == pytest.approx(0.1, rel=1e-9)
-        assert prov["M0"] == "sampled"
 
     def test_q1_constants(self):
         sys = build_q1(eps=0.1)
-        vals, _ = estimate_lipschitz(sys, n_samples=4000, x_radius=2.0, seed=1)
+        vals = estimate_lipschitz(sys, n_samples=4000, x_radius=2.0, seed=1)
         assert vals["M0"] == pytest.approx(1.0, abs=0.01)
         assert vals["M1y"] == pytest.approx(2.0, abs=0.01)
 
     def test_g_zero_gives_zero_n(self):
         sys = build_q1(eps=0.0)
-        vals, _ = estimate_lipschitz(sys, n_samples=1000, seed=0)
+        vals = estimate_lipschitz(sys, n_samples=1000, seed=0)
         assert vals["N0"] == 0.0 and vals["N1"] == 0.0
 
     def test_budget_floor(self):
@@ -135,9 +134,16 @@ class TestLipschitz:
             estimate_lipschitz(build_l1(), n_samples=100)
 
     def test_override_marks_supplied(self):
-        vals, prov = estimate_lipschitz(build_l1(), n_samples=1000,
-                                        overrides={"N1": 0.5})
-        assert vals["N1"] == 0.5 and prov["N1"] == "supplied"
+        """A Lipschitz override replaces its sampled value and is marked
+        supplied; the other four constants stay sampled, with the values that
+        estimate_lipschitz returns."""
+        sys = build_l1()
+        cert = assemble_certificate(sys, IntegratorConfig(dt=0.05), overrides={"N1": 0.5})
+        sampled = estimate_lipschitz(sys, n_samples=LIPSCHITZ_SAMPLES)
+        assert cert.N1 == 0.5 and cert.provenance["N1"] == "supplied"
+        for key in ("M0", "M1x", "M1y", "N0"):
+            assert cert.provenance[key] == "sampled"
+            assert getattr(cert, key) == sampled[key]
 
     @pytest.mark.parametrize("overrides, match", [
         ({"K": 2.0}, "together"), ({"mu": 0.5}, "together"),
@@ -174,8 +180,8 @@ class TestLipschitz:
 
     def test_monotone_in_budget(self):
         sys = build_q1(eps=0.1)
-        v1, _ = estimate_lipschitz(sys, n_samples=1000, seed=2)
-        v2, _ = estimate_lipschitz(sys, n_samples=8000, seed=2)
+        v1 = estimate_lipschitz(sys, n_samples=1000, seed=2)
+        v2 = estimate_lipschitz(sys, n_samples=8000, seed=2)
         for key in ("M0", "M1y", "N0"):
             assert v2[key] >= v1[key] - 1e-12
 
@@ -346,6 +352,27 @@ class TestCertificatePredicates:
         assert table["existence (delta budget)"] == "fail"
         partial = ConstantsCertificate(K=1.0, mu=1.0)
         assert "unknown" in dict(partial.hypothesis_table()).values()
+        assert cert.hypotheses_hold() and partial.hypotheses_hold()
+        assert not broken.hypotheses_hold()
+
+    @pytest.mark.parametrize("fields, hold", [
+        ({}, True), (dict(N1=10.0), False), (dict(delta=float("nan")), True)],
+        ids=["all-pass", "failing", "unknown-row"])
+    def test_verdict_is_the_check_status_and_the_exit_code(self, fields, hold, monkeypatch):
+        """The `hypotheses` check and `certify`'s exit code both read
+        hypotheses_hold(): pass / exit 0 when it holds, fail / exit 2 when not."""
+        from slowfast import cli, harness
+        kw = dict(K=1.0, mu=1.0, M0=0.5, M1x=0.0, M1y=1.0, N0=0.1, N1=0.0, delta=2.0, rho=2.0)
+        cert = ConstantsCertificate(**{**kw, **fields})
+        assert cert.hypotheses_hold() is hold
+        assert ("unknown" in dict(cert.hypothesis_table()).values()) == ("delta" in fields)
+        check = harness._chk_hypotheses(None, {"cert": cert})
+        assert check["status"] == ("pass" if hold else "fail")
+
+        def stage(spec, state):
+            state["cert"] = cert
+        monkeypatch.setattr(harness, "_stage_certify", stage)
+        assert cli.main(["certify", "--system", "L1"]) == (0 if hold else 2)
 
     def test_json_roundtrip(self):
         import json

@@ -17,7 +17,7 @@ from slowfast.integrate import IntegratorConfig, bounded_solution_batch, flow
 from slowfast.manifold import eqv_residual
 from slowfast.reduction import straighten
 from slowfast.systems import (build_l1, build_l2, build_nf1, build_q1, build_vdp_cut,
-                              build_vdp_raw, vdp_branch, _vdp_jet)
+                              build_vdp_raw, nf1_profile_interp, vdp_branch, _vdp_jet)
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -550,6 +550,20 @@ class TestVdpBranch:
             assert np.all(np.isnan(vdp_branch([0.7, 1.0])))
             with pytest.raises(PreconditionError):
                 build_vdp_cut(domain=(-2.0, 1.0))
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_nf1_profile_interp_is_periodic_interp_on_midpoint_nodes(m):
+    """The nodes come from the width m of the values: the periodic np.interp
+    on (arange(m) + 0.5) / m, bit for bit, across the wrap at 0 and 1 too."""
+    rng = np.random.default_rng(m)
+    values = rng.normal(size=(3, 2, m))
+    probes = np.concatenate([np.linspace(0.0, 1.0, 97, endpoint=False),
+                             rng.uniform(0.0, 1.0, 40), [0.25 / m, 1.0 - 0.25 / m]])
+    nodes = (np.arange(m) + 0.5) / m
+    want = np.stack([np.interp(probes, nodes, row, period=1.0)
+                     for row in values.reshape(-1, m)]).reshape(3, 2, probes.size)
+    assert nf1_profile_interp(values, probes).tobytes() == want.tobytes()
 
 
 def test_n_zero_rejected():

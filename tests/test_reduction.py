@@ -12,7 +12,7 @@ from conftest import build_coupled, sampled
 from slowfast import reduction
 from slowfast.certify import ConstantsCertificate, straightened_constants
 from slowfast.core import FastSlowSystem, GridDomain, GridFunction
-from slowfast.errors import CapabilityError, ContractionError
+from slowfast.errors import CapabilityError, ContractionError, PreconditionError
 from slowfast.integrate import IntegratorConfig, flow, rk4_path
 from slowfast.reduction import (attraction_rate_fit, decompose_orbit, dp_point,
                                 e_norm_sweep, q_along_orbit,
@@ -406,6 +406,15 @@ class TestSemiconjugacy:
         semiconjugacy_residual(ssys, res, 4.0, CFG2, scert, n_checks=n_checks)
         assert len(calls) == n_checks - 1
 
+    @pytest.mark.parametrize("n_checks", [0, 1])
+    def test_fewer_than_two_checks_rejected(self, l2_straight, n_checks):
+        """n_checks counts t = 0, which is not re-solved: below 2 no time would
+        be checked, and the residual would read 0.0 whatever the query."""
+        ssys, scert = l2_straight
+        res = q_along_orbit(ssys, [1.0], [0.0], scert, CFG2)
+        with pytest.raises(ValueError, match="n_checks must be at least 2"):
+            semiconjugacy_residual(ssys, res, 4.0, CFG2, scert, n_checks=n_checks)
+
     def test_l2_small_residual(self, l2_straight):
         ssys, scert = l2_straight
         res = q_along_orbit(ssys, [1.0], [0.0], scert, CFG5)
@@ -436,6 +445,18 @@ class TestSemiconjugacy:
         P2 = q_along_orbit(ssys, xt2, y2, scert, CFG).P
         evolved = flow(ssys, np.zeros(1), P1, (0.0, t2 - t1), CFG).slow[-1]
         assert np.linalg.norm(evolved - P2) <= 1e-6
+
+
+@pytest.mark.parametrize("check, message", [
+    (semiconjugacy_residual, "semiconjugacy check needs a converged result"),
+    (attraction_rate_fit, "rate fit needs a converged result")],
+    ids=["semiconjugacy", "rate-fit"])
+def test_unconverged_query_rejected(l2_straight, check, message):
+    ssys, scert = l2_straight
+    res = q_along_orbit(ssys, [1.0], [0.0], scert, CFG2)
+    res = dataclasses.replace(res, report=dataclasses.replace(res.report, converged=False))
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        check(ssys, res, 4.0, CFG2, scert)
 
 
 class TestAttractionRate:
