@@ -23,13 +23,19 @@ MAX_STEPS = 5_000_000       # steps of one pass; a longer pass is a ValueError
 MAX_SWEEPS = 60             # sweeps of each fixed-point iteration before ConvergenceError
 
 
+def _positive_finite(name, value):
+    """value, if it is positive and finite; else a ValueError naming it."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float = 0.01
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be positive and finite")
+        _positive_finite("dt", self.dt)
 
     @staticmethod
     def default_for(mu, N1, diameter):
@@ -293,16 +299,25 @@ def _graph_fields(sys, sig):
     return slow_field, joint, lift
 
 
-def two_pass(back_field, fwd_field, u0, lift, T, cfg: IntegratorConfig):
+def backward_end(back_field, u0, T, cfg: IntegratorConfig):
+    """The backward pass of `two_pass`: `back_field` integrated from u0 over
+    [0, -T]; returns the end state."""
+    return rk4_final(back_field, u0, 0.0, -T, cfg.steps_for(T))[1]
+
+
+def two_pass(back_field, fwd_field, u0, lift, T, cfg: IntegratorConfig, u_T=None):
     """The bounded-solution kernel behind every Lyapunov-Perron map.
 
     Integrates `back_field` from u0 backward over [0, -T] (the slow path and
     anything carried along it), then `fwd_field` forward over [-T, 0] from
-    lift(backward end state); returns the forward end state.
+    lift(backward end state); returns the forward end state.  A caller that
+    already holds the backward end state passes it as `u_T`, and the
+    backward pass is skipped: a slow path that reads no graph is the same
+    for every candidate, so one `backward_end` serves them all.
     """
-    n_steps = cfg.steps_for(T)
-    _, u_T = rk4_final(back_field, u0, 0.0, -T, n_steps)
-    return rk4_final(fwd_field, lift(u_T), -T, 0.0, n_steps)[1]
+    if u_T is None:
+        u_T = backward_end(back_field, u0, T, cfg)
+    return rk4_final(fwd_field, lift(u_T), -T, 0.0, cfg.steps_for(T))[1]
 
 
 def bounded_solution_batch(sys: FastSlowSystem, sigma, etas, horizon,
@@ -313,9 +328,10 @@ def bounded_solution_batch(sys: FastSlowSystem, sigma, etas, horizon,
     Integrates psi backward to -T, then (x' = F(x,y), y' = g(sigma(y), y))
     forward from (sigma(psi(-T)), psi(-T)).  The contraction at rate mu - K*M1x
     bounds the startup error by K e^{-(mu - K M1x) T} * 2(K M0/mu + delta), so
-    T = ConstantsCertificate.lp_horizon(tol) pins phi(0) to `tol`.  The tests
+    T = ConstantsCertificate.lp_horizon(tol) pins phi(0) to `tol`.  The
+    horizon must be positive and finite (else a ValueError).  The tests
     cross-check it against Picard iteration of the variation-of-constants map."""
+    T = _positive_finite("horizon", float(horizon))
     slow_field, joint, lift = _graph_fields(sys, sigma)
-    u0 = two_pass(slow_field, joint, np.asarray(etas, dtype=float), lift,
-                  float(horizon), cfg)
+    u0 = two_pass(slow_field, joint, np.asarray(etas, dtype=float), lift, T, cfg)
     return u0[..., : sys.m]

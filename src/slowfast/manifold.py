@@ -5,8 +5,12 @@ second-derivative fixed points, and residual diagnostics.
 Every node evaluation is a two-pass solve: the slow path is integrated
 backward to the truncation horizon, then the coupled (fast, slow[, variational])
 system is integrated forward, so that all RK4 stage values are exact field
-evaluations (no path interpolation enters the inner loops).  Sweeps are full
-Jacobi sweeps: every node reads the previous iterate.
+evaluations (no path interpolation enters the inner loops).  Where the slow
+drift reads no x, the slow path reads no candidate graph: the manifold map
+integrates it once per solve (or per batch of candidates) and every forward
+pass starts from that end state, and the derivative maps' backward pass
+reads no grid.  Sweeps are full Jacobi sweeps: every node reads the previous
+iterate.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from .certify import ConstantsCertificate
 from .core import FastSlowSystem, GridFunction, GridStack, _Blocks, _joint_reader
 from .errors import (CapabilityError, ContractionError, InfeasibleBudgetError,
                      PreconditionError)
-from .integrate import (ContractionReport, IntegratorConfig, _graph_fields, _sweep,
-                        bounded_solution_batch, flow, two_pass)
+from .integrate import (ContractionReport, IntegratorConfig, _graph_fields,
+                        _positive_finite, _sweep, backward_end, flow, two_pass)
 
 
 TOL_FIXED_POINT = 1e-9      # sweep residual at which the manifold and derivative solves stop
@@ -29,8 +33,11 @@ TOL_BOUNDED = 1e-10         # startup error of the bounded solution; sets the ho
 
 
 def _horizon(cert, horizon):
-    """The backward horizon: `horizon` if set, else the certificate's lp_horizon."""
-    return cert.lp_horizon(TOL_BOUNDED) if horizon is None else float(horizon)
+    """The backward horizon: `horizon` if set (positive and finite, else a
+    ValueError), else the certificate's lp_horizon."""
+    if horizon is None:
+        return cert.lp_horizon(TOL_BOUNDED)
+    return _positive_finite("horizon", float(horizon))
 
 
 # -- the manifold map ----------------------------------------------------------
@@ -39,15 +46,27 @@ def _ball_check(sigma: GridFunction, radius):
     return sigma.ball_norm() <= radius * (1.0 + 1e-12)
 
 
-def _lp_apply(sys, sigmas, T, cfg_int):
+def _slow_end(sys, grid, T, cfg_int):
+    """psi(-T) from the (N, n) nodes of `grid` where the slow drift reads no x,
+    so that no candidate graph moves it; None where it reads x."""
+    if sys.drift_reads_x:
+        return None
+    return backward_end(_graph_fields(sys, None)[0], grid.node_coords(), T, cfg_int)
+
+
+def _lp_apply(sys, sigmas, T, cfg_int, y_T=None):
     """One application of the manifold map to each of K candidates on one grid.
 
     The K node sets run as one (K, N, n) batch through one two-pass; row
-    block k reads sigma_k through a GridStack.  Returns the K images.
+    block k reads sigma_k through a GridStack.  `y_T` is `_slow_end`: where
+    it is set, the backward pass is skipped and its (N, n) end state is
+    broadcast to the K blocks.  Returns the K images.
     """
     grid = sigmas[0].domain
     etas = np.broadcast_to(grid.node_coords(), (len(sigmas), grid.node_count, grid.n))
-    vals = bounded_solution_batch(sys, GridStack(sigmas), etas, T, cfg_int)
+    slow_field, joint, lift = _graph_fields(sys, GridStack(sigmas))
+    u_T = None if y_T is None else np.broadcast_to(y_T, etas.shape)
+    vals = two_pass(slow_field, joint, etas, lift, T, cfg_int, u_T)[..., :sys.m]
     return [s.with_values(v.reshape(grid.shape + (sys.m,))) for s, v in zip(sigmas, vals)]
 
 
@@ -64,7 +83,10 @@ def lp_map_batch(sys: FastSlowSystem, sigmas, cert: ConstantsCertificate,
     for sigma in sigmas:
         if not _ball_check(sigma, radius):
             raise PreconditionError("sigma lies outside the certified ball")
-    return _lp_apply(sys, sigmas, _horizon(cert, horizon), cfg_int) if sigmas else []
+    T = _horizon(cert, horizon)
+    if not sigmas:
+        return []
+    return _lp_apply(sys, sigmas, T, cfg_int, _slow_end(sys, sigmas[0].domain, T, cfg_int))
 
 
 def lp_map(sys: FastSlowSystem, sigma: GridFunction, cert: ConstantsCertificate,
@@ -93,9 +115,10 @@ def lp_solve(sys: FastSlowSystem, cert: ConstantsCertificate,
     if not _ball_check(zero, radius):
         raise PreconditionError("initial iterate lies outside the certified ball")
     T = _horizon(cert, horizon)
+    y_T = _slow_end(sys, sys.domain, T, cfg_int)           # once for every sweep
     report = ContractionReport(theoretical_ratio=cert.lp_ratio())
     h = zero.with_values(_sweep(
-        "manifold", lambda v: _lp_apply(sys, [zero.with_values(v)], T, cfg_int)[0].values,
+        "manifold", lambda v: _lp_apply(sys, [zero.with_values(v)], T, cfg_int, y_T)[0].values,
         zero.values, report, TOL_FIXED_POINT, sys.norm_x))
     report.diagnostics["in_ball"] = bool(_ball_check(h, radius))
     return h, report
@@ -177,13 +200,19 @@ def _derivative_map(sys, fields, T, cfg_int):
     below is W at k = 1 and Dh at k = 2.  Backward pass: (psi, z1[, z2]) from
     (eta, I[, 0]) along the slow drift g(h(psi), psi), with
     z1' = [D_x g . D1 + D_y g] z1 and, at k = 2,
-    z2' = D_x g . w2 + D_y g . z2 + D2g[V1, V1], where V1 = (Dh z1, z1) and
+    z2' = (D_x g . w2 + D_y g . z2) + D2g[V1, V1], where V1 = (Dh z1, z1) and
     w2 = W[z1, z1] + Dh z2.  Forward pass re-integrates them and accumulates
     v' = D_x F(h, psi) v + D_y F(h, psi) z_k [+ D2F[V1, V1]] from v(-T) = 0;
     the node update is v(0).
+
+    Where the drift reads no x (`sys.drift_reads_x` False), D_x g = 0: both
+    passes drop the D_x g terms, so W is never read.  The backward pass then
+    reads no grid at all: it evaluates g and its derivatives at x = 0 and
+    takes Dh = 0 in V1, which leaves D2g[V1, V1] = D_yy g[z1, z1].  The
+    forward pass reads h[, Dh] for the fast field.
     """
     order = len(fields) - 1
-    read = _joint_reader(*fields)
+    reads_x = sys.drift_reads_x
     grid = fields[0].domain
     etas = grid.node_coords()
     B, m, n = etas.shape[0], sys.m, sys.n
@@ -196,19 +225,22 @@ def _derivative_map(sys, fields, T, cfg_int):
     def quad(D2, a):                                       # D2[a, a] on the columns of a
         return np.einsum("...icd,...ca,...db->...iab", D2, a, a)
 
-    def field(blocks):
+    def field(blocks, read):
         def fld(t, u):
             y, *z = blocks.split(u)                        # z1[, z2][, v]
             zk, v = z[order - 1], z[order:]
-            hy, D1, *W = read(y)
+            hy, *D = read(y)                               # h, then D1[, W] or [Dh]
             Dg = sys.eval_Dg(hy, y)
-            gen = np.einsum(mat, Dg[..., :, :m], D1) + Dg[..., :, m:]
+            gx, gy = Dg[..., :, :m], Dg[..., :, m:]
+            gen = np.einsum(mat, gx, D[0]) + gy if reads_x else gy
             parts = [sys.eval_g(hy, y), np.einsum(mat, gen, z[0])]
             if order == 2:
-                V1 = np.concatenate([np.einsum(mat, D1, z[0]), z[0]], axis=-2)
-                w2 = quad(W[0], z[0]) + np.einsum(lin, D1, zk)
-                parts.append(np.einsum(lin, Dg[..., :, :m], w2)
-                             + np.einsum(lin, Dg[..., :, m:], zk) + quad(sys.eval_D2g(hy, y), V1))
+                V1 = np.concatenate([np.einsum(mat, D[0], z[0]), z[0]], axis=-2)
+                dz2 = np.einsum(lin, gy, zk)
+                if reads_x:
+                    w2 = quad(D[1], z[0]) + np.einsum(lin, D[0], zk)
+                    dz2 = np.einsum(lin, gx, w2) + dz2
+                parts.append(dz2 + quad(sys.eval_D2g(hy, y), V1))
             if v:
                 DFh = sys.eval_DF(hy, y)
                 dv = np.einsum(lin, DFh[..., :, :m], v[0]) + np.einsum(lin, DFh[..., :, m:], zk)
@@ -217,8 +249,13 @@ def _derivative_map(sys, fields, T, cfg_int):
 
         return fld
 
+    if reads_x:
+        back_read = fwd_read = _joint_reader(*fields)
+    else:
+        zeros = [np.zeros((B,) + f.value_shape) for f in fields[:-1]]    # h[, Dh] = 0
+        back_read, fwd_read = (lambda y: zeros), _joint_reader(*fields[:-1])
     u0 = back.join((B,), etas, *[np.eye(n), np.zeros((n, n, n))][:order])
-    uf = two_pass(field(back), field(fwd), u0,
+    uf = two_pass(field(back, back_read), field(fwd, fwd_read), u0,
                   lambda u_T: fwd.join((B,), *back.split(u_T), np.zeros(v_shape)), T, cfg_int)
     return fwd.split(uf)[-1].reshape(grid.shape + v_shape)
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import sampled
-from slowfast import manifold, systems
+from slowfast import integrate, manifold, systems
 from slowfast.certify import ConstantsCertificate, assemble_certificate
 from slowfast.core import FastSlowSystem, GridDomain, GridFunction, _Blocks, _joint_reader
 from slowfast.errors import ContractionError, NumericError, PreconditionError
-from slowfast.integrate import IntegratorConfig, two_pass
+from slowfast.integrate import IntegratorConfig, bounded_solution_batch, two_pass
 from slowfast.harness import _random_ball_sigma
 from slowfast.manifold import (TOL_BOUNDED, TOL_FIXED_POINT, _derivative_map, _lp_apply,
                                d2h_solve, dh_solve, eqv_residual, fd_derivative_error,
@@ -158,21 +158,39 @@ class TestOneInterpolationPerStage:
     """One grid interpolation per field evaluation in the derivative maps and
     in the invariance residual: each field evaluation calls g once."""
 
-    def test_dh_apply(self, q1_solved, monkeypatch):
-        sys, cert, h, _ = q1_solved
+    @staticmethod
+    def _map_reads(sys, fields, monkeypatch):
+        """(g calls, interpolation calls) of one `_derivative_map` of order
+        len(fields) at T = 2, dt = 0.1: 20 steps of 4 stages in each pass."""
+        W = GridFunction.zeros(sys.domain, (sys.m,) + (sys.n,) * len(fields))
         interp = count_calls(monkeypatch, GridFunction, "__call__")
         g = count_calls(monkeypatch, FastSlowSystem, "eval_g")
-        w = GridFunction.zeros(sys.domain, (1, 1))
-        _derivative_map(sys, (h, w), 2.0, IntegratorConfig(dt=0.1))
-        assert g.calls == 8 * 20 and interp.calls == g.calls
+        _derivative_map(sys, (*fields, W), 2.0, IntegratorConfig(dt=0.1))
+        return g.calls, interp.calls
+
+    def test_dh_apply(self, q1_solved, monkeypatch):
+        """Where the drift reads x (Q1 declared to read it), both passes read
+        the grid at every stage."""
+        sys, cert, h, _ = q1_solved
+        g, interp = self._map_reads(replace(sys, drift_reads_x=True), (h,), monkeypatch)
+        assert g == 8 * 20 and interp == g
 
     def test_d2h_field(self, q1_solved, q1_dh_solved, monkeypatch):
         sys, cert, h, _ = q1_solved
         dh, _ = q1_dh_solved
         interp = count_calls(monkeypatch, GridFunction, "__call__")
         g = count_calls(monkeypatch, FastSlowSystem, "eval_g")
-        d2h_solve(sys, h, dh, cert, IntegratorConfig(dt=0.1))
+        d2h_solve(replace(sys, drift_reads_x=True), h, dh, cert, IntegratorConfig(dt=0.1))
         assert g.calls > 0 and interp.calls == g.calls
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_derivative_map_drift_reading_no_x(self, order, q1_solved, q1_dh_solved,
+                                               monkeypatch):
+        """Q1's drift reads no x: the backward pass reads no grid, and the
+        forward pass reads h[, Dh] once per stage."""
+        sys, cert, h, _ = q1_solved
+        g, interp = self._map_reads(sys, (h, q1_dh_solved[0])[:order], monkeypatch)
+        assert g == 8 * 20 and interp == 4 * 20
 
     @staticmethod
     def _eqv_residual_reads(sys, h, cert, monkeypatch):
@@ -259,13 +277,10 @@ class TestLpSolve:
             domain=GridDomain([0.0], [1.0], [11]))
         cert = ConstantsCertificate(K=1.0, mu=1.0, M0=0.1, M1x=0.1, M1y=0.1,
                                     N0=0.0, N1=0.0, delta=0.5, rho=0.6)
-        sweeps = []
-        batch = manifold.bounded_solution_batch
-        monkeypatch.setattr(manifold, "bounded_solution_batch",
-                            lambda *a: sweeps.append(1) or batch(*a))
+        sweeps = count_calls(monkeypatch, manifold, "_lp_apply")
         with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
             lp_solve(sys, cert, CFG, horizon=5)
-        assert len(sweeps) == 1
+        assert sweeps.calls == 1
 
 
 class TestMeasuredContraction:
@@ -611,6 +626,83 @@ class TestDriftReadingNoX:
         assert declared == swept and res == swept_res
         # the swept map's last sweep recomputes the image: residual 0.0
         assert calls == 1 and swept_calls == len(swept_res) and res[-1] == 0.0
+
+
+class TestSlowPathOnce:
+    """Where the drift reads no x, `lp_solve` integrates the slow path once per
+    solve, `lp_map_batch` once per batch on one (N, n) block, and the
+    derivative maps' backward pass reads no grid.  Every result keeps the
+    bytes of the same system declared to read x, which runs the full path."""
+
+    CFG = IntegratorConfig(dt=0.1)
+
+    @staticmethod
+    def _results(sys, cert, order, cfg):
+        """lp_solve's h and residuals, ten lp_map_batch images (as in the
+        contraction check), and the derivative solves up to `order`."""
+        h, rep = lp_solve(sys, cert, cfg)
+        rng = np.random.default_rng(1)
+        sigmas = [_random_ball_sigma(sys, sys.domain, cert.ball_radius, rng)
+                  for _ in range(10)]
+        out = [h.values.tobytes(), rep.residuals]
+        out += [s.values.tobytes() for s in lp_map_batch(sys, sigmas, cert, cfg)]
+        dh, dh_rep = dh_solve(sys, h, cert, cfg)
+        out += [dh.values.tobytes(), dh_rep.residuals]
+        if order == 2:
+            d2, d2_rep = d2h_solve(sys, h, dh, cert, cfg)
+            out += [d2.values.tobytes(), d2_rep.residuals]
+        return out
+
+    @pytest.mark.parametrize("name, order", [("L1", 2), ("Q1", 2), ("NF1", 1)])
+    def test_equals_the_full_path_bytes(self, name, order):
+        example = systems.EXAMPLES[name]
+        sys = example.build(**({"m": 16} if name == "NF1" else {}))
+        assert sys.drift_reads_x is False
+        cert = assemble_certificate(sys, self.CFG, seed=0, x_radius=example.sampling_radius)
+        got = self._results(sys, cert, order, self.CFG)
+        want = self._results(replace(sys, drift_reads_x=True), cert, order, self.CFG)
+        assert len(got) == len(want) == 14 + 2 * (order - 1) and got == want
+
+    def test_lp_solve_passes(self, q1, monkeypatch):
+        """sweeps + 1 RK4 passes (one backward, one forward per sweep), where
+        the declared full path makes two per sweep."""
+        sys, cert = q1
+        passes = count_calls(monkeypatch, integrate, "_rk4")
+        for s, per_sweep, once in ((sys, 1, 1), (replace(sys, drift_reads_x=True), 2, 0)):
+            passes.calls = 0
+            _, rep = lp_solve(s, cert, self.CFG)
+            assert rep.iterations >= 2 and passes.calls == per_sweep * rep.iterations + once
+
+    def test_lp_map_batch_integrates_one_backward_block(self, q1, monkeypatch):
+        sys, cert = q1
+        shapes, rk4 = [], integrate._rk4
+        monkeypatch.setattr(integrate, "_rk4",
+                            lambda f, u0, *a: shapes.append(np.shape(u0)) or rk4(f, u0, *a))
+        N = sys.domain.node_count
+        for k in (1, 2, 10):
+            shapes.clear()
+            lp_map_batch(sys, _ball_sigmas(sys, cert, k, seed=k), cert, self.CFG, horizon=2.0)
+            assert shapes == [(N, 1), (k, N, 2)]
+
+
+class TestBadHorizon:
+    @pytest.mark.parametrize("horizon", [-5.0, 0.0, np.inf, np.nan])
+    def test_rejected_before_any_pass(self, q1, horizon, monkeypatch):
+        """A non-finite or non-positive horizon is a ValueError before any
+        RK4 pass (-5 used to run 60 diverging sweeps, inf and nan to raise
+        from the step count)."""
+        sys, cert = q1
+        zero = GridFunction.zeros(sys.domain, (1,))
+        passes = count_calls(monkeypatch, integrate, "_rk4")
+        for call in (lambda: lp_solve(sys, cert, CFG, horizon=horizon),
+                     lambda: lp_map(sys, zero, cert, CFG, horizon=horizon),
+                     lambda: lp_map_batch(sys, [zero, zero], cert, CFG, horizon=horizon),
+                     lambda: eqv_residual(sys, zero, cert, CFG, horizon=horizon),
+                     lambda: bounded_solution_batch(sys, zero, sys.domain.node_coords(),
+                                                    horizon, CFG)):
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                call()
+        assert passes.calls == 0
 
 
 class TestEpsilonContinuity:
